@@ -72,12 +72,7 @@ def check_algebra_morphism(f, src, dst):
             r = [a - b for a, b in zip(lhs, rhs)]
             if any(r):
                 violations.append(Violation("bracket-morphism", (i, j), r))
-    inter = f.compose(src.alpha)
-    other = dst.alpha.compose(f)
-    diff = [[a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(inter.matrix, other.matrix)]
-    if not _mat_is_zero(diff):
-        violations.append(Violation("twist-intertwine", (), diff))
+    violations.extend(_intertwine_violations(f, src, dst))
     return CheckReport("algebra-morphism", violations)
 
 
@@ -87,21 +82,20 @@ def check_coalgebra_morphism(f, src, dst):
         raise DimensionMismatchError("map bases do not match the structures")
     violations = []
     for i in range(src.dim):
-        lhs = Tensor2(dst.ring, dst.basis)
-        for m in range(dst.dim):
-            if f.matrix[m][i]:
-                lhs = lhs + dst.delta(m).scale(f.matrix[m][i])
-        rhs = src.delta(i).apply_all(f)
-        r = lhs - rhs
+        r = dst.delta_vector(f.column(i)) - src.delta(i).apply_all(f)
         if not r.is_zero():
             violations.append(Violation("cobracket-morphism", (i,), r))
-    inter = f.compose(src.alpha)
-    other = dst.alpha.compose(f)
-    diff = [[a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(inter.matrix, other.matrix)]
-    if not _mat_is_zero(diff):
-        violations.append(Violation("twist-intertwine", (), diff))
+    violations.extend(_intertwine_violations(f, src, dst))
     return CheckReport("coalgebra-morphism", violations)
+
+
+def _intertwine_violations(f, src, dst):
+    """f o alpha_src - alpha_dst o f, reported if nonzero."""
+    diff = _mat_add(f.compose(src.alpha).matrix, dst.alpha.compose(f).matrix,
+                    sign=-1)
+    if _mat_is_zero(diff):
+        return []
+    return [Violation("twist-intertwine", (), diff)]
 
 
 def check_bialgebra_morphism(f, src, dst):
@@ -147,15 +141,7 @@ def twist(bialgebra, beta, verify=True):
             image = beta.apply(B.algebra.bracket_of(i, j))
             for k in range(n):
                 bracket[i][j][k] = image[k]
-    cobracket = zero_bracket(ring, basis)
-    for i in range(n):
-        t = Tensor2(ring, basis)
-        for m in range(n):
-            if beta.matrix[m][i]:
-                t = t + B.delta(m).scale(beta.matrix[m][i])
-        for j in range(n):
-            for k in range(n):
-                cobracket[i][j][k] = t.entries[j][k]
+    cobracket = [B.coalgebra.delta_vector(beta.column(i)).entries for i in range(n)]
     return HomSuperBialgebra(ring, basis, bracket, cobracket,
                              beta.compose(B.alpha))
 
@@ -177,6 +163,20 @@ def twist_power(bialgebra, n):
     return twist(B, B.alpha.power(n), verify=False)
 
 
+def _det(ring, m, rows, cols):
+    """Laplace expansion along the first row of the minor rows x cols."""
+    if len(rows) == 1:
+        return m[rows[0]][cols[0]]
+    total = ring.zero()
+    r0, rest = rows[0], rows[1:]
+    for pos, c in enumerate(cols):
+        if not m[r0][c]:
+            continue
+        term = m[r0][c] * _det(ring, m, rest, cols[:pos] + cols[pos + 1:])
+        total = total + (term if pos % 2 == 0 else -term)
+    return total
+
+
 def invert_even_map(f):
     """Invert an even map via the adjugate; the determinant must be an
     invertible scalar."""
@@ -185,22 +185,7 @@ def invert_even_map(f):
     ring = f.ring
     n = f.src.dim
     m = f.matrix
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return m[rows[0]][cols[0]]
-        total = ring.zero()
-        r0 = rows[0]
-        rest = rows[1:]
-        for pos, c in enumerate(cols):
-            if not m[r0][c]:
-                continue
-            sub = det(rest, cols[:pos] + cols[pos + 1:])
-            term = m[r0][c] * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        return total
-
-    full = det(list(range(n)), list(range(n)))
+    full = _det(ring, m, list(range(n)), list(range(n)))
     try:
         inv_det = full.inverse()
     except Exception as exc:
@@ -210,7 +195,7 @@ def invert_even_map(f):
         for j in range(n):
             rows = [r for r in range(n) if r != i]
             cols = [c for c in range(n) if c != j]
-            minor = det(rows, cols) if n > 1 else ring.one()
+            minor = _det(ring, m, rows, cols) if n > 1 else ring.one()
             sign = 1 if (i + j) % 2 == 0 else -1
             adj[j][i] = inv_det * (minor if sign == 1 else -minor)
     return EvenMap(ring, f.dst, f.src, adj)
@@ -232,16 +217,8 @@ def transport_structure(bialgebra, f):
             image = f.apply(B.algebra.bracket_vectors(g.column(i), g.column(j)))
             for k in range(n):
                 bracket[i][j][k] = image[k]
-    cobracket = zero_bracket(ring, basis)
-    for i in range(n):
-        t = Tensor2(ring, B.basis)
-        for m in range(B.dim):
-            if g.matrix[m][i]:
-                t = t + B.delta(m).scale(g.matrix[m][i])
-        t = t.apply_all(f)
-        for j in range(n):
-            for k in range(n):
-                cobracket[i][j][k] = t.entries[j][k]
+    cobracket = [B.coalgebra.delta_vector(g.column(i)).apply_all(f).entries
+                 for i in range(n)]
     alpha = f.compose(B.alpha).compose(g)
     return HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
 
@@ -259,13 +236,17 @@ def dual_basis(basis):
     return SuperBasis(basis.parities, labels)
 
 
-def _pair_sign(convention, p, q):
-    """The sign relating cobracket constants to dual bracket constants."""
+def _pair_sign(convention, p, q, shift=0):
+    """The sign relating cobracket constants to dual bracket constants:
+    the pairing sign of a 2-tensor of parities (p, q) against the partner
+    space, times (-1)^shift."""
     if convention == "koszul":
-        return koszul_sign(p, q)
-    if convention == "plain":
-        return 1
-    raise ValueError("unknown pairing convention %r" % (convention,))
+        sign = koszul_sign(p, q)
+    elif convention == "plain":
+        sign = 1
+    else:
+        raise ValueError("unknown pairing convention %r" % (convention,))
+    return -sign if shift % 2 else sign
 
 
 def dualize(bialgebra, convention="koszul"):
@@ -475,34 +456,17 @@ def _merge_labels(first, second):
 
 def semidirect_product(algebra, rep):
     """The bracket structure on algebra (+) module with the module abelian
-    and the algebra acting through the representation."""
+    and the algebra acting through the representation: the double of the
+    matched pair whose module side acts by zero."""
     A = algebra
     ring = A.ring
     if rep.algebra.basis != A.basis:
         raise DimensionMismatchError("representation does not act for this structure")
-    n, m = A.dim, rep.module_basis.dim
-    basis = SuperBasis(A.basis.parities + rep.module_basis.parities,
-                       _merge_labels(A.basis.labels, rep.module_basis.labels))
-    bracket = zero_bracket(ring, basis)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                bracket[i][j][k] = A.bracket[i][j][k]
-    for i in range(n):
-        for j in range(m):
-            col = [rep.matrices[i][p][j] for p in range(m)]
-            s = koszul_sign(A.basis.parity(i), rep.module_basis.parity(j))
-            for p in range(m):
-                bracket[i][n + j][n + p] = col[p]
-                bracket[n + j][i][n + p] = -col[p] if s == 1 else col[p]
-    alpha = _mat_zero(ring, n + m, n + m)
-    for i in range(n):
-        for j in range(n):
-            alpha[i][j] = A.alpha.matrix[i][j]
-    for i in range(m):
-        for j in range(m):
-            alpha[n + i][n + j] = rep.module_map.matrix[i][j]
-    return HomSuperAlgebra(ring, basis, bracket, alpha)
+    module = HomSuperAlgebra(ring, rep.module_basis,
+                             zero_bracket(ring, rep.module_basis), rep.module_map)
+    inert = Representation(module, A.basis, A.alpha,
+                           [_mat_zero(ring, A.dim, A.dim)] * module.dim)
+    return MatchedPair(A, module, rep, inert).double()
 
 
 class MatchedPair:
@@ -593,40 +557,37 @@ def _require_dual_shape(g, gstar):
                               "structure map")
 
 
-def coadjoint_action(g, gstar):
-    """g acting on the dual space by the negated graded transpose of its
-    own adjoint action."""
-    _require_dual_shape(g, gstar)
-    ring, n = g.ring, g.dim
-    p = g.basis.parities
+def _coadjoint(acting, partner, sign_on_target):
+    """Negated graded transpose of *acting*'s own adjoint action, acting on
+    *partner*'s space.  The Koszul sign pairs the acting index with the
+    output index if *sign_on_target*, else with the input index."""
+    ring, n = acting.ring, acting.dim
+    p = acting.basis.parities
     matrices = []
     for m in range(n):
         mat = _mat_zero(ring, n, n)
         for out in range(n):
             for j in range(n):
-                v = g.bracket[m][out][j]
+                v = acting.bracket[m][out][j]
                 if v:
-                    mat[out][j] = -v if koszul_sign(p[m], p[j]) == 1 else v
+                    q = p[out] if sign_on_target else p[j]
+                    mat[out][j] = -v if koszul_sign(p[m], q) == 1 else v
         matrices.append(mat)
-    return Representation(g, gstar.basis, gstar.alpha, matrices)
+    return Representation(acting, partner.basis, partner.alpha, matrices)
+
+
+def coadjoint_action(g, gstar):
+    """g acting on the dual space by the negated graded transpose of its
+    own adjoint action."""
+    _require_dual_shape(g, gstar)
+    return _coadjoint(g, gstar, False)
 
 
 def dual_coadjoint_action(g, gstar):
     """The dual space acting back on g, through the pairing that
     identifies g with the double dual."""
     _require_dual_shape(g, gstar)
-    ring, n = g.ring, g.dim
-    p = g.basis.parities
-    matrices = []
-    for m in range(n):
-        mat = _mat_zero(ring, n, n)
-        for out in range(n):
-            for j in range(n):
-                v = gstar.bracket[m][out][j]
-                if v:
-                    mat[out][j] = -v if koszul_sign(p[m], p[out]) == 1 else v
-        matrices.append(mat)
-    return Representation(gstar, g.basis, g.alpha, matrices)
+    return _coadjoint(gstar, g, True)
 
 
 def dual_matched_pair(g, gstar):
@@ -707,23 +668,8 @@ class BilinearForm:
         return out
 
     def determinant(self):
-        m = self.matrix
-        ring = self.ring
-
-        def det(rows, cols):
-            if len(rows) == 1:
-                return m[rows[0]][cols[0]]
-            total = ring.zero()
-            r0, rest = rows[0], rows[1:]
-            for pos, c in enumerate(cols):
-                if not m[r0][c]:
-                    continue
-                term = m[r0][c] * det(rest, cols[:pos] + cols[pos + 1:])
-                total = total + (term if pos % 2 == 0 else -term)
-            return total
-
         n = self.basis.dim
-        return det(list(range(n)), list(range(n)))
+        return _det(self.ring, self.matrix, list(range(n)), list(range(n)))
 
     def is_nondegenerate(self):
         return not self.determinant().is_zero()
@@ -787,91 +733,45 @@ def manin_supertriple(g, gstar, multiplicative=False):
 # the two-sided cocycle condition for a dual pair
 
 
-def _eps(convention, p, q):
-    """Pairing sign of a dual 2-tensor against primal arguments."""
-    if convention == "koszul":
-        return koszul_sign(p, q) * (-1 if (p + q) % 2 else 1)
-    if convention == "plain":
-        return -1 if (p + q) % 2 else 1
-    raise ValueError("unknown pairing convention %r" % (convention,))
-
-
-def _kappa(convention, p, q):
-    """Pairing sign of a primal 2-tensor against dual arguments."""
-    if convention == "koszul":
-        return koszul_sign(p, q)
-    if convention == "plain":
-        return 1
-    raise ValueError("unknown pairing convention %r" % (convention,))
-
-
 def cobracket_from_dual_bracket(g, gstar, convention="koszul"):
-    """Rebuild the cobracket on g whose dualization is gstar's bracket."""
+    """Rebuild the cobracket on g whose dualization is gstar's bracket.
+
+    The roles are symmetric: ``cobracket_from_dual_bracket(gstar, g)``
+    rebuilds the cobracket on gstar whose dualization is g's bracket.
+    """
     ring, n = g.ring, g.dim
     p = g.basis.parities
     cobracket = zero_bracket(ring, g.basis)
     for i in range(n):
-        head = -1 if p[i] else 1
         for a in range(n):
             for b in range(n):
                 v = gstar.bracket[a][b][i]
                 if v:
-                    s = head * _eps(convention, p[a], p[b])
+                    s = _pair_sign(convention, p[a], p[b], p[i] + p[a] + p[b])
                     cobracket[i][a][b] = v if s == 1 else -v
     return cobracket
 
 
-def bracket_from_dual_cobracket(g, gstar, convention="koszul"):
-    """Rebuild the cobracket on gstar whose dualization is g's bracket."""
-    ring, n = g.ring, g.dim
-    p = g.basis.parities
-    cobracket = zero_bracket(ring, gstar.basis)
-    for k in range(n):
-        head = -1 if p[k] else 1
-        for a in range(n):
-            for b in range(n):
-                v = g.bracket[a][b][k]
-                if v:
-                    s = head * _eps(convention, p[a], p[b])
-                    cobracket[k][a][b] = v if s == 1 else -v
-    return cobracket
-
-
-def check_dual_pair(g, gstar, convention="koszul", multiplicative=False):
-    """Do a structure and its dual-space partner fit together into one
-    bialgebra?
-
-    Checks admissibility of both halves, validity of both halves, and the
-    two mutual cocycle conditions: the compatibility defect of the
-    cobracket rebuilt on either half must pair to zero against the other
-    half's twisted wedge arguments.
+def _pairing_cocycle_violations(g, gstar, convention, shifted, axiom):
+    """Pair the compatibility defect of the cobracket rebuilt on g against
+    the twisted wedge arguments from gstar.  The pairing sign is
+    ``_pair_sign``, times (-1)^{|s|+|q|} at the slot parities if *shifted*.
     """
-    _require_dual_shape(g, gstar)
     ring, n = g.ring, g.dim
     p = g.basis.parities
     A = g.alpha.matrix
-    violations = []
-    for v in g.check(multiplicative=multiplicative).violations:
-        violations.append(Violation("primal:" + v.axiom, v.indices, v.residual))
-    for v in gstar.check(multiplicative=multiplicative).violations:
-        violations.append(Violation("dual:" + v.axiom, v.indices, v.residual))
-    for v in check_admissible(g).violations:
-        violations.append(Violation("primal-" + v.axiom, v.indices, v.residual))
-    for v in check_admissible(gstar).violations:
-        violations.append(Violation("dual-" + v.axiom, v.indices, v.residual))
-
-    # cocycle condition on the primal side
     cobr = cobracket_from_dual_bracket(g, gstar, convention)
-    deltas = [Tensor2(ring, g.basis, cobr[i]) for i in range(n)]
-    defect = delta1(g, deltas)
+    defect = delta1(g, [Tensor2(ring, g.basis, cobr[i]) for i in range(n)])
 
-    def primal_pairing(t, s, q):
-        # <t, e^s (x) e^q> for a primal 2-tensor t
+    def pairing(t, s, q):
+        # <t, e^s (x) e^q> for a 2-tensor t on g
         v = t.entries[s][q]
         if not v:
             return ring.zero()
-        return v if _eps(convention, p[s], p[q]) == 1 else -v
+        shift = p[s] + p[q] if shifted else 0
+        return v if _pair_sign(convention, p[s], p[q], shift) == 1 else -v
 
+    violations = []
     for i in range(n):
         for j in range(n):
             t = defect[i][j]
@@ -883,44 +783,43 @@ def check_dual_pair(g, gstar, convention="koszul", multiplicative=False):
                     for s in range(n):
                         if not A[pp][s]:
                             continue
-                        wedge = primal_pairing(t, s, q)
-                        back = primal_pairing(t, q, s)
+                        wedge = pairing(t, s, q)
+                        back = pairing(t, q, s)
                         wedge = wedge - (back if koszul_sign(p[s], p[q]) == 1 else -back)
                         if wedge:
                             total = total + A[pp][s] * wedge
                     if total:
-                        violations.append(
-                            Violation("pairing-cocycle", (i, j, pp, q), total))
+                        violations.append(Violation(axiom, (i, j, pp, q), total))
+    return violations
 
-    # and symmetrically on the dual side
-    cobr_star = bracket_from_dual_cobracket(g, gstar, convention)
-    deltas_star = [Tensor2(ring, gstar.basis, cobr_star[i]) for i in range(n)]
-    defect_star = delta1(gstar, deltas_star)
 
-    def dual_pairing(t, s, q):
-        v = t.entries[s][q]
-        if not v:
-            return ring.zero()
-        return v if _kappa(convention, p[s], p[q]) == 1 else -v
+def check_dual_pair(g, gstar, convention="koszul", multiplicative=False):
+    """Do a structure and its dual-space partner fit together into one
+    bialgebra?
 
-    for i in range(n):
-        for j in range(n):
-            t = defect_star[i][j]
-            if t.is_zero():
-                continue
-            for q in range(n):
-                for pp in range(n):
-                    total = ring.zero()
-                    for s in range(n):
-                        if not A[s][pp]:
-                            continue
-                        wedge = dual_pairing(t, s, q)
-                        back = dual_pairing(t, q, s)
-                        wedge = wedge - (back if koszul_sign(p[s], p[q]) == 1 else -back)
-                        if wedge:
-                            total = total + A[s][pp] * wedge
-                    if total:
-                        violations.append(
-                            Violation("dual-pairing-cocycle", (i, j, pp, q), total))
-
+    Checks admissibility of both halves, validity of both halves, and the
+    two mutual cocycle conditions: the compatibility defect of the
+    cobracket rebuilt on either half must pair to zero against the other
+    half's twisted wedge arguments.  One procedure serves both halves.
+    The primal half ("pairing-cocycle") rebuilds on g and pairs a primal
+    2-tensor against dual arguments with ``_pair_sign`` times
+    (-1)^{|s|+|q|}; the dual half ("dual-pairing-cocycle") is the same
+    procedure on (gstar, g) with ``_pair_sign`` alone.  *convention*
+    ("koszul" or "plain") selects ``_pair_sign`` for the rebuild and for
+    both pairings; it should be the convention gstar was dualized with.
+    """
+    _require_dual_shape(g, gstar)
+    violations = []
+    for v in g.check(multiplicative=multiplicative).violations:
+        violations.append(Violation("primal:" + v.axiom, v.indices, v.residual))
+    for v in gstar.check(multiplicative=multiplicative).violations:
+        violations.append(Violation("dual:" + v.axiom, v.indices, v.residual))
+    for v in check_admissible(g).violations:
+        violations.append(Violation("primal-" + v.axiom, v.indices, v.residual))
+    for v in check_admissible(gstar).violations:
+        violations.append(Violation("dual-" + v.axiom, v.indices, v.residual))
+    violations.extend(_pairing_cocycle_violations(
+        g, gstar, convention, True, "pairing-cocycle"))
+    violations.extend(_pairing_cocycle_violations(
+        gstar, g, convention, False, "dual-pairing-cocycle"))
     return CheckReport("dual-pair", violations)

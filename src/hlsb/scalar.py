@@ -24,6 +24,11 @@ from .errors import ParseError, RingMismatchError, ScalarError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# Deepest nesting of parentheses and unary signs a scalar may have.  The
+# parser recurses once per level, so this keeps hostile input well inside
+# the interpreter's stack.
+MAX_NESTING = 100
+
 
 class ParamRing:
     """The ring Q[p1, ..., pn][q^-1 for each invertible q]."""
@@ -202,8 +207,13 @@ class Scalar:
         if n < 0:
             return self.inverse() ** (-n)
         result = self.ring.one()
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def inverse(self):
@@ -347,6 +357,7 @@ class _Parser:
                 self.tokens.append(("op", m.group(3), m.start(3)))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         if self.i < len(self.tokens):
@@ -357,6 +368,12 @@ class _Parser:
         tok = self._peek()
         self.i += 1
         return tok
+
+    def _nest(self, pos):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nested deeper than %d levels" % MAX_NESTING,
+                             self.text, pos)
 
     def parse(self):
         value = self.expr()
@@ -391,10 +408,12 @@ class _Parser:
                 return value
 
     def unary(self):
-        kind, op, _ = self._peek()
+        kind, op, pos = self._peek()
         if kind == "op" and op in "+-":
             self._next()
+            self._nest(pos)
             value = self.unary()
+            self.depth -= 1
             return value if op == "+" else -value
         return self.power()
 
@@ -427,7 +446,9 @@ class _Parser:
             except ScalarError as exc:
                 raise ParseError(str(exc), self.text, pos) from exc
         if kind == "op" and value == "(":
+            self._nest(pos)
             inner = self.expr()
+            self.depth -= 1
             kind, value, pos = self._next()
             if not (kind == "op" and value == ")"):
                 raise ParseError("expected ')'", self.text, pos)

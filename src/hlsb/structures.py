@@ -257,40 +257,28 @@ class HomSuperCoalgebra:
         d = self.delta(i)
         return d + tau(d)
 
+    def delta_vector(self, x):
+        """delta of a coefficient vector (linear extension), as a Tensor2."""
+        n = self.dim
+        out = Tensor2(self.ring, self.basis)
+        for m, c in enumerate(x):
+            if not c:
+                continue
+            plane = self.cobracket[m]
+            for j in range(n):
+                for k in range(n):
+                    if plane[j][k]:
+                        out.entries[j][k] = out.entries[j][k] + c * plane[j][k]
+        return out
+
     def cojacobi_residual(self, i):
         """The graded cyclic sum of (alpha (x) delta) delta at e_i."""
-        w = Tensor3(self.ring, self.basis)
-        A = self.alpha.matrix
-        n = self.dim
-        for j in range(n):
-            for k in range(n):
-                v = self.cobracket[i][j][k]
-                if not v:
-                    continue
-                for u in range(n):
-                    if not A[u][j]:
-                        continue
-                    head = v * A[u][j]
-                    plane = self.cobracket[k]
-                    for a in range(n):
-                        for b in range(n):
-                            if plane[a][b]:
-                                w.entries[u][a][b] = w.entries[u][a][b] + head * plane[a][b]
-        return cyclic_sum(w)
+        return cyclic_sum(alpha_otimes_delta(self, self.delta(i)))
 
     def comult_residual(self, i):
         """delta(alpha(e_i)) - (alpha (x) alpha) delta(e_i)."""
-        n = self.dim
-        lhs = Tensor2(self.ring, self.basis)
-        for m in range(n):
-            c = self.alpha.matrix[m][i]
-            if not c:
-                continue
-            for j in range(n):
-                for k in range(n):
-                    if self.cobracket[m][j][k]:
-                        lhs.entries[j][k] = lhs.entries[j][k] + c * self.cobracket[m][j][k]
-        return lhs - self.delta(i).apply_all(self.alpha)
+        return (self.delta_vector(self.alpha.column(i))
+                - self.delta(i).apply_all(self.alpha))
 
     def check(self, comultiplicative=False):
         violations = list(self.grading_violations())
@@ -311,6 +299,39 @@ class HomSuperCoalgebra:
 
     def is_comultiplicative(self):
         return not any(not self.comult_residual(i).is_zero() for i in range(self.dim))
+
+
+def _alpha_beside_delta(coalgebra, r, delta_first):
+    """alpha on one factor of r and delta on the other, as a Tensor3 with
+    the alpha image in the first slot, or in the last if *delta_first*."""
+    C = coalgebra
+    out = Tensor3(C.ring, C.basis)
+    A, d = C.alpha.matrix, C.cobracket
+    n = C.dim
+    for a, b, va in r.items():
+        if delta_first:
+            a, b = b, a
+        for u in range(n):
+            if not A[u][a]:
+                continue
+            head = va * A[u][a]
+            plane = d[b]
+            for v in range(n):
+                for w in range(n):
+                    if plane[v][w]:
+                        x, y, z = (v, w, u) if delta_first else (u, v, w)
+                        out.entries[x][y][z] = out.entries[x][y][z] + head * plane[v][w]
+    return out
+
+
+def alpha_otimes_delta(coalgebra, r):
+    """(alpha (x) delta)(r) as a Tensor3."""
+    return _alpha_beside_delta(coalgebra, r, False)
+
+
+def delta_otimes_alpha(coalgebra, r):
+    """(delta (x) alpha)(r) as a Tensor3."""
+    return _alpha_beside_delta(coalgebra, r, True)
 
 
 def ad_action(algebra, x, t):

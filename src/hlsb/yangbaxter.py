@@ -18,7 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import HypothesisError, ScalarError
-from .structures import CheckReport, HomSuperBialgebra, Violation, ad_basis
+from .structures import (
+    CheckReport,
+    Violation,
+    ad_basis,
+    alpha_otimes_delta,
+    bialgebra_from_deltas,
+    delta_otimes_alpha,
+)
 from .superlinear import Tensor2, Tensor3, cyclic_sum, koszul_sign, tau
 
 # ---------------------------------------------------------------------------
@@ -29,7 +36,9 @@ def _pairs(r):
     return list(r.items())
 
 
-def bracket_12_13(algebra, r, rp):
+def _partial_bracket(algebra, r, rp, slot):
+    """Insert r and rp with the bracket landing in tensor *slot* (0, 1 or
+    2) and the structure map covering the other two slots."""
     ring, basis = algebra.ring, algebra.basis
     n, p = basis.dim, basis.parities
     A, c = algebra.alpha.matrix, algebra.bracket
@@ -37,108 +46,42 @@ def bracket_12_13(algebra, r, rp):
     for a, b, va in _pairs(r):
         for cc, d, vb in _pairs(rp):
             coeff = va * vb
-            if koszul_sign(p[b], p[cc]) == -1:
+            # slot 1 brackets b with c directly; the other two move c past b
+            if slot != 1 and koszul_sign(p[b], p[cc]) == -1:
                 coeff = -coeff
-            for u in range(n):
-                if not c[a][cc][u]:
+            x, y, first, second = ((a, cc, b, d), (b, cc, a, d), (b, d, a, cc))[slot]
+            for t in range(n):
+                if not c[x][y][t]:
                     continue
-                head = coeff * c[a][cc][u]
-                for v in range(n):
-                    if not A[v][b]:
+                head = coeff * c[x][y][t]
+                for u in range(n):
+                    if not A[u][first]:
                         continue
                     for w in range(n):
-                        if A[w][d]:
-                            out.entries[u][v][w] = (
-                                out.entries[u][v][w] + head * A[v][b] * A[w][d])
+                        if A[w][second]:
+                            i, j, k = ((t, u, w) if slot == 0 else (u, t, w) if slot == 1
+                                       else (u, w, t))
+                            out.entries[i][j][k] = (
+                                out.entries[i][j][k] + head * A[u][first] * A[w][second])
     return out
+
+
+def bracket_12_13(algebra, r, rp):
+    return _partial_bracket(algebra, r, rp, 0)
 
 
 def bracket_12_23(algebra, r, rp):
-    ring, basis = algebra.ring, algebra.basis
-    n = basis.dim
-    A, c = algebra.alpha.matrix, algebra.bracket
-    out = Tensor3(ring, basis)
-    for a, b, va in _pairs(r):
-        for cc, d, vb in _pairs(rp):
-            coeff = va * vb
-            for v in range(n):
-                if not c[b][cc][v]:
-                    continue
-                head = coeff * c[b][cc][v]
-                for u in range(n):
-                    if not A[u][a]:
-                        continue
-                    for w in range(n):
-                        if A[w][d]:
-                            out.entries[u][v][w] = (
-                                out.entries[u][v][w] + head * A[u][a] * A[w][d])
-    return out
+    return _partial_bracket(algebra, r, rp, 1)
 
 
 def bracket_13_23(algebra, r, rp):
-    ring, basis = algebra.ring, algebra.basis
-    n, p = basis.dim, basis.parities
-    A, c = algebra.alpha.matrix, algebra.bracket
-    out = Tensor3(ring, basis)
-    for a, b, va in _pairs(r):
-        for cc, d, vb in _pairs(rp):
-            coeff = va * vb
-            if koszul_sign(p[b], p[cc]) == -1:
-                coeff = -coeff
-            for w in range(n):
-                if not c[b][d][w]:
-                    continue
-                head = coeff * c[b][d][w]
-                for u in range(n):
-                    if not A[u][a]:
-                        continue
-                    for v in range(n):
-                        if A[v][cc]:
-                            out.entries[u][v][w] = (
-                                out.entries[u][v][w] + head * A[u][a] * A[v][cc])
-    return out
+    return _partial_bracket(algebra, r, rp, 2)
 
 
 def yang_baxter_residual(algebra, r):
     """[r12,r13] + [r12,r23] + [r13,r23]."""
     return (bracket_12_13(algebra, r, r) + bracket_12_23(algebra, r, r)
             + bracket_13_23(algebra, r, r))
-
-
-def alpha_otimes_delta(bialgebra, r):
-    """(alpha (x) delta)(r) as a Tensor3."""
-    B = bialgebra
-    out = Tensor3(B.ring, B.basis)
-    A, d = B.alpha.matrix, B.cobracket
-    n = B.dim
-    for a, b, va in _pairs(r):
-        for u in range(n):
-            if not A[u][a]:
-                continue
-            head = va * A[u][a]
-            for v in range(n):
-                for w in range(n):
-                    if d[b][v][w]:
-                        out.entries[u][v][w] = out.entries[u][v][w] + head * d[b][v][w]
-    return out
-
-
-def delta_otimes_alpha(bialgebra, r):
-    """(delta (x) alpha)(r) as a Tensor3."""
-    B = bialgebra
-    out = Tensor3(B.ring, B.basis)
-    A, d = B.alpha.matrix, B.cobracket
-    n = B.dim
-    for a, b, va in _pairs(r):
-        for w in range(n):
-            if not A[w][b]:
-                continue
-            head = va * A[w][b]
-            for u in range(n):
-                for v in range(n):
-                    if d[a][u][v]:
-                        out.entries[u][v][w] = out.entries[u][v][w] + head * d[a][u][v]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +126,8 @@ def coboundary_from_r(algebra, r):
     violations = coboundary_hypothesis_violations(algebra, r)
     if violations:
         raise HypothesisError("coboundary hypotheses fail: %r" % (violations[0],))
-    deltas = [ad_basis(algebra, i, r) for i in range(algebra.dim)]
-    cobracket = [[list(row) for row in d.entries] for d in deltas]
-    return HomSuperBialgebra(algebra.ring, algebra.basis, algebra.bracket,
-                             cobracket, algebra.alpha)
+    return bialgebra_from_deltas(
+        algebra, [ad_basis(algebra, i, r) for i in range(algebra.dim)])
 
 
 def check_coboundary(bialgebra, r):
@@ -292,11 +233,8 @@ def perturb_cobracket(bialgebra, t):
     if not report.passed:
         raise HypothesisError("perturbation hypotheses fail: %r"
                               % (report.violations[0],))
-    cobracket = []
-    for i in range(B.dim):
-        shifted = B.delta(i) + ad_basis(B.algebra, i, t)
-        cobracket.append([list(row) for row in shifted.entries])
-    return HomSuperBialgebra(B.ring, B.basis, B.bracket, cobracket, B.alpha)
+    return bialgebra_from_deltas(
+        B.algebra, [B.delta(i) + ad_basis(B.algebra, i, t) for i in range(B.dim)])
 
 
 # ---------------------------------------------------------------------------

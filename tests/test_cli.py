@@ -78,6 +78,19 @@ def test_malformed_parity_is_a_parse_error(tmp_path, capsys):
     assert "parity" in err
 
 
+def test_deeply_nested_scalar_is_a_parse_error(tmp_path, capsys):
+    path, _ = write_variant(tmp_path, "diagonal-1")
+    for name, scalar in (("parens.json", "(" * 5000 + "1" + ")" * 5000),
+                         ("signs.json", "-" * 5000 + "1")):
+        data = json.loads(path.read_text())
+        data["alpha"][0][0] = scalar
+        bad = tmp_path / name
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "nested deeper" in err and "Traceback" not in err
+
+
 def test_missing_file_and_bad_json(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 2
     broken = tmp_path / "broken.json"

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hlsb.catalog import concrete_variant, expand_variants, get_row
 from hlsb.constructions import (
     BilinearForm,
     MatchedPair,
@@ -232,6 +233,23 @@ def test_dual_pair_positive():
     assert triple.passed
     assert triple.form.is_nondegenerate()
     assert triple.double.dim == 6
+
+
+def test_dual_pair_convention_must_match_the_dual():
+    # diagonal-10 with unit parameters: the one measured pair whose
+    # verdict depends on the convention it is checked under
+    v = expand_variants(get_row("diagonal-10"))[0]
+    B = concrete_variant(v, assignment={"s": 1, "b2": 1, "b4": 1, "c2": 1})
+    for dual_convention in ("koszul", "plain"):
+        gstar = dualize(B, dual_convention).algebra
+        for convention in ("koszul", "plain"):
+            report = check_dual_pair(B.algebra, gstar, convention=convention)
+            if convention == dual_convention:
+                assert report.passed, (dual_convention, convention)
+            else:
+                assert report.axioms_violated() == [
+                    "pairing-cocycle", "dual-pairing-cocycle"], (
+                        dual_convention, convention)
 
 
 def test_dual_pair_negative_all_three_characterizations_agree():

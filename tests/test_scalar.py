@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlsb.errors import ParseError, RingMismatchError, ScalarError
-from hlsb.scalar import ParamRing, Scalar
+from hlsb.scalar import MAX_NESTING, ParamRing, Scalar
 
 RING = ParamRing(["a", "b", "s"], invertible=["s"])
 
@@ -91,6 +92,17 @@ def test_parse_errors():
         RING.parse("1/b")
 
 
+def test_parse_nesting_limit():
+    deep = MAX_NESTING
+    assert RING.parse("(" * deep + "a" + ")" * deep) == RING.param("a")
+    assert RING.parse("-" * deep + "a") == RING.param("a")
+    assert RING.parse("-(" * (deep // 2) + "a" + ")" * (deep // 2)) == RING.param("a")
+    for text in ("(" * 5000 + "a" + ")" * 5000, "-" * 5000 + "a",
+                 "(" * (deep + 1) + "a" + ")" * (deep + 1), "+" * (deep + 1) + "a"):
+        with pytest.raises(ParseError, match="nested deeper"):
+            RING.parse(text)
+
+
 def test_inverse():
     s = RING.param("s")
     assert s * s.inverse() == 1
@@ -159,3 +171,16 @@ def test_power():
         a ** -1
     s = RING.param("s")
     assert s ** -2 * s ** 2 == 1
+
+
+def test_power_by_squaring():
+    start = time.perf_counter()
+    big = RING.parse("a^1234567890")
+    assert time.perf_counter() - start < 1.0
+    assert big.terms == {(1234567890, 0, 0): 1}
+    assert RING.parse("s^-1234567890").terms == {(0, 0, -1234567890): 1}
+    for x in (RING.parse("a + 2*b - 1"), RING.parse("3/2*s^-1 - a*b"), RING.zero()):
+        product = RING.one()
+        for n in range(13):
+            assert x ** n == product, (x, n)
+            product = product * x
