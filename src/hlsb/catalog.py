@@ -827,8 +827,9 @@ def get_row(ident):
 
 def catalog_payload():
     """The whole catalog as JSON-ready data.  Each variant is rendered in
-    the same definition schema the command line reads, so the shipped file
-    doubles as format documentation."""
+    the same definition schema the command line reads, so the output
+    (``json.dumps(hlsb.catalog_payload())``) doubles as format
+    documentation."""
     from .fileformat import definition_from_bialgebra, dump_definition
 
     rows = []

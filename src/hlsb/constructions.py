@@ -163,42 +163,57 @@ def twist_power(bialgebra, n):
     return twist(B, B.alpha.power(n), verify=False)
 
 
-def _det(ring, m, rows, cols):
-    """Laplace expansion along the first row of the minor rows x cols."""
-    if len(rows) == 1:
-        return m[rows[0]][cols[0]]
+def _dot(ring, x, y):
     total = ring.zero()
-    r0, rest = rows[0], rows[1:]
-    for pos, c in enumerate(cols):
-        if not m[r0][c]:
-            continue
-        term = m[r0][c] * _det(ring, m, rest, cols[:pos] + cols[pos + 1:])
-        total = total + (term if pos % 2 == 0 else -term)
+    for a, b in zip(x, y):
+        if a and b:
+            total = total + a * b
     return total
+
+
+def _charpoly(ring, m):
+    """Coefficients [1, c_1, ..., c_n] of det(t I - m) by Berkowitz's
+    division-free algorithm: O(n^4) ring operations and no minors.  Each
+    leading principal block [[M, col], [row, a]] multiplies the previous
+    coefficients by the Toeplitz matrix with first column
+    1, -a, -row.col, -row.M.col, ..., -row.M^(k-1).col."""
+    coeffs = [ring.one()]
+    for k in range(len(m)):
+        col = [m[i][k] for i in range(k)]
+        toeplitz = [ring.one(), -m[k][k]]
+        for _ in range(k):
+            toeplitz.append(-_dot(ring, m[k], col))
+            col = [_dot(ring, m[i], col) for i in range(k)]
+        coeffs = [_dot(ring, toeplitz[i::-1], coeffs) for i in range(k + 2)]
+    return coeffs
+
+
+def _det(ring, m):
+    c = _charpoly(ring, m)[-1]
+    return c if len(m) % 2 == 0 else -c
 
 
 def invert_even_map(f):
     """Invert an even map via the adjugate; the determinant must be an
-    invertible scalar."""
+    invertible scalar.  By Cayley-Hamilton the adjugate is
+    (-1)^(n-1) (m^(n-1) + c_1 m^(n-2) + ... + c_(n-1)) for the
+    characteristic coefficients c_i of the matrix m."""
     if f.src.dim != f.dst.dim:
         raise DimensionMismatchError("only square maps can be inverted")
     ring = f.ring
     n = f.src.dim
-    m = f.matrix
-    full = _det(ring, m, list(range(n)), list(range(n)))
+    coeffs = _charpoly(ring, f.matrix)
+    full = coeffs[-1] if n % 2 == 0 else -coeffs[-1]
     try:
         inv_det = full.inverse()
     except Exception as exc:
         raise HypothesisError("determinant %s is not invertible" % (full,)) from exc
-    adj = _mat_zero(ring, n, n)
-    for i in range(n):
-        for j in range(n):
-            rows = [r for r in range(n) if r != i]
-            cols = [c for c in range(n) if c != j]
-            minor = _det(ring, m, rows, cols) if n > 1 else ring.one()
-            sign = 1 if (i + j) % 2 == 0 else -1
-            adj[j][i] = inv_det * (minor if sign == 1 else -minor)
-    return EvenMap(ring, f.dst, f.src, adj)
+    adj = EvenMap.identity(ring, f.src).matrix
+    for c in coeffs[1:n]:
+        adj = _mat_mul(ring, f.matrix, adj)
+        for i in range(n):
+            adj[i][i] = adj[i][i] + c
+    return EvenMap(ring, f.dst, f.src, _mat_scale(inv_det if n % 2 else -inv_det, adj))
 
 
 def transport_structure(bialgebra, f):
@@ -668,8 +683,7 @@ class BilinearForm:
         return out
 
     def determinant(self):
-        n = self.basis.dim
-        return _det(self.ring, self.matrix, list(range(n)), list(range(n)))
+        return _det(self.ring, self.matrix)
 
     def is_nondegenerate(self):
         return not self.determinant().is_zero()

@@ -18,7 +18,9 @@ listing every violated axiom with the exact symbolic residual.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, HypothesisError
-from .superlinear import EvenMap, SuperBasis, Tensor2, Tensor3, cyclic_sum, koszul_sign, tau
+from .superlinear import (
+    EvenMap, SuperBasis, Tensor2, Tensor3, _add_products, _sparse, _sparse_columns, _TensorBase,
+    cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -239,7 +241,7 @@ class HomSuperCoalgebra:
 
     def delta(self, i):
         """delta(e_i) as a Tensor2."""
-        return Tensor2(self.ring, self.basis, self.cobracket[i])
+        return Tensor2._wrap(self.ring, self.basis, [list(row) for row in self.cobracket[i]])
 
     def grading_violations(self):
         out = []
@@ -259,16 +261,10 @@ class HomSuperCoalgebra:
 
     def delta_vector(self, x):
         """delta of a coefficient vector (linear extension), as a Tensor2."""
-        n = self.dim
-        out = Tensor2(self.ring, self.basis)
+        out = Tensor2._wrap(self.ring, self.basis)
         for m, c in enumerate(x):
-            if not c:
-                continue
-            plane = self.cobracket[m]
-            for j in range(n):
-                for k in range(n):
-                    if plane[j][k]:
-                        out.entries[j][k] = out.entries[j][k] + c * plane[j][k]
+            if c:
+                _add_products(out.entries, c, [_sparse(self.cobracket[m], 2)])
         return out
 
     def cojacobi_residual(self, i):
@@ -305,22 +301,13 @@ def _alpha_beside_delta(coalgebra, r, delta_first):
     """alpha on one factor of r and delta on the other, as a Tensor3 with
     the alpha image in the first slot, or in the last if *delta_first*."""
     C = coalgebra
-    out = Tensor3(C.ring, C.basis)
-    A, d = C.alpha.matrix, C.cobracket
-    n = C.dim
+    cols = _sparse_columns(C.alpha)
+    out = Tensor3._wrap(C.ring, C.basis)
     for a, b, va in r.items():
         if delta_first:
-            a, b = b, a
-        for u in range(n):
-            if not A[u][a]:
-                continue
-            head = va * A[u][a]
-            plane = d[b]
-            for v in range(n):
-                for w in range(n):
-                    if plane[v][w]:
-                        x, y, z = (v, w, u) if delta_first else (u, v, w)
-                        out.entries[x][y][z] = out.entries[x][y][z] + head * plane[v][w]
+            _add_products(out.entries, va, [_sparse(C.cobracket[a], 2), cols[b]])
+        else:
+            _add_products(out.entries, va, [cols[a], _sparse(C.cobracket[b], 2)])
     return out
 
 
@@ -344,70 +331,30 @@ def ad_action(algebra, x, t):
         x . (y1 (x) ... (x) yn)
           = sum_i (+-) alpha(y1) (x) ... (x) [x, y_i] (x) ... (x) alpha(yn)
     """
+    if not isinstance(t, _TensorBase):
+        raise TypeError("ad_action expects a Tensor2 or Tensor3")
     coeffs, parity = x
-    ring, basis = algebra.ring, algebra.basis
-    n = basis.dim
-    A = algebra.alpha.matrix
-    c = algebra.bracket
-    p = basis.parities
-    if isinstance(t, Tensor2):
-        out_parity = None if t.parity is None else (t.parity + parity) % 2
-        out = Tensor2(ring, basis, parity=out_parity)
-        for m, xm in enumerate(coeffs):
-            if not xm:
-                continue
-            for i, j, v in t.items():
-                base = xm * v
-                # [x, e_i] (x) alpha(e_j)
-                for u in range(n):
-                    if c[m][i][u]:
-                        for w in range(n):
-                            if A[w][j]:
-                                out.entries[u][w] = out.entries[u][w] + base * c[m][i][u] * A[w][j]
-                # (-1)^{|x||e_i|} alpha(e_i) (x) [x, e_j]
-                sgn = koszul_sign(parity, p[i])
-                for u in range(n):
-                    if A[u][i]:
-                        for w in range(n):
-                            if c[m][j][w]:
-                                term = base * A[u][i] * c[m][j][w]
-                                out.entries[u][w] = out.entries[u][w] + (term if sgn == 1 else -term)
-        return out
-    if isinstance(t, Tensor3):
-        out_parity = None if t.parity is None else (t.parity + parity) % 2
-        out = Tensor3(ring, basis, parity=out_parity)
-        for m, xm in enumerate(coeffs):
-            if not xm:
-                continue
-            for i, j, k, v in t.items():
-                base = xm * v
-                idx = (i, j, k)
-                for slot in range(3):
-                    sgn = koszul_sign(parity, sum(p[idx[s]] for s in range(slot)))
-                    target = idx[slot]
-                    others = [s for s in range(3) if s != slot]
-                    for rep in range(n):
-                        if not c[m][target][rep]:
-                            continue
-                        pos = [0, 0, 0]
-                        pos[slot] = rep
-                        head = base * c[m][target][rep]
-                        if sgn == -1:
-                            head = -head
-                        for u in range(n):
-                            if not A[u][idx[others[0]]]:
-                                continue
-                            for w in range(n):
-                                if not A[w][idx[others[1]]]:
-                                    continue
-                                pos[others[0]] = u
-                                pos[others[1]] = w
-                                x_, y_, z_ = pos
-                                out.entries[x_][y_][z_] = (
-                                    out.entries[x_][y_][z_]
-                                    + head * A[u][idx[others[0]]] * A[w][idx[others[1]]])
-        return out
-    raise TypeError("ad_action expects a Tensor2 or Tensor3")
+    p = algebra.basis.parities
+    out_parity = None if t.parity is None else (t.parity + parity) % 2
+    out = t._wrap(algebra.ring, algebra.basis, parity=out_parity)
+    items = t.items()
+    used = {i for item in items for i in item[:-1]}
+    cols = {j: _sparse(algebra.alpha.column(j), 1) for j in used}
+    for m, xm in enumerate(coeffs):
+        if not xm:
+            continue
+        rows = {i: _sparse(algebra.bracket[m][i], 1) for i in used}
+        for *idx, v in items:
+            base = xm * v
+            skipped = 0
+            for slot, i in enumerate(idx):
+                if rows[i]:
+                    factors = [cols[j] for j in idx]
+                    factors[slot] = rows[i]
+                    _add_products(out.entries, -base if parity * skipped % 2 else base,
+                                  factors)
+                skipped += p[i]
+    return out
 
 
 def ad_basis(algebra, m, t):

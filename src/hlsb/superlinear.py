@@ -2,12 +2,15 @@
 
 Vectors are plain lists of scalars over a :class:`SuperBasis` whose basis
 elements carry parities (0 = even, 1 = odd).  Maps are stored as matrices
-in the column convention: ``f(e_j) = sum_i A[i][j] e_i``.  Elements of the
-two- and three-fold tensor powers of the space are dense coefficient grids
-(:class:`Tensor2`, :class:`Tensor3`), optionally constrained to a fixed
-total parity.
+in the column convention: ``f(e_j) = sum_i A[i][j] e_i``.  An element of
+a tensor power of the space is one rank-generic dense grid (nested lists
+of depth ``rank``), optionally constrained to a fixed total parity;
+:class:`Tensor2` and :class:`Tensor3` only fix the rank.  The contractions
+of the other modules add sparse slot products into such grids through
+``_add_products``.
 
-The graded flip ``tau`` and the graded cyclic rotation ``xi`` implement
+The graded flip ``tau`` and the graded cyclic rotation ``xi`` are one
+signed slot permutation and implement
 
     tau(x (x) y)       = (-1)^{|x||y|} y (x) x
     xi(x (x) y (x) z)  = (-1)^{|x|(|y|+|z|)} y (x) z (x) x
@@ -150,8 +153,13 @@ class EvenMap:
         if n < 0:
             raise ValueError("negative powers are not supported")
         result = EvenMap.identity(self.ring, self.src)
-        for _ in range(n):
-            result = self.compose(result)
+        base = self
+        while n:
+            if n & 1:
+                result = base.compose(result)
+            n >>= 1
+            if n:
+                base = base.compose(base)
         return result
 
     def transpose(self):
@@ -181,7 +189,117 @@ class EvenMap:
         return "EvenMap[%s]" % rows
 
 
+def _grid(depth, n, fill):
+    """A nested-list grid of the given depth and side, every cell *fill*."""
+    if depth == 1:
+        return [fill] * n
+    return [_grid(depth - 1, n, fill) for _ in range(n)]
+
+
+def _has_shape(grid, depth, n):
+    return len(grid) == n and (depth == 1 or all(_has_shape(g, depth - 1, n) for g in grid))
+
+
+def _cellwise(fn, depth, *grids):
+    """A new grid holding fn of the matching cells of equally shaped grids."""
+    if depth == 1:
+        return list(map(fn, *grids))
+    return [_cellwise(fn, depth - 1, *rows) for rows in zip(*grids)]
+
+
+def _sparse(grid, depth):
+    """The nonzero cells of a grid (a bracket row, a delta plane, a
+    tensor) as (index tuple, value) pairs, in row-major order."""
+    rows = [((), grid)]
+    for _ in range(depth - 1):
+        rows = [(idx + (i,), sub) for idx, g in rows for i, sub in enumerate(g)]
+    return [(idx + (i,), v) for idx, row in rows for i, v in enumerate(row) if v]
+
+
+def _add_cells(x, y):
+    """x + y, reusing an operand when the other is zero."""
+    if not y:
+        return x
+    return x + y if x else y
+
+
+def _add_at(grid, idx, value):
+    """grid[i][j]... += value at the index tuple *idx*."""
+    *path, last = idx
+    for i in path:
+        grid = grid[i]
+    grid[last] = _add_cells(grid[last], value)
+
+
+def _add_products(grid, coeff, factors):
+    """Add coeff * (f_1 (x) f_2 (x) ...) into a grid.
+
+    Each factor is a sparse list of (index tuple, scalar) pairs over one or
+    more consecutive slots: an alpha column, a bracket row, a delta plane.
+    """
+    terms = [((), coeff)]
+    for factor in factors:
+        terms = [(idx + i, c * v) for idx, c in terms for i, v in factor]
+    for idx, c in terms:
+        _add_at(grid, idx, c)
+
+
+def _sparse_columns(f):
+    """The columns of an even map as sparse ((row,), value) lists."""
+    return [_sparse(f.column(j), 1) for j in range(f.src.dim)]
+
+
 class _TensorBase:
+    """An element of the rank-fold tensor power of V as a dense nested-list
+    grid of depth ``rank``: ``entries[i][j]...`` is the coefficient of
+    ``e_i (x) e_j (x) ...``.
+
+    If *parity* is given, every nonzero entry must have that total parity.
+    """
+
+    rank = None
+
+    def __init__(self, ring, basis, entries=None, parity=None):
+        n = basis.dim
+        self.ring = ring
+        self.basis = basis
+        self.parity = parity
+        if entries is None:
+            self.entries = _grid(self.rank, n, ring.zero())
+        else:
+            if not _has_shape(entries, self.rank, n):
+                raise DimensionMismatchError("%s grid must be %d^%d"
+                                             % (type(self).__name__, n, self.rank))
+            self.entries = _cellwise(ring.lift, self.rank, entries)
+        if parity is not None:
+            for *idx, v in self.items():
+                p = sum(basis.parity(i) for i in idx) % 2
+                if p != parity % 2:
+                    raise ParityError(
+                        "entry %s has parity %d, expected %d"
+                        % ("(x)".join(basis.labels[i] for i in idx), p, parity % 2))
+
+    @classmethod
+    def _wrap(cls, ring, basis, entries=None, parity=None):
+        """A tensor over a grid that is already lifted and shaped, or over
+        a fresh zero grid; unlike the constructor it checks nothing."""
+        t = object.__new__(cls)
+        if entries is None:
+            entries = _grid(cls.rank, basis.dim, ring.zero())
+        t.ring, t.basis, t.entries, t.parity = ring, basis, entries, parity
+        return t
+
+    @classmethod
+    def from_dict(cls, ring, basis, data, parity=None):
+        t = cls._wrap(ring, basis)
+        for idx, v in data.items():
+            _add_at(t.entries, idx, ring.lift(v))
+        return cls(ring, basis, t.entries, parity=parity)
+
+    def items(self):
+        """Nonzero entries as (i, j, ..., value)."""
+        return [idx + (v,) for idx, v in _sparse(self.entries, self.rank)]
+
     def _check_compat(self, other):
         if not isinstance(other, type(self)):
             raise TypeError("cannot combine %s with %r" % (type(self).__name__, other))
@@ -189,11 +307,46 @@ class _TensorBase:
         if self.ring != other.ring:
             raise DimensionMismatchError("tensors over different rings")
 
+    def __add__(self, other):
+        self._check_compat(other)
+        parity = self.parity if self.parity == other.parity else None
+        return self._wrap(self.ring, self.basis,
+                          _cellwise(_add_cells, self.rank, self.entries, other.entries),
+                          parity)
+
     def __sub__(self, other):
         return self + (-other)
 
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = self.ring.lift(c)
+        return self._wrap(self.ring, self.basis,
+                          _cellwise(lambda v: c * v if v else v, self.rank, self.entries),
+                          self.parity)
+
+    def apply(self, f, slot):
+        """Apply an even map to one tensor slot (0 to rank - 1)."""
+        _check_same_basis(f.src, self.basis)
+        if not 0 <= slot < self.rank:
+            raise ValueError("%s slots are 0 to %d" % (type(self).__name__, self.rank - 1))
+        cols = _sparse_columns(f)
+        out = self._wrap(f.ring, f.dst, parity=self.parity)
+        for *idx, v in self.items():
+            for (u,), a in cols[idx[slot]]:
+                idx[slot] = u
+                _add_at(out.entries, idx, a * v)
+        return out
+
+    def apply_all(self, f):
+        out = self
+        for slot in range(self.rank):
+            out = out.apply(f, slot)
+        return out
+
     def is_zero(self):
-        return all(not v for _, v in self._flat())
+        return not _sparse(self.entries, self.rank)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -203,196 +356,55 @@ class _TensorBase:
 
     __hash__ = None
 
+    def __repr__(self):
+        labels = self.basis.labels
+        parts = ["%s: %s" % ("(x)".join(labels[i] for i in idx), v)
+                 for *idx, v in self.items()]
+        return "%s{%s}" % (type(self).__name__, ", ".join(parts))
+
 
 class Tensor2(_TensorBase):
-    """An element of V (x) V as a dense coefficient grid.
+    """An element of V (x) V as a dense coefficient grid ``entries[i][j]``."""
 
-    If *parity* is given, every nonzero entry ``(i, j)`` must satisfy
-    ``p_i + p_j = parity (mod 2)``.
-    """
-
-    def __init__(self, ring, basis, entries=None, parity=None):
-        n = basis.dim
-        self.ring = ring
-        self.basis = basis
-        self.parity = parity
-        if entries is None:
-            self.entries = [[ring.zero() for _ in range(n)] for _ in range(n)]
-        else:
-            if len(entries) != n or any(len(row) != n for row in entries):
-                raise DimensionMismatchError("Tensor2 grid must be %d x %d" % (n, n))
-            self.entries = [[ring.lift(v) for v in row] for row in entries]
-        if parity is not None:
-            for i, j, v in self.items():
-                if (basis.parity(i) + basis.parity(j)) % 2 != parity % 2:
-                    raise ParityError(
-                        "entry %s(x)%s has parity %d, expected %d"
-                        % (basis.labels[i], basis.labels[j],
-                           (basis.parity(i) + basis.parity(j)) % 2, parity % 2))
-
-    @classmethod
-    def from_dict(cls, ring, basis, data, parity=None):
-        t = cls(ring, basis, parity=None)
-        for (i, j), v in data.items():
-            t.entries[i][j] = t.entries[i][j] + ring.lift(v)
-        return cls(ring, basis, t.entries, parity=parity)
-
-    def _flat(self):
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                yield (i, j), v
-
-    def items(self):
-        """Nonzero entries as (i, j, value)."""
-        for (i, j), v in self._flat():
-            if v:
-                yield i, j, v
-
-    def __add__(self, other):
-        self._check_compat(other)
-        parity = self.parity if self.parity == other.parity else None
-        n = self.basis.dim
-        return Tensor2(self.ring, self.basis,
-                       [[self.entries[i][j] + other.entries[i][j]
-                         for j in range(n)] for i in range(n)], parity)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = self.ring.lift(c)
-        n = self.basis.dim
-        return Tensor2(self.ring, self.basis,
-                       [[c * self.entries[i][j] for j in range(n)]
-                        for i in range(n)], self.parity)
-
-    def apply(self, f, slot):
-        """Apply an even map to one tensor slot (0 or 1)."""
-        _check_same_basis(f.src, self.basis)
-        out = Tensor2(f.ring, f.dst, parity=self.parity)
-        for i, j, v in self.items():
-            if slot == 0:
-                for u in range(f.dst.dim):
-                    if f.matrix[u][i]:
-                        out.entries[u][j] = out.entries[u][j] + f.matrix[u][i] * v
-            elif slot == 1:
-                for u in range(f.dst.dim):
-                    if f.matrix[u][j]:
-                        out.entries[i][u] = out.entries[i][u] + f.matrix[u][j] * v
-            else:
-                raise ValueError("Tensor2 slots are 0 and 1")
-        return out
-
-    def apply_all(self, f):
-        return self.apply(f, 0).apply(f, 1)
-
-    def __repr__(self):
-        parts = ["%s(x)%s: %s" % (self.basis.labels[i], self.basis.labels[j], v)
-                 for i, j, v in self.items()]
-        return "Tensor2{%s}" % ", ".join(parts)
+    rank = 2
+    # Own bindings, so that per-class patches (bench/tracing.py) see each rank.
+    __init__, __add__, scale, apply, apply_all = (
+        _TensorBase.__init__, _TensorBase.__add__, _TensorBase.scale,
+        _TensorBase.apply, _TensorBase.apply_all)
+    from_dict = vars(_TensorBase)["from_dict"]
 
 
 class Tensor3(_TensorBase):
-    """An element of V (x) V (x) V as a dense coefficient grid."""
+    """An element of V (x) V (x) V as a dense coefficient grid
+    ``entries[i][j][k]``."""
 
-    def __init__(self, ring, basis, entries=None, parity=None):
-        n = basis.dim
-        self.ring = ring
-        self.basis = basis
-        self.parity = parity
-        if entries is None:
-            self.entries = [[[ring.zero() for _ in range(n)] for _ in range(n)]
-                            for _ in range(n)]
-        else:
-            self.entries = [[[ring.lift(v) for v in row] for row in plane]
-                            for plane in entries]
-            if (len(self.entries) != n
-                    or any(len(plane) != n for plane in self.entries)
-                    or any(len(row) != n for plane in self.entries for row in plane)):
-                raise DimensionMismatchError("Tensor3 grid must be %d^3" % n)
-        if parity is not None:
-            for i, j, k, v in self.items():
-                p = (basis.parity(i) + basis.parity(j) + basis.parity(k)) % 2
-                if p != parity % 2:
-                    raise ParityError(
-                        "entry %s(x)%s(x)%s has parity %d, expected %d"
-                        % (basis.labels[i], basis.labels[j], basis.labels[k],
-                           p, parity % 2))
+    rank = 3
+    # Own bindings, so that per-class patches (bench/tracing.py) see each rank.
+    __init__, __add__, scale, apply, apply_all = (
+        _TensorBase.__init__, _TensorBase.__add__, _TensorBase.scale,
+        _TensorBase.apply, _TensorBase.apply_all)
 
-    def _flat(self):
-        for i, plane in enumerate(self.entries):
-            for j, row in enumerate(plane):
-                for k, v in enumerate(row):
-                    yield (i, j, k), v
 
-    def items(self):
-        for (i, j, k), v in self._flat():
-            if v:
-                yield i, j, k, v
-
-    def __add__(self, other):
-        self._check_compat(other)
-        parity = self.parity if self.parity == other.parity else None
-        out = Tensor3(self.ring, self.basis, parity=parity)
-        for (i, j, k), v in self._flat():
-            out.entries[i][j][k] = v + other.entries[i][j][k]
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = self.ring.lift(c)
-        out = Tensor3(self.ring, self.basis, parity=self.parity)
-        for i, j, k, v in self.items():
-            out.entries[i][j][k] = c * v
-        return out
-
-    def apply(self, f, slot):
-        """Apply an even map to one tensor slot (0, 1 or 2)."""
-        _check_same_basis(f.src, self.basis)
-        if slot not in (0, 1, 2):
-            raise ValueError("Tensor3 slots are 0, 1 and 2")
-        out = Tensor3(f.ring, f.dst, parity=self.parity)
-        for i, j, k, v in self.items():
-            idx = [i, j, k]
-            a = idx[slot]
-            for u in range(f.dst.dim):
-                if f.matrix[u][a]:
-                    idx[slot] = u
-                    x, y, z = idx
-                    out.entries[x][y][z] = out.entries[x][y][z] + f.matrix[u][a] * v
-        return out
-
-    def apply_all(self, f):
-        return self.apply(f, 0).apply(f, 1).apply(f, 2)
-
-    def __repr__(self):
-        parts = ["%s(x)%s(x)%s: %s"
-                 % (self.basis.labels[i], self.basis.labels[j],
-                    self.basis.labels[k], v)
-                 for i, j, k, v in self.items()]
-        return "Tensor3{%s}" % ", ".join(parts)
+def _permuted(t, order):
+    """The tensor whose slot k holds slot order[k] of t, with the Koszul
+    sign of every pair of slots that changes places."""
+    p = t.basis.parities
+    crossed = [(a, b) for k, a in enumerate(order) for b in order[k + 1:] if a > b]
+    out = t._wrap(t.ring, t.basis, parity=t.parity)
+    for *idx, v in t.items():
+        odd = sum(p[idx[a]] * p[idx[b]] for a, b in crossed) % 2
+        _add_at(out.entries, [idx[s] for s in order], -v if odd else v)
+    return out
 
 
 def tau(t):
     """Graded flip on a Tensor2."""
-    basis = t.basis
-    out = Tensor2(t.ring, basis, parity=t.parity)
-    for i, j, v in t.items():
-        s = koszul_sign(basis.parity(i), basis.parity(j))
-        out.entries[j][i] = out.entries[j][i] + (v if s == 1 else -v)
-    return out
+    return _permuted(t, (1, 0))
 
 
 def xi(t):
     """Graded cyclic rotation on a Tensor3 (first slot moves to the back)."""
-    basis = t.basis
-    out = Tensor3(t.ring, basis, parity=t.parity)
-    for i, j, k, v in t.items():
-        s = koszul_sign(basis.parity(i), basis.parity(j) + basis.parity(k))
-        out.entries[j][k][i] = out.entries[j][k][i] + (v if s == 1 else -v)
-    return out
+    return _permuted(t, (1, 2, 0))
 
 
 def cyclic_sum(t):

@@ -26,43 +26,33 @@ from .structures import (
     bialgebra_from_deltas,
     delta_otimes_alpha,
 )
-from .superlinear import Tensor2, Tensor3, cyclic_sum, koszul_sign, tau
+from .superlinear import (
+    Tensor2, Tensor3, _add_products, _sparse, _sparse_columns, cyclic_sum, koszul_sign, tau)
 
 # ---------------------------------------------------------------------------
 # partial brackets and the Yang-Baxter residual
 
 
-def _pairs(r):
-    return list(r.items())
-
-
 def _partial_bracket(algebra, r, rp, slot):
     """Insert r and rp with the bracket landing in tensor *slot* (0, 1 or
     2) and the structure map covering the other two slots."""
-    ring, basis = algebra.ring, algebra.basis
-    n, p = basis.dim, basis.parities
-    A, c = algebra.alpha.matrix, algebra.bracket
-    out = Tensor3(ring, basis)
-    for a, b, va in _pairs(r):
-        for cc, d, vb in _pairs(rp):
+    p = algebra.basis.parities
+    c = algebra.bracket
+    cols = _sparse_columns(algebra.alpha)
+    out = Tensor3._wrap(algebra.ring, algebra.basis)
+    pairs = rp.items()
+    for a, b, va in r.items():
+        for cc, d, vb in pairs:
             coeff = va * vb
             # slot 1 brackets b with c directly; the other two move c past b
             if slot != 1 and koszul_sign(p[b], p[cc]) == -1:
                 coeff = -coeff
             x, y, first, second = ((a, cc, b, d), (b, cc, a, d), (b, d, a, cc))[slot]
-            for t in range(n):
-                if not c[x][y][t]:
-                    continue
-                head = coeff * c[x][y][t]
-                for u in range(n):
-                    if not A[u][first]:
-                        continue
-                    for w in range(n):
-                        if A[w][second]:
-                            i, j, k = ((t, u, w) if slot == 0 else (u, t, w) if slot == 1
-                                       else (u, w, t))
-                            out.entries[i][j][k] = (
-                                out.entries[i][j][k] + head * A[u][first] * A[w][second])
+            row = _sparse(c[x][y], 1)
+            if row:
+                factors = [cols[first], cols[second]]
+                factors.insert(slot, row)
+                _add_products(out.entries, coeff, factors)
     return out
 
 

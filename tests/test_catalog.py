@@ -1,6 +1,3 @@
-import json
-import os
-
 import pytest
 
 import hlsb.structures
@@ -17,9 +14,6 @@ from hlsb.catalog import (
 )
 from hlsb.fileformat import dump_definition, parse_definition
 from hlsb.superlinear import koszul_sign
-
-DATA_FILE = os.path.join(os.path.dirname(__file__), "..", "src", "hlsb",
-                         "data", "catalog.json")
 
 
 def test_row_inventory():
@@ -183,12 +177,6 @@ def test_injected_swap_sign_error_hits_exactly_odd_square_rows(monkeypatch):
         report = verify_row(row)
         assert report.passed == (row.ident not in affected), row.ident
     assert "diagonal-1" in affected and "diagonal-2" in clean
-
-
-def test_shipped_data_file_matches_the_module():
-    with open(DATA_FILE, "r", encoding="utf-8") as fh:
-        shipped = json.load(fh)
-    assert shipped == catalog_payload()
 
 
 def test_schema_round_trip_is_structurally_identical():

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -220,6 +222,40 @@ def test_invert_even_map_requires_invertible_determinant():
     f = EvenMap(ring, basis, basis, [[ring.param("t")]])
     with pytest.raises(HypothesisError):
         invert_even_map(f)
+
+
+def test_dense_dim10_map_inverts_quickly():
+    rng = random.Random(10)
+    basis = SuperBasis([0] * 10)
+    m = [[rng.randint(-9, 9) for _ in range(10)] for _ in range(10)]
+    f = EvenMap(QQ, basis, basis, m)
+    start = time.perf_counter()
+    g = invert_even_map(f)
+    assert time.perf_counter() - start < 2
+    assert f.compose(g).is_identity()
+
+
+def _laplace(ring, m):
+    if not m:
+        return ring.one()
+    total = ring.zero()
+    for c, v in enumerate(m[0]):
+        if v:
+            term = v * _laplace(ring, [row[:c] + row[c + 1:] for row in m[1:]])
+            total = total + term if c % 2 == 0 else total - term
+    return total
+
+
+def test_determinant_matches_laplace_expansion(rng):
+    ring = ParamRing(["s", "t"], invertible=["t"])
+    s, t = ring.param("s"), ring.param("t")
+    monomials = [ring.one(), s, t, t ** -1, s * t]
+    for n in range(1, 6):
+        basis = SuperBasis([0] * n)
+        for _ in range(3):
+            m = [[sum((rng.randint(-2, 2) * mono for mono in rng.sample(monomials, 2)),
+                      ring.zero()) for _ in range(n)] for _ in range(n)]
+            assert BilinearForm(ring, basis, m).determinant() == _laplace(ring, m)
 
 
 def test_dual_pair_positive():

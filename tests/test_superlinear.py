@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -141,11 +142,16 @@ def test_compose_and_apply(rng):
         assert f.compose(g).apply(v) == f.apply(g.apply(v))
 
 
-def test_power_and_identity():
+def test_power_and_identity(rng):
     f = EvenMap.diagonal(QQ, B, [2, 3, 5, 7])
     assert f.power(0).is_identity()
     assert f.power(3) == f.compose(f).compose(f)
     assert EvenMap.identity(QQ, B).is_identity()
+    g = rand_even_map(rng)
+    expected = EvenMap.identity(QQ, B)
+    for n in range(7):
+        assert g.power(n) == expected
+        expected = g.compose(expected)
 
 
 def test_transpose():
@@ -176,3 +182,43 @@ def test_tensor_algebra_ops(rng):
     assert (t - t).is_zero()
     three = rand_tensor3(rng)
     assert (three + three) == three.scale(2)
+
+
+def test_power_by_squaring():
+    ring = ParamRing(["a"], invertible=["a"])
+    basis = SuperBasis([EVEN, ODD])
+    a = ring.param("a")
+    f = EvenMap.diagonal(ring, basis, [a, a ** -1])
+    start = time.perf_counter()
+    g = f.power(10 ** 9)
+    assert time.perf_counter() - start < 1
+    assert g == EvenMap.diagonal(ring, basis, [a ** 10 ** 9, a ** -10 ** 9])
+
+
+# The command line prints these strings in its FAIL lines.
+LABELLED = SuperBasis([EVEN, ODD], labels=["h", "x"])
+
+
+def test_tensor_repr_is_pinned():
+    t = Tensor2.from_dict(QQ, LABELLED, {(0, 1): 2, (1, 0): Fraction(-1, 2), (1, 1): 3})
+    assert repr(t) == "Tensor2{h(x)x: 2, x(x)h: -1/2, x(x)x: 3}"
+    assert repr(Tensor2(QQ, LABELLED)) == "Tensor2{}"
+    u = Tensor3.from_dict(QQ, LABELLED, {(0, 1, 1): 1, (1, 0, 1): -3})
+    assert repr(u) == "Tensor3{h(x)x(x)x: 1, x(x)h(x)x: -3}"
+
+
+def test_parity_error_text_is_pinned():
+    with pytest.raises(ParityError, match=r"^entry h\(x\)x has parity 1, expected 0$"):
+        Tensor2.from_dict(QQ, LABELLED, {(0, 1): 1}, parity=EVEN)
+    with pytest.raises(ParityError,
+                       match=r"^entry h\(x\)x\(x\)x has parity 0, expected 1$"):
+        Tensor3.from_dict(QQ, LABELLED, {(0, 1, 1): 1}, parity=ODD)
+
+
+def test_apply_rejects_a_slot_past_the_rank():
+    f = EvenMap.identity(QQ, LABELLED)
+    t = Tensor2.from_dict(QQ, LABELLED, {(0, 0): 1})
+    u = Tensor3.from_dict(QQ, LABELLED, {(0, 0, 0): 1})
+    for tensor in (t, u):
+        with pytest.raises(ValueError):
+            tensor.apply(f, tensor.rank)
