@@ -18,7 +18,7 @@ from .structures import (
     delta1,
     zero_bracket,
 )
-from .superlinear import EvenMap, SuperBasis, Tensor2, koszul_sign
+from .superlinear import EvenMap, SuperBasis, Tensor2, _dense, _sparse, koszul_sign
 
 # ---------------------------------------------------------------------------
 # small matrix helpers (entries may be parity-shifting, so EvenMap does
@@ -141,7 +141,7 @@ def twist(bialgebra, beta, verify=True):
             image = beta.apply(B.algebra.bracket_of(i, j))
             for k in range(n):
                 bracket[i][j][k] = image[k]
-    cobracket = [B.coalgebra.delta_vector(beta.column(i)).entries for i in range(n)]
+    cobracket = [_dense(B.coalgebra.delta_vector(beta.column(i))) for i in range(n)]
     return HomSuperBialgebra(ring, basis, bracket, cobracket,
                              beta.compose(B.alpha))
 
@@ -232,7 +232,7 @@ def transport_structure(bialgebra, f):
             image = f.apply(B.algebra.bracket_vectors(g.column(i), g.column(j)))
             for k in range(n):
                 bracket[i][j][k] = image[k]
-    cobracket = [B.coalgebra.delta_vector(g.column(i)).apply_all(f).entries
+    cobracket = [_dense(B.coalgebra.delta_vector(g.column(i)).apply_all(f))
                  for i in range(n)]
     alpha = f.compose(B.alpha).compose(g)
     return HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
@@ -775,12 +775,13 @@ def _pairing_cocycle_violations(g, gstar, convention, shifted, axiom):
     p = g.basis.parities
     A = g.alpha.matrix
     cobr = cobracket_from_dual_bracket(g, gstar, convention)
-    defect = delta1(g, [Tensor2(ring, g.basis, cobr[i]) for i in range(n)])
+    defect = delta1(g, [Tensor2._wrap(ring, g.basis, dict(_sparse(cobr[i], 2)))
+                        for i in range(n)])
 
     def pairing(t, s, q):
         # <t, e^s (x) e^q> for a 2-tensor t on g
-        v = t.entries[s][q]
-        if not v:
+        v = t._cells.get((s, q))
+        if v is None:
             return ring.zero()
         shift = p[s] + p[q] if shifted else 0
         return v if _pair_sign(convention, p[s], p[q], shift) == 1 else -v

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .errors import ParityError, ParseError, ScalarError
 from .scalar import ParamRing
 from .structures import HomSuperBialgebra, zero_bracket
-from .superlinear import EvenMap, SuperBasis, Tensor2
+from .superlinear import EvenMap, SuperBasis, Tensor2, _add_at
 
 FORMAT_VERSION = 1
 
@@ -134,15 +134,15 @@ def _tensor(ring, basis, name, value):
         entries = value.get("entries")
         _expect(isinstance(entries, list), path + ".entries",
                 "expected a list of [i, j, scalar]")
-        t = Tensor2(ring, basis)
+        cells = {}
         for e, item in enumerate(entries):
             here = "%s.entries[%d]" % (path, e)
             _expect(isinstance(item, list) and len(item) == 3, here,
                     "expected [i, j, scalar]")
             i = _index(item[0], basis.dim, here)
             j = _index(item[1], basis.dim, here)
-            t.entries[i][j] = t.entries[i][j] + _scalar(ring, item[2], here)
-        return t
+            _add_at(cells, (i, j), _scalar(ring, item[2], here))
+        return Tensor2._wrap(ring, basis, cells)
     if kind == "map":
         matrix = _matrix(ring, value.get("matrix"), basis.dim, basis.dim,
                          path + ".matrix")

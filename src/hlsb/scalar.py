@@ -17,6 +17,7 @@ parses that form back, so text round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -28,6 +29,15 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # parser recurses once per level, so this keeps hostile input well inside
 # the interpreter's stack.
 MAX_NESTING = 100
+
+# Largest power the parser expands, measured as the number of terms the
+# expansion can have times the bit length its coefficients can reach
+# (see ``_power_size``).  (1+a)^81 and (1+a+b)^22 are the largest powers
+# of their bases allowed; each parses in about 0.1 s or less on a 2-vCPU
+# x86-64 machine with Python 3.11.  A power of a single term with
+# coefficient +-1, such as a^1234567890, only adds exponents and is
+# always allowed.
+MAX_POWER_SIZE = 20000
 
 
 class ParamRing:
@@ -97,6 +107,21 @@ class ParamRing:
     def parse(self, text):
         """Parse an expression like ``3/2*a1^2*b4 - c2`` into a scalar."""
         return _Parser(self, text).parse()
+
+
+def _power_size(base, n):
+    """An upper bound on the size of base^n in the units of
+    MAX_POWER_SIZE: the count of monomials of degree |n| in the terms of
+    base, times |n| times the bits of its largest coefficient plus those
+    of its term count.  0 if the power only moves exponents."""
+    coeffs = list(base.terms.values())
+    k, n = len(coeffs), abs(n)
+    if k == 0 or (k == 1 and abs(coeffs[0]) == 1):
+        return 0
+    if n > MAX_POWER_SIZE:  # the bound below is at least n
+        return n
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in coeffs)
+    return math.comb(n + k - 1, k - 1) * n * (bits + k.bit_length())
 
 
 class Scalar:
@@ -430,6 +455,9 @@ class _Parser:
             kind, num, pos = self._next()
             if kind != "num":
                 raise ParseError("exponent must be an integer", self.text, pos)
+            if _power_size(value, num) > MAX_POWER_SIZE:
+                raise ParseError("power larger than MAX_POWER_SIZE = %d" % MAX_POWER_SIZE,
+                                 self.text, pos)
             try:
                 value = value ** (sign * num)
             except ScalarError as exc:

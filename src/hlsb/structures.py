@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from .errors import DimensionMismatchError, HypothesisError
 from .superlinear import (
-    EvenMap, SuperBasis, Tensor2, Tensor3, _add_products, _sparse, _sparse_columns, _TensorBase,
-    cyclic_sum, koszul_sign, tau)
+    EvenMap, SuperBasis, Tensor2, Tensor3, _add_products, _dense, _sparse, _sparse_columns,
+    _TensorBase, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -241,7 +241,7 @@ class HomSuperCoalgebra:
 
     def delta(self, i):
         """delta(e_i) as a Tensor2."""
-        return Tensor2._wrap(self.ring, self.basis, [list(row) for row in self.cobracket[i]])
+        return Tensor2._wrap(self.ring, self.basis, dict(_sparse(self.cobracket[i], 2)))
 
     def grading_violations(self):
         out = []
@@ -261,11 +261,11 @@ class HomSuperCoalgebra:
 
     def delta_vector(self, x):
         """delta of a coefficient vector (linear extension), as a Tensor2."""
-        out = Tensor2._wrap(self.ring, self.basis)
+        cells = {}
         for m, c in enumerate(x):
             if c:
-                _add_products(out.entries, c, [_sparse(self.cobracket[m], 2)])
-        return out
+                _add_products(cells, c, [_sparse(self.cobracket[m], 2)])
+        return Tensor2._wrap(self.ring, self.basis, cells)
 
     def cojacobi_residual(self, i):
         """The graded cyclic sum of (alpha (x) delta) delta at e_i."""
@@ -302,13 +302,13 @@ def _alpha_beside_delta(coalgebra, r, delta_first):
     the alpha image in the first slot, or in the last if *delta_first*."""
     C = coalgebra
     cols = _sparse_columns(C.alpha)
-    out = Tensor3._wrap(C.ring, C.basis)
-    for a, b, va in r.items():
+    cells = {}
+    for (a, b), va in r._cells.items():
         if delta_first:
-            _add_products(out.entries, va, [_sparse(C.cobracket[a], 2), cols[b]])
+            _add_products(cells, va, [_sparse(C.cobracket[a], 2), cols[b]])
         else:
-            _add_products(out.entries, va, [cols[a], _sparse(C.cobracket[b], 2)])
-    return out
+            _add_products(cells, va, [cols[a], _sparse(C.cobracket[b], 2)])
+    return Tensor3._wrap(C.ring, C.basis, cells)
 
 
 def alpha_otimes_delta(coalgebra, r):
@@ -336,25 +336,23 @@ def ad_action(algebra, x, t):
     coeffs, parity = x
     p = algebra.basis.parities
     out_parity = None if t.parity is None else (t.parity + parity) % 2
-    out = t._wrap(algebra.ring, algebra.basis, parity=out_parity)
-    items = t.items()
-    used = {i for item in items for i in item[:-1]}
+    cells, src = {}, t._cells
+    used = {i for idx in src for i in idx}
     cols = {j: _sparse(algebra.alpha.column(j), 1) for j in used}
     for m, xm in enumerate(coeffs):
         if not xm:
             continue
         rows = {i: _sparse(algebra.bracket[m][i], 1) for i in used}
-        for *idx, v in items:
+        for idx, v in src.items():
             base = xm * v
             skipped = 0
             for slot, i in enumerate(idx):
                 if rows[i]:
                     factors = [cols[j] for j in idx]
                     factors[slot] = rows[i]
-                    _add_products(out.entries, -base if parity * skipped % 2 else base,
-                                  factors)
+                    _add_products(cells, -base if parity * skipped % 2 else base, factors)
                 skipped += p[i]
-    return out
+    return t._wrap(algebra.ring, algebra.basis, cells, out_parity)
 
 
 def ad_basis(algebra, m, t):
@@ -445,6 +443,6 @@ def delta1(algebra, deltas):
 
 def bialgebra_from_deltas(algebra, deltas):
     """Package an algebra and per-basis cobracket images as a bialgebra."""
-    cobracket = [[list(row) for row in d.entries] for d in deltas]
+    cobracket = [_dense(d) for d in deltas]
     return HomSuperBialgebra(algebra.ring, algebra.basis, algebra.bracket,
                              cobracket, algebra.alpha)

@@ -3,11 +3,12 @@
 Vectors are plain lists of scalars over a :class:`SuperBasis` whose basis
 elements carry parities (0 = even, 1 = odd).  Maps are stored as matrices
 in the column convention: ``f(e_j) = sum_i A[i][j] e_i``.  An element of
-a tensor power of the space is one rank-generic dense grid (nested lists
-of depth ``rank``), optionally constrained to a fixed total parity;
-:class:`Tensor2` and :class:`Tensor3` only fix the rank.  The contractions
-of the other modules add sparse slot products into such grids through
-``_add_products``.
+a tensor power of the space is stored sparsely, as a dict ``{index tuple:
+scalar}`` of its nonzero coefficients, optionally constrained to a fixed
+total parity; :class:`Tensor2` and :class:`Tensor3` only fix the rank, and
+``entries`` is a dense nested-list view kept for compatibility.  The
+contractions of the other modules add sparse slot products into such
+dicts through ``_add_products``.
 
 The graded flip ``tau`` and the graded cyclic rotation ``xi`` are one
 signed slot permutation and implement
@@ -99,10 +100,7 @@ class EvenMap:
 
     @classmethod
     def identity(cls, ring, basis):
-        n = basis.dim
-        return cls(ring, basis, basis,
-                   [[ring.one() if i == j else ring.zero() for j in range(n)]
-                    for i in range(n)])
+        return cls.diagonal(ring, basis, [ring.one()] * basis.dim)
 
     @classmethod
     def diagonal(cls, ring, basis, values):
@@ -121,30 +119,16 @@ class EvenMap:
         if len(vec) != self.src.dim:
             raise DimensionMismatchError("vector length %d, expected %d"
                                          % (len(vec), self.src.dim))
-        out = []
-        for i in range(self.dst.dim):
-            total = self.ring.zero()
-            for j, v in enumerate(vec):
-                if v:
-                    total = total + self.matrix[i][j] * v
-            out.append(total)
-        return out
+        terms = [(j, v) for j, v in enumerate(vec) if v]
+        return [sum((row[j] * v for j, v in terms), self.ring.zero()) for row in self.matrix]
 
     def compose(self, other):
         """self after other."""
         if other.dst != self.src:
             raise DimensionMismatchError("composition bases do not match")
-        n, m, k = self.dst.dim, other.src.dim, self.src.dim
-        matrix = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                total = self.ring.zero()
-                for t in range(k):
-                    if self.matrix[i][t] and other.matrix[t][j]:
-                        total = total + self.matrix[i][t] * other.matrix[t][j]
-                row.append(total)
-            matrix.append(row)
+        cols = [other.column(j) for j in range(other.src.dim)]
+        matrix = [[sum((a * b for a, b in zip(row, col) if a and b), self.ring.zero())
+                   for col in cols] for row in self.matrix]
         return EvenMap(self.ring, other.src, self.dst, matrix)
 
     def power(self, n):
@@ -168,14 +152,9 @@ class EvenMap:
         return EvenMap(self.ring, self.dst, self.src, matrix)
 
     def is_identity(self):
-        if self.src != self.dst:
-            return False
-        for i in range(self.dst.dim):
-            for j in range(self.src.dim):
-                want = 1 if i == j else 0
-                if not self.matrix[i][j] == want:
-                    return False
-        return True
+        n = self.dst.dim
+        return self.src == self.dst and all(
+            self.matrix[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
 
     def __eq__(self, other):
         if not isinstance(other, EvenMap):
@@ -200,39 +179,28 @@ def _has_shape(grid, depth, n):
     return len(grid) == n and (depth == 1 or all(_has_shape(g, depth - 1, n) for g in grid))
 
 
-def _cellwise(fn, depth, *grids):
-    """A new grid holding fn of the matching cells of equally shaped grids."""
-    if depth == 1:
-        return list(map(fn, *grids))
-    return [_cellwise(fn, depth - 1, *rows) for rows in zip(*grids)]
-
-
-def _sparse(grid, depth):
-    """The nonzero cells of a grid (a bracket row, a delta plane, a
-    tensor) as (index tuple, value) pairs, in row-major order."""
+def _sparse(grid, depth, lift=None):
+    """The nonzero cells of a grid (a bracket row, a delta plane, a tensor
+    grid) as (index tuple, value) pairs in row-major order, lifted if asked."""
     rows = [((), grid)]
     for _ in range(depth - 1):
         rows = [(idx + (i,), sub) for idx, g in rows for i, sub in enumerate(g)]
-    return [(idx + (i,), v) for idx, row in rows for i, v in enumerate(row) if v]
+    return [(idx + (i,), v) for idx, row in rows
+            for i, v in enumerate(row if lift is None else map(lift, row)) if v]
 
 
-def _add_cells(x, y):
-    """x + y, reusing an operand when the other is zero."""
-    if not y:
-        return x
-    return x + y if x else y
+def _add_at(cells, idx, value):
+    """cells[idx] += value in a sparse cell dict, which never keeps a zero."""
+    if value:
+        value = cells[idx] + value if idx in cells else value
+        if value:
+            cells[idx] = value
+        else:
+            del cells[idx]
 
 
-def _add_at(grid, idx, value):
-    """grid[i][j]... += value at the index tuple *idx*."""
-    *path, last = idx
-    for i in path:
-        grid = grid[i]
-    grid[last] = _add_cells(grid[last], value)
-
-
-def _add_products(grid, coeff, factors):
-    """Add coeff * (f_1 (x) f_2 (x) ...) into a grid.
+def _add_products(cells, coeff, factors):
+    """Add coeff * (f_1 (x) f_2 (x) ...) into a sparse cell dict.
 
     Each factor is a sparse list of (index tuple, scalar) pairs over one or
     more consecutive slots: an alpha column, a bracket row, a delta plane.
@@ -241,7 +209,7 @@ def _add_products(grid, coeff, factors):
     for factor in factors:
         terms = [(idx + i, c * v) for idx, c in terms for i, v in factor]
     for idx, c in terms:
-        _add_at(grid, idx, c)
+        _add_at(cells, idx, c)
 
 
 def _sparse_columns(f):
@@ -249,28 +217,48 @@ def _sparse_columns(f):
     return [_sparse(f.column(j), 1) for j in range(f.src.dim)]
 
 
-class _TensorBase:
-    """An element of the rank-fold tensor power of V as a dense nested-list
-    grid of depth ``rank``: ``entries[i][j]...`` is the coefficient of
-    ``e_i (x) e_j (x) ...``.
+def _dense(t):
+    """A fresh nested-list grid holding the cells of the tensor t."""
+    grid = _grid(t.rank, t.basis.dim, t.ring.zero())
+    for (*path, last), v in t._cells.items():
+        row = grid
+        for i in path:
+            row = row[i]
+        row[last] = v
+    return grid
 
-    If *parity* is given, every nonzero entry must have that total parity.
+
+class _TensorBase:
+    """An element of the rank-fold tensor power of V, stored sparsely as
+    ``{(i, j, ...): coefficient of e_i (x) e_j (x) ...}``.  No zero is
+    stored, so each operation costs in proportion to the nonzero cells.
+
+    *entries* is a dense nested-list grid of depth ``rank`` or a dict of
+    cells.  The ``entries`` attribute is a dense compatibility view:
+    reading it builds the grid and makes it this tensor's storage, so a
+    cell written into it is seen by every later operation, each of which
+    then scans the whole grid.  If *parity* is given, every nonzero entry
+    must have that total parity.
     """
 
     rank = None
+    __slots__ = ("ring", "basis", "parity", "_store")
 
     def __init__(self, ring, basis, entries=None, parity=None):
         n = basis.dim
-        self.ring = ring
-        self.basis = basis
-        self.parity = parity
-        if entries is None:
-            self.entries = _grid(self.rank, n, ring.zero())
-        else:
+        self.ring, self.basis, self.parity, self._store = ring, basis, parity, {}
+        name = type(self).__name__
+        if isinstance(entries, dict):
+            for idx, v in entries.items():
+                idx = tuple(idx)
+                if len(idx) != self.rank or not all(0 <= i < n for i in idx):
+                    raise DimensionMismatchError("%r is not a %s index for dim %d"
+                                                 % (idx, name, n))
+                _add_at(self._store, idx, ring.lift(v))
+        elif entries is not None:
             if not _has_shape(entries, self.rank, n):
-                raise DimensionMismatchError("%s grid must be %d^%d"
-                                             % (type(self).__name__, n, self.rank))
-            self.entries = _cellwise(ring.lift, self.rank, entries)
+                raise DimensionMismatchError("%s grid must be %d^%d" % (name, n, self.rank))
+            self._store = dict(_sparse(entries, self.rank, ring.lift))
         if parity is not None:
             for *idx, v in self.items():
                 p = sum(basis.parity(i) for i in idx) % 2
@@ -280,25 +268,34 @@ class _TensorBase:
                         % ("(x)".join(basis.labels[i] for i in idx), p, parity % 2))
 
     @classmethod
-    def _wrap(cls, ring, basis, entries=None, parity=None):
-        """A tensor over a grid that is already lifted and shaped, or over
-        a fresh zero grid; unlike the constructor it checks nothing."""
+    def _wrap(cls, ring, basis, cells=None, parity=None):
+        """A tensor over a cell dict that is already lifted, indexed and
+        free of zeros (or an empty one); unlike the constructor it checks nothing."""
         t = object.__new__(cls)
-        if entries is None:
-            entries = _grid(cls.rank, basis.dim, ring.zero())
-        t.ring, t.basis, t.entries, t.parity = ring, basis, entries, parity
+        t.ring, t.basis, t.parity, t._store = ring, basis, parity, {} if cells is None else cells
         return t
 
     @classmethod
     def from_dict(cls, ring, basis, data, parity=None):
-        t = cls._wrap(ring, basis)
-        for idx, v in data.items():
-            _add_at(t.entries, idx, ring.lift(v))
-        return cls(ring, basis, t.entries, parity=parity)
+        return cls(ring, basis, data, parity=parity)
+
+    @property
+    def _cells(self):
+        """The nonzero cells as {index tuple: value}, read from the grid
+        once ``entries`` has handed it out."""
+        store = self._store
+        return store if type(store) is dict else dict(_sparse(store, self.rank))
+
+    @property
+    def entries(self):
+        """The dense grid ``entries[i][j]...``, from now on this tensor's storage."""
+        if type(self._store) is dict:
+            self._store = _dense(self)
+        return self._store
 
     def items(self):
-        """Nonzero entries as (i, j, ..., value)."""
-        return [idx + (v,) for idx, v in _sparse(self.entries, self.rank)]
+        """Nonzero entries as (i, j, ..., value), in row-major order."""
+        return [idx + (v,) for idx, v in sorted(self._cells.items())]
 
     def _check_compat(self, other):
         if not isinstance(other, type(self)):
@@ -310,9 +307,10 @@ class _TensorBase:
     def __add__(self, other):
         self._check_compat(other)
         parity = self.parity if self.parity == other.parity else None
-        return self._wrap(self.ring, self.basis,
-                          _cellwise(_add_cells, self.rank, self.entries, other.entries),
-                          parity)
+        cells = dict(self._cells)
+        for idx, v in other._cells.items():
+            _add_at(cells, idx, v)
+        return self._wrap(self.ring, self.basis, cells, parity)
 
     def __sub__(self, other):
         return self + (-other)
@@ -322,9 +320,8 @@ class _TensorBase:
 
     def scale(self, c):
         c = self.ring.lift(c)
-        return self._wrap(self.ring, self.basis,
-                          _cellwise(lambda v: c * v if v else v, self.rank, self.entries),
-                          self.parity)
+        cells = {idx: w for idx, v in self._cells.items() if (w := c * v)}
+        return self._wrap(self.ring, self.basis, cells, self.parity)
 
     def apply(self, f, slot):
         """Apply an even map to one tensor slot (0 to rank - 1)."""
@@ -332,12 +329,12 @@ class _TensorBase:
         if not 0 <= slot < self.rank:
             raise ValueError("%s slots are 0 to %d" % (type(self).__name__, self.rank - 1))
         cols = _sparse_columns(f)
-        out = self._wrap(f.ring, f.dst, parity=self.parity)
-        for *idx, v in self.items():
-            for (u,), a in cols[idx[slot]]:
-                idx[slot] = u
-                _add_at(out.entries, idx, a * v)
-        return out
+        cells = {}
+        for idx, v in self._cells.items():
+            head, tail = idx[:slot], idx[slot + 1:]
+            for u, a in cols[idx[slot]]:
+                _add_at(cells, head + u + tail, a * v)
+        return self._wrap(f.ring, f.dst, cells, self.parity)
 
     def apply_all(self, f):
         out = self
@@ -346,13 +343,13 @@ class _TensorBase:
         return out
 
     def is_zero(self):
-        return not _sparse(self.entries, self.rank)
+        return not self._cells
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self.basis == other.basis and self.ring == other.ring
-                and (self - other).is_zero())
+                and self._cells == other._cells)
 
     __hash__ = None
 
@@ -364,9 +361,10 @@ class _TensorBase:
 
 
 class Tensor2(_TensorBase):
-    """An element of V (x) V as a dense coefficient grid ``entries[i][j]``."""
+    """An element of V (x) V, with the dense view ``entries[i][j]``."""
 
     rank = 2
+    __slots__ = ()
     # Own bindings, so that per-class patches (bench/tracing.py) see each rank.
     __init__, __add__, scale, apply, apply_all = (
         _TensorBase.__init__, _TensorBase.__add__, _TensorBase.scale,
@@ -375,10 +373,11 @@ class Tensor2(_TensorBase):
 
 
 class Tensor3(_TensorBase):
-    """An element of V (x) V (x) V as a dense coefficient grid
+    """An element of V (x) V (x) V, with the dense view
     ``entries[i][j][k]``."""
 
     rank = 3
+    __slots__ = ()
     # Own bindings, so that per-class patches (bench/tracing.py) see each rank.
     __init__, __add__, scale, apply, apply_all = (
         _TensorBase.__init__, _TensorBase.__add__, _TensorBase.scale,
@@ -390,11 +389,11 @@ def _permuted(t, order):
     sign of every pair of slots that changes places."""
     p = t.basis.parities
     crossed = [(a, b) for k, a in enumerate(order) for b in order[k + 1:] if a > b]
-    out = t._wrap(t.ring, t.basis, parity=t.parity)
-    for *idx, v in t.items():
+    cells = {}
+    for idx, v in t._cells.items():
         odd = sum(p[idx[a]] * p[idx[b]] for a, b in crossed) % 2
-        _add_at(out.entries, [idx[s] for s in order], -v if odd else v)
-    return out
+        cells[tuple(idx[s] for s in order)] = -v if odd else v
+    return t._wrap(t.ring, t.basis, cells, t.parity)
 
 
 def tau(t):

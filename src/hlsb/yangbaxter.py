@@ -39,10 +39,10 @@ def _partial_bracket(algebra, r, rp, slot):
     p = algebra.basis.parities
     c = algebra.bracket
     cols = _sparse_columns(algebra.alpha)
-    out = Tensor3._wrap(algebra.ring, algebra.basis)
-    pairs = rp.items()
-    for a, b, va in r.items():
-        for cc, d, vb in pairs:
+    cells = {}
+    pairs = rp._cells.items()
+    for (a, b), va in r._cells.items():
+        for (cc, d), vb in pairs:
             coeff = va * vb
             # slot 1 brackets b with c directly; the other two move c past b
             if slot != 1 and koszul_sign(p[b], p[cc]) == -1:
@@ -52,8 +52,8 @@ def _partial_bracket(algebra, r, rp, slot):
             if row:
                 factors = [cols[first], cols[second]]
                 factors.insert(slot, row)
-                _add_products(out.entries, coeff, factors)
-    return out
+                _add_products(cells, coeff, factors)
+    return Tensor3._wrap(algebra.ring, algebra.basis, cells)
 
 
 def bracket_12_13(algebra, r, rp):
@@ -304,11 +304,8 @@ def alpha_fixed_tensors(algebra, skew=False, even_only=False):
                 rows.append(row)
     out = []
     for vec in rational_nullspace(rows, len(slots)):
-        t = Tensor2(algebra.ring, basis)
-        for (i, j), k in index.items():
-            if vec[k]:
-                t.entries[i][j] = algebra.ring.from_fraction(vec[k])
-        out.append(t)
+        out.append(Tensor2._wrap(algebra.ring, basis, {
+            ij: algebra.ring.from_fraction(vec[k]) for ij, k in index.items() if vec[k]}))
     return out
 
 

@@ -8,18 +8,25 @@ import os
 
 import pytest
 
+from hlsb import scalar, structures, superlinear
 from hlsb.scalar import ParamRing
 from hlsb.superlinear import SuperBasis, Tensor2, Tensor3
+from hlsb.yangbaxter import coboundary_from_r
 
-TRACING = os.path.join(os.path.dirname(__file__), "..", "bench", "tracing.py")
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        "hlsb_bench_" + name, os.path.join(BENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def tracing():
-    spec = importlib.util.spec_from_file_location("hlsb_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_every_spanned_target_resolves(tracing):
@@ -56,3 +63,31 @@ def test_tracer_and_counter_install_and_remove(tracing):
             "superlinear._TensorBase.is_zero"} <= names
     for name, value in originals.items():
         assert Tensor2.__dict__[name] is value
+
+
+def test_traced_coboundary_check_counts_fill_on_sparse_tensors(tracing):
+    glmn = _load("glmn")
+    A = glmn.gl_algebra(1, 1)
+    r = glmn.cartan_wedge(A, 1, 1)
+    hooked = [(Tensor2, "__init__"), (Tensor2, "__add__"), (Tensor3, "apply"),
+              (scalar.Scalar, "__add__"), (scalar.Scalar, "__mul__"),
+              (structures, "ad_action"), (superlinear, "cyclic_sum")]
+    originals = [vars(owner)[name] for owner, name in hooked]
+    tracer = tracing.Tracer()
+    counter = tracing.Counter(seed=1)
+    try:
+        tracer.install()
+        counter.install()
+        report = coboundary_from_r(A, r).check(multiplicative=True)
+    finally:
+        counter.remove()
+        tracer.remove()
+    assert report.passed, report.summary()
+    assert counter.counts["fill.nonzero"] > 0
+    assert counter.counts["fill.cells"] >= counter.counts["fill.nonzero"]
+    assert counter.counts["scalar.mul_calls"] > 0
+    names = {tracer.names[row[0]] for row in tracer.rows()}
+    assert {"structures.ad_action", "structures._compat_residual",
+            "superlinear.cyclic_sum"} <= names
+    for (owner, name), value in zip(hooked, originals):
+        assert vars(owner)[name] is value, name

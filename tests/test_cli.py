@@ -91,6 +91,19 @@ def test_deeply_nested_scalar_is_a_parse_error(tmp_path, capsys):
         assert "nested deeper" in err and "Traceback" not in err
 
 
+def test_huge_power_is_a_parse_error(tmp_path, capsys):
+    path, _ = write_variant(tmp_path, "diagonal-1")
+    for name, scalar in (("poly.json", "1 + (1 + b4)^100000 - (1 + b4)^100000"),
+                         ("const.json", "2^1234567890")):
+        data = json.loads(path.read_text())
+        data["alpha"][0][0] = scalar
+        bad = tmp_path / name
+        bad.write_text(json.dumps(data))
+        assert main(["check", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "MAX_POWER_SIZE" in err and "Traceback" not in err
+
+
 def test_missing_file_and_bad_json(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 2
     broken = tmp_path / "broken.json"

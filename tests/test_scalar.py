@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlsb.errors import ParseError, RingMismatchError, ScalarError
-from hlsb.scalar import MAX_NESTING, ParamRing, Scalar
+from hlsb.scalar import MAX_NESTING, MAX_POWER_SIZE, ParamRing, Scalar
 
 RING = ParamRing(["a", "b", "s"], invertible=["s"])
 
@@ -101,6 +101,24 @@ def test_parse_nesting_limit():
                  "(" * (deep + 1) + "a" + ")" * (deep + 1), "+" * (deep + 1) + "a"):
         with pytest.raises(ParseError, match="nested deeper"):
             RING.parse(text)
+
+
+@pytest.mark.parametrize("text", ["(1+a)^100000", "2^1234567890"])
+def test_parse_refuses_a_huge_power_quickly(text):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="MAX_POWER_SIZE = %d" % MAX_POWER_SIZE):
+        RING.parse(text)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_power_limit_boundary():
+    assert len(RING.parse("(1+a)^81").terms) == 82
+    assert len(RING.parse("(1+a+b)^22").terms) == 276
+    for text in ("(1+a)^82", "(1+a+b)^23", "(1+a)^-100000", "2^6667"):
+        with pytest.raises(ParseError, match="MAX_POWER_SIZE"):
+            RING.parse(text)
+    assert RING.parse("(-1)^99999999999") == -1
+    assert RING.parse("0^1234567890") == 0
 
 
 def test_inverse():

@@ -2,7 +2,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import DenseOracle
 from hlsb.errors import DimensionMismatchError, ParityError
 from hlsb.scalar import ParamRing
 from hlsb.superlinear import (
@@ -222,3 +225,83 @@ def test_apply_rejects_a_slot_past_the_rank():
     for tensor in (t, u):
         with pytest.raises(ValueError):
             tensor.apply(f, tensor.rank)
+
+
+def test_entries_view_stays_consistent_with_the_sparse_cells():
+    t = Tensor2.from_dict(QQ, B, {(0, 1): 2, (2, 3): -1})
+    assert t.items() == [(0, 1, 2), (2, 3, -1)]
+    t.entries[1][0] = QQ.from_fraction(5)  # written after items() was read
+    t.entries[2][3] = QQ.zero()
+    assert t.items() == [(0, 1, 2), (1, 0, 5)]
+    assert repr(t) == "Tensor2{e1(x)e2: 2, e2(x)e1: 5}"
+    assert tau(t) == Tensor2.from_dict(QQ, B, {(1, 0): 2, (0, 1): 5})
+    u = Tensor3.from_dict(QQ, B, {(3, 2, 1): 4})
+    u = u + u
+    assert u.entries[3][2][1] == 8  # read after a write through +
+    u.entries[0][0][0] = QQ.one()
+    assert u.scale(2).items() == [(0, 0, 0, 2), (3, 2, 1, 16)]
+    assert not u.is_zero() and u == u.apply_all(EvenMap.identity(QQ, B))
+
+
+def test_cancellation_stores_no_cell():
+    t = Tensor2.from_dict(QQ, B, {(0, 0): 1, (2, 3): Fraction(-3, 2)})
+    zero = t - t
+    assert zero._cells == {} and zero.items() == []
+    assert zero.is_zero()
+    assert repr(zero) == "Tensor2{}"
+    assert Tensor2.from_dict(QQ, B, {(1, 1): 0}).items() == []
+    assert t.scale(0)._cells == {}
+
+
+def test_from_dict_out_of_order_keys_give_row_major_items():
+    data = {(3, 1): 1, (0, 2): 2, (3, 0): 3, (0, 0): 4, (1, 3): 5}
+    t = Tensor2.from_dict(QQ, B, data)
+    assert [item[:2] for item in t.items()] == sorted(data)
+    u = Tensor3.from_dict(QQ, B, {(2, 0, 1): 1, (0, 3, 3): 2, (0, 3, 0): 3})
+    assert [item[:3] for item in u.items()] == [(0, 3, 0), (0, 3, 3), (2, 0, 1)]
+    for bad in ({(0, 4): 1}, {(0,): 1}, {(-1, 0): 1}):
+        with pytest.raises(DimensionMismatchError):
+            Tensor2.from_dict(QQ, B, bad)
+
+
+def _cell_dicts(rank):
+    index = st.tuples(*[st.integers(0, B.dim - 1)] * rank)
+    return st.dictionaries(index, st.integers(-3, 3), max_size=10)
+
+
+@st.composite
+def _even_maps(draw):
+    return [[draw(st.integers(-2, 2)) if B.parity(i) == B.parity(j) else 0
+             for j in range(B.dim)] for i in range(B.dim)]
+
+
+def _terms(t):
+    return [(v, tuple(idx)) for *idx, v in t.items()]
+
+
+def _cells(t):
+    return {tuple(idx): v for *idx, v in t.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank=st.sampled_from([2, 3]), data=st.data(), matrix=_even_maps(),
+       c=st.integers(-3, 3), as_grid=st.booleans())
+def test_sparse_operations_match_the_dense_oracle(rank, data, matrix, c, as_grid):
+    cls = Tensor2 if rank == 2 else Tensor3
+    t = cls.from_dict(QQ, B, data.draw(_cell_dicts(rank)))
+    u = cls.from_dict(QQ, B, data.draw(_cell_dicts(rank)))
+    if as_grid:
+        assert len(t.entries) == B.dim  # later operations read t through the grid
+    oracle = DenseOracle(QQ, B.parities, alpha=matrix)
+    f = EvenMap(QQ, B, B, matrix)
+    assert _cells(t + u) == oracle.reduce(_terms(t) + _terms(u))
+    assert _cells(t.scale(c)) == oracle.reduce([(v * c, idx) for v, idx in _terms(t)])
+    for slot in range(rank):
+        assert _cells(t.apply(f, slot)) == oracle.reduce(oracle.apply_alpha(_terms(t), slot))
+    if rank == 2:
+        assert _cells(tau(t)) == oracle.reduce(oracle.swap(_terms(t), 0))
+    else:
+        once = oracle.swap(oracle.swap(_terms(t), 0), 1)
+        twice = oracle.swap(oracle.swap(once, 0), 1)
+        assert _cells(xi(t)) == oracle.reduce(once)
+        assert _cells(cyclic_sum(t)) == oracle.reduce(_terms(t) + once + twice)
