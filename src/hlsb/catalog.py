@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalar import ParamRing
-from .structures import CheckReport, HomSuperBialgebra, zero_bracket
-from .superlinear import SuperBasis, koszul_sign
+from .structures import CheckReport, HomSuperBialgebra, _bracket_cells, _cobracket_cells
+from .superlinear import SuperBasis, _add_at, _map_cells, koszul_sign
 
 
 @dataclass(frozen=True)
@@ -137,24 +137,20 @@ def _build_variant(row, stratum, signs, label):
         value = scratch.parse(str(expr)).substitute(resolved)
         return ring.parse(str(value))
 
-    n = len(row.parities)
     basis = SuperBasis(row.parities)
-    alpha = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for (i, j), expr in row.alpha.items():
-        alpha[i][j] = conv(expr)
+    alpha = {ij: conv(expr) for ij, expr in row.alpha.items()}
 
-    bracket = zero_bracket(ring, basis)
+    bracket = {}
     for (i, j, k), expr in row.bracket.items():
         value = conv(expr)
-        bracket[i][j][k] = bracket[i][j][k] + value
+        _add_at(bracket, (i, j, k), value)
         if i != j:
             sign = koszul_sign(row.parities[i], row.parities[j])
-            flip = -value if sign == 1 else value
-            bracket[j][i][k] = bracket[j][i][k] + flip
+            _add_at(bracket, (j, i, k), -value if sign == 1 else value)
 
-    cobracket = zero_bracket(ring, basis)
-    for (i, j, k), expr in row.cobracket.items():
-        cobracket[i][j][k] = cobracket[i][j][k] + conv(expr)
+    cobracket = {}
+    for ijk, expr in row.cobracket.items():
+        _add_at(cobracket, ijk, conv(expr))
 
     B = HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
     shown = {t: str(v) for t, v in resolved.items()}
@@ -185,17 +181,12 @@ def concrete_variant(variant, assignment=None, rng=None):
         values[name] = target.from_fraction(value)
 
     B = variant.bialgebra
-    n = B.basis.dim
 
-    def sub(s):
-        return s.substitute(values, ring=target)
+    def sub(cells):
+        return {idx: s.substitute(values, ring=target) for idx, s in cells.items()}
 
-    alpha = [[sub(B.alpha.matrix[i][j]) for j in range(n)] for i in range(n)]
-    bracket = [[[sub(B.bracket[i][j][k]) for k in range(n)]
-                for j in range(n)] for i in range(n)]
-    cobracket = [[[sub(B.cobracket[i][j][k]) for k in range(n)]
-                  for j in range(n)] for i in range(n)]
-    return HomSuperBialgebra(target, B.basis, bracket, cobracket, alpha)
+    return HomSuperBialgebra(target, B.basis, sub(_bracket_cells(B.algebra)),
+                             sub(_cobracket_cells(B.coalgebra)), sub(_map_cells(B.alpha)))
 
 
 def verify_variant(variant):

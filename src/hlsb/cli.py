@@ -29,7 +29,7 @@ from .fileformat import (
     definition_text,
     load_definition,
 )
-from .structures import HomSuperBialgebra, zero_bracket
+from .structures import HomSuperBialgebra, _bracket_cells
 from .superlinear import EvenMap, Tensor2
 from .yangbaxter import coboundary_from_r, perturb_cobracket
 
@@ -92,8 +92,7 @@ def _named(defn, name, kind, flag):
 
 def _as_bialgebra(algebra):
     """Wrap a plain bracket structure with a zero cobracket for output."""
-    return HomSuperBialgebra(algebra.ring, algebra.basis, algebra.bracket,
-                             zero_bracket(algebra.ring, algebra.basis),
+    return HomSuperBialgebra(algebra.ring, algebra.basis, _bracket_cells(algebra), {},
                              algebra.alpha)
 
 

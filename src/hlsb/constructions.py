@@ -15,10 +15,12 @@ from .structures import (
     HomSuperAlgebra,
     HomSuperBialgebra,
     Violation,
+    _bracket_cells,
+    _cobracket_cells,
+    _delta_cells,
     delta1,
-    zero_bracket,
 )
-from .superlinear import EvenMap, SuperBasis, Tensor2, _dense, _sparse, koszul_sign
+from .superlinear import EvenMap, SuperBasis, Tensor2, _add_at, _frozen, _map_cells, koszul_sign
 
 # ---------------------------------------------------------------------------
 # small matrix helpers (entries may be parity-shifting, so EvenMap does
@@ -133,16 +135,12 @@ def twist(bialgebra, beta, verify=True):
             raise MorphismError(
                 "twisting map is not a bialgebra endomorphism; first failure: %r"
                 % (report.violations[0],))
-    n = B.dim
-    ring, basis = B.ring, B.basis
-    bracket = zero_bracket(ring, basis)
-    for i in range(n):
-        for j in range(n):
-            image = beta.apply(B.algebra.bracket_of(i, j))
-            for k in range(n):
-                bracket[i][j][k] = image[k]
-    cobracket = [_dense(B.coalgebra.delta_vector(beta.column(i))) for i in range(n)]
-    return HomSuperBialgebra(ring, basis, bracket, cobracket,
+    bracket = {}
+    for (i, j, k), v in _bracket_cells(B.algebra).items():
+        for (m,), b in beta._cols[k]:
+            _add_at(bracket, (i, j, m), b * v)
+    cobracket = _delta_cells([B.coalgebra.delta_vector(beta.column(i)) for i in range(B.dim)])
+    return HomSuperBialgebra(B.ring, B.basis, bracket, cobracket,
                              beta.compose(B.alpha))
 
 
@@ -226,14 +224,10 @@ def transport_structure(bialgebra, f):
     ring = B.ring
     basis = f.dst
     n = basis.dim
-    bracket = zero_bracket(ring, basis)
-    for i in range(n):
-        for j in range(n):
-            image = f.apply(B.algebra.bracket_vectors(g.column(i), g.column(j)))
-            for k in range(n):
-                bracket[i][j][k] = image[k]
-    cobracket = [_dense(B.coalgebra.delta_vector(g.column(i)).apply_all(f))
-                 for i in range(n)]
+    bracket = {(i, j, k): v for i in range(n) for j in range(n) for k, v in enumerate(
+        f.apply(B.algebra.bracket_vectors(g.column(i), g.column(j))))}
+    cobracket = _delta_cells([B.coalgebra.delta_vector(g.column(i)).apply_all(f)
+                              for i in range(n)])
     alpha = f.compose(B.alpha).compose(g)
     return HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
 
@@ -286,21 +280,14 @@ def dualize(bialgebra, convention="koszul"):
     ring = B.ring
     basis = dual_basis(B.basis)
     p = basis.parities
-    n = B.dim
-    bracket = zero_bracket(ring, basis)
-    cobracket = zero_bracket(ring, basis)
-    for i in range(n):
-        for j in range(n):
-            si = _pair_sign(convention, p[i], p[j])
-            for k in range(n):
-                v = B.cobracket[k][i][j]
-                if v:
-                    bracket[i][j][k] = v if si == 1 else -v
-                w = B.bracket[i][j][k]
-                if w:
-                    cobracket[k][i][j] = w if si == 1 else -w
-    alpha = EvenMap(ring, basis, basis,
-                    [[B.alpha.matrix[j][i] for j in range(n)] for i in range(n)])
+
+    def signed(i, j, v):
+        return v if _pair_sign(convention, p[i], p[j]) == 1 else -v
+    bracket = {(i, j, k): signed(i, j, v)
+               for (k, i, j), v in _cobracket_cells(B.coalgebra).items()}
+    cobracket = {(k, i, j): signed(i, j, v)
+                 for (i, j, k), v in _bracket_cells(B.algebra).items()}
+    alpha = EvenMap(ring, basis, basis, {(j, i): v for (i, j), v in _map_cells(B.alpha).items()})
     return HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
 
 
@@ -406,8 +393,9 @@ class Representation:
 def adjoint_representation(algebra):
     """The structure acting on itself by its own bracket."""
     n = algebra.dim
-    matrices = [[[algebra.bracket[m][j][i] for j in range(n)] for i in range(n)]
-                for m in range(n)]
+    matrices = [_mat_zero(algebra.ring, n, n) for _ in range(n)]
+    for (m, j, i), v in _bracket_cells(algebra).items():
+        matrices[m][i][j] = v
     return Representation(algebra, algebra.basis, algebra.alpha, matrices)
 
 
@@ -477,8 +465,7 @@ def semidirect_product(algebra, rep):
     ring = A.ring
     if rep.algebra.basis != A.basis:
         raise DimensionMismatchError("representation does not act for this structure")
-    module = HomSuperAlgebra(ring, rep.module_basis,
-                             zero_bracket(ring, rep.module_basis), rep.module_map)
+    module = HomSuperAlgebra(ring, rep.module_basis, {}, rep.module_map)
     inert = Representation(module, A.basis, A.alpha,
                            [_mat_zero(ring, A.dim, A.dim)] * module.dim)
     return MatchedPair(A, module, rep, inert).double()
@@ -516,15 +503,9 @@ class MatchedPair:
         n, m = g.dim, h.dim
         basis = SuperBasis(g.basis.parities + h.basis.parities,
                            _merge_labels(g.basis.labels, h.basis.labels))
-        bracket = zero_bracket(ring, basis)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    bracket[i][j][k] = g.bracket[i][j][k]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    bracket[n + i][n + j][n + k] = h.bracket[i][j][k]
+        bracket = _bracket_cells(g)
+        for (i, j, k), v in _bracket_cells(h).items():
+            bracket[n + i, n + j, n + k] = v
         rho, mu = self.left_action.matrices, self.right_action.matrices
         for i in range(n):
             for j in range(m):
@@ -532,21 +513,17 @@ class MatchedPair:
                 for p in range(m):
                     v = rho[i][p][j]
                     if v:
-                        bracket[i][n + j][n + p] = v
-                        bracket[n + j][i][n + p] = -v if s == 1 else v
+                        bracket[i, n + j, n + p] = v
+                        bracket[n + j, i, n + p] = -v if s == 1 else v
                 for p in range(n):
                     w = mu[j][p][i]
                     if w:
                         value = -w if s == 1 else w
-                        bracket[i][n + j][p] = value
-                        bracket[n + j][i][p] = -value if s == 1 else value
-        alpha = _mat_zero(ring, n + m, n + m)
-        for i in range(n):
-            for j in range(n):
-                alpha[i][j] = g.alpha.matrix[i][j]
-        for i in range(m):
-            for j in range(m):
-                alpha[n + i][n + j] = h.alpha.matrix[i][j]
+                        bracket[i, n + j, p] = value
+                        bracket[n + j, i, p] = -value if s == 1 else value
+        alpha = _map_cells(g.alpha)
+        for (i, j), v in _map_cells(h.alpha).items():
+            alpha[n + i, n + j] = v
         return HomSuperAlgebra(ring, basis, bracket, alpha)
 
     def check(self, multiplicative=False):
@@ -565,9 +542,7 @@ def _require_dual_shape(g, gstar):
         raise RingMismatchError("the two halves live over different rings")
     if g.basis.parities != gstar.basis.parities:
         raise HypothesisError("dual-space partner must have the same parities")
-    n = g.dim
-    at = [[g.alpha.matrix[j][i] for j in range(n)] for i in range(n)]
-    if gstar.alpha.matrix != [[g.ring.lift(v) for v in row] for row in at]:
+    if gstar.alpha.matrix != tuple(zip(*g.alpha.matrix)):
         raise HypothesisError("dual-space partner must carry the transposed "
                               "structure map")
 
@@ -578,16 +553,10 @@ def _coadjoint(acting, partner, sign_on_target):
     output index if *sign_on_target*, else with the input index."""
     ring, n = acting.ring, acting.dim
     p = acting.basis.parities
-    matrices = []
-    for m in range(n):
-        mat = _mat_zero(ring, n, n)
-        for out in range(n):
-            for j in range(n):
-                v = acting.bracket[m][out][j]
-                if v:
-                    q = p[out] if sign_on_target else p[j]
-                    mat[out][j] = -v if koszul_sign(p[m], q) == 1 else v
-        matrices.append(mat)
+    matrices = [_mat_zero(ring, n, n) for _ in range(n)]
+    for (m, out, j), v in _bracket_cells(acting).items():
+        q = p[out] if sign_on_target else p[j]
+        matrices[m][out][j] = -v if koszul_sign(p[m], q) == 1 else v
     return Representation(acting, partner.basis, partner.alpha, matrices)
 
 
@@ -752,18 +721,20 @@ def cobracket_from_dual_bracket(g, gstar, convention="koszul"):
 
     The roles are symmetric: ``cobracket_from_dual_bracket(gstar, g)``
     rebuilds the cobracket on gstar whose dualization is g's bracket.
+    The result is a read-only grid ``cobracket[i][a][b]``, in the form of
+    the ``cobracket`` view of a structure.
     """
-    ring, n = g.ring, g.dim
+    cells = _dual_cobracket_cells(g, gstar, convention)
+    return _frozen(cells, (g.dim,) * 3, g.ring.zero())
+
+
+def _dual_cobracket_cells(g, gstar, convention):
     p = g.basis.parities
-    cobracket = zero_bracket(ring, g.basis)
-    for i in range(n):
-        for a in range(n):
-            for b in range(n):
-                v = gstar.bracket[a][b][i]
-                if v:
-                    s = _pair_sign(convention, p[a], p[b], p[i] + p[a] + p[b])
-                    cobracket[i][a][b] = v if s == 1 else -v
-    return cobracket
+    out = {}
+    for (a, b, i), v in _bracket_cells(gstar).items():
+        s = _pair_sign(convention, p[a], p[b], p[i] + p[a] + p[b])
+        out[i, a, b] = v if s == 1 else -v
+    return out
 
 
 def _pairing_cocycle_violations(g, gstar, convention, shifted, axiom):
@@ -774,9 +745,10 @@ def _pairing_cocycle_violations(g, gstar, convention, shifted, axiom):
     ring, n = g.ring, g.dim
     p = g.basis.parities
     A = g.alpha.matrix
-    cobr = cobracket_from_dual_bracket(g, gstar, convention)
-    defect = delta1(g, [Tensor2._wrap(ring, g.basis, dict(_sparse(cobr[i], 2)))
-                        for i in range(n)])
+    deltas = [{} for _ in range(n)]
+    for (i, a, b), v in _dual_cobracket_cells(g, gstar, convention).items():
+        deltas[i][a, b] = v
+    defect = delta1(g, [Tensor2._wrap(ring, g.basis, d) for d in deltas])
 
     def pairing(t, s, q):
         # <t, e^s (x) e^q> for a 2-tensor t on g

@@ -14,6 +14,13 @@ expr]`` contributes ``expr * e_k`` to the bracket of ``(e_i, e_j)``; a
 cobracket triple ``[i, j, k, expr]`` contributes ``expr * e_j (x) e_k`` to
 the image of ``e_i``.  Bracket triples are stored in full (no implicit
 skew completion).
+
+Parsing is bounded: a basis may have at most ``MAX_DIMENSION`` elements,
+and every scalar string obeys the parser limits of :mod:`hlsb.scalar`
+(``MAX_NESTING``, ``MAX_POWER_SIZE``, ``MAX_PRODUCT_TERMS``).  Input past
+a limit raises :class:`ParseError`.  Bracket and cobracket triples go to
+the structures as cells, so parsing costs in proportion to the file, not
+to the cube of the dimension.
 """
 
 from __future__ import annotations
@@ -23,10 +30,16 @@ from dataclasses import dataclass, field
 
 from .errors import ParityError, ParseError, ScalarError
 from .scalar import ParamRing
-from .structures import HomSuperBialgebra, zero_bracket
+from .structures import HomSuperBialgebra, _bracket_cells, _cobracket_cells
 from .superlinear import EvenMap, SuperBasis, Tensor2, _add_at
 
 FORMAT_VERSION = 1
+
+# Largest basis a definition may declare.  The structure map is written
+# as a dense matrix, so a file at this limit holds at least 128^2 alpha
+# entries; checking such a structure visits about 128^3 / 6 Jacobi
+# triples.
+MAX_DIMENSION = 128
 
 
 @dataclass
@@ -89,6 +102,8 @@ def _matrix(ring, value, nrows, ncols, path):
 def _basis(value, path):
     _expect(isinstance(value, list) and value, path,
             "expected a non-empty list of basis elements")
+    _expect(len(value) <= MAX_DIMENSION, path, "%d basis elements, more than "
+            "MAX_DIMENSION = %d" % (len(value), MAX_DIMENSION))
     labels, parities = [], []
     for i, item in enumerate(value):
         here = "%s[%d]" % (path, i)
@@ -106,24 +121,20 @@ def _basis(value, path):
 
 
 def _sparse3(ring, value, dim, path):
-    grid = [[[ring.zero() for _ in range(dim)] for _ in range(dim)]
-            for _ in range(dim)]
+    """Bracket or cobracket triples as a cell dict {(i, j, k): scalar}."""
+    cells = {}
     if value is None:
-        return grid
+        return cells
     _expect(isinstance(value, list), path, "expected a list of triples")
-    seen = set()
     for t, item in enumerate(value):
         here = "%s[%d]" % (path, t)
         _expect(isinstance(item, list) and len(item) == 4, here,
                 "expected [i, j, k, scalar]")
-        i = _index(item[0], dim, here)
-        j = _index(item[1], dim, here)
-        k = _index(item[2], dim, here)
-        if (i, j, k) in seen:
-            _fail(here, "duplicate entry (%d, %d, %d)" % (i, j, k))
-        seen.add((i, j, k))
-        grid[i][j][k] = _scalar(ring, item[3], here)
-    return grid
+        idx = tuple(_index(item[m], dim, here) for m in range(3))
+        if idx in cells:
+            _fail(here, "duplicate entry (%d, %d, %d)" % idx)
+        cells[idx] = _scalar(ring, item[3], here)
+    return cells
 
 
 def _tensor(ring, basis, name, value):
@@ -244,13 +255,10 @@ def dump_definition(defn):
                      for i in range(n)]
     data["alpha"] = [[str(B.alpha.matrix[i][j]) for j in range(n)]
                      for i in range(n)]
-    data["bracket"] = [[i, j, k, str(B.bracket[i][j][k])]
-                       for i in range(n) for j in range(n) for k in range(n)
-                       if not B.bracket[i][j][k].is_zero()]
-    data["cobracket"] = [[i, j, k, str(B.cobracket[i][j][k])]
-                         for i in range(n) for j in range(n)
-                         for k in range(n)
-                         if not B.cobracket[i][j][k].is_zero()]
+    data["bracket"] = [[i, j, k, str(v)]
+                       for (i, j, k), v in sorted(_bracket_cells(B.algebra).items())]
+    data["cobracket"] = [[i, j, k, str(v)]
+                         for (i, j, k), v in sorted(_cobracket_cells(B.coalgebra).items())]
     if defn.tensors:
         out = {}
         for name in sorted(defn.tensors):

@@ -9,6 +9,16 @@ cobracket.  Structure constants follow the column convention of
     delta(e_i)   = sum_{j,k} cobracket[i][j][k] e_j (x) e_k
     alpha(e_j)   = sum_i  A[i][j] e_i
 
+Constructors take the constants as a dense n^3 grid or as a dict
+``{(i, j, k): value}`` of cells.  Each structure stores them once and
+sparsely: the bracket as rows ``_rows[i][j]`` of nonzero ``((k,), value)``
+pairs, delta(e_i) as planes ``_planes[i]`` of nonzero ``((j, k), value)``
+pairs, and alpha as the sparse columns of its :class:`EvenMap`.  Every
+residual loops over these lists only (Jacobi skips each hop whose inner
+bracket is zero), so its cost follows the nonzero constants.  The
+``bracket``, ``cobracket`` and ``alpha.matrix`` attributes are read-only
+nested-tuple views, built on first use.
+
 Nothing is validated eagerly beyond shapes and ring membership: the point
 of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
@@ -19,8 +29,8 @@ from __future__ import annotations
 
 from .errors import DimensionMismatchError, HypothesisError
 from .superlinear import (
-    EvenMap, SuperBasis, Tensor2, Tensor3, _add_products, _dense, _sparse, _sparse_columns,
-    _TensorBase, cyclic_sum, koszul_sign, tau)
+    EvenMap, SuperBasis, Tensor2, Tensor3, _add_products, _frozen, _grid, _lift_cells,
+    _sparse, _TensorBase, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -94,12 +104,21 @@ class CheckReport:
         return "<CheckReport %s: %s>" % (self.subject, state)
 
 
-def _lift_bracket(ring, basis, bracket):
+def _constants(ring, basis, constants, name, split):
+    """Structure constants, given as a dense n^3 grid or a dict
+    ``{(i, j, k): value}``, grouped by their first *split* indices: a
+    nested list (depth *split*) of tuples of nonzero ``(rest, value)``
+    pairs in row-major order, the empty tuple where there are none."""
     n = basis.dim
-    if len(bracket) != n or any(len(plane) != n for plane in bracket) or any(
-            len(row) != n for plane in bracket for row in plane):
-        raise DimensionMismatchError("bracket constants must form an %d^3 grid" % n)
-    return [[[ring.lift(v) for v in row] for row in plane] for plane in bracket]
+    cells = _lift_cells(ring, constants, (n, n, n), name)
+    groups = _grid((n,) * split, ())
+    for idx, v in sorted(cells.items()):
+        *path, last = idx[:split]
+        row = groups
+        for i in path:
+            row = row[i]
+        row[last] = row[last] + ((idx[split:], v),)
+    return groups
 
 
 def _lift_alpha(ring, basis, alpha):
@@ -119,83 +138,107 @@ def zero_cobracket(ring, basis):
     return zero_bracket(ring, basis)
 
 
+def _bracket_cells(algebra):
+    """The nonzero bracket constants as {(i, j, k): value}."""
+    return {(i, j, k): v for i, plane in enumerate(algebra._rows)
+            for j, row in enumerate(plane) for (k,), v in row}
+
+
+def _cobracket_cells(coalgebra):
+    """The nonzero cobracket constants as {(i, j, k): value}."""
+    return {(i,) + jk: v for i, plane in enumerate(coalgebra._planes) for jk, v in plane}
+
+
+def _delta_cells(deltas):
+    """The cobracket constants of the images delta(e_i) = deltas[i]."""
+    return {(i,) + jk: v for i, d in enumerate(deltas) for jk, v in d._cells.items()}
+
+
 class HomSuperAlgebra:
     """A Z2-graded bracket together with its twisting map."""
 
     def __init__(self, ring, basis, bracket, alpha):
         self.ring = ring
         self.basis = basis
-        self.bracket = _lift_bracket(ring, basis, bracket)
+        self._rows = _constants(ring, basis, bracket, "bracket", 2)
+        self._view = None
         self.alpha = _lift_alpha(ring, basis, alpha)
 
     @property
     def dim(self):
         return self.basis.dim
 
+    @property
+    def bracket(self):
+        """The read-only dense view ``bracket[i][j][k]``, built on first use."""
+        if self._view is None:
+            self._view = _frozen(_bracket_cells(self), (self.dim,) * 3, self.ring.zero())
+        return self._view
+
     def bracket_of(self, i, j):
         """[e_i, e_j] as a coefficient vector."""
-        return list(self.bracket[i][j])
+        out = [self.ring.zero()] * self.dim
+        for (k,), v in self._rows[i][j]:
+            out[k] = v
+        return out
+
+    def _bracket_into(self, out, xs, ys, negate=False):
+        """out += [x, y], or -= if *negate*, for sparse vectors of
+        ((index,), value) pairs such as alpha columns and bracket rows."""
+        rows = self._rows
+        for (i,), x in xs:
+            row_i = rows[i]
+            for (j,), y in ys:
+                row = row_i[j]
+                if row:
+                    c = -(x * y) if negate else x * y
+                    for (k,), v in row:
+                        out[k] = out[k] + c * v
 
     def bracket_vectors(self, x, y):
         """The bracket of two coefficient vectors (bilinear extension)."""
-        n = self.dim
-        out = [self.ring.zero()] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                row = self.bracket[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] = out[k] + coeff * row[k]
+        out = [self.ring.zero()] * self.dim
+        self._bracket_into(out, _sparse(x, 1), _sparse(y, 1))
         return out
 
     # -- residuals -------------------------------------------------------
 
     def grading_violations(self):
-        out = []
         p = self.basis.parities
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    v = self.bracket[i][j][k]
-                    if v and (p[i] + p[j]) % 2 != p[k]:
-                        out.append(Violation("bracket-grading", (i, j, k), v))
-        return out
+        return [Violation("bracket-grading", (i, j, k), v)
+                for i, plane in enumerate(self._rows) for j, row in enumerate(plane)
+                for (k,), v in row if (p[i] + p[j]) % 2 != p[k]]
 
     def skew_residual(self, i, j):
         """[e_i,e_j] + (-1)^{|e_i||e_j|} [e_j,e_i]."""
+        out = self.bracket_of(i, j)
         s = koszul_sign(self.basis.parity(i), self.basis.parity(j))
-        return [a + (b if s == 1 else -b)
-                for a, b in zip(self.bracket[i][j], self.bracket[j][i])]
+        for (k,), v in self._rows[j][i]:
+            out[k] = out[k] + (v if s == 1 else -v)
+        return out
 
     def jacobi_residual(self, i, j, k):
         """The graded cyclic sum of [alpha(x), [y, z]] over (e_i,e_j,e_k)."""
         p = self.basis.parities
-
-        def hop(a, b, c):
-            inner = self.bracket_of(b, c)
-            return self.bracket_vectors(self.alpha.column(a), inner)
-
-        n = self.dim
-        out = [self.ring.zero()] * n
+        cols = self.alpha._cols
+        out = [self.ring.zero()] * self.dim
         for (a, b, c), sgn in (((i, j, k), koszul_sign(p[i], p[k])),
                                ((k, i, j), koszul_sign(p[k], p[j])),
                                ((j, k, i), koszul_sign(p[j], p[i]))):
-            term = hop(a, b, c)
-            for m in range(n):
-                if term[m]:
-                    out[m] = out[m] + (term[m] if sgn == 1 else -term[m])
+            inner = self._rows[b][c]
+            if inner:
+                self._bracket_into(out, cols[a], inner, sgn == -1)
         return out
 
     def mult_residual(self, i, j):
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
-        lhs = self.alpha.apply(self.bracket_of(i, j))
-        rhs = self.bracket_vectors(self.alpha.column(i), self.alpha.column(j))
-        return [a - b for a, b in zip(lhs, rhs)]
+        cols = self.alpha._cols
+        out = [self.ring.zero()] * self.dim
+        for (k,), v in self._rows[i][j]:
+            for (m,), a in cols[k]:
+                out[m] = out[m] + a * v
+        self._bracket_into(out, cols[i], cols[j], negate=True)
+        return out
 
     # -- checks ----------------------------------------------------------
 
@@ -232,27 +275,30 @@ class HomSuperCoalgebra:
     def __init__(self, ring, basis, cobracket, alpha):
         self.ring = ring
         self.basis = basis
-        self.cobracket = _lift_bracket(ring, basis, cobracket)
+        self._planes = _constants(ring, basis, cobracket, "cobracket", 1)
+        self._view = None
         self.alpha = _lift_alpha(ring, basis, alpha)
 
     @property
     def dim(self):
         return self.basis.dim
 
+    @property
+    def cobracket(self):
+        """The read-only dense view ``cobracket[i][j][k]``, built on first use."""
+        if self._view is None:
+            self._view = _frozen(_cobracket_cells(self), (self.dim,) * 3, self.ring.zero())
+        return self._view
+
     def delta(self, i):
         """delta(e_i) as a Tensor2."""
-        return Tensor2._wrap(self.ring, self.basis, dict(_sparse(self.cobracket[i], 2)))
+        return Tensor2._wrap(self.ring, self.basis, dict(self._planes[i]))
 
     def grading_violations(self):
-        out = []
         p = self.basis.parities
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    v = self.cobracket[i][j][k]
-                    if v and p[i] != (p[j] + p[k]) % 2:
-                        out.append(Violation("cobracket-grading", (i, j, k), v))
-        return out
+        return [Violation("cobracket-grading", (i, j, k), v)
+                for i, plane in enumerate(self._planes)
+                for (j, k), v in plane if p[i] != (p[j] + p[k]) % 2]
 
     def coskew_residual(self, i):
         """(1 + tau) delta(e_i)."""
@@ -264,7 +310,7 @@ class HomSuperCoalgebra:
         cells = {}
         for m, c in enumerate(x):
             if c:
-                _add_products(cells, c, [_sparse(self.cobracket[m], 2)])
+                _add_products(cells, c, [self._planes[m]])
         return Tensor2._wrap(self.ring, self.basis, cells)
 
     def cojacobi_residual(self, i):
@@ -299,15 +345,16 @@ class HomSuperCoalgebra:
 
 def _alpha_beside_delta(coalgebra, r, delta_first):
     """alpha on one factor of r and delta on the other, as a Tensor3 with
-    the alpha image in the first slot, or in the last if *delta_first*."""
-    C = coalgebra
-    cols = _sparse_columns(C.alpha)
+    the alpha image in the first slot, or in the last if *delta_first*.
+    *coalgebra* may also be a bialgebra."""
+    C = getattr(coalgebra, "coalgebra", coalgebra)
+    cols, planes = C.alpha._cols, C._planes
     cells = {}
     for (a, b), va in r._cells.items():
         if delta_first:
-            _add_products(cells, va, [_sparse(C.cobracket[a], 2), cols[b]])
+            _add_products(cells, va, [planes[a], cols[b]])
         else:
-            _add_products(cells, va, [cols[a], _sparse(C.cobracket[b], 2)])
+            _add_products(cells, va, [cols[a], planes[b]])
     return Tensor3._wrap(C.ring, C.basis, cells)
 
 
@@ -336,13 +383,11 @@ def ad_action(algebra, x, t):
     coeffs, parity = x
     p = algebra.basis.parities
     out_parity = None if t.parity is None else (t.parity + parity) % 2
-    cells, src = {}, t._cells
-    used = {i for idx in src for i in idx}
-    cols = {j: _sparse(algebra.alpha.column(j), 1) for j in used}
+    cells, src, cols = {}, t._cells, algebra.alpha._cols
     for m, xm in enumerate(coeffs):
         if not xm:
             continue
-        rows = {i: _sparse(algebra.bracket[m][i], 1) for i in used}
+        rows = algebra._rows[m]
         for idx, v in src.items():
             base = xm * v
             skipped = 0
@@ -368,9 +413,8 @@ def _compat_residual(algebra, deltas, i, j):
     ring, basis = algebra.ring, algebra.basis
     p = basis.parities
     out = Tensor2(ring, basis)
-    for k, coeff in enumerate(algebra.bracket[i][j]):
-        if coeff:
-            out = out + deltas[k].scale(coeff)
+    for (k,), coeff in algebra._rows[i][j]:
+        out = out + deltas[k].scale(coeff)
     out = out - ad_action(algebra, (algebra.alpha.column(i), p[i]), deltas[j])
     term = ad_action(algebra, (algebra.alpha.column(j), p[j]), deltas[i])
     if koszul_sign(p[i], p[j]) == 1:
@@ -443,6 +487,5 @@ def delta1(algebra, deltas):
 
 def bialgebra_from_deltas(algebra, deltas):
     """Package an algebra and per-basis cobracket images as a bialgebra."""
-    cobracket = [_dense(d) for d in deltas]
-    return HomSuperBialgebra(algebra.ring, algebra.basis, algebra.bracket,
-                             cobracket, algebra.alpha)
+    return HomSuperBialgebra(algebra.ring, algebra.basis, _bracket_cells(algebra),
+                             _delta_cells(deltas), algebra.alpha)

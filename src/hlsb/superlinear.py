@@ -1,14 +1,18 @@
 """Z2-graded linear algebra over a parameter ring.
 
 Vectors are plain lists of scalars over a :class:`SuperBasis` whose basis
-elements carry parities (0 = even, 1 = odd).  Maps are stored as matrices
-in the column convention: ``f(e_j) = sum_i A[i][j] e_i``.  An element of
-a tensor power of the space is stored sparsely, as a dict ``{index tuple:
-scalar}`` of its nonzero coefficients, optionally constrained to a fixed
-total parity; :class:`Tensor2` and :class:`Tensor3` only fix the rank, and
-``entries`` is a dense nested-list view kept for compatibility.  The
-contractions of the other modules add sparse slot products into such
-dicts through ``_add_products``.
+elements carry parities (0 = even, 1 = odd).  Maps follow the column
+convention ``f(e_j) = sum_i A[i][j] e_i`` and are stored once, as the
+sparse columns ``((i,), A[i][j])`` of their nonzero entries; ``matrix`` is
+a read-only nested-tuple view.  An element of a tensor power of the space
+is stored sparsely, as a dict ``{index tuple: scalar}`` of its nonzero
+coefficients, optionally constrained to a fixed total parity;
+:class:`Tensor2` and :class:`Tensor3` only fix the rank, and ``entries``
+is a dense nested-list view kept for compatibility.  Maps, tensors and
+the structure constants of :mod:`hlsb.structures` accept either a dense
+grid or such a dict of cells (``_lift_cells``).  The contractions of the
+other modules add sparse slot products into cell dicts through
+``_add_products``, so their cost follows the nonzero entries.
 
 The graded flip ``tau`` and the graded cyclic rotation ``xi`` are one
 signed slot permutation and implement
@@ -78,25 +82,25 @@ class EvenMap:
     """A parity-preserving linear map in the column convention.
 
     ``matrix[i][j]`` is the coefficient of the i-th target basis vector in
-    the image of the j-th source basis vector.  Any nonzero entry linking
-    basis vectors of different parity raises :class:`ParityError`.
+    the image of the j-th source basis vector; *matrix* is a dense grid or
+    a dict ``{(i, j): value}``.  Any nonzero entry linking basis vectors
+    of different parity raises :class:`ParityError`.
     """
 
     def __init__(self, ring, src, dst, matrix):
-        if len(matrix) != dst.dim or any(len(row) != src.dim for row in matrix):
-            raise DimensionMismatchError(
-                "matrix shape does not match bases (%d x %d expected)"
-                % (dst.dim, src.dim))
         self.ring = ring
         self.src = src
         self.dst = dst
-        self.matrix = [[ring.lift(v) for v in row] for row in matrix]
-        for i in range(dst.dim):
-            for j in range(src.dim):
-                if self.matrix[i][j] and dst.parity(i) != src.parity(j):
-                    raise ParityError(
-                        "entry (%s <- %s) of an even map is nonzero but "
-                        "changes parity" % (dst.labels[i], src.labels[j]))
+        cells = _lift_cells(ring, matrix, (dst.dim, src.dim), "matrix")
+        cols = [[] for _ in range(src.dim)]
+        for (i, j), v in sorted(cells.items()):
+            if dst.parity(i) != src.parity(j):
+                raise ParityError(
+                    "entry (%s <- %s) of an even map is nonzero but "
+                    "changes parity" % (dst.labels[i], src.labels[j]))
+            cols[j].append(((i,), v))
+        self._cols = tuple(map(tuple, cols))
+        self._view = None
 
     @classmethod
     def identity(cls, ring, basis):
@@ -108,28 +112,40 @@ class EvenMap:
         if len(values) != n:
             raise DimensionMismatchError("%d diagonal values for dim %d"
                                          % (len(values), n))
-        return cls(ring, basis, basis,
-                   [[ring.lift(values[i]) if i == j else ring.zero()
-                     for j in range(n)] for i in range(n)])
+        return cls(ring, basis, basis, {(i, i): v for i, v in enumerate(values)})
+
+    @property
+    def matrix(self):
+        """The read-only dense view ``matrix[i][j]``, built on first use."""
+        if self._view is None:
+            self._view = _frozen(_map_cells(self), (self.dst.dim, self.src.dim),
+                                 self.ring.zero())
+        return self._view
 
     def column(self, j):
-        return [self.matrix[i][j] for i in range(self.dst.dim)]
+        return [row[j] for row in self.matrix]
 
     def apply(self, vec):
         if len(vec) != self.src.dim:
             raise DimensionMismatchError("vector length %d, expected %d"
                                          % (len(vec), self.src.dim))
-        terms = [(j, v) for j, v in enumerate(vec) if v]
-        return [sum((row[j] * v for j, v in terms), self.ring.zero()) for row in self.matrix]
+        out = [self.ring.zero()] * self.dst.dim
+        for j, v in enumerate(vec):
+            if v:
+                for (i,), a in self._cols[j]:
+                    out[i] = out[i] + a * v
+        return out
 
     def compose(self, other):
         """self after other."""
         if other.dst != self.src:
             raise DimensionMismatchError("composition bases do not match")
-        cols = [other.column(j) for j in range(other.src.dim)]
-        matrix = [[sum((a * b for a, b in zip(row, col) if a and b), self.ring.zero())
-                   for col in cols] for row in self.matrix]
-        return EvenMap(self.ring, other.src, self.dst, matrix)
+        cells = {}
+        for j, col in enumerate(other._cols):
+            for (t,), b in col:
+                for (i,), a in self._cols[t]:
+                    _add_at(cells, (i, j), a * b)
+        return EvenMap(self.ring, other.src, self.dst, cells)
 
     def power(self, n):
         if self.src != self.dst:
@@ -147,20 +163,17 @@ class EvenMap:
         return result
 
     def transpose(self):
-        matrix = [[self.matrix[i][j] for i in range(self.dst.dim)]
-                  for j in range(self.src.dim)]
-        return EvenMap(self.ring, self.dst, self.src, matrix)
+        cells = {(j, i): v for (i, j), v in _map_cells(self).items()}
+        return EvenMap(self.ring, self.dst, self.src, cells)
 
     def is_identity(self):
-        n = self.dst.dim
-        return self.src == self.dst and all(
-            self.matrix[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
+        return self.src == self.dst and self._cols == EvenMap.identity(self.ring, self.src)._cols
 
     def __eq__(self, other):
         if not isinstance(other, EvenMap):
             return NotImplemented
         return (self.ring == other.ring and self.src == other.src
-                and self.dst == other.dst and self.matrix == other.matrix)
+                and self.dst == other.dst and self._cols == other._cols)
 
     def __repr__(self):
         rows = "; ".join(
@@ -168,25 +181,67 @@ class EvenMap:
         return "EvenMap[%s]" % rows
 
 
-def _grid(depth, n, fill):
-    """A nested-list grid of the given depth and side, every cell *fill*."""
-    if depth == 1:
-        return [fill] * n
-    return [_grid(depth - 1, n, fill) for _ in range(n)]
+def _map_cells(f):
+    """The nonzero entries of an even map as {(i, j): value}."""
+    return {(i, j): v for j, col in enumerate(f._cols) for (i,), v in col}
 
 
-def _has_shape(grid, depth, n):
-    return len(grid) == n and (depth == 1 or all(_has_shape(g, depth - 1, n) for g in grid))
+def _grid(shape, fill):
+    """A nested-list grid of the given shape, every cell *fill*."""
+    if len(shape) == 1:
+        return [fill] * shape[0]
+    return [_grid(shape[1:], fill) for _ in range(shape[0])]
+
+
+def _has_shape(grid, shape):
+    return len(grid) == shape[0] and (
+        len(shape) == 1 or all(_has_shape(g, shape[1:]) for g in grid))
 
 
 def _sparse(grid, depth, lift=None):
-    """The nonzero cells of a grid (a bracket row, a delta plane, a tensor
-    grid) as (index tuple, value) pairs in row-major order, lifted if asked."""
+    """The nonzero cells of a grid (a coefficient vector, a tensor grid)
+    as (index tuple, value) pairs in row-major order, lifted if asked."""
     rows = [((), grid)]
     for _ in range(depth - 1):
         rows = [(idx + (i,), sub) for idx, g in rows for i, sub in enumerate(g)]
     return [(idx + (i,), v) for idx, row in rows
             for i, v in enumerate(row if lift is None else map(lift, row)) if v]
+
+
+def _lift_cells(ring, data, shape, name):
+    """The nonzero cells of *data*, a dense grid of the given shape or a
+    dict ``{index tuple: value}``, as a lifted {index tuple: scalar} dict."""
+    if isinstance(data, dict):
+        cells = {}
+        for idx, v in data.items():
+            idx = tuple(idx)
+            if len(idx) != len(shape) or not all(0 <= i < s for i, s in zip(idx, shape)):
+                raise DimensionMismatchError("%r is not a %s index for shape %s"
+                                             % (idx, name, "x".join(map(str, shape))))
+            _add_at(cells, idx, ring.lift(v))
+        return cells
+    if not _has_shape(data, shape):
+        raise DimensionMismatchError("%s must be a %s grid or a dict of cells"
+                                     % (name, "x".join(map(str, shape))))
+    return dict(_sparse(data, len(shape), ring.lift))
+
+
+def _filled(cells, shape, zero):
+    """A fresh nested-list grid of the given shape holding *cells*."""
+    grid = _grid(shape, zero)
+    for (*path, last), v in cells.items():
+        row = grid
+        for i in path:
+            row = row[i]
+        row[last] = v
+    return grid
+
+
+def _frozen(cells, shape, zero):
+    """A read-only nested-tuple grid of the given shape holding *cells*."""
+    def freeze(g):
+        return tuple(map(freeze, g)) if type(g) is list else g
+    return freeze(_filled(cells, shape, zero))
 
 
 def _add_at(cells, idx, value):
@@ -212,22 +267,6 @@ def _add_products(cells, coeff, factors):
         _add_at(cells, idx, c)
 
 
-def _sparse_columns(f):
-    """The columns of an even map as sparse ((row,), value) lists."""
-    return [_sparse(f.column(j), 1) for j in range(f.src.dim)]
-
-
-def _dense(t):
-    """A fresh nested-list grid holding the cells of the tensor t."""
-    grid = _grid(t.rank, t.basis.dim, t.ring.zero())
-    for (*path, last), v in t._cells.items():
-        row = grid
-        for i in path:
-            row = row[i]
-        row[last] = v
-    return grid
-
-
 class _TensorBase:
     """An element of the rank-fold tensor power of V, stored sparsely as
     ``{(i, j, ...): coefficient of e_i (x) e_j (x) ...}``.  No zero is
@@ -245,20 +284,10 @@ class _TensorBase:
     __slots__ = ("ring", "basis", "parity", "_store")
 
     def __init__(self, ring, basis, entries=None, parity=None):
-        n = basis.dim
         self.ring, self.basis, self.parity, self._store = ring, basis, parity, {}
-        name = type(self).__name__
-        if isinstance(entries, dict):
-            for idx, v in entries.items():
-                idx = tuple(idx)
-                if len(idx) != self.rank or not all(0 <= i < n for i in idx):
-                    raise DimensionMismatchError("%r is not a %s index for dim %d"
-                                                 % (idx, name, n))
-                _add_at(self._store, idx, ring.lift(v))
-        elif entries is not None:
-            if not _has_shape(entries, self.rank, n):
-                raise DimensionMismatchError("%s grid must be %d^%d" % (name, n, self.rank))
-            self._store = dict(_sparse(entries, self.rank, ring.lift))
+        if entries is not None:
+            self._store = _lift_cells(ring, entries, (basis.dim,) * self.rank,
+                                      type(self).__name__)
         if parity is not None:
             for *idx, v in self.items():
                 p = sum(basis.parity(i) for i in idx) % 2
@@ -290,7 +319,7 @@ class _TensorBase:
     def entries(self):
         """The dense grid ``entries[i][j]...``, from now on this tensor's storage."""
         if type(self._store) is dict:
-            self._store = _dense(self)
+            self._store = _filled(self._store, (self.basis.dim,) * self.rank, self.ring.zero())
         return self._store
 
     def items(self):
@@ -328,7 +357,7 @@ class _TensorBase:
         _check_same_basis(f.src, self.basis)
         if not 0 <= slot < self.rank:
             raise ValueError("%s slots are 0 to %d" % (type(self).__name__, self.rank - 1))
-        cols = _sparse_columns(f)
+        cols = f._cols
         cells = {}
         for idx, v in self._cells.items():
             head, tail = idx[:slot], idx[slot + 1:]

@@ -27,7 +27,7 @@ from .structures import (
     delta_otimes_alpha,
 )
 from .superlinear import (
-    Tensor2, Tensor3, _add_products, _sparse, _sparse_columns, cyclic_sum, koszul_sign, tau)
+    Tensor2, Tensor3, _add_products, cyclic_sum, koszul_sign, tau)
 
 # ---------------------------------------------------------------------------
 # partial brackets and the Yang-Baxter residual
@@ -37,19 +37,18 @@ def _partial_bracket(algebra, r, rp, slot):
     """Insert r and rp with the bracket landing in tensor *slot* (0, 1 or
     2) and the structure map covering the other two slots."""
     p = algebra.basis.parities
-    c = algebra.bracket
-    cols = _sparse_columns(algebra.alpha)
+    rows, cols = algebra._rows, algebra.alpha._cols
     cells = {}
     pairs = rp._cells.items()
     for (a, b), va in r._cells.items():
         for (cc, d), vb in pairs:
-            coeff = va * vb
-            # slot 1 brackets b with c directly; the other two move c past b
-            if slot != 1 and koszul_sign(p[b], p[cc]) == -1:
-                coeff = -coeff
             x, y, first, second = ((a, cc, b, d), (b, cc, a, d), (b, d, a, cc))[slot]
-            row = _sparse(c[x][y], 1)
+            row = rows[x][y]
             if row:
+                coeff = va * vb
+                # slot 1 brackets b with c directly; the other two move c past b
+                if slot != 1 and koszul_sign(p[b], p[cc]) == -1:
+                    coeff = -coeff
                 factors = [cols[first], cols[second]]
                 factors.insert(slot, row)
                 _add_products(cells, coeff, factors)

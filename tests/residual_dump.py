@@ -1,0 +1,287 @@
+"""Print every residual and derived tensor the library computes on a fixed
+set of inputs, one line each, so that two versions of the code can be
+compared byte for byte.
+
+Run from the repository root on each version and compare:
+
+    PYTHONPATH=src python3 tests/residual_dump.py > new.txt
+    (cd ../other-checkout && PYTHONPATH=src python3 tests/residual_dump.py) > old.txt
+    cmp old.txt new.txt
+
+Each line is ``label | axiom | indices | residual`` for a violation, or
+``label | name | repr`` for a tensor, map or structure.  Structure
+constants are printed as their nonzero cells, so the output does not
+depend on how a structure stores them.  Inputs are fixed or drawn from
+seeded generators; nothing here depends on ``HLSB_SEED``.  The script is
+not a collected test (its name does not start with ``test_``).
+
+Coverage: ``check`` with and without multiplicativity on every catalog
+variant; ``dualize`` under both conventions and its check;
+``manin_supertriple`` with its form determinant; ``check_dual_pair`` on
+every (variant, dual) pair under both dual and both check conventions;
+``twist_power(B, 2)``; powers, transpose, image and identity test of every
+structure map; the semidirect product with the adjoint module;
+``transport_structure`` along the structure map; random integer maps
+(inverse, inverse after map, cube); per basis element the graded flip and
+rotation, both alpha-beside-delta maps, the cyclic sum, the partial
+brackets, the Yang-Baxter residual, the perturbation defect, ad on a
+2-tensor and a 3-tensor, delta of a vector, the quasi-triangular
+statements and the co-Jacobi, comultiplicativity and compatibility
+residuals; the alpha-fixed spans; delta0 and delta1(delta0(r)) on seeded
+concrete multiplicative variants and the coboundary checks of their skew
+fixed spans; and gl(1|1), gl(2|1), gl(2|2) and the shifted gl(2|1)
+control built by coboundary and checked.
+"""
+
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+for extra in (ROOT / "src", ROOT / "bench"):
+    if str(extra) not in sys.path:
+        sys.path.insert(0, str(extra))
+
+from hlsb import (  # noqa: E402
+    EvenMap,
+    HomSuperBialgebra,
+    HypothesisError,
+    MorphismError,
+    ParamRing,
+    SuperBasis,
+    Tensor2,
+    Tensor3,
+    ad_basis,
+    adjoint_representation,
+    alpha_fixed_tensors,
+    catalog_list,
+    check_dual_pair,
+    coboundary_from_r,
+    coboundary_hypothesis_violations,
+    concrete_variant,
+    cyclic_sum,
+    delta0,
+    delta1,
+    dualize,
+    expand_variants,
+    invert_even_map,
+    manin_supertriple,
+    perturbation_defect,
+    quasi_triangular_equivalences,
+    random_fixed_tensor,
+    semidirect_product,
+    tau,
+    transport_structure,
+    twist_power,
+    xi,
+    yang_baxter_residual,
+)
+from hlsb.structures import alpha_otimes_delta, delta_otimes_alpha  # noqa: E402
+from hlsb.yangbaxter import bracket_12_13, bracket_12_23, bracket_13_23  # noqa: E402
+
+import glmn  # noqa: E402
+
+OUT = sys.stdout
+
+
+def emit(*parts):
+    OUT.write(" | ".join(str(p) for p in parts) + "\n")
+
+
+def report(label, rep):
+    emit(label, "passed" if rep.passed else "failed", len(rep.violations))
+    for v in rep.violations:
+        emit(label, v.axiom, v.indices, v._residual_str())
+
+
+def cells(label, name, grid, depth):
+    """The nonzero cells of a nested grid, read by plain indexing."""
+    n = len(grid)
+    idx = [()]
+    for _ in range(depth):
+        idx = [i + (k,) for i in idx for k in range(n)]
+    for i in idx:
+        v = grid
+        for k in i:
+            v = v[k]
+        if v:
+            emit(label, name, i, v)
+
+
+def structure(label, B):
+    """Basis, structure map and nonzero constants of a (bi)algebra."""
+    emit(label, "basis", B.basis)
+    cells(label, "alpha", B.alpha.matrix, 2)
+    cells(label, "bracket", B.bracket, 3)
+    if hasattr(B, "cobracket"):
+        cells(label, "cobracket", B.cobracket, 3)
+
+
+def each_map(label, f):
+    emit(label, "map", f)
+    for k in range(6):
+        emit(label, "power", k, f.power(k))
+    emit(label, "transpose", f.transpose())
+    emit(label, "is_identity", f.is_identity())
+    ring, n = f.ring, f.src.dim
+    vec = [ring.from_fraction(k + 1) for k in range(n)]
+    emit(label, "apply", [str(v) for v in f.apply(vec)])
+
+
+def per_basis(label, B):
+    """Tensor-level maps at every basis element of a bialgebra."""
+    A, C = B.algebra, B.coalgebra
+    n = B.dim
+    ring = B.ring
+    deltas = [B.delta(i) for i in range(n)]
+    for i in range(n):
+        d = deltas[i]
+        emit(label, "delta", i, d)
+        emit(label, "tau", i, tau(d))
+        ad3 = alpha_otimes_delta(C, d)
+        emit(label, "alpha_otimes_delta", i, ad3)
+        emit(label, "delta_otimes_alpha", i, delta_otimes_alpha(C, d))
+        emit(label, "xi", i, xi(ad3))
+        emit(label, "cyclic_sum", i, cyclic_sum(ad3))
+        emit(label, "12_13", i, bracket_12_13(A, d, d))
+        emit(label, "12_23", i, bracket_12_23(A, d, d))
+        emit(label, "13_23", i, bracket_13_23(A, d, deltas[(i + 1) % n]))
+        emit(label, "yang_baxter", i, yang_baxter_residual(A, d))
+        emit(label, "perturbation_defect", i, perturbation_defect(B, d))
+        emit(label, "ad2", i, ad_basis(A, i, d))
+        emit(label, "ad3", i, ad_basis(A, (i + 1) % n, ad3))
+        col = [ring.from_fraction(k - i) for k in range(n)]
+        emit(label, "delta_vector", i, C.delta_vector(col))
+        emit(label, "quasi_triangular", i, quasi_triangular_equivalences(B, d))
+        emit(label, "cojacobi", i, C.cojacobi_residual(i))
+        emit(label, "comult", i, C.comult_residual(i))
+        for j in range(n):
+            emit(label, "compat", (i, j), B.compat_residual(i, j))
+
+
+def catalog_section(variants):
+    for v in variants:
+        B = v.bialgebra
+        label = v.ident
+        report(label + " check", B.check())
+        report(label + " check-mult", B.check(multiplicative=True))
+        each_map(label + " alpha", B.alpha)
+        per_basis(label, B)
+        for convention in ("koszul", "plain"):
+            D = dualize(B, convention)
+            structure(label + " dual-" + convention, D)
+            report(label + " dual-" + convention + " check", D.check())
+            triple = manin_supertriple(B.algebra, D.algebra)
+            report(label + " manin-" + convention, triple.report)
+            emit(label, "manin-det-" + convention, triple.form.determinant())
+            for check_conv in ("koszul", "plain"):
+                report("%s pair-%s-%s" % (label, convention, check_conv),
+                       check_dual_pair(B.algebra, D.algebra, check_conv))
+        try:
+            T = twist_power(B, 2)
+        except HypothesisError as exc:
+            emit(label, "twist_power", "HypothesisError", exc)
+        else:
+            structure(label + " twist2", T)
+            report(label + " twist2 check", T.check())
+        S = semidirect_product(B.algebra, adjoint_representation(B.algebra))
+        structure(label + " semidirect", S)
+        report(label + " semidirect check", S.check())
+        try:
+            M = transport_structure(B, B.alpha)
+        except (HypothesisError, MorphismError) as exc:
+            emit(label, "transport", type(exc).__name__, exc)
+        else:
+            structure(label + " transport", M)
+            report(label + " transport check", M.check(multiplicative=True))
+
+
+def random_maps_section():
+    rng = random.Random(5)
+    QQ = ParamRing()
+    for trial in range(18):
+        n = 1 + trial % 6
+        basis = SuperBasis([rng.randint(0, 1) for _ in range(n)])
+        p = basis.parities
+        matrix = [[rng.randint(-3, 3) if p[i] == p[j] else 0 for j in range(n)]
+                  for i in range(n)]
+        f = EvenMap(QQ, basis, basis, matrix)
+        label = "random-map %d" % trial
+        emit(label, "map", f)
+        try:
+            g = invert_even_map(f)
+        except HypothesisError as exc:
+            emit(label, "inverse", "HypothesisError", exc)
+        else:
+            emit(label, "inverse", g)
+            emit(label, "inverse-after", g.compose(f).is_identity())
+        emit(label, "cube", f.power(3))
+
+
+def cohomology_section(variants):
+    rng = random.Random(11)
+    for v in variants:
+        if not v.multiplicative:
+            continue
+        B = concrete_variant(v, rng=rng)
+        A = B.algebra
+        label = v.ident + " concrete"
+        for skew in (False, True):
+            for even in (False, True):
+                span = alpha_fixed_tensors(A, skew=skew, even_only=even)
+                for k, t in enumerate(span):
+                    emit(label, "span", (skew, even, k), t)
+        span = alpha_fixed_tensors(A, even_only=True)
+        r = random_fixed_tensor(A, rng, even_only=True, span=span)
+        emit(label, "r", r)
+        deltas = delta0(A, r)
+        for i, d in enumerate(deltas):
+            emit(label, "delta0", i, d)
+        for i, line in enumerate(delta1(A, deltas)):
+            for j, t in enumerate(line):
+                emit(label, "delta1", (i, j), t)
+        for k, s in enumerate(alpha_fixed_tensors(A, skew=True, even_only=True)):
+            if coboundary_hypothesis_violations(A, s):
+                emit(label, "coboundary", k, "hypotheses fail")
+                continue
+            report("%s coboundary %d" % (label, k),
+                   coboundary_from_r(A, s).check(multiplicative=True))
+
+
+def glmn_section():
+    for label, A, (m, n) in (
+            ("gl(1|1)", glmn.gl_algebra(1, 1), (1, 1)),
+            ("gl(2|1)", glmn.gl_algebra(2, 1), (2, 1)),
+            ("gl(2|2)", glmn.gl_algebra(2, 2), (2, 2)),
+            ("gl(2|1) shifted", glmn.control_algebra(), (2, 1))):
+        r = glmn.cartan_wedge(A, m, n)
+        B = coboundary_from_r(A, r)
+        for i in range(B.dim):
+            emit(label, "delta", i, B.delta(i))
+        report(label + " check-mult", B.check(multiplicative=True))
+        if B.dim <= 9:
+            emit(label, "yang_baxter", yang_baxter_residual(A, r))
+            for i in range(B.dim):
+                emit(label, "cojacobi", i, B.coalgebra.cojacobi_residual(i))
+
+
+def main():
+    variants = [v for row in catalog_list() for v in expand_variants(row)]
+    catalog_section(variants)
+    random_maps_section()
+    cohomology_section(variants)
+    glmn_section()
+    # tensors built from cell dicts, and a zero bialgebra built from grids
+    QQ = ParamRing()
+    basis = SuperBasis([0, 1])
+    t3 = Tensor3(QQ, basis, {(0, 1, 1): Fraction(1, 2), (1, 1, 0): -3})
+    emit("tensor3", "repr", t3, xi(t3), cyclic_sum(t3))
+    emit("tensor2", "repr", Tensor2(QQ, basis, {(1, 1): 2}))
+    zero = [[[0] * 2 for _ in range(2)] for _ in range(2)]
+    H = HomSuperBialgebra(QQ, basis, zero, zero, EvenMap.identity(QQ, basis))
+    report("abelian check-mult", H.check(multiplicative=True))
+
+
+if __name__ == "__main__":
+    main()

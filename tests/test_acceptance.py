@@ -323,9 +323,13 @@ def test_quasi_triangular_statements_agree():
 # 8. pair cocycles, the assembled double, and the invariant pairing agree
 
 
-def clone_algebra(a):
-    return HomSuperAlgebra(a.ring, a.basis,
-                           [[list(row) for row in plane] for plane in a.bracket],
+def clone_algebra(a, edits=()):
+    """A copy of a with (i, j, k, value) edits applied to its bracket grid
+    before construction (the ``bracket`` view of a structure is read-only)."""
+    grid = [[list(row) for row in plane] for plane in a.bracket]
+    for i, j, k, value in edits:
+        grid[i][j][k] = value
+    return HomSuperAlgebra(a.ring, a.basis, grid,
                            [list(row) for row in a.alpha.matrix])
 
 
@@ -369,14 +373,10 @@ def dual_pair_fixtures():
     negatives.append(("non-cocycle cobracket", pair_of(mismatched)))
 
     g, gs = positives[0][1]
-    gs_extra = clone_algebra(gs)
-    gs_extra.bracket[0][1][1] = QQ.lift(5)
-    gs_extra.bracket[1][0][1] = QQ.lift(-5)
+    gs_extra = clone_algebra(gs, [(0, 1, 1, QQ.lift(5)), (1, 0, 1, QQ.lift(-5))])
     negatives.append(("extra dual constant", (g, gs_extra)))
 
-    gs_moved = clone_algebra(gs)
-    gs_moved.bracket[2][2][0] = QQ.zero()
-    gs_moved.bracket[2][2][1] = QQ.lift(5)
+    gs_moved = clone_algebra(gs, [(2, 2, 0, QQ.zero()), (2, 2, 1, QQ.lift(5))])
     negatives.append(("moved dual target", (g, gs_moved)))
 
     row = get_row("diagonal-10")

@@ -1,13 +1,16 @@
 import json
+import tracemalloc
 
 import pytest
 
 from hlsb.catalog import expand_variants, get_row
 from hlsb.cli import main
 from hlsb.fileformat import (
+    MAX_DIMENSION,
     definition_from_bialgebra,
     definition_text,
     load_definition,
+    loads_definition,
 )
 from hlsb.superlinear import EvenMap, Tensor2
 
@@ -102,6 +105,54 @@ def test_huge_power_is_a_parse_error(tmp_path, capsys):
         assert main(["check", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "MAX_POWER_SIZE" in err and "Traceback" not in err
+
+
+def test_long_product_of_sums_is_a_parse_error(tmp_path, capsys):
+    path, _ = write_variant(tmp_path, "diagonal-1")
+    data = json.loads(path.read_text())
+    data["parameters"] += [{"name": "q%d" % i} for i in range(30)]
+    data["alpha"][0][0] = "*".join("(1+q%d)" % i for i in range(30))
+    bad = tmp_path / "product.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "MAX_PRODUCT_TERMS" in err and "Traceback" not in err
+
+
+def wide_definition(dim):
+    """A definition with a dim-element basis of alternating parities
+    (e0 even), alpha = id and a handful of bracket and cobracket triples."""
+    return {
+        "format_version": 1,
+        "basis": [{"label": "e%d" % i, "parity": i % 2} for i in range(dim)],
+        "alpha": [["1" if i == j else "0" for j in range(dim)] for i in range(dim)],
+        "bracket": [[0, 1, 1, "2"], [1, 0, 1, "-2"], [0, 3, 3, "5"], [3, 0, 3, "-5"]],
+        "cobracket": [[1, 0, 1, "1"], [1, 1, 0, "-1"]],
+    }
+
+
+def test_dim100_definition_parses_in_little_memory():
+    text = json.dumps(wide_definition(100))
+    tracemalloc.start()
+    try:
+        defn = loads_definition(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+    B = defn.bialgebra
+    assert B.dim == 100 and B.bracket[3][0][3] == -5 and B.cobracket[1][1][0] == -1
+
+
+def test_dimension_limit_is_a_parse_error(tmp_path, capsys):
+    ok = tmp_path / "at-limit.json"
+    ok.write_text(json.dumps({**wide_definition(MAX_DIMENSION), "cobracket": []}))
+    assert load_definition(ok).bialgebra.dim == MAX_DIMENSION
+    bad = tmp_path / "too-wide.json"
+    bad.write_text(json.dumps(wide_definition(MAX_DIMENSION + 1)))
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "MAX_DIMENSION" in err and "Traceback" not in err
 
 
 def test_missing_file_and_bad_json(tmp_path, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hlsb.errors import ParseError, RingMismatchError, ScalarError
-from hlsb.scalar import MAX_NESTING, MAX_POWER_SIZE, ParamRing, Scalar
+from hlsb.scalar import MAX_NESTING, MAX_POWER_SIZE, MAX_PRODUCT_TERMS, ParamRing, Scalar
 
 RING = ParamRing(["a", "b", "s"], invertible=["s"])
 
@@ -119,6 +119,28 @@ def test_parse_power_limit_boundary():
             RING.parse(text)
     assert RING.parse("(-1)^99999999999") == -1
     assert RING.parse("0^1234567890") == 0
+
+
+def _product_of_sums(k):
+    return "*".join("(1+a%d)" % i for i in range(k))
+
+
+def test_parse_refuses_a_long_product_of_sums_quickly():
+    ring = ParamRing(["a%d" % i for i in range(30)])
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="MAX_PRODUCT_TERMS = %d" % MAX_PRODUCT_TERMS):
+        ring.parse(_product_of_sums(30))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_product_limit_boundary():
+    ring = ParamRing(["a%d" % i for i in range(14)])
+    assert len(ring.parse(_product_of_sums(13)).terms) == 8192
+    with pytest.raises(ParseError, match="MAX_PRODUCT_TERMS"):
+        ring.parse(_product_of_sums(14))
+    # long products of single terms never grow, and division is not bounded
+    assert ring.parse("*".join(["2*a0"] * 200)) == 2 ** 200 * ring.param("a0") ** 200
+    assert ring.parse(_product_of_sums(13) + "/2/3").terms
 
 
 def test_inverse():

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlsb.errors import HypothesisError
-from hlsb.scalar import ParamRing
+from hlsb.scalar import ParamRing, Scalar
 from hlsb.structures import (
     HomSuperAlgebra,
     HomSuperBialgebra,
@@ -218,3 +221,133 @@ def test_ad_alpha_column_is_ad_of_alpha_image():
     got = ad_action(A, (col, A.basis.parity(m)), t)
     want = ad_basis(A, m, t).scale(2)  # alpha(e2) = 2 e2
     assert t2_dict(got) == t2_dict(want)
+
+
+def sparse_cube(rng, n, fill, empty):
+    """Random integer constants with about *fill* of the cells nonzero and
+    every cell whose leading indices are in *empty* zero."""
+    cube = [[[QQ.zero()] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (i, j) not in empty and i not in empty and rng.random() < fill:
+                    cube[i][j][k] = QQ.from_fraction(rng.choice([-2, -1, 1, 2, 3]))
+    return cube
+
+
+def sparse_tensor(rng, n, rank, fill):
+    cells = {}
+    for _ in range(int(fill * n ** rank) + 1):
+        cells[tuple(rng.randrange(n) for _ in range(rank))] = rng.randint(-2, 2)
+    return cells
+
+
+def residual_dict(r):
+    if isinstance(r, list):
+        return vec_dict(r)
+    if isinstance(r, Tensor3):
+        return t3_dict(r)
+    return t2_dict(r) if isinstance(r, Tensor2) else r
+
+
+def oracle_violations(oracle, cube, cocube):
+    """The violations check(multiplicative=True) must report, in order,
+    computed from the dense grids and the oracle alone."""
+    n, p = oracle.n, oracle.p
+    out = [("bracket-grading", (i, j, k), cube[i][j][k])
+           for i in range(n) for j in range(n) for k in range(n)
+           if cube[i][j][k] and (p[i] + p[j]) % 2 != p[k]]
+    out += [("skew", (i, j), oracle.skew(i, j)) for i in range(n) for j in range(i, n)]
+    out += [("jacobi", (i, j, k), oracle.jacobi(i, j, k))
+            for i in range(n) for j in range(i, n) for k in range(j, n)]
+    out += [("multiplicative", (i, j), oracle.mult(i, j)) for i in range(n) for j in range(n)]
+    out += [("cobracket-grading", (i, j, k), cocube[i][j][k])
+            for i in range(n) for j in range(n) for k in range(n)
+            if cocube[i][j][k] and p[i] != (p[j] + p[k]) % 2]
+    out += [("coskew", (i,), oracle.coskew(i)) for i in range(n)]
+    out += [("cojacobi", (i,), oracle.cojacobi(i)) for i in range(n)]
+    out += [("comultiplicative", (i,), oracle.comult(i)) for i in range(n)]
+    out += [("compatibility", (i, j), oracle.compat(i, j)) for i in range(n) for j in range(n)]
+    return [v for v in out if v[2]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.sampled_from([0.0, 0.05, 0.15, 0.3]), as_dict=st.booleans())
+def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict):
+    rng = random.Random(seed)
+    parities = [rng.randint(0, 1) for _ in range(n)]
+    basis = SuperBasis(parities)
+    empty = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.3}
+    empty |= {i for i in range(n) if rng.random() < 0.3}
+    cube = sparse_cube(rng, n, fill, empty)
+    cocube = sparse_cube(rng, n, fill, empty)
+    alpha = [[QQ.from_fraction(rng.randint(-2, 2))
+              if parities[i] == parities[j] and rng.random() < max(fill, 0.3) else QQ.zero()
+              for j in range(n)] for i in range(n)]
+
+    def cells(grid):
+        return {(i, j, k): v for i, plane in enumerate(grid) for j, row in enumerate(plane)
+                for k, v in enumerate(row) if v}
+    if as_dict:
+        B = HomSuperBialgebra(QQ, basis, cells(cube), cells(cocube),
+                              {(i, j): v for i, row in enumerate(alpha)
+                               for j, v in enumerate(row) if v})
+    else:
+        B = HomSuperBialgebra(QQ, basis, cube, cocube, alpha)
+    oracle = DenseOracle(QQ, parities, bracket=cube, cobracket=cocube, alpha=alpha)
+    assert B.bracket == tuple(tuple(map(tuple, plane)) for plane in cube)
+    assert B.cobracket == tuple(tuple(map(tuple, plane)) for plane in cocube)
+    assert B.alpha.matrix == tuple(map(tuple, alpha))
+
+    got = [(v.axiom, v.indices, residual_dict(v.residual))
+           for v in B.check(multiplicative=True).violations]
+    assert got == oracle_violations(oracle, cube, cocube)
+    alg = B.algebra
+    for i in range(n):
+        for j in range(n):
+            assert vec_dict(alg.mult_residual(i, j)) == oracle.mult(i, j)
+            assert t2_dict(B.compat_residual(i, j)) == oracle.compat(i, j)
+            for k in range(n):
+                assert vec_dict(alg.jacobi_residual(i, j, k)) == oracle.jacobi(i, j, k)
+    for rank, kind in ((2, Tensor2), (3, Tensor3)):
+        t = kind.from_dict(QQ, basis, sparse_tensor(rng, n, rank, fill))
+        q = rng.randint(0, 1)
+        x = [QQ.from_fraction(rng.randint(-1, 1)) if parities[m] == q else QQ.zero()
+             for m in range(n)]
+        want = oracle.reduce(oracle.ad([(v, (m,)) for m, v in enumerate(x) if v], q,
+                                       [(row[-1], tuple(row[:-1])) for row in t.items()]))
+        assert residual_dict(ad_action(alg, (x, q), t)) == want
+
+
+def test_check_on_zero_constants_multiplies_nothing(monkeypatch):
+    n = 30
+    basis = SuperBasis([i % 2 for i in range(n)])
+    B = HomSuperBialgebra(QQ, basis, zero_bracket(QQ, basis), {},
+                          EvenMap.identity(QQ, basis))
+    calls = []
+    mul = Scalar.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    monkeypatch.setattr(Scalar, "__rmul__", counted)
+    assert B.check(multiplicative=True).passed
+    assert calls == []
+
+
+def test_structure_constant_views_are_read_only():
+    ring, B = dim2_family()
+    A = B.algebra
+    with pytest.raises(TypeError):
+        A.bracket[0][1][1] = ring.one()
+    with pytest.raises(TypeError):
+        B.cobracket[1][0][1] = ring.one()
+    with pytest.raises(TypeError):
+        B.alpha.matrix[0][0] = ring.one()
+    with pytest.raises(AttributeError):
+        A.bracket = zero_bracket(ring, B.basis)
+    # the view is the stored constants, unchanged by the failed writes
+    assert A.bracket[0][1][1] == ring.param("b")
+    assert set(B.check().axioms_violated()) == {"jacobi", "compatibility"}
