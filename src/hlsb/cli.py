@@ -24,7 +24,6 @@ from .constructions import (
 from .errors import HlsbError, HypothesisError, MorphismError, ParseError
 from .fileformat import (
     Definition,
-    RepData,
     definition_from_bialgebra,
     definition_text,
     load_definition,
@@ -121,11 +120,13 @@ def _construct(args, defn):
         return _as_bialgebra(pair.double()), "double of the dual pair"
     if verb == "semidirect":
         rep = _named(defn, args.rep, "semidirect", "--rep")
-        if not isinstance(rep, RepData):
+        if not isinstance(rep, Representation):
             raise ParseError("tensor %r is not a representation" % args.rep)
-        action = Representation(B.algebra, rep.module_basis, rep.module_map,
-                                rep.matrices)
-        return (_as_bialgebra(semidirect_product(B.algebra, action)),
+        report = rep.check()
+        if not report.passed:
+            raise HypothesisError("action %r is not a representation; first failure: %r"
+                                  % (args.rep, report.violations[0]))
+        return (_as_bialgebra(semidirect_product(B.algebra, rep)),
                 "semidirect sum along %r" % args.rep)
     if verb == "coboundary":
         r = _named(defn, args.r, "coboundary", "--r")

@@ -16,46 +16,15 @@ from .structures import (
     HomSuperBialgebra,
     Violation,
     _bracket_cells,
+    _bracket_into,
     _cobracket_cells,
     _delta_cells,
+    _group,
     delta1,
 )
-from .superlinear import EvenMap, SuperBasis, Tensor2, _add_at, _frozen, _map_cells, koszul_sign
-
-# ---------------------------------------------------------------------------
-# small matrix helpers (entries may be parity-shifting, so EvenMap does
-# not apply; plain nested lists of scalars)
-
-
-def _mat_zero(ring, rows, cols):
-    return [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-
-
-def _mat_add(x, y, sign=1):
-    return [[a + b if sign == 1 else a - b for a, b in zip(rx, ry)]
-            for rx, ry in zip(x, y)]
-
-
-def _mat_scale(c, x):
-    return [[c * a for a in row] for row in x]
-
-
-def _mat_mul(ring, x, y):
-    rows, inner, cols = len(x), len(y), len(y[0])
-    out = _mat_zero(ring, rows, cols)
-    for i in range(rows):
-        for t in range(inner):
-            if not x[i][t]:
-                continue
-            for j in range(cols):
-                if y[t][j]:
-                    out[i][j] = out[i][j] + x[i][t] * y[t][j]
-    return out
-
-
-def _mat_is_zero(x):
-    return all(not v for row in x for v in row)
-
+from .superlinear import (
+    EvenMap, SuperBasis, Tensor2, _add_at, _add_products, _filled, _frozen, _lift_cells,
+    _map_cells, _sparse, koszul_sign)
 
 # ---------------------------------------------------------------------------
 # morphisms
@@ -93,11 +62,13 @@ def check_coalgebra_morphism(f, src, dst):
 
 def _intertwine_violations(f, src, dst):
     """f o alpha_src - alpha_dst o f, reported if nonzero."""
-    diff = _mat_add(f.compose(src.alpha).matrix, dst.alpha.compose(f).matrix,
-                    sign=-1)
-    if _mat_is_zero(diff):
+    diff = _map_cells(f.compose(src.alpha))
+    for idx, v in _map_cells(dst.alpha.compose(f)).items():
+        _add_at(diff, idx, -v)
+    if not diff:
         return []
-    return [Violation("twist-intertwine", (), diff)]
+    residual = _filled(diff, (dst.dim, src.dim), f.ring.zero())
+    return [Violation("twist-intertwine", (), residual)]
 
 
 def check_bialgebra_morphism(f, src, dst):
@@ -206,12 +177,17 @@ def invert_even_map(f):
         inv_det = full.inverse()
     except Exception as exc:
         raise HypothesisError("determinant %s is not invertible" % (full,)) from exc
-    adj = EvenMap.identity(ring, f.src).matrix
+    adj = {(i, i): ring.one() for i in range(n)}
     for c in coeffs[1:n]:
-        adj = _mat_mul(ring, f.matrix, adj)
+        prod = {}
+        for (t, j), b in adj.items():
+            for (i,), a in f._cols[t]:
+                _add_at(prod, (i, j), a * b)
         for i in range(n):
-            adj[i][i] = adj[i][i] + c
-    return EvenMap(ring, f.dst, f.src, _mat_scale(inv_det if n % 2 else -inv_det, adj))
+            _add_at(prod, (i, i), c)
+        adj = prod
+    scale = inv_det if n % 2 else -inv_det
+    return EvenMap(ring, f.dst, f.src, {idx: scale * v for idx, v in adj.items()})
 
 
 def transport_structure(bialgebra, f):
@@ -221,15 +197,15 @@ def transport_structure(bialgebra, f):
     if f.src != B.basis:
         raise DimensionMismatchError("transport map must start at the structure basis")
     g = invert_even_map(f)
-    ring = B.ring
     basis = f.dst
-    n = basis.dim
-    bracket = {(i, j, k): v for i in range(n) for j in range(n) for k, v in enumerate(
-        f.apply(B.algebra.bracket_vectors(g.column(i), g.column(j))))}
+    rows_of_g = g.transpose()._cols
+    bracket = {}
+    for (a, b, k), v in _bracket_cells(B.algebra).items():
+        _add_products(bracket, v, [rows_of_g[a], rows_of_g[b], f._cols[k]])
     cobracket = _delta_cells([B.coalgebra.delta_vector(g.column(i)).apply_all(f)
-                              for i in range(n)])
+                              for i in range(basis.dim)])
     alpha = f.compose(B.alpha).compose(g)
-    return HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
+    return HomSuperBialgebra(B.ring, basis, bracket, cobracket, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +274,14 @@ def dualize(bialgebra, convention="koszul"):
 class Representation:
     """An action of a bracket structure on a graded module.
 
-    ``matrices[m]`` is the matrix of the action of the m-th algebra basis
-    vector on the module (column convention).  ``module_map`` is the
-    module's own structure map.
+    *matrices* gives the matrix of the action of each algebra basis vector
+    on the module (column convention): a list of dense square grids, one
+    per algebra basis vector, or a dict ``{(m, i, j): value}`` of the
+    cells ``rho(e_m)[i][j]``.  The action is stored once, as the sparse
+    columns ``_rows[m][j]`` of ``rho(e_m) e_j``, in the shape of bracket
+    rows, so the adjoint action is the algebra's own rows.  ``matrices``
+    is a read-only nested-tuple view.  ``module_map`` is the module's own
+    structure map.
     """
 
     def __init__(self, algebra, module_basis, module_map, matrices):
@@ -313,113 +294,119 @@ class Representation:
             raise DimensionMismatchError("module map must be an endomorphism "
                                          "of the module basis")
         self.module_map = module_map
-        if len(matrices) != algebra.dim:
+        n, d = algebra.dim, module_basis.dim
+        if not isinstance(matrices, dict) and len(matrices) != n:
             raise DimensionMismatchError("one action matrix per algebra basis "
                                          "vector is required")
-        lift = self.ring.lift
-        self.matrices = []
-        for mat in matrices:
-            if len(mat) != module_basis.dim or any(
-                    len(row) != module_basis.dim for row in mat):
-                raise DimensionMismatchError("action matrices must be square "
-                                             "of the module dimension")
-            self.matrices.append([[lift(v) for v in row] for row in mat])
+        cells = _lift_cells(self.ring, matrices, (n, d, d), "action matrices")
+        self._rows = _group({(m, j, i): v for (m, i, j), v in cells.items()}, (n, d, d), 2)
+        self._view = None
+
+    @classmethod
+    def _wrap(cls, algebra, module_basis, module_map, rows):
+        """An action over a rows table that is already lifted and sparse."""
+        rep = object.__new__(cls)
+        rep.algebra, rep.ring, rep.module_basis = algebra, algebra.ring, module_basis
+        rep.module_map, rep._rows, rep._view = module_map, rows, None
+        return rep
+
+    def _cells(self):
+        """The nonzero cells as {(m, i, j): rho(e_m)[i][j]}."""
+        return {(m, i, j): v for m, plane in enumerate(self._rows)
+                for j, col in enumerate(plane) for (i,), v in col}
+
+    @property
+    def matrices(self):
+        """The read-only dense view ``matrices[m][i][j]``, built on first use."""
+        if self._view is None:
+            d = self.module_basis.dim
+            self._view = _frozen(self._cells(), (self.algebra.dim, d, d), self.ring.zero())
+        return self._view
 
     def act(self, m, vec):
         """Action of the m-th algebra basis vector on a module vector."""
         out = [self.ring.zero()] * self.module_basis.dim
-        for i in range(self.module_basis.dim):
-            for j, v in enumerate(vec):
-                if v and self.matrices[m][i][j]:
-                    out[i] = out[i] + self.matrices[m][i][j] * v
-        return out
-
-    def act_by(self, coeffs):
-        """Matrix of the action of a general algebra element."""
-        out = _mat_zero(self.ring, self.module_basis.dim, self.module_basis.dim)
-        for m, c in enumerate(coeffs):
-            if c:
-                out = _mat_add(out, _mat_scale(c, self.matrices[m]))
+        _bracket_into(self._rows, out, (((m,), self.ring.one()),), _sparse(vec, 1))
         return out
 
     def grading_violations(self):
-        out = []
         pm = self.algebra.basis.parities
         pv = self.module_basis.parities
-        for m in range(self.algebra.dim):
-            for i in range(self.module_basis.dim):
-                for j in range(self.module_basis.dim):
-                    v = self.matrices[m][i][j]
-                    if v and (pv[j] + pm[m]) % 2 != pv[i]:
-                        out.append(Violation("action-grading", (m, i, j), v))
-        return out
+        return [Violation("action-grading", (m, i, j), v)
+                for (m, i, j), v in sorted(self._cells().items())
+                if (pv[j] + pm[m]) % 2 != pv[i]]
+
+    def _columns(self, into, *args):
+        """The nonzero columns {j: vector} of the residual matrix whose
+        column c ``into(col, c, *args)`` adds into a zero vector."""
+        d = self.module_basis.dim
+        cols = {}
+        for c in range(d):
+            col = [self.ring.zero()] * d
+            into(col, c, *args)
+            if any(col):
+                cols[c] = col
+        return cols
+
+    def _matrix(self, cols):
+        """The residual matrix with the given nonzero columns, as nested lists."""
+        d, zero = self.module_basis.dim, self.ring.zero()
+        return [[cols[j][i] if j in cols else zero for j in range(d)] for i in range(d)]
+
+    def _intertwine_into(self, col, c, i):
+        beta = self.module_map._cols
+        _bracket_into(self._rows, col, self.algebra.alpha._cols[i], beta[c])
+        for (k,), v in self._rows[i][c]:
+            for (m,), b in beta[k]:
+                col[m] = col[m] - b * v
+
+    def _action_into(self, col, c, i, j):
+        A, rows = self.algebra, self._rows
+        alpha = A.alpha._cols
+        s = koszul_sign(A.basis.parity(i), A.basis.parity(j))
+        _bracket_into(rows, col, A._rows[i][j], self.module_map._cols[c])
+        _bracket_into(rows, col, alpha[i], rows[j][c], negate=True)
+        _bracket_into(rows, col, alpha[j], rows[i][c], negate=s == -1)
 
     def intertwine_residual(self, i):
         """rho(alpha(e_i)) o module_map - module_map o rho(e_i)."""
-        acted = self.act_by(self.algebra.alpha.column(i))
-        beta = self.module_map.matrix
-        return _mat_add(_mat_mul(self.ring, acted, beta),
-                        _mat_mul(self.ring, beta, self.matrices[i]), sign=-1)
+        return self._matrix(self._columns(self._intertwine_into, i))
 
     def action_residual(self, i, j):
         """rho([e_i,e_j]) o module_map
         - (rho(alpha(e_i)) rho(e_j) - (-1)^{|e_i||e_j|} rho(alpha(e_j)) rho(e_i))."""
-        ring = self.ring
-        lhs = _mat_mul(ring, self.act_by(self.algebra.bracket_of(i, j)),
-                       self.module_map.matrix)
-        first = _mat_mul(ring, self.act_by(self.algebra.alpha.column(i)),
-                         self.matrices[j])
-        second = _mat_mul(ring, self.act_by(self.algebra.alpha.column(j)),
-                          self.matrices[i])
-        s = koszul_sign(self.algebra.basis.parity(i), self.algebra.basis.parity(j))
-        rhs = _mat_add(first, second, sign=-1 if s == 1 else 1)
-        return _mat_add(lhs, rhs, sign=-1)
+        return self._matrix(self._columns(self._action_into, i, j))
 
     def check(self):
         violations = list(self.grading_violations())
         n = self.algebra.dim
         for i in range(n):
-            r = self.intertwine_residual(i)
-            if not _mat_is_zero(r):
-                violations.append(Violation("action-intertwine", (i,), r))
+            cols = self._columns(self._intertwine_into, i)
+            if cols:
+                violations.append(Violation("action-intertwine", (i,), self._matrix(cols)))
         for i in range(n):
             for j in range(n):
-                r = self.action_residual(i, j)
-                if not _mat_is_zero(r):
-                    violations.append(Violation("action-bracket", (i, j), r))
+                cols = self._columns(self._action_into, i, j)
+                if cols:
+                    violations.append(Violation("action-bracket", (i, j), self._matrix(cols)))
         return CheckReport("representation", violations)
 
 
 def adjoint_representation(algebra):
     """The structure acting on itself by its own bracket."""
-    n = algebra.dim
-    matrices = [_mat_zero(algebra.ring, n, n) for _ in range(n)]
-    for (m, j, i), v in _bracket_cells(algebra).items():
-        matrices[m][i][j] = v
-    return Representation(algebra, algebra.basis, algebra.alpha, matrices)
+    return Representation._wrap(algebra, algebra.basis, algebra.alpha, algebra._rows)
 
 
 def dual_representation(rep):
     """The negated graded transpose action on the dual module."""
-    ring = rep.ring
     basis = dual_basis(rep.module_basis)
     pm = rep.algebra.basis.parities
     pv = basis.parities
-    n = basis.dim
-    matrices = []
-    for m in range(rep.algebra.dim):
-        mat = _mat_zero(ring, n, n)
-        for k in range(n):
-            for j in range(n):
-                v = rep.matrices[m][j][k]
-                if v:
-                    s = koszul_sign(pm[m], pv[j])
-                    mat[k][j] = -v if s == 1 else v
-        matrices.append(mat)
-    module_map = EvenMap(ring, basis, basis,
-                         [[rep.module_map.matrix[j][i] for j in range(n)]
-                          for i in range(n)])
-    return Representation(rep.algebra, basis, module_map, matrices)
+    cells = {(m, k, j): -v if koszul_sign(pm[m], pv[j]) == 1 else v
+             for (m, j, k), v in rep._cells().items()}
+    module_map = EvenMap(rep.ring, basis, basis,
+                         {(j, i): v for (i, j), v in _map_cells(rep.module_map).items()})
+    return Representation(rep.algebra, basis, module_map, cells)
 
 
 def check_admissible(algebra):
@@ -430,15 +417,17 @@ def check_admissible(algebra):
     """
     A = algebra
     n = A.dim
-    ident = EvenMap.identity(A.ring, A.basis)
-    sq = A.alpha.power(2)
-    defect = [[a - b for a, b in zip(ra, rb)]
-              for ra, rb in zip(ident.matrix, sq.matrix)]
+    defect = {(i, i): A.ring.one() for i in range(n)}
+    for idx, v in _map_cells(A.alpha.power(2)).items():
+        _add_at(defect, idx, -v)
+    defect = EvenMap(A.ring, A.basis, A.basis, defect)._cols
     violations = []
     for i in range(n):
-        x = [defect[r][i] for r in range(n)]
+        if not defect[i]:
+            continue
         for j in range(n):
-            r = A.bracket_vectors(x, A.alpha.column(j))
+            r = [A.ring.zero()] * n
+            _bracket_into(A._rows, r, defect[i], A.alpha._cols[j])
             if any(r):
                 violations.append(Violation("admissible", (i, j), r))
     return CheckReport("admissible", violations)
@@ -466,8 +455,7 @@ def semidirect_product(algebra, rep):
     if rep.algebra.basis != A.basis:
         raise DimensionMismatchError("representation does not act for this structure")
     module = HomSuperAlgebra(ring, rep.module_basis, {}, rep.module_map)
-    inert = Representation(module, A.basis, A.alpha,
-                           [_mat_zero(ring, A.dim, A.dim)] * module.dim)
+    inert = Representation(module, A.basis, A.alpha, {})
     return MatchedPair(A, module, rep, inert).double()
 
 
@@ -500,27 +488,22 @@ class MatchedPair:
         """The bracket structure on left (+) right."""
         g, h = self.left, self.right
         ring = g.ring
-        n, m = g.dim, h.dim
+        n = g.dim
         basis = SuperBasis(g.basis.parities + h.basis.parities,
                            _merge_labels(g.basis.labels, h.basis.labels))
         bracket = _bracket_cells(g)
         for (i, j, k), v in _bracket_cells(h).items():
             bracket[n + i, n + j, n + k] = v
-        rho, mu = self.left_action.matrices, self.right_action.matrices
-        for i in range(n):
-            for j in range(m):
-                s = koszul_sign(g.basis.parity(i), h.basis.parity(j))
-                for p in range(m):
-                    v = rho[i][p][j]
-                    if v:
-                        bracket[i, n + j, n + p] = v
-                        bracket[n + j, i, n + p] = -v if s == 1 else v
-                for p in range(n):
-                    w = mu[j][p][i]
-                    if w:
-                        value = -w if s == 1 else w
-                        bracket[i, n + j, p] = value
-                        bracket[n + j, i, p] = -value if s == 1 else value
+        # [x, y] = rho(x) y for x acting on y of the other half, and
+        # [y, x] = -(-1)^{|x||y|} [x, y]
+        for rep, acting, module, a0, b0 in ((self.left_action, g, h, 0, n),
+                                            (self.right_action, h, g, n, 0)):
+            for a, plane in enumerate(rep._rows):
+                for b, col in enumerate(plane):
+                    s = koszul_sign(acting.basis.parity(a), module.basis.parity(b))
+                    for (q,), v in col:
+                        bracket[a0 + a, b0 + b, b0 + q] = v
+                        bracket[b0 + b, a0 + a, b0 + q] = -v if s == 1 else v
         alpha = _map_cells(g.alpha)
         for (i, j), v in _map_cells(h.alpha).items():
             alpha[n + i, n + j] = v
@@ -551,13 +534,12 @@ def _coadjoint(acting, partner, sign_on_target):
     """Negated graded transpose of *acting*'s own adjoint action, acting on
     *partner*'s space.  The Koszul sign pairs the acting index with the
     output index if *sign_on_target*, else with the input index."""
-    ring, n = acting.ring, acting.dim
     p = acting.basis.parities
-    matrices = [_mat_zero(ring, n, n) for _ in range(n)]
+    cells = {}
     for (m, out, j), v in _bracket_cells(acting).items():
         q = p[out] if sign_on_target else p[j]
-        matrices[m][out][j] = -v if koszul_sign(p[m], q) == 1 else v
-    return Representation(acting, partner.basis, partner.alpha, matrices)
+        cells[m, out, j] = -v if koszul_sign(p[m], q) == 1 else v
+    return Representation(acting, partner.basis, partner.alpha, cells)
 
 
 def coadjoint_action(g, gstar):
@@ -586,82 +568,81 @@ def dual_matched_pair(g, gstar):
 
 
 class BilinearForm:
-    """An even bilinear form on a graded space, as a matrix of values
-    ``S[i][j] = S(e_i, e_j)``."""
+    """An even bilinear form on a graded space with values
+    ``S(e_i, e_j)``, given as a dense square grid or a dict ``{(i, j):
+    value}`` and stored as its nonzero cells; ``matrix`` is a read-only
+    nested-tuple view."""
 
     def __init__(self, ring, basis, matrix):
         self.ring = ring
         self.basis = basis
-        if len(matrix) != basis.dim or any(len(r) != basis.dim for r in matrix):
-            raise DimensionMismatchError("form matrix must be square of the "
-                                         "basis dimension")
-        self.matrix = [[ring.lift(v) for v in row] for row in matrix]
+        self._cells = _lift_cells(ring, matrix, (basis.dim, basis.dim), "form matrix")
+        self._view = None
+
+    @property
+    def matrix(self):
+        """The read-only dense view ``matrix[i][j]``, built on first use."""
+        if self._view is None:
+            self._view = _frozen(self._cells, (self.basis.dim,) * 2, self.ring.zero())
+        return self._view
 
     def value(self, x, y):
         total = self.ring.zero()
-        for i, xv in enumerate(x):
-            if not xv:
-                continue
-            for j, yv in enumerate(y):
-                if yv and self.matrix[i][j]:
-                    total = total + xv * self.matrix[i][j] * yv
+        for (i, j), s in self._cells.items():
+            if x[i] and y[j]:
+                total = total + x[i] * s * y[j]
         return total
 
     def evenness_violations(self):
-        out = []
         p = self.basis.parities
-        for i in range(self.basis.dim):
-            for j in range(self.basis.dim):
-                if self.matrix[i][j] and (p[i] + p[j]) % 2:
-                    out.append(Violation("form-even", (i, j), self.matrix[i][j]))
-        return out
+        return [Violation("form-even", (i, j), v)
+                for (i, j), v in sorted(self._cells.items()) if (p[i] + p[j]) % 2]
 
     def supersymmetry_violations(self):
         out = []
         p = self.basis.parities
-        for i in range(self.basis.dim):
-            for j in range(i, self.basis.dim):
-                s = koszul_sign(p[i], p[j])
-                other = self.matrix[j][i]
-                r = self.matrix[i][j] - (other if s == 1 else -other)
-                if r:
-                    out.append(Violation("form-supersymmetric", (i, j), r))
+        zero = self.ring.zero()
+        for i, j in sorted({(min(idx), max(idx)) for idx in self._cells}):
+            other = self._cells.get((j, i), zero)
+            if koszul_sign(p[i], p[j]) == -1:
+                other = -other
+            r = self._cells.get((i, j), zero) - other
+            if r:
+                out.append(Violation("form-supersymmetric", (i, j), r))
         return out
 
     def self_adjoint_violations(self, alpha):
-        out = []
-        n = self.basis.dim
-        for i in range(n):
-            for j in range(n):
-                lhs = self.value(alpha.column(i), _unit(self.ring, n, j))
-                rhs = self.value(_unit(self.ring, n, i), alpha.column(j))
-                if lhs - rhs:
-                    out.append(Violation("form-self-adjoint", (i, j), lhs - rhs))
-        return out
+        """S(alpha(e_i), e_j) - S(e_i, alpha(e_j)), reported if nonzero."""
+        rows_of_alpha = alpha.transpose()._cols
+        diff = {}
+        for (k, j), s in self._cells.items():
+            for (i,), a in rows_of_alpha[k]:
+                _add_at(diff, (i, j), a * s)
+        for (i, k), s in self._cells.items():
+            for (j,), a in rows_of_alpha[k]:
+                _add_at(diff, (i, j), -(s * a))
+        return [Violation("form-self-adjoint", idx, v) for idx, v in sorted(diff.items())]
 
     def invariance_violations(self, algebra):
-        out = []
-        n = self.basis.dim
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    lhs = self.value(algebra.bracket_of(i, j), _unit(self.ring, n, k))
-                    rhs = self.value(_unit(self.ring, n, i), algebra.bracket_of(j, k))
-                    if lhs - rhs:
-                        out.append(Violation("form-invariant", (i, j, k), lhs - rhs))
-        return out
+        """S([e_i, e_j], e_k) - S(e_i, [e_j, e_k]), reported if nonzero."""
+        rows = [[] for _ in range(self.basis.dim)]  # rows[i] holds (j, S_ij)
+        cols = [[] for _ in range(self.basis.dim)]  # cols[j] holds (i, S_ij)
+        for (i, j), s in self._cells.items():
+            rows[i].append((j, s))
+            cols[j].append((i, s))
+        diff = {}
+        for (i, j, m), c in _bracket_cells(algebra).items():
+            for k, s in rows[m]:
+                _add_at(diff, (i, j, k), c * s)
+            for a, s in cols[m]:
+                _add_at(diff, (a, i, j), -(s * c))
+        return [Violation("form-invariant", idx, v) for idx, v in sorted(diff.items())]
 
     def determinant(self):
         return _det(self.ring, self.matrix)
 
     def is_nondegenerate(self):
         return not self.determinant().is_zero()
-
-
-def _unit(ring, n, i):
-    out = [ring.zero()] * n
-    out[i] = ring.one()
-    return out
 
 
 class ManinTriple:
@@ -684,13 +665,12 @@ def manin_supertriple(g, gstar, multiplicative=False):
     canonical invariant pairing, and report every validity condition."""
     pair = dual_matched_pair(g, gstar)
     double = pair.double()
-    ring, n = g.ring, g.dim
-    mat = _mat_zero(ring, 2 * n, 2 * n)
+    n, one = g.dim, g.ring.one()
+    cells = {}
     for i in range(n):
-        one = ring.one()
-        mat[i][n + i] = -one if g.basis.parity(i) else one
-        mat[n + i][i] = one
-    form = BilinearForm(ring, double.basis, mat)
+        cells[i, n + i] = -one if g.basis.parity(i) else one
+        cells[n + i, i] = one
+    form = BilinearForm(g.ring, double.basis, cells)
     violations = []
     for v in double.check(multiplicative=multiplicative).violations:
         violations.append(Violation("double:" + v.axiom, v.indices, v.residual))
@@ -698,14 +678,10 @@ def manin_supertriple(g, gstar, multiplicative=False):
     violations.extend(form.supersymmetry_violations())
     violations.extend(form.self_adjoint_violations(double.alpha))
     violations.extend(form.invariance_violations(double))
-    for i in range(n):
-        for j in range(n):
-            if form.matrix[i][j]:
-                violations.append(Violation("half-isotropic", (i, j),
-                                            form.matrix[i][j]))
-            if form.matrix[n + i][n + j]:
-                violations.append(Violation("half-isotropic", (n + i, n + j),
-                                            form.matrix[n + i][n + j]))
+    # cells within one half, (i, j) before (n + i, n + j)
+    for a, b in sorted(form._cells, key=lambda ab: (ab[0] % n, ab[1] % n, ab)):
+        if a // n == b // n:
+            violations.append(Violation("half-isotropic", (a, b), form._cells[a, b]))
     if not form.is_nondegenerate():
         violations.append(Violation("form-nondegenerate", (), form.determinant()))
     report = CheckReport("invariant-pairing-double", violations)
@@ -742,41 +718,28 @@ def _pairing_cocycle_violations(g, gstar, convention, shifted, axiom):
     the twisted wedge arguments from gstar.  The pairing sign is
     ``_pair_sign``, times (-1)^{|s|+|q|} at the slot parities if *shifted*.
     """
-    ring, n = g.ring, g.dim
+    n = g.dim
     p = g.basis.parities
-    A = g.alpha.matrix
     deltas = [{} for _ in range(n)]
     for (i, a, b), v in _dual_cobracket_cells(g, gstar, convention).items():
         deltas[i][a, b] = v
-    defect = delta1(g, [Tensor2._wrap(ring, g.basis, d) for d in deltas])
-
-    def pairing(t, s, q):
-        # <t, e^s (x) e^q> for a 2-tensor t on g
-        v = t._cells.get((s, q))
-        if v is None:
-            return ring.zero()
-        shift = p[s] + p[q] if shifted else 0
-        return v if _pair_sign(convention, p[s], p[q], shift) == 1 else -v
-
+    defect = delta1(g, [Tensor2._wrap(g.ring, g.basis, d) for d in deltas])
     violations = []
     for i in range(n):
         for j in range(n):
-            t = defect[i][j]
-            if t.is_zero():
-                continue
-            for q in range(n):
-                for pp in range(n):
-                    total = ring.zero()
-                    for s in range(n):
-                        if not A[pp][s]:
-                            continue
-                        wedge = pairing(t, s, q)
-                        back = pairing(t, q, s)
-                        wedge = wedge - (back if koszul_sign(p[s], p[q]) == 1 else -back)
-                        if wedge:
-                            total = total + A[pp][s] * wedge
-                    if total:
-                        violations.append(Violation(axiom, (i, j, pp, q), total))
+            # wedge[s, q] = <t, e^s (x) e^q> - (-1)^{|s||q|} <t, e^q (x) e^s>
+            wedge = {}
+            for (s, q), v in defect[i][j]._cells.items():
+                shift = p[s] + p[q] if shifted else 0
+                v = v if _pair_sign(convention, p[s], p[q], shift) == 1 else -v
+                _add_at(wedge, (s, q), v)
+                _add_at(wedge, (q, s), -v if koszul_sign(p[s], p[q]) == 1 else v)
+            totals = {}
+            for (s, q), w in wedge.items():
+                for (pp,), a in g.alpha._cols[s]:
+                    _add_at(totals, (q, pp), a * w)
+            violations.extend(Violation(axiom, (i, j, pp, q), v)
+                              for (q, pp), v in sorted(totals.items()))
     return violations
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .constructions import Representation
 from .errors import ParityError, ParseError, ScalarError
 from .scalar import ParamRing
 from .structures import HomSuperBialgebra, _bracket_cells, _cobracket_cells
@@ -40,16 +41,6 @@ FORMAT_VERSION = 1
 # entries; checking such a structure visits about 128^3 / 6 Jacobi
 # triples.
 MAX_DIMENSION = 128
-
-
-@dataclass
-class RepData:
-    """A module action as raw data: the module basis, the module-side
-    structure map, and one module-sized matrix per algebra basis element."""
-
-    module_basis: SuperBasis
-    module_map: EvenMap
-    matrices: list
 
 
 @dataclass
@@ -137,7 +128,8 @@ def _sparse3(ring, value, dim, path):
     return cells
 
 
-def _tensor(ring, basis, name, value):
+def _tensor(algebra, name, value):
+    ring, basis = algebra.ring, algebra.basis
     path = "tensors[%r]" % name
     _expect(isinstance(value, dict), path, "expected an object")
     kind = value.get("kind")
@@ -176,7 +168,7 @@ def _tensor(ring, basis, name, value):
         matrices = [_matrix(ring, raw[i], module.dim, module.dim,
                             "%s.matrices[%d]" % (path, i))
                     for i in range(basis.dim)]
-        return RepData(module, module_map, matrices)
+        return Representation(algebra, module, module_map, matrices)
     _fail(path, "unknown kind %r" % (kind,))
 
 
@@ -218,7 +210,7 @@ def parse_definition(data):
     raw = data.get("tensors", {})
     _expect(isinstance(raw, dict), "tensors", "expected an object")
     for name, value in raw.items():
-        tensors[name] = _tensor(ring, basis, name, value)
+        tensors[name] = _tensor(bialgebra.algebra, name, value)
 
     description = data.get("description", "")
     _expect(isinstance(description, str), "description", "expected a string")
@@ -272,7 +264,7 @@ def dump_definition(defn):
                              "matrix": [[str(value.matrix[i][j])
                                          for j in range(n)]
                                         for i in range(n)]}
-            elif isinstance(value, RepData):
+            elif isinstance(value, Representation):
                 m = value.module_basis.dim
                 out[name] = {
                     "kind": "representation",

@@ -15,7 +15,8 @@ sparsely: the bracket as rows ``_rows[i][j]`` of nonzero ``((k,), value)``
 pairs, delta(e_i) as planes ``_planes[i]`` of nonzero ``((j, k), value)``
 pairs, and alpha as the sparse columns of its :class:`EvenMap`.  Every
 residual loops over these lists only (Jacobi skips each hop whose inner
-bracket is zero), so its cost follows the nonzero constants.  The
+bracket is zero, and ``check`` each triple whose three are), so its cost
+follows the nonzero constants.  The
 ``bracket``, ``cobracket`` and ``alpha.matrix`` attributes are read-only
 nested-tuple views, built on first use.
 
@@ -106,12 +107,16 @@ class CheckReport:
 
 def _constants(ring, basis, constants, name, split):
     """Structure constants, given as a dense n^3 grid or a dict
-    ``{(i, j, k): value}``, grouped by their first *split* indices: a
-    nested list (depth *split*) of tuples of nonzero ``(rest, value)``
-    pairs in row-major order, the empty tuple where there are none."""
+    ``{(i, j, k): value}``, grouped by their first *split* indices."""
     n = basis.dim
-    cells = _lift_cells(ring, constants, (n, n, n), name)
-    groups = _grid((n,) * split, ())
+    return _group(_lift_cells(ring, constants, (n, n, n), name), (n, n, n), split)
+
+
+def _group(cells, shape, split):
+    """Nonzero cells of the given shape grouped by their first *split*
+    indices: a nested list (depth *split*) of tuples of ``(rest, value)``
+    pairs in row-major order, the empty tuple where there are none."""
+    groups = _grid(shape[:split], ())
     for idx, v in sorted(cells.items()):
         *path, last = idx[:split]
         row = groups
@@ -136,6 +141,21 @@ def zero_bracket(ring, basis):
 
 def zero_cobracket(ring, basis):
     return zero_bracket(ring, basis)
+
+
+def _bracket_into(rows, out, xs, ys, negate=False):
+    """out += [x, y], or -= if *negate*, for sparse vectors of ((index,),
+    value) pairs such as alpha columns and bracket rows.  *rows* is an
+    algebra's bracket rows, or the columns ``rho(e_i) e_j`` of an action,
+    which then gives out += rho(x) y."""
+    for (i,), x in xs:
+        row_i = rows[i]
+        for (j,), y in ys:
+            row = row_i[j]
+            if row:
+                c = -(x * y) if negate else x * y
+                for (k,), v in row:
+                    out[k] = out[k] + c * v
 
 
 def _bracket_cells(algebra):
@@ -182,23 +202,10 @@ class HomSuperAlgebra:
             out[k] = v
         return out
 
-    def _bracket_into(self, out, xs, ys, negate=False):
-        """out += [x, y], or -= if *negate*, for sparse vectors of
-        ((index,), value) pairs such as alpha columns and bracket rows."""
-        rows = self._rows
-        for (i,), x in xs:
-            row_i = rows[i]
-            for (j,), y in ys:
-                row = row_i[j]
-                if row:
-                    c = -(x * y) if negate else x * y
-                    for (k,), v in row:
-                        out[k] = out[k] + c * v
-
     def bracket_vectors(self, x, y):
         """The bracket of two coefficient vectors (bilinear extension)."""
         out = [self.ring.zero()] * self.dim
-        self._bracket_into(out, _sparse(x, 1), _sparse(y, 1))
+        _bracket_into(self._rows, out, _sparse(x, 1), _sparse(y, 1))
         return out
 
     # -- residuals -------------------------------------------------------
@@ -227,7 +234,7 @@ class HomSuperAlgebra:
                                ((j, k, i), koszul_sign(p[j], p[i]))):
             inner = self._rows[b][c]
             if inner:
-                self._bracket_into(out, cols[a], inner, sgn == -1)
+                _bracket_into(self._rows, out, cols[a], inner, sgn == -1)
         return out
 
     def mult_residual(self, i, j):
@@ -237,7 +244,7 @@ class HomSuperAlgebra:
         for (k,), v in self._rows[i][j]:
             for (m,), a in cols[k]:
                 out[m] = out[m] + a * v
-        self._bracket_into(out, cols[i], cols[j], negate=True)
+        _bracket_into(self._rows, out, cols[i], cols[j], negate=True)
         return out
 
     # -- checks ----------------------------------------------------------
@@ -250,12 +257,15 @@ class HomSuperAlgebra:
                 r = self.skew_residual(i, j)
                 if any(r):
                     violations.append(Violation("skew", (i, j), r))
+        rows = self._rows
         for i in range(n):
             for j in range(i, n):
                 for k in range(j, n):
-                    r = self.jacobi_residual(i, j, k)
-                    if any(r):
-                        violations.append(Violation("jacobi", (i, j, k), r))
+                    # each hop of the cyclic sum brackets one of these rows
+                    if rows[j][k] or rows[i][j] or rows[k][i]:
+                        r = self.jacobi_residual(i, j, k)
+                        if any(r):
+                            violations.append(Violation("jacobi", (i, j, k), r))
         if multiplicative:
             for i in range(n):
                 for j in range(n):

@@ -176,3 +176,146 @@ class DenseOracle:
         terms = lhs + _neg(t1)
         terms += t2 if self.sign(self.p[i] * self.p[j]) == 1 else _neg(t2)
         return self.reduce(terms)
+
+
+# -- actions and bilinear forms -----------------------------------------
+#
+# Violations are (axiom, indices, residual) triples in the order the
+# package reports them; a matrix residual is a dict {(row, col): value}
+# of its nonzero cells.
+
+
+def _matrix_dict(columns, d):
+    """The nonzero cells of the matrix whose column c is the reduced dict
+    columns[c] of (row,) -> value."""
+    return {(row, c): v for c in range(d) for (row,), v in columns[c].items()}
+
+
+class ActionOracle:
+    """An action rho of an algebra (parities pm, bracket c[i][j][k],
+    structure map A[i][j]) on a module (parities pv, structure map
+    beta[i][j]), given by dense matrices rho[m][i][j], all of them plain
+    nested lists of scalars."""
+
+    def __init__(self, ring, pm, bracket, alpha, pv, beta, rho):
+        self.ring = ring
+        self.pm, self.pv = [int(x) for x in pm], [int(x) for x in pv]
+        self.n, self.d = len(self.pm), len(self.pv)
+        self.c, self.A, self.beta, self.rho = bracket, alpha, beta, rho
+        self.reduce = DenseOracle(ring, []).reduce
+
+    def unit(self, i):
+        return [(self.ring.one(), (i,))]
+
+    def apply(self, matrix, terms):
+        return [(coeff * matrix[row][k], (row,)) for coeff, (k,) in terms
+                for row in range(len(matrix)) if matrix[row][k]]
+
+    def bracket(self, xt, yt):
+        return [(cx * cy * self.c[i][j][k], (k,)) for cx, (i,) in xt for cy, (j,) in yt
+                for k in range(self.n) if self.c[i][j][k]]
+
+    def act(self, xt, vt):
+        return [(cx * cv * self.rho[m][row][k], (row,)) for cx, (m,) in xt for cv, (k,) in vt
+                for row in range(self.d) if self.rho[m][row][k]]
+
+    def intertwine(self, i):
+        cols = []
+        for c in range(self.d):
+            lhs = self.act(self.apply(self.A, self.unit(i)), self.apply(self.beta, self.unit(c)))
+            rhs = self.apply(self.beta, self.act(self.unit(i), self.unit(c)))
+            cols.append(self.reduce(lhs + _neg(rhs)))
+        return _matrix_dict(cols, self.d)
+
+    def action_bracket(self, i, j):
+        sign = -1 if (self.pm[i] * self.pm[j]) % 2 else 1
+        cols = []
+        for c in range(self.d):
+            e_c = self.unit(c)
+            lhs = self.act(self.bracket(self.unit(i), self.unit(j)), self.apply(self.beta, e_c))
+            first = self.act(self.apply(self.A, self.unit(i)), self.act(self.unit(j), e_c))
+            second = self.act(self.apply(self.A, self.unit(j)), self.act(self.unit(i), e_c))
+            terms = lhs + _neg(first) + (second if sign == 1 else _neg(second))
+            cols.append(self.reduce(terms))
+        return _matrix_dict(cols, self.d)
+
+    def violations(self):
+        out = []
+        for m in range(self.n):
+            for i in range(self.d):
+                for j in range(self.d):
+                    v = self.rho[m][i][j]
+                    if v and (self.pv[j] + self.pm[m]) % 2 != self.pv[i]:
+                        out.append(("action-grading", (m, i, j), v))
+        for i in range(self.n):
+            r = self.intertwine(i)
+            if r:
+                out.append(("action-intertwine", (i,), r))
+        for i in range(self.n):
+            for j in range(self.n):
+                r = self.action_bracket(i, j)
+                if r:
+                    out.append(("action-bracket", (i, j), r))
+        return out
+
+
+class FormOracle:
+    """A bilinear form S[i][j] = S(e_i, e_j) on a graded space, against an
+    algebra on the same space (bracket c[i][j][k], structure map A)."""
+
+    def __init__(self, ring, parities, form, bracket, alpha):
+        self.ring = ring
+        self.p = [int(x) for x in parities]
+        self.n = len(self.p)
+        self.S, self.c, self.A = form, bracket, alpha
+
+    def value(self, xt, yt):
+        total = self.ring.zero()
+        for cx, (i,) in xt:
+            for cy, (j,) in yt:
+                total = total + cx * cy * self.S[i][j]
+        return total
+
+    def unit(self, i):
+        return [(self.ring.one(), (i,))]
+
+    def alpha(self, i):
+        return [(self.A[u][i], (u,)) for u in range(self.n) if self.A[u][i]]
+
+    def bracket(self, i, j):
+        return [(self.c[i][j][k], (k,)) for k in range(self.n) if self.c[i][j][k]]
+
+    def evenness(self):
+        return [("form-even", (i, j), self.S[i][j]) for i in range(self.n)
+                for j in range(self.n) if self.S[i][j] and (self.p[i] + self.p[j]) % 2]
+
+    def supersymmetry(self):
+        out = []
+        for i in range(self.n):
+            for j in range(i, self.n):
+                back = self.S[j][i] if (self.p[i] * self.p[j]) % 2 == 0 else -self.S[j][i]
+                r = self.S[i][j] - back
+                if r:
+                    out.append(("form-supersymmetric", (i, j), r))
+        return out
+
+    def self_adjoint(self):
+        out = []
+        for i in range(self.n):
+            for j in range(self.n):
+                r = (self.value(self.alpha(i), self.unit(j))
+                     - self.value(self.unit(i), self.alpha(j)))
+                if r:
+                    out.append(("form-self-adjoint", (i, j), r))
+        return out
+
+    def invariance(self):
+        out = []
+        for i in range(self.n):
+            for j in range(self.n):
+                for k in range(self.n):
+                    r = (self.value(self.bracket(i, j), self.unit(k))
+                         - self.value(self.unit(i), self.bracket(j, k)))
+                    if r:
+                        out.append(("form-invariant", (i, j, k), r))
+        return out

@@ -31,6 +31,15 @@ residuals; the alpha-fixed spans; delta0 and delta1(delta0(r)) on seeded
 concrete multiplicative variants and the coboundary checks of their skew
 fixed spans; and gl(1|1), gl(2|1), gl(2|2) and the shifted gl(2|1)
 control built by coboundary and checked.
+
+Per catalog variant and dual convention it also checks the actions: the
+adjoint action, its dual, both coadjoint actions and a broken action (one
+cell off, one parity-breaking cell), the dual matched pair and the
+admissibility of both halves; the bialgebra-morphism check of the
+structure map and of a map that does not intertwine it; and every
+bilinear-form violation list, with values and determinant, on the manin
+form and on a perturbed form that is odd, not supersymmetric, not
+invariant and (where alpha allows) not self-adjoint.
 """
 
 import random
@@ -53,16 +62,23 @@ from hlsb import (  # noqa: E402
     Tensor2,
     Tensor3,
     ad_basis,
+    BilinearForm,
+    Representation,
     adjoint_representation,
     alpha_fixed_tensors,
     catalog_list,
+    check_admissible,
     check_dual_pair,
+    coadjoint_action,
     coboundary_from_r,
     coboundary_hypothesis_violations,
     concrete_variant,
     cyclic_sum,
     delta0,
     delta1,
+    dual_coadjoint_action,
+    dual_matched_pair,
+    dual_representation,
     dualize,
     expand_variants,
     invert_even_map,
@@ -77,6 +93,7 @@ from hlsb import (  # noqa: E402
     xi,
     yang_baxter_residual,
 )
+from hlsb.constructions import check_bialgebra_morphism  # noqa: E402
 from hlsb.structures import alpha_otimes_delta, delta_otimes_alpha  # noqa: E402
 from hlsb.yangbaxter import bracket_12_13, bracket_12_23, bracket_13_23  # noqa: E402
 
@@ -160,6 +177,75 @@ def per_basis(label, B):
             emit(label, "compat", (i, j), B.compat_residual(i, j))
 
 
+def violations(label, name, found):
+    emit(label, name, len(found))
+    for v in found:
+        emit(label, v.axiom, v.indices, v._residual_str())
+
+
+def broken_action(A):
+    """The adjoint action with one cell shifted by one and, where the
+    parities allow, one parity-breaking cell set."""
+    mats = [[list(row) for row in mat] for mat in adjoint_representation(A).matrices]
+    p, n = A.basis.parities, A.dim
+    mats[0][n - 1][0] = mats[0][n - 1][0] + 1
+    for i in range(n):
+        if (p[0] + p[0]) % 2 != p[i]:
+            mats[0][i][0] = mats[0][i][0] + 2
+            break
+    return Representation(A, A.basis, A.alpha, mats)
+
+
+def non_intertwining_map(B):
+    """diag(1, 2, ...) plus one off-diagonal cell in the first column."""
+    p, n = B.basis.parities, B.dim
+    cells = {(i, i): i + 1 for i in range(n)}
+    for k in range(1, n):
+        if p[k] == p[0]:
+            cells[k, 0] = 1
+            break
+    return EvenMap(B.ring, B.basis, B.basis, cells)
+
+
+def form_section(label, form, algebra):
+    ring, n = form.ring, form.basis.dim
+    x = [ring.from_fraction(k + 1) for k in range(n)]
+    y = [ring.from_fraction(2 - k) for k in range(n)]
+    emit(label, "value", form.value(x, y), form.value(y, x))
+    violations(label, "even", form.evenness_violations())
+    violations(label, "supersymmetric", form.supersymmetry_violations())
+    violations(label, "self-adjoint", form.self_adjoint_violations(algebra.alpha))
+    violations(label, "invariant", form.invariance_violations(algebra))
+    emit(label, "det", form.determinant())
+
+
+def perturbed_form(form):
+    """The form plus an odd cell, a cell without its supersymmetric
+    partner and a diagonal cell."""
+    p, n = form.basis.parities, form.basis.dim
+    mat = [list(row) for row in form.matrix]
+    mat[0][0] = mat[0][0] + 1
+    mat[0][n // 2] = mat[0][n // 2] + 3
+    for j in range(n):
+        if p[j] != p[0]:
+            mat[0][j] = mat[0][j] + 2
+            break
+    return BilinearForm(form.ring, form.basis, mat)
+
+
+def actions_section(label, B, D):
+    g, gstar = B.algebra, D.algebra
+    adjoint = adjoint_representation(g)
+    report(label + " adjoint", adjoint.check())
+    report(label + " dual-adjoint", dual_representation(adjoint).check())
+    report(label + " coadjoint", coadjoint_action(g, gstar).check())
+    report(label + " dual-coadjoint", dual_coadjoint_action(g, gstar).check())
+    report(label + " broken-action", broken_action(g).check())
+    report(label + " matched-pair", dual_matched_pair(g, gstar).check())
+    report(label + " admissible", check_admissible(g))
+    report(label + " dual-admissible", check_admissible(gstar))
+
+
 def catalog_section(variants):
     for v in variants:
         B = v.bialgebra
@@ -175,9 +261,16 @@ def catalog_section(variants):
             triple = manin_supertriple(B.algebra, D.algebra)
             report(label + " manin-" + convention, triple.report)
             emit(label, "manin-det-" + convention, triple.form.determinant())
+            actions_section(label + " " + convention, B, D)
+            form_section(label + " manin-form-" + convention, triple.form, triple.double)
+            form_section(label + " perturbed-form-" + convention,
+                         perturbed_form(triple.form), triple.double)
             for check_conv in ("koszul", "plain"):
                 report("%s pair-%s-%s" % (label, convention, check_conv),
                        check_dual_pair(B.algebra, D.algebra, check_conv))
+        report(label + " alpha-morphism", check_bialgebra_morphism(B.alpha, B, B))
+        report(label + " bad-morphism",
+               check_bialgebra_morphism(non_intertwining_map(B), B, B))
         try:
             T = twist_power(B, 2)
         except HypothesisError as exc:

@@ -5,6 +5,7 @@ import pytest
 
 from hlsb.catalog import expand_variants, get_row
 from hlsb.cli import main
+from hlsb.constructions import adjoint_representation
 from hlsb.fileformat import (
     MAX_DIMENSION,
     definition_from_bialgebra,
@@ -12,6 +13,7 @@ from hlsb.fileformat import (
     load_definition,
     loads_definition,
 )
+from hlsb.structures import HomSuperAlgebra
 from hlsb.superlinear import EvenMap, Tensor2
 
 
@@ -266,3 +268,72 @@ def test_catalog_verify_unknown_row(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["bogus-command"]) == 2
+
+
+def write_semidirect_input(tmp_path):
+    """diagonal-1 with its adjoint action as a "representation" payload."""
+    path, v = write_variant(tmp_path, "diagonal-1")
+    rep = adjoint_representation(v.bialgebra.algebra)
+    data = json.loads(path.read_text())
+    data["tensors"] = {"ad": {
+        "kind": "representation",
+        "module_basis": data["basis"],
+        "module_map": data["alpha"],
+        "matrices": [[[str(x) for x in row] for row in mat] for mat in rep.matrices],
+    }}
+    path.write_text(json.dumps(data))
+    return path, v
+
+
+def test_construct_semidirect_round_trips(tmp_path):
+    path, v = write_semidirect_input(tmp_path)
+    again = tmp_path / "again.json"
+    again.write_text(definition_text(load_definition(path)))
+    assert json.loads(again.read_text())["tensors"] == json.loads(path.read_text())["tensors"]
+    out = tmp_path / "semi.json"
+    assert main(["construct", "semidirect", str(again), "--rep", "ad",
+                 "--out", str(out)]) == 0
+    result = load_definition(out)
+    assert result.basis.dim == 2 * v.bialgebra.dim
+    assert main(["check", str(out)]) == 0
+
+
+def test_construct_semidirect_wrong_matrix_count(tmp_path, capsys):
+    path, _ = write_semidirect_input(tmp_path)
+    data = json.loads(path.read_text())
+    data["tensors"]["ad"]["matrices"].pop()
+    path.write_text(json.dumps(data))
+    out = tmp_path / "semi.json"
+    assert main(["construct", "semidirect", str(path), "--rep", "ad",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "one matrix per algebra basis element" in err and "Traceback" not in err
+
+
+def test_construct_semidirect_rejects_an_action_that_breaks_parity(tmp_path, capsys):
+    path, _ = write_semidirect_input(tmp_path)
+    data = json.loads(path.read_text())
+    # rho(e1) sending the even e1 to the odd e3
+    data["tensors"]["ad"]["matrices"][0][2][0] = "1"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "semi.json"
+    assert main(["construct", "semidirect", str(path), "--rep", "ad",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "action-grading" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_wide_check_evaluates_only_jacobi_triples_with_a_bracket(monkeypatch):
+    data = wide_definition(MAX_DIMENSION)
+    A = loads_definition(json.dumps(data)).bialgebra.algebra
+    calls = []
+    residual = HomSuperAlgebra.jacobi_residual
+    monkeypatch.setattr(HomSuperAlgebra, "jacobi_residual",
+                        lambda self, *ijk: calls.append(ijk) or residual(self, *ijk))
+    assert A.check(multiplicative=True).passed
+    bracketed = {(i, j) for i, j, _, _ in data["bracket"]}
+    n = A.dim
+    touching = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
+                if {(j, k), (i, j), (k, i)} & bracketed]
+    assert calls == touching and len(touching) < 300

@@ -3,11 +3,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_oracle import ActionOracle, FormOracle
 from hlsb.catalog import concrete_variant, expand_variants, get_row
 from hlsb.constructions import (
     BilinearForm,
     MatchedPair,
+    Representation,
     adjoint_representation,
     check_admissible,
     check_algebra_morphism,
@@ -320,3 +324,68 @@ def test_coadjoint_actions_have_valid_grading():
     gstar = dualize(B).algebra
     assert not coadjoint_action(g, gstar).grading_violations()
     assert not dual_coadjoint_action(g, gstar).grading_violations()
+
+
+def _dense(cells, shape):
+    if len(shape) == 1:
+        return [QQ.lift(cells.get((i,), 0)) for i in range(shape[0])]
+    return [_dense({idx[1:]: v for idx, v in cells.items() if idx[0] == i}, shape[1:])
+            for i in range(shape[0])]
+
+
+@st.composite
+def sparse_actions_and_forms(draw):
+    """An algebra, an action of it on a module and a form on it, each a
+    few random cells; bracket, action and form cells may break parity."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pm = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    pv = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    value = st.integers(-2, 2)
+
+    def cells(*dims, size=6):
+        return draw(st.dictionaries(st.tuples(*(st.integers(0, k - 1) for k in dims)),
+                                    value, max_size=size))
+
+    def even_map(p):
+        diag = {(i, i): draw(value) for i in range(len(p))}
+        return {**diag, **{(i, j): v for (i, j), v in cells(len(p), len(p), size=3).items()
+                           if p[i] == p[j]}}
+    return (pm, cells(n, n, n, size=8), even_map(pm), pv, even_map(pv),
+            cells(n, d, d, size=10), cells(n, n, size=8))
+
+
+def _found(violations):
+    """Violations as (axiom, indices, residual), a matrix residual as the
+    dict of its nonzero cells."""
+    out = []
+    for v in violations:
+        r = v.residual
+        if isinstance(r, list):
+            r = {(i, j): x for i, row in enumerate(r) for j, x in enumerate(row) if x}
+        out.append((v.axiom, v.indices, r))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_actions_and_forms())
+def test_action_and_form_violations_match_dense_oracle(data):
+    pm, bracket, alpha, pv, beta, action, form = data
+    n, d = len(pm), len(pv)
+    g = HomSuperAlgebra(QQ, SuperBasis(pm), bracket, alpha)
+    module = SuperBasis(pv, ["v%d" % i for i in range(d)])
+    br, al = _dense(bracket, (n, n, n)), _dense(alpha, (n, n))
+    rho = _dense(action, (n, d, d))
+    rep = Representation(g, module, beta, action)
+    assert rep.matrices == tuple(tuple(map(tuple, mat)) for mat in rho)
+    expected = ActionOracle(QQ, pm, br, al, pv, _dense(beta, (d, d)), rho).violations()
+    assert _found(rep.check().violations) == expected
+    assert _found(Representation(g, module, beta, rho).check().violations) == expected
+    adjoint = [[[br[m][j][i] for j in range(n)] for i in range(n)] for m in range(n)]
+    assert (_found(adjoint_representation(g).check().violations)
+            == ActionOracle(QQ, pm, br, al, pm, al, adjoint).violations())
+    S = BilinearForm(QQ, g.basis, form)
+    oracle = FormOracle(QQ, pm, _dense(form, (n, n)), br, al)
+    assert _found(S.evenness_violations()) == oracle.evenness()
+    assert _found(S.supersymmetry_violations()) == oracle.supersymmetry()
+    assert _found(S.self_adjoint_violations(g.alpha)) == oracle.self_adjoint()
+    assert _found(S.invariance_violations(g)) == oracle.invariance()
