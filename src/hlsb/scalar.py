@@ -6,10 +6,13 @@ sum of terms
 
     coeff * p1^e1 * p2^e2 * ... * pn^en
 
-with ``Fraction`` coefficients and integer exponents, where a negative
-exponent may appear only on an invertible parameter.  Scalars are kept in
-canonical form (no zero coefficients are stored), so equality is plain
-structural equality and the zero test is trivial.
+with ``int`` or ``Fraction`` coefficients and integer exponents, where a
+negative exponent may appear only on an invertible parameter.  Scalars are
+kept in canonical form: no zero coefficients are stored, and a coefficient
+is an ``int`` exactly when its denominator is 1 (never a float, never an
+integral ``Fraction``).  So equality is plain structural equality, the zero
+test is trivial, and the common integral constants multiply as machine
+integers.
 
 Scalars print in a stable form like ``3/2*a1^2*b4 - c2`` and the same ring
 parses that form back, so text round-trips exactly.
@@ -46,6 +49,16 @@ MAX_POWER_SIZE = 20000
 # it reaches 8192 terms and stops at the next factor, in about 0.2 s on a
 # 2-vCPU x86-64 machine with Python 3.11.
 MAX_PRODUCT_TERMS = 10000
+
+
+def _coeff(value):
+    """The canonical coefficient of *value*: an int if it is integral,
+    else a Fraction."""
+    if isinstance(value, int):
+        return int(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class ParamRing:
@@ -86,7 +99,7 @@ class ParamRing:
         return self.from_fraction(1)
 
     def from_fraction(self, value):
-        value = Fraction(value)
+        value = _coeff(value)
         if value == 0:
             return Scalar(self, {})
         return Scalar(self, {self._zero_exps: value})
@@ -99,7 +112,7 @@ class ParamRing:
             raise ScalarError("%r is not a parameter of %r" % (name, self)) from None
         exps = [0] * len(self.names)
         exps[i] = 1
-        return Scalar(self, {tuple(exps): Fraction(1)})
+        return Scalar(self, {tuple(exps): 1})
 
     def lift(self, value):
         """Coerce *value* (Scalar, int, Fraction or str) into this ring."""
@@ -150,7 +163,7 @@ class Scalar:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {self.ring._zero_exps: Fraction(1)}
+        return self.terms == {self.ring._zero_exps: 1}
 
     def is_constant(self):
         return not self.terms or set(self.terms) == {self.ring._zero_exps}
@@ -161,7 +174,7 @@ class Scalar:
             return Fraction(0)
         if not self.is_constant():
             raise ScalarError("%s is not constant" % (self,))
-        return self.terms[self.ring._zero_exps]
+        return Fraction(self.terms[self.ring._zero_exps])
 
     def __bool__(self):
         return bool(self.terms)
@@ -189,7 +202,7 @@ class Scalar:
         for exps, c in other.terms.items():
             s = terms.get(exps, 0) + c
             if s:
-                terms[exps] = s
+                terms[exps] = s if type(s) is int else _coeff(s)
             else:
                 terms.pop(exps, None)
         return Scalar(self.ring, terms)
@@ -221,7 +234,7 @@ class Scalar:
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 s = terms.get(exps, 0) + c1 * c2
                 if s:
-                    terms[exps] = s
+                    terms[exps] = s if type(s) is int else _coeff(s)
                 else:
                     del terms[exps]
         return Scalar(self.ring, terms)
@@ -259,7 +272,7 @@ class Scalar:
                 raise ScalarError(
                     "cannot invert %s: parameter %s is not invertible"
                     % (self, self.ring.names[i]))
-        return Scalar(self.ring, {tuple(-e for e in exps): 1 / coeff})
+        return Scalar(self.ring, {tuple(-e for e in exps): _coeff(Fraction(1) / coeff)})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

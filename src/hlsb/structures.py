@@ -15,7 +15,8 @@ sparsely: the bracket as rows ``_rows[i][j]`` of nonzero ``((k,), value)``
 pairs, delta(e_i) as planes ``_planes[i]`` of nonzero ``((j, k), value)``
 pairs, and alpha as the sparse columns of its :class:`EvenMap`.  Every
 residual loops over these lists only (Jacobi skips each hop whose inner
-bracket is zero, and ``check`` each triple whose three are), so its cost
+bracket is zero, and ``check`` each skew pair, Jacobi triple and
+multiplicativity pair that no nonzero bracket enters), so its cost
 follows the nonzero constants.  The
 ``bracket``, ``cobracket`` and ``alpha.matrix`` attributes are read-only
 nested-tuple views, built on first use.
@@ -249,15 +250,23 @@ class HomSuperAlgebra:
 
     # -- checks ----------------------------------------------------------
 
+    def _mult_pairs(self):
+        """The ordered pairs (i, j) whose multiplicativity residual can be
+        nonzero: [e_i, e_j] or a bracket of the alpha images is."""
+        rows, cols, n = self._rows, self.alpha._cols, self.dim
+        return [(i, j) for i in range(n) for j in range(n)
+                if rows[i][j] or any(rows[a][b] for (a,), _ in cols[i] for (b,), _ in cols[j])]
+
     def check(self, multiplicative=False):
         violations = list(self.grading_violations())
         n = self.dim
+        rows = self._rows
         for i in range(n):
             for j in range(i, n):
-                r = self.skew_residual(i, j)
-                if any(r):
-                    violations.append(Violation("skew", (i, j), r))
-        rows = self._rows
+                if rows[i][j] or rows[j][i]:
+                    r = self.skew_residual(i, j)
+                    if any(r):
+                        violations.append(Violation("skew", (i, j), r))
         for i in range(n):
             for j in range(i, n):
                 for k in range(j, n):
@@ -267,16 +276,14 @@ class HomSuperAlgebra:
                         if any(r):
                             violations.append(Violation("jacobi", (i, j, k), r))
         if multiplicative:
-            for i in range(n):
-                for j in range(n):
-                    r = self.mult_residual(i, j)
-                    if any(r):
-                        violations.append(Violation("multiplicative", (i, j), r))
+            for i, j in self._mult_pairs():
+                r = self.mult_residual(i, j)
+                if any(r):
+                    violations.append(Violation("multiplicative", (i, j), r))
         return CheckReport("hom-super-algebra", violations)
 
     def is_multiplicative(self):
-        return not any(any(self.mult_residual(i, j))
-                       for i in range(self.dim) for j in range(self.dim))
+        return not any(any(self.mult_residual(i, j)) for i, j in self._mult_pairs())
 
 
 class HomSuperCoalgebra:
@@ -391,12 +398,16 @@ def ad_action(algebra, x, t):
     if not isinstance(t, _TensorBase):
         raise TypeError("ad_action expects a Tensor2 or Tensor3")
     coeffs, parity = x
+    return _ad_sparse(algebra, _sparse(coeffs, 1), parity, t)
+
+
+def _ad_sparse(algebra, xs, parity, t):
+    """ad_action of the element with nonzero ``((m,), coeff)`` pairs *xs*,
+    such as an alpha column, and the given parity."""
     p = algebra.basis.parities
     out_parity = None if t.parity is None else (t.parity + parity) % 2
     cells, src, cols = {}, t._cells, algebra.alpha._cols
-    for m, xm in enumerate(coeffs):
-        if not xm:
-            continue
+    for (m,), xm in xs:
         rows = algebra._rows[m]
         for idx, v in src.items():
             base = xm * v
@@ -425,8 +436,9 @@ def _compat_residual(algebra, deltas, i, j):
     out = Tensor2(ring, basis)
     for (k,), coeff in algebra._rows[i][j]:
         out = out + deltas[k].scale(coeff)
-    out = out - ad_action(algebra, (algebra.alpha.column(i), p[i]), deltas[j])
-    term = ad_action(algebra, (algebra.alpha.column(j), p[j]), deltas[i])
+    cols = algebra.alpha._cols
+    out = out - _ad_sparse(algebra, cols[i], p[i], deltas[j])
+    term = _ad_sparse(algebra, cols[j], p[j], deltas[i])
     if koszul_sign(p[i], p[j]) == 1:
         out = out + term
     else:

@@ -7,7 +7,13 @@ permutation operators, explicit prefix parity sums for the twisted adjoint
 action), and reduction to a dict happens only at the very end.  If a sign
 or index convention in the package drifts, comparisons against this module
 catch it.
+
+The scalar oracle at the end goes one step further down: its polynomials
+are plain ``{exponent tuple: Fraction}`` dicts, with no package scalar in
+them at all.
 """
+
+from fractions import Fraction
 
 
 def vec_dict(vec):
@@ -319,3 +325,85 @@ class FormOracle:
                     if r:
                         out.append(("form-invariant", (i, j, k), r))
         return out
+
+
+# -- scalars -----------------------------------------------------------
+#
+# A polynomial is a dict {exponent tuple: Fraction} without zero values,
+# over named parameters of which some are invertible (may carry negative
+# exponents).
+
+
+class PolyOracle:
+    """Laurent polynomials with Fraction coefficients: schoolbook sums and
+    products, powers by repeated multiplication, and substitution and
+    evaluation term by term."""
+
+    def __init__(self, names, invertible):
+        self.names = tuple(names)
+        self.invertible = frozenset(invertible)
+
+    def clean(self, terms):
+        return {e: c for e, c in terms.items() if c}
+
+    def const(self, c):
+        return self.clean({(0,) * len(self.names): Fraction(c)})
+
+    def var(self, name):
+        return {tuple(int(n == name) for n in self.names): Fraction(1)}
+
+    def term(self, coeff, exps):
+        return self.clean({tuple(exps): Fraction(coeff)})
+
+    def add(self, x, y):
+        out = dict(x)
+        for e, c in y.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return self.clean(out)
+
+    def neg(self, x):
+        return {e: -c for e, c in x.items()}
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def mul(self, x, y):
+        out = {}
+        for e1, c1 in x.items():
+            for e2, c2 in y.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return self.clean(out)
+
+    def inverse(self, x):
+        """The inverse of a single term on invertible parameters."""
+        (e, c), = x.items()
+        assert all(not k or n in self.invertible for n, k in zip(self.names, e))
+        return {tuple(-k for k in e): Fraction(1) / c}
+
+    def power(self, x, n):
+        if n < 0:
+            x, n = self.inverse(x), -n
+        out = self.const(1)
+        for _ in range(n):
+            out = self.mul(out, x)
+        return out
+
+    def substitute(self, x, values):
+        """Replace each parameter named in *values* by that polynomial."""
+        out = {}
+        for e, c in x.items():
+            term = self.const(c)
+            for name, k in zip(self.names, e):
+                term = self.mul(term, self.power(values.get(name, self.var(name)), k))
+            out = self.add(out, term)
+        return out
+
+    def evaluate(self, x, point):
+        total = Fraction(0)
+        for e, c in x.items():
+            value = c
+            for name, k in zip(self.names, e):
+                value = value * Fraction(point[name]) ** k
+            total = total + value
+        return total

@@ -29,8 +29,11 @@ brackets, the Yang-Baxter residual, the perturbation defect, ad on a
 statements and the co-Jacobi, comultiplicativity and compatibility
 residuals; the alpha-fixed spans; delta0 and delta1(delta0(r)) on seeded
 concrete multiplicative variants and the coboundary checks of their skew
-fixed spans; and gl(1|1), gl(2|1), gl(2|2) and the shifted gl(2|1)
-control built by coboundary and checked.
+fixed spans; gl(1|1), gl(2|1), gl(2|2) and the shifted gl(2|1)
+control built by coboundary and checked; and seeded random scalars with
+integral and non-integral coefficients, with their sums, differences,
+products, quotients, powers, inverses, substitutions, evaluations and
+constant values.
 
 Per catalog variant and dual convention it also checks the actions: the
 adjoint action, its dual, both coadjoint actions and a broken action (one
@@ -359,12 +362,65 @@ def glmn_section():
                 emit(label, "cojacobi", i, B.coalgebra.cojacobi_residual(i))
 
 
+def scalar_section():
+    """Seeded random scalars over a ring with two invertible parameters and
+    one plain one, and every scalar operation on them.  Values are printed
+    with ``str`` (and evaluations with ``repr``, which names their type)."""
+    rng = random.Random(17)
+    ring = ParamRing(["a", "s", "t"], invertible=["s", "t"])
+    target = ParamRing(["u"], invertible=["u"])
+
+    def coeff():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((1, 1, 2, 3)))
+
+    def monomial(names):
+        term = ring.from_fraction(coeff())
+        for name in names:
+            lo = -2 if name in ring.invertible else 0
+            term = term * ring.param(name) ** rng.randint(lo, 2)
+        return term
+
+    def scalar():
+        value = ring.zero()
+        for _ in range(rng.randint(0, 4)):
+            value = value + monomial(ring.names)
+        return value
+
+    point = {"a": Fraction(2, 3), "s": Fraction(-5, 2), "t": 3}
+    for trial in range(60):
+        x, y, m = scalar(), scalar(), monomial(("s", "t"))
+        label = "scalar %d" % trial
+        emit(label, "x", x)
+        emit(label, "y", y)
+        emit(label, "m", m)
+        emit(label, "x+y", x + y)
+        emit(label, "x-y", x - y)
+        emit(label, "-x", -x)
+        emit(label, "x*y", x * y)
+        emit(label, "x/m", x / m)
+        emit(label, "inverse", m.inverse())
+        emit(label, "m^-3", m ** -3)
+        for k in range(4):
+            emit(label, "x^%d" % k, x ** k)
+        emit(label, "parse", ring.parse(str(x)) == x)
+        emit(label, "predicates", x.is_zero(), x.is_one(), x.is_constant())
+        emit(label, "substitute", x.substitute({"a": "u + 1/2", "s": "2*u^-1", "t": "u"},
+                                               ring=target))
+        emit(label, "substitute-consts", x.substitute({"a": Fraction(1, 3), "s": -2}))
+        emit(label, "evaluate", repr(x.evaluate(point)))
+        c = ring.from_fraction(coeff())
+        emit(label, "constant", c, repr(c.constant_value()), c == c.constant_value(),
+             repr((c * c.inverse()).constant_value()))
+        emit(label, "coerce", x + 2, Fraction(1, 2) * x, 3 - x)
+
+
 def main():
     variants = [v for row in catalog_list() for v in expand_variants(row)]
     catalog_section(variants)
     random_maps_section()
     cohomology_section(variants)
     glmn_section()
+    scalar_section()
     # tensors built from cell dicts, and a zero bialgebra built from grids
     QQ = ParamRing()
     basis = SuperBasis([0, 1])

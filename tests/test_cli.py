@@ -337,3 +337,19 @@ def test_wide_check_evaluates_only_jacobi_triples_with_a_bracket(monkeypatch):
     touching = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
                 if {(j, k), (i, j), (k, i)} & bracketed]
     assert calls == touching and len(touching) < 300
+
+
+def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatch):
+    data = wide_definition(MAX_DIMENSION)
+    A = loads_definition(json.dumps(data)).bialgebra.algebra
+    calls = {"skew_residual": [], "mult_residual": []}
+    for name, seen in calls.items():
+        residual = getattr(HomSuperAlgebra, name)
+        monkeypatch.setattr(HomSuperAlgebra, name,
+                            lambda self, *ij, seen=seen, residual=residual:
+                            seen.append(ij) or residual(self, *ij))
+    assert A.check(multiplicative=True).passed
+    assert A.is_multiplicative()
+    # alpha = id, so a pair's alpha images bracket only where the pair does
+    assert calls["skew_residual"] == [(0, 1), (0, 3)]
+    assert calls["mult_residual"] == [(0, 1), (0, 3), (1, 0), (3, 0)] * 2

@@ -2,7 +2,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from dense_oracle import PolyOracle
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlsb.errors import ParseError, RingMismatchError, ScalarError
@@ -224,3 +225,80 @@ def test_power_by_squaring():
         for n in range(13):
             assert x ** n == product, (x, n)
             product = product * x
+
+
+# Two invertible parameters and one plain one; coefficients mix integers,
+# halves and thirds, so sums and products often turn a Fraction integral.
+MIXED = ParamRing(["s", "t", "a"], invertible=["s", "t"])
+ORACLE = PolyOracle(MIXED.names, MIXED.invertible)
+
+
+def mixed_coeffs():
+    return st.one_of(st.integers(-6, 6),
+                     st.fractions(-6, 6, max_denominator=3)).filter(lambda q: q != 0)
+
+
+def raw_term(plain=True):
+    exps = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                     st.integers(0, 3) if plain else st.just(0))
+    return st.tuples(mixed_coeffs(), exps)
+
+
+def raw_terms(max_terms):
+    return st.lists(raw_term(), max_size=max_terms)
+
+
+def raw_unit():
+    """A single term on the invertible parameters."""
+    return raw_term(plain=False).map(lambda term: [term])
+
+
+def build(raw):
+    """The scalar and the oracle polynomial of the sum of raw terms."""
+    x, poly = MIXED.zero(), {}
+    for coeff, exps in raw:
+        term = MIXED.from_fraction(coeff)
+        for name, e in zip(MIXED.names, exps):
+            term = term * MIXED.param(name) ** e
+        x = x + term
+        poly = ORACLE.add(poly, ORACLE.term(coeff, exps))
+    return x, poly
+
+
+def canonical(x):
+    """Every coefficient is an int or a non-integral Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in x.terms.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(raw_terms(4), raw_terms(3), raw_unit(), raw_unit(), st.integers(-3, 3),
+       st.tuples(*[st.fractions(-5, 5, max_denominator=4).filter(bool)] * 3))
+def test_scalar_operations_match_the_term_dict_oracle(rx, ry, rm, rv, k, point):
+    (x, px), (y, py), (m, pm), (v, pv) = build(rx), build(ry), build(rm), build(rv)
+    results = [
+        (x + y, ORACLE.add(px, py)),
+        (x - y, ORACLE.sub(px, py)),
+        (-x, ORACLE.neg(px)),
+        (x * y, ORACLE.mul(px, py)),
+        (x / m, ORACLE.mul(px, ORACLE.inverse(pm))),
+        (m.inverse(), ORACLE.inverse(pm)),
+        (m ** k, ORACLE.power(pm, k)),
+        (x ** abs(k), ORACLE.power(px, abs(k))),
+        (x * 2 + Fraction(1, 2), ORACLE.add(ORACLE.mul(px, ORACLE.const(2)),
+                                             ORACLE.const(Fraction(1, 2)))),
+        (x.substitute({"a": y, "s": m}), ORACLE.substitute(px, {"a": py, "s": pm})),
+        (y.substitute({"t": v, "a": 3}), ORACLE.substitute(py, {"t": pv, "a": ORACLE.const(3)})),
+    ]
+    for got, want in [(x, px), (y, py), (m, pm), (v, pv)] + results:
+        assert got.terms == want, (got, want)
+        assert canonical(got), got.terms
+    values = dict(zip(MIXED.names, point))
+    for got, want in [(x, px), (x * y, ORACLE.mul(px, py)), (x / m, None)]:
+        value = got.evaluate(values)
+        assert type(value) is Fraction
+        assert value == ORACLE.evaluate(got.terms if want is None else want, values)
+    for c in (x, y, m):
+        if c.is_constant():
+            assert type(c.constant_value()) is Fraction
+            assert c.constant_value() == ORACLE.evaluate(c.terms, values)
