@@ -28,6 +28,7 @@ from .fileformat import (
     definition_text,
     load_definition,
 )
+from .scalar import MAX_POWER_SIZE, Scalar, _power_size
 from .structures import HomSuperBialgebra, _bracket_cells
 from .superlinear import EvenMap, Tensor2
 from .yangbaxter import coboundary_from_r, perturb_cobracket
@@ -95,6 +96,21 @@ def _as_bialgebra(algebra):
                              algebra.alpha)
 
 
+def _bound_power(alpha, n):
+    """Refuse alpha^n past the parser's bound on ``^``: every entry of
+    alpha^n is dominated by S^n, for S the sum of alpha's entries with
+    absolute coefficients.  A map whose every column is at most one term
+    with coefficient +-1 is not bounded, as its powers only move exponents."""
+    cols = alpha._cols
+    if all(len(col) <= 1 and all(_power_size(v, n) == 0 for _, v in col) for col in cols):
+        return
+    S = sum((Scalar(alpha.ring, {e: abs(c) for e, c in v.terms.items()})
+             for col in cols for _, v in col), alpha.ring.zero())
+    if _power_size(S, n) > MAX_POWER_SIZE:
+        raise ParseError("--power %d: alpha^%d may be larger than MAX_POWER_SIZE = %d"
+                         % (n, n, MAX_POWER_SIZE))
+
+
 def _construct(args, defn):
     B = defn.bialgebra
     verb = args.verb
@@ -103,6 +119,7 @@ def _construct(args, defn):
             raise ParseError(
                 "construct twist needs exactly one of --morphism, --power")
         if args.power is not None:
+            _bound_power(B.alpha, args.power)
             out = twist_power(B, args.power)
             note = "twist by the structure map to the power %d" % args.power
         else:
@@ -225,7 +242,7 @@ def main(argv=None):
                 message += " [%s]" % hint
         print("failed: %s" % message, file=sys.stderr)
         return 1
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except HlsbError as exc:

@@ -5,6 +5,12 @@ All constructions are exact: given structure constants over a parameter
 ring they produce structure constants over the same ring (or its dual
 basis), and every hypothesis a construction needs is either verified on
 the spot or surfaced through :class:`~hlsb.errors.HypothesisError`.
+
+Morphism checks, the intertwining condition of a representation and the
+cobrackets of ``twist`` and ``transport_structure`` run on the two
+morphism kernels of :mod:`hlsb.structures`: ``_bracket_morphism`` for
+f([x, y]) - [f(x), f(y)] and ``_cobracket_morphism`` for delta(f(x)) -
+(f (x) f) delta(x).
 """
 
 from __future__ import annotations
@@ -17,9 +23,12 @@ from .structures import (
     Violation,
     _bracket_cells,
     _bracket_into,
+    _bracket_morphism,
     _cobracket_cells,
+    _cobracket_morphism,
     _delta_cells,
     _group,
+    _morphism_pairs,
     delta1,
 )
 from .superlinear import (
@@ -35,53 +44,28 @@ def check_algebra_morphism(f, src, dst):
     if f.src != src.basis or f.dst != dst.basis:
         raise DimensionMismatchError("map bases do not match the structures")
     violations = []
-    n = src.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = f.apply(src.bracket_of(i, j))
-            rhs = dst.bracket_vectors(f.column(i), f.column(j))
-            r = [a - b for a, b in zip(lhs, rhs)]
-            if any(r):
-                violations.append(Violation("bracket-morphism", (i, j), r))
-    violations.extend(_intertwine_violations(f, src, dst))
-    return CheckReport("algebra-morphism", violations)
-
-
-def check_coalgebra_morphism(f, src, dst):
-    """Is f a morphism of cobracket structures?"""
-    if f.src != src.basis or f.dst != dst.basis:
-        raise DimensionMismatchError("map bases do not match the structures")
-    violations = []
-    for i in range(src.dim):
-        r = dst.delta_vector(f.column(i)) - src.delta(i).apply_all(f)
-        if not r.is_zero():
-            violations.append(Violation("cobracket-morphism", (i,), r))
-    violations.extend(_intertwine_violations(f, src, dst))
-    return CheckReport("coalgebra-morphism", violations)
-
-
-def _intertwine_violations(f, src, dst):
-    """f o alpha_src - alpha_dst o f, reported if nonzero."""
+    for i, j in _morphism_pairs(src, dst, f):
+        r = [f.ring.zero()] * dst.dim
+        _bracket_morphism(r, f._cols, src._rows, dst._rows, f._cols, f._cols, i, j, False)
+        if any(r):
+            violations.append(Violation("bracket-morphism", (i, j), r))
     diff = _map_cells(f.compose(src.alpha))
     for idx, v in _map_cells(dst.alpha.compose(f)).items():
         _add_at(diff, idx, -v)
-    if not diff:
-        return []
-    residual = _filled(diff, (dst.dim, src.dim), f.ring.zero())
-    return [Violation("twist-intertwine", (), residual)]
+    if diff:
+        residual = _filled(diff, (dst.dim, src.dim), f.ring.zero())
+        violations.append(Violation("twist-intertwine", (), residual))
+    return CheckReport("algebra-morphism", violations)
 
 
 def check_bialgebra_morphism(f, src, dst):
-    ra = check_algebra_morphism(f, src.algebra, dst.algebra)
-    rc = check_coalgebra_morphism(f, src.coalgebra, dst.coalgebra)
-    seen = {}
-    merged = []
-    for v in ra.violations + rc.violations:
-        key = (v.axiom, v.indices)
-        if key not in seen:
-            seen[key] = True
-            merged.append(v)
-    return CheckReport("bialgebra-morphism", merged)
+    """check_algebra_morphism, then f's cobracket-morphism residuals."""
+    violations = check_algebra_morphism(f, src.algebra, dst.algebra).violations
+    for i, plane in enumerate(src.coalgebra._planes):
+        r = _cobracket_morphism(dst.coalgebra, f._cols[i], f, plane)
+        if not r.is_zero():
+            violations.append(Violation("cobracket-morphism", (i,), r))
+    return CheckReport("bialgebra-morphism", violations)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +94,8 @@ def twist(bialgebra, beta, verify=True):
     for (i, j, k), v in _bracket_cells(B.algebra).items():
         for (m,), b in beta._cols[k]:
             _add_at(bracket, (i, j, m), b * v)
-    cobracket = _delta_cells([B.coalgebra.delta_vector(beta.column(i)) for i in range(B.dim)])
+    cobracket = _delta_cells([_cobracket_morphism(B.coalgebra, col, None, ())
+                              for col in beta._cols])
     return HomSuperBialgebra(B.ring, B.basis, bracket, cobracket,
                              beta.compose(B.alpha))
 
@@ -202,8 +187,8 @@ def transport_structure(bialgebra, f):
     bracket = {}
     for (a, b, k), v in _bracket_cells(B.algebra).items():
         _add_products(bracket, v, [rows_of_g[a], rows_of_g[b], f._cols[k]])
-    cobracket = _delta_cells([B.coalgebra.delta_vector(g.column(i)).apply_all(f)
-                              for i in range(basis.dim)])
+    cobracket = _delta_cells([_cobracket_morphism(B.coalgebra, col, None, ()).apply_all(f)
+                              for col in g._cols])
     alpha = f.compose(B.alpha).compose(g)
     return HomSuperBialgebra(B.ring, basis, bracket, cobracket, alpha)
 
@@ -354,11 +339,8 @@ class Representation:
         return [[cols[j][i] if j in cols else zero for j in range(d)] for i in range(d)]
 
     def _intertwine_into(self, col, c, i):
-        beta = self.module_map._cols
-        _bracket_into(self._rows, col, self.algebra.alpha._cols[i], beta[c])
-        for (k,), v in self._rows[i][c]:
-            for (m,), b in beta[k]:
-                col[m] = col[m] - b * v
+        beta, rows = self.module_map._cols, self._rows
+        _bracket_morphism(col, beta, rows, rows, self.algebra.alpha._cols, beta, i, c, True)
 
     def _action_into(self, col, c, i, j):
         A, rows = self.algebra, self._rows
@@ -525,7 +507,7 @@ def _require_dual_shape(g, gstar):
         raise RingMismatchError("the two halves live over different rings")
     if g.basis.parities != gstar.basis.parities:
         raise HypothesisError("dual-space partner must have the same parities")
-    if gstar.alpha.matrix != tuple(zip(*g.alpha.matrix)):
+    if gstar.alpha._cols != g.alpha.transpose()._cols:
         raise HypothesisError("dual-space partner must carry the transposed "
                               "structure map")
 

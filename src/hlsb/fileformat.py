@@ -223,6 +223,8 @@ def loads_definition(text):
     except json.JSONDecodeError as exc:
         raise ParseError("not valid JSON: %s" % exc, text=text,
                          pos=getattr(exc, "pos", None))
+    except RecursionError:
+        raise ParseError("JSON nested too deeply to decode") from None
     return parse_definition(data)
 
 

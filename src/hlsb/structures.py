@@ -21,6 +21,16 @@ follows the nonzero constants.  The
 ``bracket``, ``cobracket`` and ``alpha.matrix`` attributes are read-only
 nested-tuple views, built on first use.
 
+Every condition on a structure map is a morphism condition, and two
+kernels compute them all.  ``_bracket_morphism`` adds f([e_i, e_j]) -
+[f(e_i), f(e_j)] into a vector (with ``_morphism_pairs`` naming the pairs
+where it can be nonzero); it gives multiplicativity of alpha, the
+bracket half of a morphism check and a representation's intertwining
+columns.  ``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f)
+delta(e_i): comultiplicativity, the cobracket half of a morphism check,
+``delta_vector`` and the twisted cobrackets of
+:mod:`hlsb.constructions`.
+
 Nothing is validated eagerly beyond shapes and ring membership: the point
 of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
@@ -31,7 +41,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatchError, HypothesisError
 from .superlinear import (
-    EvenMap, SuperBasis, Tensor2, Tensor3, _add_products, _frozen, _grid, _lift_cells,
+    EvenMap, Tensor2, Tensor3, _add_products, _frozen, _grid, _lift_cells,
     _sparse, _TensorBase, cyclic_sum, koszul_sign, tau)
 
 
@@ -159,6 +169,41 @@ def _bracket_into(rows, out, xs, ys, negate=False):
                     out[k] = out[k] + c * v
 
 
+def _morphism_pairs(src, dst, f):
+    """The ordered pairs (i, j) whose bracket-morphism residual for f from
+    src to dst can be nonzero: [e_i, e_j] or [f(e_i), f(e_j)] is."""
+    rows, cols = dst._rows, f._cols
+    return [(i, j) for i, plane in enumerate(src._rows) for j, row in enumerate(plane)
+            if row or any(rows[a][b] for (a,), _ in cols[i] for (b,), _ in cols[j])]
+
+
+def _bracket_morphism(out, image, src_rows, dst_rows, left, right, i, j, negate):
+    """out += image([e_i, e_j]) - [left(e_i), right(e_j)], or -= if
+    *negate*, for bracket (or action) rows *src_rows* and *dst_rows* and
+    sparse map columns *image*, *left* and *right*.  With all three the
+    columns of f it is f's bracket-morphism residual at (i, j), which for
+    f = alpha is multiplicativity; with action rows, left = alpha and
+    image = right = the module map it is an intertwining column."""
+    for (k,), v in src_rows[i][j]:
+        for (m,), a in image[k]:
+            out[m] = out[m] - a * v if negate else out[m] + a * v
+    _bracket_into(dst_rows, out, left[i], right[j], not negate)
+
+
+def _cobracket_morphism(dst, x, f, plane):
+    """delta_dst(x) - (f (x) f)(plane) as a Tensor2 on dst's basis, for a
+    sparse vector x of ((m,), value) pairs and a delta plane of ((j, k),
+    value) pairs.  With x = f(e_i), f's sparse column, and plane =
+    delta_src(e_i) it is f's cobracket-morphism residual at e_i; with an
+    empty plane it is delta_dst(x) alone."""
+    cells = {}
+    for (m,), c in x:
+        _add_products(cells, c, [dst._planes[m]])
+    for (a, b), v in plane:
+        _add_products(cells, -v, [f._cols[a], f._cols[b]])
+    return Tensor2._wrap(dst.ring, dst.basis, cells)
+
+
 def _bracket_cells(algebra):
     """The nonzero bracket constants as {(i, j, k): value}."""
     return {(i, j, k): v for i, plane in enumerate(algebra._rows)
@@ -203,12 +248,6 @@ class HomSuperAlgebra:
             out[k] = v
         return out
 
-    def bracket_vectors(self, x, y):
-        """The bracket of two coefficient vectors (bilinear extension)."""
-        out = [self.ring.zero()] * self.dim
-        _bracket_into(self._rows, out, _sparse(x, 1), _sparse(y, 1))
-        return out
-
     # -- residuals -------------------------------------------------------
 
     def grading_violations(self):
@@ -242,20 +281,10 @@ class HomSuperAlgebra:
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
         cols = self.alpha._cols
         out = [self.ring.zero()] * self.dim
-        for (k,), v in self._rows[i][j]:
-            for (m,), a in cols[k]:
-                out[m] = out[m] + a * v
-        _bracket_into(self._rows, out, cols[i], cols[j], negate=True)
+        _bracket_morphism(out, cols, self._rows, self._rows, cols, cols, i, j, False)
         return out
 
     # -- checks ----------------------------------------------------------
-
-    def _mult_pairs(self):
-        """The ordered pairs (i, j) whose multiplicativity residual can be
-        nonzero: [e_i, e_j] or a bracket of the alpha images is."""
-        rows, cols, n = self._rows, self.alpha._cols, self.dim
-        return [(i, j) for i in range(n) for j in range(n)
-                if rows[i][j] or any(rows[a][b] for (a,), _ in cols[i] for (b,), _ in cols[j])]
 
     def check(self, multiplicative=False):
         violations = list(self.grading_violations())
@@ -276,14 +305,15 @@ class HomSuperAlgebra:
                         if any(r):
                             violations.append(Violation("jacobi", (i, j, k), r))
         if multiplicative:
-            for i, j in self._mult_pairs():
+            for i, j in _morphism_pairs(self, self, self.alpha):
                 r = self.mult_residual(i, j)
                 if any(r):
                     violations.append(Violation("multiplicative", (i, j), r))
         return CheckReport("hom-super-algebra", violations)
 
     def is_multiplicative(self):
-        return not any(any(self.mult_residual(i, j)) for i, j in self._mult_pairs())
+        return not any(any(self.mult_residual(i, j))
+                       for i, j in _morphism_pairs(self, self, self.alpha))
 
 
 class HomSuperCoalgebra:
@@ -324,11 +354,7 @@ class HomSuperCoalgebra:
 
     def delta_vector(self, x):
         """delta of a coefficient vector (linear extension), as a Tensor2."""
-        cells = {}
-        for m, c in enumerate(x):
-            if c:
-                _add_products(cells, c, [self._planes[m]])
-        return Tensor2._wrap(self.ring, self.basis, cells)
+        return _cobracket_morphism(self, _sparse(x, 1), None, ())
 
     def cojacobi_residual(self, i):
         """The graded cyclic sum of (alpha (x) delta) delta at e_i."""
@@ -336,8 +362,7 @@ class HomSuperCoalgebra:
 
     def comult_residual(self, i):
         """delta(alpha(e_i)) - (alpha (x) alpha) delta(e_i)."""
-        return (self.delta_vector(self.alpha.column(i))
-                - self.delta(i).apply_all(self.alpha))
+        return _cobracket_morphism(self, self.alpha._cols[i], self.alpha, self._planes[i])
 
     def check(self, comultiplicative=False):
         violations = list(self.grading_violations())

@@ -77,34 +77,33 @@ def yang_baxter_residual(algebra, r):
 # coboundary structures
 
 
-def _even_violation(r):
-    basis = r.basis
-    for i, j, v in r.items():
-        if (basis.parity(i) + basis.parity(j)) % 2:
-            return Violation("r-even", (i, j), v)
-    return None
-
-
-def coboundary_hypothesis_violations(algebra, r, name="r"):
-    """The hypotheses under which ad(r) is a usable cobracket candidate:
-    r even, alpha-fixed, skew under the graded flip, and the adjoint image
-    of its Yang-Baxter residual killed by the cube of the structure map."""
+def _tensor_hypotheses(algebra, r, defect, name, defect_name):
+    """r even, alpha-fixed and skew under the graded flip, and the adjoint
+    image of the 3-tensor *defect* killed by the cube of the structure map."""
     violations = []
-    bad = _even_violation(r)
-    if bad is not None:
-        violations.append(Violation(name + "-even", bad.indices, bad.residual))
+    p = algebra.basis.parities
+    odd = [(i, j, v) for i, j, v in r.items() if (p[i] + p[j]) % 2]
+    if odd:
+        violations.append(Violation(name + "-even", odd[0][:2], odd[0][2]))
     fixed = r.apply_all(algebra.alpha) - r
     if not fixed.is_zero():
         violations.append(Violation(name + "-alpha-fixed", (), fixed))
     skew = r + tau(r)
     if not skew.is_zero():
         violations.append(Violation(name + "-skew", (), skew))
-    yb = yang_baxter_residual(algebra, r)
     for i in range(algebra.dim):
-        image = ad_basis(algebra, i, yb).apply_all(algebra.alpha)
+        image = ad_basis(algebra, i, defect).apply_all(algebra.alpha)
         if not image.is_zero():
-            violations.append(Violation(name + "-adjoint-yang-baxter", (i,), image))
+            violations.append(Violation(name + "-adjoint-" + defect_name, (i,), image))
     return violations
+
+
+def coboundary_hypothesis_violations(algebra, r, name="r"):
+    """The hypotheses under which ad(r) is a usable cobracket candidate:
+    r even, alpha-fixed, skew under the graded flip, and the adjoint image
+    of its Yang-Baxter residual killed by the cube of the structure map."""
+    return _tensor_hypotheses(algebra, r, yang_baxter_residual(algebra, r), name,
+                              "yang-baxter")
 
 
 def coboundary_from_r(algebra, r):
@@ -196,22 +195,8 @@ def check_perturbation_hypotheses(bialgebra, t):
     reported in the details.
     """
     B = bialgebra
-    violations = []
-    bad = _even_violation(t)
-    if bad is not None:
-        violations.append(Violation("t-even", bad.indices, bad.residual))
-    fixed = t.apply_all(B.alpha) - t
-    if not fixed.is_zero():
-        violations.append(Violation("t-alpha-fixed", (), fixed))
-    skew = t + tau(t)
-    if not skew.is_zero():
-        violations.append(Violation("t-skew", (), skew))
     defect = perturbation_defect(B, t)
-    for i in range(B.dim):
-        image = ad_basis(B.algebra, i, defect).apply_all(B.alpha)
-        if not image.is_zero():
-            violations.append(Violation("t-adjoint-defect", (i,), image))
-    return CheckReport("perturbation", violations,
+    return CheckReport("perturbation", _tensor_hypotheses(B.algebra, t, defect, "t", "defect"),
                        details={"defect_vanishes": defect.is_zero()})
 
 

@@ -184,6 +184,54 @@ class DenseOracle:
         return self.reduce(terms)
 
 
+# -- morphisms ------------------------------------------------------------
+#
+# A map f between two oracles' spaces is a dense matrix f[u][a], the
+# coefficient of e_u in f(e_a).
+
+
+def _map_terms(f, terms, slot):
+    """f applied to one slot of unreduced terms."""
+    return [(coeff * f[u][idx[slot]], idx[:slot] + (u,) + idx[slot + 1:])
+            for coeff, idx in terms for u in range(len(f)) if f[u][idx[slot]]]
+
+
+def bracket_morphism(src, dst, f, i, j):
+    """f([e_i, e_j]) - [f(e_i), f(e_j)]."""
+    lhs = _map_terms(f, src.bracket1(src.basis_term(i), src.basis_term(j)), 0)
+    rhs = dst.bracket1(_map_terms(f, src.basis_term(i), 0), _map_terms(f, src.basis_term(j), 0))
+    return src.reduce(lhs + _neg(rhs))
+
+
+def cobracket_morphism(src, dst, f, i):
+    """delta(f(e_i)) - (f (x) f) delta(e_i)."""
+    lhs = dst.delta_slot(_map_terms(f, src.basis_term(i), 0), 0)
+    rhs = _map_terms(f, _map_terms(f, src.delta_of(i), 0), 1)
+    return src.reduce(lhs + _neg(rhs))
+
+
+def twist_intertwine(src, dst, f):
+    """f o alpha_src - alpha_dst o f as {(row, col): value}."""
+    terms = []
+    for a in range(src.n):
+        terms += [(c, (u, a)) for c, (u,) in _map_terms(f, src.alpha1(a), 0)]
+        image = _map_terms(f, src.basis_term(a), 0)
+        terms += [(-c, (u, a)) for c, (u,) in dst.apply_alpha(image, 0)]
+    return src.reduce(terms)
+
+
+def morphism_violations(src, dst, f):
+    """The violations check_bialgebra_morphism(f, src, dst) must report, in
+    order, as (axiom, indices, residual) with the intertwining residual
+    as the dict of its nonzero cells."""
+    out = [("bracket-morphism", (i, j), bracket_morphism(src, dst, f, i, j))
+           for i in range(src.n) for j in range(src.n)]
+    out.append(("twist-intertwine", (), twist_intertwine(src, dst, f)))
+    out += [("cobracket-morphism", (i,), cobracket_morphism(src, dst, f, i))
+            for i in range(src.n)]
+    return [v for v in out if v[2]]
+
+
 # -- actions and bilinear forms -----------------------------------------
 #
 # Violations are (axiom, indices, residual) triples in the order the

@@ -1,7 +1,10 @@
 import json
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hlsb.catalog import expand_variants, get_row
 from hlsb.cli import main
@@ -353,3 +356,119 @@ def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatc
     # alpha = id, so a pair's alpha images bracket only where the pair does
     assert calls["skew_residual"] == [(0, 1), (0, 3)]
     assert calls["mult_residual"] == [(0, 1), (0, 3), (1, 0), (3, 0)] * 2
+
+
+def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    path, _ = write_variant(tmp_path, "diagonal-1")
+    assert main(["construct", "dual", str(path), "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(["check", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def one_map_definition(tmp_path, alpha, parameters):
+    """A definition with zero bracket and cobracket and the given alpha,
+    so that every power of alpha is a bialgebra endomorphism."""
+    data = {"format_version": 1, "parameters": parameters,
+            "basis": [{"label": "e%d" % i, "parity": 0} for i in range(len(alpha))],
+            "alpha": alpha, "bracket": [], "cobracket": []}
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_twist_power_of_a_non_monomial_alpha_is_bounded(tmp_path, capsys):
+    path = one_map_definition(tmp_path, [["1+a"]], [{"name": "a"}])
+    out = tmp_path / "out.json"
+    for n in (1024, 16384):
+        start = time.perf_counter()
+        assert main(["construct", "twist", str(path), "--power", str(n),
+                     "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "MAX_POWER_SIZE" in capsys.readouterr().err
+    assert not out.exists()
+    # below the bound the power is computed: (1 + a)^3 = 1 + 3a + 3a^2 + a^3
+    assert main(["construct", "twist", str(path), "--power", "2", "--out", str(out)]) == 0
+    assert load_definition(out).bialgebra.alpha.matrix[0][0] == loads_definition(
+        json.dumps({"format_version": 1, "parameters": [{"name": "a"}],
+                    "basis": [{"label": "e0", "parity": 0}],
+                    "alpha": [["(1+a)^3"]]})).bialgebra.alpha.matrix[0][0]
+
+
+def test_twist_power_of_a_signed_monomial_alpha_is_not_bounded(tmp_path):
+    path = one_map_definition(tmp_path, [["a", "0"], ["0", "-a"]],
+                              [{"name": "a", "invertible": True}])
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert main(["construct", "twist", str(path), "--power", "1000000000",
+                 "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(out.read_text())["alpha"] == [["a^1000000001", "0"],
+                                                    ["0", "-a^1000000001"]]
+
+
+def _fuzz_seed():
+    """A valid definition of dim2 with a 2-tensor, a map and the adjoint
+    representation, as decoded JSON."""
+    v = expand_variants(get_row("dim2"))[1]
+    B = v.bialgebra
+    r = Tensor2.from_dict(v.ring, B.basis, {(0, 1): 1, (1, 0): -1})
+    defn = definition_from_bialgebra(B, tensors={
+        "r": r, "id": EvenMap.identity(v.ring, B.basis),
+        "ad": adjoint_representation(B.algebra)})
+    return json.loads(definition_text(defn))
+
+
+FUZZ_SEED = _fuzz_seed()
+DEEP = "__deep__"
+JUNK = [None, True, False, 0, 1, -1, 2, 10 ** 9, 2 ** 70, 1.5, "", "x", "e1", "1/0",
+        "a^", "((1)", "(" * 150 + "1" + ")" * 150, "-" * 5000 + "1", "2^1234567890",
+        "(1+b)^100000", [], [0], [0, 1, 1], [True, 0, 1, "1"], [0, 0, 9, "1"],
+        [[]], {}, {"kind": "map"}, {"label": "e1", "parity": 1}, DEEP]
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutated(mutations):
+    """FUZZ_SEED as JSON text after each (where, what) mutation: the node
+    at path number *where* (modulo the path count) is replaced by
+    JUNK[what], or deleted if *what* is len(JUNK); DEEP becomes 100 000
+    nested brackets."""
+    data = json.loads(json.dumps(FUZZ_SEED))
+    for where, what in mutations:
+        paths = list(_paths(data))[1:]
+        *parents, last = paths[where % len(paths)]
+        owner = data
+        for key in parents:
+            owner = owner[key]
+        if what == len(JUNK):
+            del owner[last]
+        else:
+            owner[last] = json.loads(json.dumps(JUNK[what]))
+    text = json.dumps(data)
+    return text.replace(json.dumps(DEEP), "[" * 100000 + "]" * 100000)
+
+
+@settings(max_examples=400, deadline=1000, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, len(JUNK))),
+                min_size=1, max_size=3))
+def test_check_on_a_mutated_definition_exits_0_1_or_2(tmp_path_factory, mutations):
+    path = tmp_path_factory.mktemp("fuzz") / "mutated.json"
+    path.write_text(_mutated(mutations))
+    assert main(["check", str(path)]) in (0, 1, 2)

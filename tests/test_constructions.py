@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_oracle import ActionOracle, FormOracle
+from dense_oracle import (
+    ActionOracle, DenseOracle, FormOracle, morphism_violations, t2_dict, vec_dict)
 from hlsb.catalog import concrete_variant, expand_variants, get_row
 from hlsb.constructions import (
     BilinearForm,
@@ -389,3 +390,53 @@ def test_action_and_form_violations_match_dense_oracle(data):
     assert _found(S.supersymmetry_violations()) == oracle.supersymmetry()
     assert _found(S.self_adjoint_violations(g.alpha)) == oracle.self_adjoint()
     assert _found(S.invariance_violations(g)) == oracle.invariance()
+
+
+@st.composite
+def two_bialgebras_and_a_map(draw):
+    """Two bialgebras on one basis and an even map between them, each a
+    few random cells; bracket and cobracket cells may break parity."""
+    n = draw(st.integers(1, 5))
+    p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    value = st.integers(-2, 2)
+
+    def cells(*dims, size):
+        return draw(st.dictionaries(st.tuples(*(st.integers(0, k - 1) for k in dims)),
+                                    value, max_size=size))
+
+    def even_map():
+        diag = {(i, i): draw(value) for i in range(n)}
+        return {**diag, **{(i, j): v for (i, j), v in cells(n, n, size=4).items()
+                           if p[i] == p[j]}}
+    basis = SuperBasis(p)
+    src, dst = (HomSuperBialgebra(QQ, basis, cells(n, n, n, size=8), cells(n, n, n, size=8),
+                                  even_map()) for _ in range(2))
+    return src, dst, EvenMap(QQ, basis, basis, even_map())
+
+
+def _morphism_found(violations):
+    """Violations as (axiom, indices, residual), each residual as the dict
+    of its nonzero cells."""
+    out = []
+    for v in violations:
+        r = v.residual
+        if v.axiom == "bracket-morphism":
+            r = vec_dict(r)
+        elif v.axiom == "cobracket-morphism":
+            r = t2_dict(r)
+        else:
+            r = {(i, j): x for i, row in enumerate(r) for j, x in enumerate(row) if x}
+        out.append((v.axiom, v.indices, r))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(two_bialgebras_and_a_map())
+def test_morphism_residuals_match_the_dense_oracle(data):
+    src, dst, f = data
+    oracles = [DenseOracle(QQ, B.basis.parities, bracket=B.bracket, cobracket=B.cobracket,
+                           alpha=B.alpha.matrix) for B in (src, dst)]
+    expected = morphism_violations(*oracles, f.matrix)
+    assert _morphism_found(check_bialgebra_morphism(f, src, dst).violations) == expected
+    assert (_morphism_found(check_algebra_morphism(f, src.algebra, dst.algebra).violations)
+            == [v for v in expected if v[0] != "cobracket-morphism"])
