@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalar import ParamRing
-from .structures import CheckReport, HomSuperBialgebra, _bracket_cells, _cobracket_cells
+from .structures import (
+    CheckReport, HomSuperBialgebra, _bracket_cells, _cobracket_cells, _prefixed)
 from .superlinear import SuperBasis, _add_at, _map_cells, koszul_sign
 
 
@@ -200,11 +201,7 @@ def verify_row(row):
     labels = []
     for variant in expand_variants(row):
         labels.append(variant.label)
-        report = verify_variant(variant)
-        for v in report.violations:
-            merged.violations.append(
-                type(v)("%s:%s" % (variant.label, v.axiom), v.indices,
-                        v.residual))
+        merged.violations += _prefixed(variant.label + ":", verify_variant(variant).violations)
     merged.details["variants"] = tuple(labels)
     merged.details["multiplicative"] = row.multiplicative
     return merged

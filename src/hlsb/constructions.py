@@ -29,6 +29,9 @@ from .structures import (
     _delta_cells,
     _group,
     _morphism_pairs,
+    _odd_cells,
+    _prefixed,
+    _violations,
     delta1,
 )
 from .superlinear import (
@@ -43,12 +46,11 @@ def check_algebra_morphism(f, src, dst):
     """Is f a morphism of bracket structures (bracket- and twist-compatible)?"""
     if f.src != src.basis or f.dst != dst.basis:
         raise DimensionMismatchError("map bases do not match the structures")
-    violations = []
-    for i, j in _morphism_pairs(src, dst, f):
-        r = [f.ring.zero()] * dst.dim
-        _bracket_morphism(r, f._cols, src._rows, dst._rows, f._cols, f._cols, i, j, False)
-        if any(r):
-            violations.append(Violation("bracket-morphism", (i, j), r))
+    cols = f._cols
+    violations = _violations(
+        "bracket-morphism", _morphism_pairs(src, dst, f),
+        lambda i, j: _bracket_morphism([f.ring.zero()] * dst.dim, cols, src._rows,
+                                       dst._rows, cols, cols, i, j, False))
     diff = _map_cells(f.compose(src.alpha))
     for idx, v in _map_cells(dst.alpha.compose(f)).items():
         _add_at(diff, idx, -v)
@@ -60,11 +62,10 @@ def check_algebra_morphism(f, src, dst):
 
 def check_bialgebra_morphism(f, src, dst):
     """check_algebra_morphism, then f's cobracket-morphism residuals."""
-    violations = check_algebra_morphism(f, src.algebra, dst.algebra).violations
-    for i, plane in enumerate(src.coalgebra._planes):
-        r = _cobracket_morphism(dst.coalgebra, f._cols[i], f, plane)
-        if not r.is_zero():
-            violations.append(Violation("cobracket-morphism", (i,), r))
+    planes = src.coalgebra._planes
+    violations = check_algebra_morphism(f, src.algebra, dst.algebra).violations + _violations(
+        "cobracket-morphism", [(i,) for i in range(src.dim)],
+        lambda i: _cobracket_morphism(dst.coalgebra, f._cols[i], f, planes[i]), bool)
     return CheckReport("bialgebra-morphism", violations)
 
 
@@ -315,11 +316,8 @@ class Representation:
         return out
 
     def grading_violations(self):
-        pm = self.algebra.basis.parities
         pv = self.module_basis.parities
-        return [Violation("action-grading", (m, i, j), v)
-                for (m, i, j), v in sorted(self._cells().items())
-                if (pv[j] + pm[m]) % 2 != pv[i]]
+        return _odd_cells("action-grading", self._cells(), (self.algebra.basis.parities, pv, pv))
 
     def _columns(self, into, *args):
         """The nonzero columns {j: vector} of the residual matrix whose
@@ -360,18 +358,22 @@ class Representation:
         return self._matrix(self._columns(self._action_into, i, j))
 
     def check(self):
-        violations = list(self.grading_violations())
-        n = self.algebra.dim
-        for i in range(n):
-            cols = self._columns(self._intertwine_into, i)
-            if cols:
-                violations.append(Violation("action-intertwine", (i,), self._matrix(cols)))
-        for i in range(n):
-            for j in range(n):
-                cols = self._columns(self._action_into, i, j)
-                if cols:
-                    violations.append(Violation("action-bracket", (i, j), self._matrix(cols)))
-        return CheckReport("representation", violations)
+        A = self.algebra
+        n = A.dim
+        # the intertwine residual at i needs rho(e_i) or rho(alpha(e_i)) nonzero,
+        # the action residual at (i, j) rho(e_i), rho(e_j) or [e_i, e_j]
+        acts = [any(plane) for plane in self._rows]
+        each = [(i,) for i in range(n)
+                if acts[i] or any(acts[m] for (m,), _ in A.alpha._cols[i])]
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if A._rows[i][j] or acts[i] or acts[j]]
+        found = (_violations("action-intertwine", each,
+                             lambda i: self._columns(self._intertwine_into, i), bool)
+                 + _violations("action-bracket", pairs,
+                               lambda i, j: self._columns(self._action_into, i, j), bool))
+        for v in found:
+            v.residual = self._matrix(v.residual)
+        return CheckReport("representation", self.grading_violations() + found)
 
 
 def adjoint_representation(algebra):
@@ -403,16 +405,10 @@ def check_admissible(algebra):
     for idx, v in _map_cells(A.alpha.power(2)).items():
         _add_at(defect, idx, -v)
     defect = EvenMap(A.ring, A.basis, A.basis, defect)._cols
-    violations = []
-    for i in range(n):
-        if not defect[i]:
-            continue
-        for j in range(n):
-            r = [A.ring.zero()] * n
-            _bracket_into(A._rows, r, defect[i], A.alpha._cols[j])
-            if any(r):
-                violations.append(Violation("admissible", (i, j), r))
-    return CheckReport("admissible", violations)
+    pairs = [(i, j) for i in range(n) if defect[i] for j in range(n)]
+    return CheckReport("admissible", _violations(
+        "admissible", pairs,
+        lambda i, j: _bracket_into(A._rows, [A.ring.zero()] * n, defect[i], A.alpha._cols[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +488,10 @@ class MatchedPair:
         return HomSuperAlgebra(ring, basis, bracket, alpha)
 
     def check(self, multiplicative=False):
-        violations = []
-        for prefix, rep in (("left-action:", self.left_action),
-                            ("right-action:", self.right_action)):
-            for v in rep.check().violations:
-                violations.append(Violation(prefix + v.axiom, v.indices, v.residual))
-        for v in self.double().check(multiplicative=multiplicative).violations:
-            violations.append(Violation("double:" + v.axiom, v.indices, v.residual))
-        return CheckReport("matched-pair", violations)
+        return CheckReport("matched-pair", (
+            _prefixed("left-action:", self.left_action.check().violations)
+            + _prefixed("right-action:", self.right_action.check().violations)
+            + _prefixed("double:", self.double().check(multiplicative=multiplicative).violations)))
 
 
 def _require_dual_shape(g, gstar):
@@ -577,21 +569,16 @@ class BilinearForm:
 
     def evenness_violations(self):
         p = self.basis.parities
-        return [Violation("form-even", (i, j), v)
-                for (i, j), v in sorted(self._cells.items()) if (p[i] + p[j]) % 2]
+        return _odd_cells("form-even", self._cells, (p, p))
 
     def supersymmetry_violations(self):
-        out = []
-        p = self.basis.parities
-        zero = self.ring.zero()
-        for i, j in sorted({(min(idx), max(idx)) for idx in self._cells}):
-            other = self._cells.get((j, i), zero)
-            if koszul_sign(p[i], p[j]) == -1:
-                other = -other
-            r = self._cells.get((i, j), zero) - other
-            if r:
-                out.append(Violation("form-supersymmetric", (i, j), r))
-        return out
+        p, cells, zero = self.basis.parities, self._cells, self.ring.zero()
+
+        def residual(i, j):
+            other = cells.get((j, i), zero)
+            return cells.get((i, j), zero) - (other if koszul_sign(p[i], p[j]) == 1 else -other)
+        return _violations("form-supersymmetric",
+                           sorted({(min(idx), max(idx)) for idx in cells}), residual, bool)
 
     def self_adjoint_violations(self, alpha):
         """S(alpha(e_i), e_j) - S(e_i, alpha(e_j)), reported if nonzero."""
@@ -653,17 +640,14 @@ def manin_supertriple(g, gstar, multiplicative=False):
         cells[i, n + i] = -one if g.basis.parity(i) else one
         cells[n + i, i] = one
     form = BilinearForm(g.ring, double.basis, cells)
-    violations = []
-    for v in double.check(multiplicative=multiplicative).violations:
-        violations.append(Violation("double:" + v.axiom, v.indices, v.residual))
-    violations.extend(form.evenness_violations())
-    violations.extend(form.supersymmetry_violations())
-    violations.extend(form.self_adjoint_violations(double.alpha))
-    violations.extend(form.invariance_violations(double))
+    violations = (_prefixed("double:", double.check(multiplicative=multiplicative).violations)
+                  + form.evenness_violations() + form.supersymmetry_violations()
+                  + form.self_adjoint_violations(double.alpha)
+                  + form.invariance_violations(double))
     # cells within one half, (i, j) before (n + i, n + j)
-    for a, b in sorted(form._cells, key=lambda ab: (ab[0] % n, ab[1] % n, ab)):
-        if a // n == b // n:
-            violations.append(Violation("half-isotropic", (a, b), form._cells[a, b]))
+    violations += [Violation("half-isotropic", (a, b), form._cells[a, b])
+                   for a, b in sorted(form._cells, key=lambda ab: (ab[0] % n, ab[1] % n, ab))
+                   if a // n == b // n]
     if not form.is_nondegenerate():
         violations.append(Violation("form-nondegenerate", (), form.determinant()))
     report = CheckReport("invariant-pairing-double", violations)
@@ -741,17 +725,10 @@ def check_dual_pair(g, gstar, convention="koszul", multiplicative=False):
     both pairings; it should be the convention gstar was dualized with.
     """
     _require_dual_shape(g, gstar)
-    violations = []
-    for v in g.check(multiplicative=multiplicative).violations:
-        violations.append(Violation("primal:" + v.axiom, v.indices, v.residual))
-    for v in gstar.check(multiplicative=multiplicative).violations:
-        violations.append(Violation("dual:" + v.axiom, v.indices, v.residual))
-    for v in check_admissible(g).violations:
-        violations.append(Violation("primal-" + v.axiom, v.indices, v.residual))
-    for v in check_admissible(gstar).violations:
-        violations.append(Violation("dual-" + v.axiom, v.indices, v.residual))
-    violations.extend(_pairing_cocycle_violations(
-        g, gstar, convention, True, "pairing-cocycle"))
-    violations.extend(_pairing_cocycle_violations(
-        gstar, g, convention, False, "dual-pairing-cocycle"))
-    return CheckReport("dual-pair", violations)
+    return CheckReport("dual-pair", (
+        _prefixed("primal:", g.check(multiplicative=multiplicative).violations)
+        + _prefixed("dual:", gstar.check(multiplicative=multiplicative).violations)
+        + _prefixed("primal-", check_admissible(g).violations)
+        + _prefixed("dual-", check_admissible(gstar).violations)
+        + _pairing_cocycle_violations(g, gstar, convention, True, "pairing-cocycle")
+        + _pairing_cocycle_violations(gstar, g, convention, False, "dual-pairing-cocycle")))

@@ -34,10 +34,19 @@ delta(e_i): comultiplicativity, the cobracket half of a morphism check,
 Nothing is validated eagerly beyond shapes and ring membership: the point
 of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
-listing every violated axiom with the exact symbolic residual.
+listing every violated axiom with the exact symbolic residual.  Every
+check of the package builds that list through three helpers:
+``_violations`` evaluates a residual at each index tuple and keeps the
+nonzero ones (a coefficient vector is nonzero if ``any`` entry is, and a
+tensor is falsy exactly when it is zero), ``_odd_cells`` reports the
+constants whose indices have odd total parity, and ``_prefixed`` relabels
+the violations of a sub-report.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from operator import getitem
 
 from .errors import DimensionMismatchError, HypothesisError
 from .superlinear import (
@@ -67,6 +76,26 @@ class Violation:
 
     def __repr__(self):
         return "%s%r: %s" % (self.axiom, self.indices, self._residual_str())
+
+
+def _violations(axiom, indices, residual, nonzero=any):
+    """One Violation per index tuple idx of *indices* at which
+    ``residual(*idx)`` is nonzero, as judged by *nonzero*: ``any`` for a
+    coefficient vector, ``bool`` for a tensor or a scalar."""
+    return [Violation(axiom, idx, r) for idx in indices if nonzero(r := residual(*idx))]
+
+
+def _odd_cells(axiom, cells, slot_parities):
+    """One Violation per cell of *cells*, {index tuple: value}, whose
+    indices have odd total parity, the parity of slot s read from
+    ``slot_parities[s]``; in sorted order."""
+    return [Violation(axiom, idx, v) for idx, v in sorted(cells.items())
+            if sum(map(getitem, slot_parities, idx)) % 2]
+
+
+def _prefixed(prefix, violations):
+    """The violations with *prefix* put before each axiom name."""
+    return [Violation(prefix + v.axiom, v.indices, v.residual) for v in violations]
 
 
 class CheckReport:
@@ -158,7 +187,7 @@ def _bracket_into(rows, out, xs, ys, negate=False):
     """out += [x, y], or -= if *negate*, for sparse vectors of ((index,),
     value) pairs such as alpha columns and bracket rows.  *rows* is an
     algebra's bracket rows, or the columns ``rho(e_i) e_j`` of an action,
-    which then gives out += rho(x) y."""
+    which then gives out += rho(x) y.  Returns out."""
     for (i,), x in xs:
         row_i = rows[i]
         for (j,), y in ys:
@@ -167,6 +196,7 @@ def _bracket_into(rows, out, xs, ys, negate=False):
                 c = -(x * y) if negate else x * y
                 for (k,), v in row:
                     out[k] = out[k] + c * v
+    return out
 
 
 def _morphism_pairs(src, dst, f):
@@ -183,11 +213,12 @@ def _bracket_morphism(out, image, src_rows, dst_rows, left, right, i, j, negate)
     sparse map columns *image*, *left* and *right*.  With all three the
     columns of f it is f's bracket-morphism residual at (i, j), which for
     f = alpha is multiplicativity; with action rows, left = alpha and
-    image = right = the module map it is an intertwining column."""
+    image = right = the module map it is an intertwining column.  Returns
+    out."""
     for (k,), v in src_rows[i][j]:
         for (m,), a in image[k]:
             out[m] = out[m] - a * v if negate else out[m] + a * v
-    _bracket_into(dst_rows, out, left[i], right[j], not negate)
+    return _bracket_into(dst_rows, out, left[i], right[j], not negate)
 
 
 def _cobracket_morphism(dst, x, f, plane):
@@ -252,9 +283,7 @@ class HomSuperAlgebra:
 
     def grading_violations(self):
         p = self.basis.parities
-        return [Violation("bracket-grading", (i, j, k), v)
-                for i, plane in enumerate(self._rows) for j, row in enumerate(plane)
-                for (k,), v in row if (p[i] + p[j]) % 2 != p[k]]
+        return _odd_cells("bracket-grading", _bracket_cells(self), (p, p, p))
 
     def skew_residual(self, i, j):
         """[e_i,e_j] + (-1)^{|e_i||e_j|} [e_j,e_i]."""
@@ -280,35 +309,23 @@ class HomSuperAlgebra:
     def mult_residual(self, i, j):
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
         cols = self.alpha._cols
-        out = [self.ring.zero()] * self.dim
-        _bracket_morphism(out, cols, self._rows, self._rows, cols, cols, i, j, False)
-        return out
+        return _bracket_morphism([self.ring.zero()] * self.dim, cols, self._rows,
+                                 self._rows, cols, cols, i, j, False)
 
     # -- checks ----------------------------------------------------------
 
     def check(self, multiplicative=False):
-        violations = list(self.grading_violations())
         n = self.dim
         rows = self._rows
-        for i in range(n):
-            for j in range(i, n):
-                if rows[i][j] or rows[j][i]:
-                    r = self.skew_residual(i, j)
-                    if any(r):
-                        violations.append(Violation("skew", (i, j), r))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    # each hop of the cyclic sum brackets one of these rows
-                    if rows[j][k] or rows[i][j] or rows[k][i]:
-                        r = self.jacobi_residual(i, j, k)
-                        if any(r):
-                            violations.append(Violation("jacobi", (i, j, k), r))
+        pairs = [(i, j) for i in range(n) for j in range(i, n) if rows[i][j] or rows[j][i]]
+        # each hop of the cyclic sum brackets one of these rows
+        triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
+                   if rows[j][k] or rows[i][j] or rows[k][i]]
+        violations = (self.grading_violations() + _violations("skew", pairs, self.skew_residual)
+                      + _violations("jacobi", triples, self.jacobi_residual))
         if multiplicative:
-            for i, j in _morphism_pairs(self, self, self.alpha):
-                r = self.mult_residual(i, j)
-                if any(r):
-                    violations.append(Violation("multiplicative", (i, j), r))
+            violations += _violations("multiplicative", _morphism_pairs(self, self, self.alpha),
+                                      self.mult_residual)
         return CheckReport("hom-super-algebra", violations)
 
     def is_multiplicative(self):
@@ -343,9 +360,7 @@ class HomSuperCoalgebra:
 
     def grading_violations(self):
         p = self.basis.parities
-        return [Violation("cobracket-grading", (i, j, k), v)
-                for i, plane in enumerate(self._planes)
-                for (j, k), v in plane if p[i] != (p[j] + p[k]) % 2]
+        return _odd_cells("cobracket-grading", _cobracket_cells(self), (p, p, p))
 
     def coskew_residual(self, i):
         """(1 + tau) delta(e_i)."""
@@ -365,24 +380,16 @@ class HomSuperCoalgebra:
         return _cobracket_morphism(self, self.alpha._cols[i], self.alpha, self._planes[i])
 
     def check(self, comultiplicative=False):
-        violations = list(self.grading_violations())
-        for i in range(self.dim):
-            r = self.coskew_residual(i)
-            if not r.is_zero():
-                violations.append(Violation("coskew", (i,), r))
-        for i in range(self.dim):
-            r = self.cojacobi_residual(i)
-            if not r.is_zero():
-                violations.append(Violation("cojacobi", (i,), r))
+        each = [(i,) for i in range(self.dim)]
+        violations = (self.grading_violations()
+                      + _violations("coskew", each, self.coskew_residual, bool)
+                      + _violations("cojacobi", each, self.cojacobi_residual, bool))
         if comultiplicative:
-            for i in range(self.dim):
-                r = self.comult_residual(i)
-                if not r.is_zero():
-                    violations.append(Violation("comultiplicative", (i,), r))
+            violations += _violations("comultiplicative", each, self.comult_residual, bool)
         return CheckReport("hom-super-coalgebra", violations)
 
     def is_comultiplicative(self):
-        return not any(not self.comult_residual(i).is_zero() for i in range(self.dim))
+        return not any(self.comult_residual(i) for i in range(self.dim))
 
 
 def _alpha_beside_delta(coalgebra, r, delta_first):
@@ -423,6 +430,9 @@ def ad_action(algebra, x, t):
     if not isinstance(t, _TensorBase):
         raise TypeError("ad_action expects a Tensor2 or Tensor3")
     coeffs, parity = x
+    if len(coeffs) != algebra.dim:
+        raise DimensionMismatchError("vector length %d, expected %d"
+                                     % (len(coeffs), algebra.dim))
     return _ad_sparse(algebra, _sparse(coeffs, 1), parity, t)
 
 
@@ -502,15 +512,12 @@ class HomSuperBialgebra:
         return _compat_residual(self.algebra, deltas, i, j)
 
     def check(self, multiplicative=False):
-        report_a = self.algebra.check(multiplicative=multiplicative)
-        report_c = self.coalgebra.check(comultiplicative=multiplicative)
-        violations = report_a.violations + report_c.violations
         deltas = [self.delta(k) for k in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                r = _compat_residual(self.algebra, deltas, i, j)
-                if not r.is_zero():
-                    violations.append(Violation("compatibility", (i, j), r))
+        violations = (self.algebra.check(multiplicative=multiplicative).violations
+                      + self.coalgebra.check(comultiplicative=multiplicative).violations
+                      + _violations("compatibility", product(range(self.dim), repeat=2),
+                                    lambda i, j: _compat_residual(self.algebra, deltas, i, j),
+                                    bool))
         return CheckReport("hom-super-bialgebra", violations)
 
 

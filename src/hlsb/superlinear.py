@@ -271,6 +271,7 @@ class _TensorBase:
     """An element of the rank-fold tensor power of V, stored sparsely as
     ``{(i, j, ...): coefficient of e_i (x) e_j (x) ...}``.  No zero is
     stored, so each operation costs in proportion to the nonzero cells.
+    A tensor is falsy exactly when it is zero.
 
     *entries* is a dense nested-list grid of depth ``rank`` or a dict of
     cells.  The ``entries`` attribute is a dense compatibility view:
@@ -374,6 +375,9 @@ class _TensorBase:
     def is_zero(self):
         return not self._cells
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -416,6 +420,9 @@ class Tensor3(_TensorBase):
 def _permuted(t, order):
     """The tensor whose slot k holds slot order[k] of t, with the Koszul
     sign of every pair of slots that changes places."""
+    if len(order) != t.rank:
+        raise TypeError("a %d-slot permutation cannot act on %s"
+                        % (len(order), type(t).__name__))
     p = t.basis.parities
     crossed = [(a, b) for k, a in enumerate(order) for b in order[k + 1:] if a > b]
     cells = {}

@@ -20,7 +20,8 @@ from fractions import Fraction
 from .errors import HypothesisError, ScalarError
 from .structures import (
     CheckReport,
-    Violation,
+    _odd_cells,
+    _violations,
     ad_basis,
     alpha_otimes_delta,
     bialgebra_from_deltas,
@@ -80,22 +81,12 @@ def yang_baxter_residual(algebra, r):
 def _tensor_hypotheses(algebra, r, defect, name, defect_name):
     """r even, alpha-fixed and skew under the graded flip, and the adjoint
     image of the 3-tensor *defect* killed by the cube of the structure map."""
-    violations = []
-    p = algebra.basis.parities
-    odd = [(i, j, v) for i, j, v in r.items() if (p[i] + p[j]) % 2]
-    if odd:
-        violations.append(Violation(name + "-even", odd[0][:2], odd[0][2]))
-    fixed = r.apply_all(algebra.alpha) - r
-    if not fixed.is_zero():
-        violations.append(Violation(name + "-alpha-fixed", (), fixed))
-    skew = r + tau(r)
-    if not skew.is_zero():
-        violations.append(Violation(name + "-skew", (), skew))
-    for i in range(algebra.dim):
-        image = ad_basis(algebra, i, defect).apply_all(algebra.alpha)
-        if not image.is_zero():
-            violations.append(Violation(name + "-adjoint-" + defect_name, (i,), image))
-    return violations
+    p, alpha = algebra.basis.parities, algebra.alpha
+    return (_odd_cells(name + "-even", r._cells, (p, p))[:1]  # the first odd cell only
+            + _violations(name + "-alpha-fixed", [()], lambda: r.apply_all(alpha) - r, bool)
+            + _violations(name + "-skew", [()], lambda: r + tau(r), bool)
+            + _violations(name + "-adjoint-" + defect_name, [(i,) for i in range(algebra.dim)],
+                          lambda i: ad_basis(algebra, i, defect).apply_all(alpha), bool))
 
 
 def coboundary_hypothesis_violations(algebra, r, name="r"):
@@ -121,12 +112,9 @@ def coboundary_from_r(algebra, r):
 def check_coboundary(bialgebra, r):
     """Is the bialgebra's cobracket exactly ad(r), hypotheses included?"""
     B = bialgebra
-    violations = coboundary_hypothesis_violations(B.algebra, r)
-    for i in range(B.dim):
-        residual = B.delta(i) - ad_basis(B.algebra, i, r)
-        if not residual.is_zero():
-            violations.append(Violation("coboundary", (i,), residual))
-    return CheckReport("coboundary-structure", violations)
+    return CheckReport("coboundary-structure", coboundary_hypothesis_violations(B.algebra, r)
+                       + _violations("coboundary", [(i,) for i in range(B.dim)],
+                                     lambda i: B.delta(i) - ad_basis(B.algebra, i, r), bool))
 
 
 class QuasiTriangularEquivalences:
@@ -165,11 +153,8 @@ def quasi_triangular_equivalences(bialgebra, r):
 
 def check_quasi_triangular(bialgebra, r):
     """Coboundary check plus vanishing of the Yang-Baxter residual."""
-    report = check_coboundary(bialgebra, r)
-    violations = list(report.violations)
-    yb = yang_baxter_residual(bialgebra.algebra, r)
-    if not yb.is_zero():
-        violations.append(Violation("yang-baxter", (), yb))
+    violations = check_coboundary(bialgebra, r).violations + _violations(
+        "yang-baxter", [()], lambda: yang_baxter_residual(bialgebra.algebra, r), bool)
     eq = quasi_triangular_equivalences(bialgebra, r)
     return CheckReport("quasi-triangular", violations,
                        details={"equivalences": eq.as_tuple()})

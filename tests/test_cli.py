@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hlsb.catalog import expand_variants, get_row
 from hlsb.cli import main
-from hlsb.constructions import adjoint_representation
+from hlsb.constructions import Representation, adjoint_representation
 from hlsb.fileformat import (
     MAX_DIMENSION,
     definition_from_bialgebra,
@@ -356,6 +356,23 @@ def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatc
     # alpha = id, so a pair's alpha images bracket only where the pair does
     assert calls["skew_residual"] == [(0, 1), (0, 3)]
     assert calls["mult_residual"] == [(0, 1), (0, 3), (1, 0), (3, 0)] * 2
+
+
+def test_wide_representation_check_evaluates_only_pairs_an_action_enters(monkeypatch):
+    rep = adjoint_representation(
+        loads_definition(json.dumps(wide_definition(32))).bialgebra.algebra)
+    calls = {"_intertwine_into": set(), "_action_into": set()}
+    for name, seen in calls.items():
+        into = getattr(Representation, name)
+        monkeypatch.setattr(Representation, name,
+                            lambda self, col, c, *args, seen=seen, into=into:
+                            seen.add(args) or into(self, col, c, *args))
+    assert rep.check().passed
+    acting = {0, 1, 3}  # the basis vectors with a nonzero bracket row
+    n = rep.algebra.dim
+    assert sorted(i for i, in calls["_intertwine_into"]) == [0, 1, 3]
+    pairs = {(i, j) for i in range(n) for j in range(n) if {i, j} & acting}
+    assert calls["_action_into"] == pairs and len(pairs) == 183
 
 
 def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):

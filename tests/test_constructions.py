@@ -3,12 +3,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (
     ActionOracle, DenseOracle, FormOracle, morphism_violations, t2_dict, vec_dict)
-from hlsb.catalog import concrete_variant, expand_variants, get_row
+from hlsb.catalog import catalog_list, concrete_variant, expand_variants, get_row
 from hlsb.constructions import (
     BilinearForm,
     MatchedPair,
@@ -210,6 +210,28 @@ def test_semidirect_product_with_adjoint_module():
     assert S.check().passed
 
 
+def test_representations_are_exactly_the_actions_with_a_valid_semidirect_product(rng):
+    """(rho, beta) is a representation of a multiplicative structure A
+    exactly when A (x| V passes check(multiplicative=True)."""
+    agree = {True: 0, False: 0}
+    for v in (v for row in catalog_list() for v in expand_variants(row)):
+        A = concrete_variant(v, rng=rng).algebra
+        if not A.check(multiplicative=True).passed:
+            continue
+        n = A.dim
+        adjoint = adjoint_representation(A)
+        cells = adjoint._cells()
+        for _ in range(2):
+            idx = (rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            cells[idx] = cells.get(idx, 0) + rng.choice((-1, 1))
+        for rep in (adjoint, dual_representation(adjoint),
+                    Representation(A, A.basis, A.alpha, cells)):
+            passed = rep.check().passed
+            assert semidirect_product(A, rep).check(multiplicative=True).passed == passed, v.ident
+            agree[passed] += 1
+    assert agree[True] > 50 and agree[False] > 50
+
+
 def test_transport_structure_gives_an_isomorphic_copy():
     B = diag_family()
     f = EvenMap.diagonal(B.ring, B.basis, [2, 3, 5])
@@ -369,6 +391,8 @@ def _found(violations):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(sparse_actions_and_forms())
+# rho(e_0) = 0 but rho(alpha(e_0)) = rho(e_1) != 0, so intertwining fails at 0
+@example(([0, 0], {}, {(1, 0): 1}, [0], {(0, 0): 1}, {(1, 0, 0): 1}, {}))
 def test_action_and_form_violations_match_dense_oracle(data):
     pm, bracket, alpha, pv, beta, action, form = data
     n, d = len(pm), len(pv)

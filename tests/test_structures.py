@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlsb.errors import HypothesisError
+from hlsb.errors import DimensionMismatchError, HypothesisError
 from hlsb.scalar import ParamRing, Scalar
 from hlsb.structures import (
     HomSuperAlgebra,
@@ -318,6 +318,18 @@ def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict):
         want = oracle.reduce(oracle.ad([(v, (m,)) for m, v in enumerate(x) if v], q,
                                        [(row[-1], tuple(row[:-1])) for row in t.items()]))
         assert residual_dict(ad_action(alg, (x, q), t)) == want
+
+
+def test_ad_action_refuses_a_short_vector():
+    ring, B = dim2_family()
+    with pytest.raises(DimensionMismatchError):
+        ad_action(B.algebra, ([ring.one()], 0), Tensor2.from_dict(ring, B.basis, {(0, 1): 1}))
+
+
+def test_ad_action_refuses_a_long_vector():
+    ring, B = dim2_family()
+    with pytest.raises(DimensionMismatchError):
+        ad_action(B.algebra, ([ring.one()] * 3, 0), Tensor2.from_dict(ring, B.basis, {(0, 1): 1}))
 
 
 def test_check_on_zero_constants_multiplies_nothing(monkeypatch):

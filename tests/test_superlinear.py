@@ -227,6 +227,16 @@ def test_apply_rejects_a_slot_past_the_rank():
             tensor.apply(f, tensor.rank)
 
 
+def test_tau_refuses_a_tensor3():
+    with pytest.raises(TypeError):
+        tau(Tensor3.from_dict(QQ, B, {(0, 1, 2): 1}))
+
+
+def test_xi_refuses_a_tensor2():
+    with pytest.raises(TypeError):
+        xi(Tensor2.from_dict(QQ, B, {(0, 1): 1}))
+
+
 def test_entries_view_stays_consistent_with_the_sparse_cells():
     t = Tensor2.from_dict(QQ, B, {(0, 1): 2, (2, 3): -1})
     assert t.items() == [(0, 1, 2), (2, 3, -1)]
@@ -247,7 +257,7 @@ def test_cancellation_stores_no_cell():
     t = Tensor2.from_dict(QQ, B, {(0, 0): 1, (2, 3): Fraction(-3, 2)})
     zero = t - t
     assert zero._cells == {} and zero.items() == []
-    assert zero.is_zero()
+    assert zero.is_zero() and not zero and t  # falsy exactly when zero
     assert repr(zero) == "Tensor2{}"
     assert Tensor2.from_dict(QQ, B, {(1, 1): 0}).items() == []
     assert t.scale(0)._cells == {}
