@@ -28,7 +28,7 @@ from .fileformat import (
     definition_text,
     load_definition,
 )
-from .scalar import MAX_POWER_SIZE, Scalar, _power_size
+from .scalar import MAX_POWER_SIZE, _absolute_sum, _power_size
 from .structures import HomSuperBialgebra, _bracket_cells
 from .superlinear import EvenMap, Tensor2
 from .yangbaxter import coboundary_from_r, perturb_cobracket
@@ -104,8 +104,7 @@ def _bound_power(alpha, n):
     cols = alpha._cols
     if all(len(col) <= 1 and all(_power_size(v, n) == 0 for _, v in col) for col in cols):
         return
-    S = sum((Scalar(alpha.ring, {e: abs(c) for e, c in v.terms.items()})
-             for col in cols for _, v in col), alpha.ring.zero())
+    S = _absolute_sum(alpha.ring, (v for col in cols for _, v in col))
     if _power_size(S, n) > MAX_POWER_SIZE:
         raise ParseError("--power %d: alpha^%d may be larger than MAX_POWER_SIZE = %d"
                          % (n, n, MAX_POWER_SIZE))

@@ -319,12 +319,13 @@ class Representation:
         pv = self.module_basis.parities
         return _odd_cells("action-grading", self._cells(), (self.algebra.basis.parities, pv, pv))
 
-    def _columns(self, into, *args):
-        """The nonzero columns {j: vector} of the residual matrix whose
-        column c ``into(col, c, *args)`` adds into a zero vector."""
+    def _columns(self, into, reach, *args):
+        """The nonzero columns {c: vector} of the residual matrix whose
+        column c ``into(col, c, *args)`` adds into a zero vector, for c in
+        *reach*, the columns that can be nonzero."""
         d = self.module_basis.dim
         cols = {}
-        for c in range(d):
+        for c in reach:
             col = [self.ring.zero()] * d
             into(col, c, *args)
             if any(col):
@@ -348,14 +349,34 @@ class Representation:
         _bracket_into(rows, col, alpha[i], rows[j][c], negate=True)
         _bracket_into(rows, col, alpha[j], rows[i][c], negate=s == -1)
 
+    def _intertwine_columns(self, i):
+        """The intertwine residual's columns at i, evaluated only where
+        rho(e_i) e_c or rho(alpha(e_i)) beta(e_c) can be nonzero."""
+        rows, beta = self._rows, self.module_map._cols
+        hit = {k for (m,), _ in self.algebra.alpha._cols[i]
+               for k, col in enumerate(rows[m]) if col}
+        reach = [c for c in range(self.module_basis.dim)
+                 if rows[i][c] or any(k in hit for (k,), _ in beta[c])]
+        return self._columns(self._intertwine_into, reach, i)
+
+    def _action_columns(self, i, j):
+        """The action residual's columns at (i, j), evaluated only where
+        rho(e_i) e_c or rho(e_j) e_c is nonzero, or both [e_i, e_j] and
+        beta(e_c) are."""
+        rows, beta = self._rows, self.module_map._cols
+        bracket = bool(self.algebra._rows[i][j])
+        reach = [c for c in range(self.module_basis.dim)
+                 if rows[i][c] or rows[j][c] or (bracket and beta[c])]
+        return self._columns(self._action_into, reach, i, j)
+
     def intertwine_residual(self, i):
         """rho(alpha(e_i)) o module_map - module_map o rho(e_i)."""
-        return self._matrix(self._columns(self._intertwine_into, i))
+        return self._matrix(self._intertwine_columns(i))
 
     def action_residual(self, i, j):
         """rho([e_i,e_j]) o module_map
         - (rho(alpha(e_i)) rho(e_j) - (-1)^{|e_i||e_j|} rho(alpha(e_j)) rho(e_i))."""
-        return self._matrix(self._columns(self._action_into, i, j))
+        return self._matrix(self._action_columns(i, j))
 
     def check(self):
         A = self.algebra
@@ -367,10 +388,8 @@ class Representation:
                 if acts[i] or any(acts[m] for (m,), _ in A.alpha._cols[i])]
         pairs = [(i, j) for i in range(n) for j in range(n)
                  if A._rows[i][j] or acts[i] or acts[j]]
-        found = (_violations("action-intertwine", each,
-                             lambda i: self._columns(self._intertwine_into, i), bool)
-                 + _violations("action-bracket", pairs,
-                               lambda i, j: self._columns(self._action_into, i, j), bool))
+        found = (_violations("action-intertwine", each, self._intertwine_columns, bool)
+                 + _violations("action-bracket", pairs, self._action_columns, bool))
         for v in found:
             v.residual = self._matrix(v.residual)
         return CheckReport("representation", self.grading_violations() + found)

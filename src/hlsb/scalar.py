@@ -14,6 +14,17 @@ integral ``Fraction``).  So equality is plain structural equality, the zero
 test is trivial, and the common integral constants multiply as machine
 integers.
 
+Each term is stored under one packed int key, sum(e_i * 2^(64*i)) over
+the ring's parameters, each exponent a signed 64-bit field (packed
+monomials as in Monagan and Pearce, "Sparse polynomial division using a
+heap", J. Symb. Comp. 2011): the constant monomial is 0, a monomial
+product adds keys and a monomial inverse negates its key.  So that no
+field spills into its neighbour, each scalar carries a bound on its
+largest |exponent|, and a product that may reach ``MAX_EXPONENT`` = 2^62
+in some parameter raises :class:`ScalarError`.  ``Scalar.terms`` is a
+read-only ``{exponent tuple: coeff}`` view, decoded on each read.  Rings
+are compared by identity before ``ParamRing.__eq__`` runs.
+
 Scalars print in a stable form like ``3/2*a1^2*b4 - c2`` and the same ring
 parses that form back, so text round-trips exactly.
 """
@@ -23,10 +34,23 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 
 from .errors import ParseError, RingMismatchError, ScalarError
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+
+# Packed exponent keys: field i holds the exponent of parameter i as a
+# signed 64-bit integer, at bit 64*i.
+_FIELD_BITS = 64
+_FIELD = 1 << _FIELD_BITS
+_HALF_FIELD = _FIELD >> 1
+
+# Exclusive bound on the largest |exponent| of a scalar.  Every exponent
+# stays below 2^62 < 2^63, so no packed field ever spills into its
+# neighbour.
+MAX_EXPONENT = 1 << 62
 
 # Deepest nesting of parentheses and unary signs a scalar may have.  The
 # parser recurses once per level, so this keeps hostile input well inside
@@ -61,6 +85,12 @@ def _coeff(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _same_ring(a, b):
+    """Are rings *a* and *b* equal?  Nearly every pair is one ring object,
+    so identity is tested before ``ParamRing.__eq__``."""
+    return a is b or a == b
+
+
 class ParamRing:
     """The ring Q[p1, ..., pn][q^-1 for each invertible q]."""
 
@@ -78,7 +108,18 @@ class ParamRing:
         self.names = names
         self.invertible = invertible
         self._index = {n: i for i, n in enumerate(names)}
-        self._zero_exps = (0,) * len(names)
+
+    def _exponents(self, key):
+        """The exponent tuple of a packed key.  A negative field borrows
+        one from the field above it, which the subtraction gives back."""
+        exps = []
+        for _ in self.names:
+            e = key & (_FIELD - 1)
+            if e >= _HALF_FIELD:
+                e -= _FIELD
+            exps.append(e)
+            key = (key - e) >> _FIELD_BITS
+        return tuple(exps)
 
     def __eq__(self, other):
         if not isinstance(other, ParamRing):
@@ -93,7 +134,7 @@ class ParamRing:
         return "ParamRing(%s)" % ", ".join(parts)
 
     def zero(self):
-        return Scalar(self, {})
+        return Scalar(self, {}, 0)
 
     def one(self):
         return self.from_fraction(1)
@@ -101,8 +142,8 @@ class ParamRing:
     def from_fraction(self, value):
         value = _coeff(value)
         if value == 0:
-            return Scalar(self, {})
-        return Scalar(self, {self._zero_exps: value})
+            return Scalar(self, {}, 0)
+        return Scalar(self, {0: value}, 0)
 
     def param(self, name):
         """The parameter *name* as a scalar."""
@@ -110,14 +151,12 @@ class ParamRing:
             i = self._index[name]
         except KeyError:
             raise ScalarError("%r is not a parameter of %r" % (name, self)) from None
-        exps = [0] * len(self.names)
-        exps[i] = 1
-        return Scalar(self, {tuple(exps): 1})
+        return Scalar(self, {1 << (_FIELD_BITS * i): 1}, 1)
 
     def lift(self, value):
         """Coerce *value* (Scalar, int, Fraction or str) into this ring."""
         if isinstance(value, Scalar):
-            if value.ring != self:
+            if not _same_ring(value.ring, self):
                 raise RingMismatchError(
                     "scalar over %r used where %r expected" % (value.ring, self))
             return value
@@ -135,7 +174,7 @@ def _power_size(base, n):
     MAX_POWER_SIZE: the count of monomials of degree |n| in the terms of
     base, times |n| times the bits of its largest coefficient plus those
     of its term count.  0 if the power only moves exponents."""
-    coeffs = list(base.terms.values())
+    coeffs = list(base._terms.values())
     k, n = len(coeffs), abs(n)
     if k == 0 or (k == 1 and abs(coeffs[0]) == 1):
         return 0
@@ -145,44 +184,72 @@ def _power_size(base, n):
     return math.comb(n + k - 1, k - 1) * n * (bits + k.bit_length())
 
 
+def _absolute_sum(ring, values):
+    """The sum of *values* (scalars over *ring*) with their coefficients
+    made positive, which dominates each of them term by term."""
+    terms, bound = {}, 0
+    for value in values:
+        for key, c in value._terms.items():
+            terms[key] = _coeff(terms.get(key, 0) + abs(c))
+        bound = max(bound, value._bound)
+    return Scalar(ring, terms, bound)
+
+
 class Scalar:
-    """An element of a :class:`ParamRing`, stored as {exponents: coeff}."""
+    """An element of a :class:`ParamRing`, stored as {packed key: coeff}
+    with a bound on its largest |exponent|."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms", "_bound")
 
-    def __init__(self, ring, terms):
-        # terms must already be canonical: no zero coefficients, negative
-        # exponents only at invertible positions.  All constructors in this
-        # module guarantee that, so the constructor does not re-check.
+    def __init__(self, ring, terms, bound):
+        # terms must already be canonical: packed keys, no zero
+        # coefficients, negative exponents only at invertible positions,
+        # and no |exponent| above bound.  All constructors in this module
+        # guarantee that, so the constructor does not re-check.
         self.ring = ring
-        self.terms = terms
+        self._terms = terms
+        self._bound = bound
+
+    def _field_bounds(self):
+        """The largest |exponent| of each parameter over the terms."""
+        bounds = [0] * len(self.ring.names)
+        for key in self._terms:
+            bounds = list(map(max, bounds, map(abs, self.ring._exponents(key))))
+        return bounds
+
+    @property
+    def terms(self):
+        """The terms as a read-only {exponent tuple: coeff} mapping."""
+        exponents = self.ring._exponents
+        return MappingProxyType({exponents(k): c for k, c in self._terms.items()})
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     def is_one(self):
-        return self.terms == {self.ring._zero_exps: 1}
+        return self._terms == {0: 1}
 
     def is_constant(self):
-        return not self.terms or set(self.terms) == {self.ring._zero_exps}
+        terms = self._terms
+        return not terms or (len(terms) == 1 and 0 in terms)
 
     def constant_value(self):
         """The value of a constant scalar as a Fraction."""
-        if not self.terms:
+        if not self._terms:
             return Fraction(0)
         if not self.is_constant():
             raise ScalarError("%s is not constant" % (self,))
-        return Fraction(self.terms[self.ring._zero_exps])
+        return Fraction(self._terms[0])
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- ring operations -------------------------------------------------
 
     def _check_ring(self, other):
-        if self.ring != other.ring:
+        if not _same_ring(self.ring, other.ring):
             raise RingMismatchError(
                 "cannot combine scalars over %r and %r" % (self.ring, other.ring))
 
@@ -195,22 +262,24 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
+        if type(other) is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            s = terms.get(key, 0) + c
             if s:
-                terms[exps] = s if type(s) is int else _coeff(s)
+                terms[key] = s if type(s) is int else _coeff(s)
             else:
-                terms.pop(exps, None)
-        return Scalar(self.ring, terms)
+                terms.pop(key, None)
+        b1, b2 = self._bound, other._bound
+        return Scalar(self.ring, terms, b1 if b1 >= b2 else b2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ring, {e: -c for e, c in self.terms.items()})
+        return Scalar(self.ring, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -225,19 +294,28 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        bound = self._bound + other._bound
+        if bound >= MAX_EXPONENT:
+            # the sum of the bounds overstates a product of distinct
+            # parameters, so look at each parameter before refusing
+            bound = max(map(add, self._field_bounds(), other._field_bounds()), default=0)
+            if bound >= MAX_EXPONENT:
+                raise ScalarError("product may reach an exponent of MAX_EXPONENT = %d"
+                                  % MAX_EXPONENT)
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exps, 0) + c1 * c2
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key = k1 + k2
+                s = terms.get(key, 0) + c1 * c2
                 if s:
-                    terms[exps] = s if type(s) is int else _coeff(s)
+                    terms[key] = s if type(s) is int else _coeff(s)
                 else:
-                    del terms[exps]
-        return Scalar(self.ring, terms)
+                    del terms[key]
+        return Scalar(self.ring, terms, bound)
 
     __rmul__ = __mul__
 
@@ -246,6 +324,12 @@ class Scalar:
         if other is None:
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -264,22 +348,21 @@ class Scalar:
 
     def inverse(self):
         """Invert a single-term scalar supported on invertible parameters."""
-        if len(self.terms) != 1:
+        if len(self._terms) != 1:
             raise ScalarError("cannot invert %s: not a single term" % (self,))
-        (exps, coeff), = self.terms.items()
-        for i, e in enumerate(exps):
-            if e and self.ring.names[i] not in self.ring.invertible:
+        (key, coeff), = self._terms.items()
+        for name, e in zip(self.ring.names, self.ring._exponents(key)):
+            if e and name not in self.ring.invertible:
                 raise ScalarError(
-                    "cannot invert %s: parameter %s is not invertible"
-                    % (self, self.ring.names[i]))
-        return Scalar(self.ring, {tuple(-e for e in exps): _coeff(Fraction(1) / coeff)})
+                    "cannot invert %s: parameter %s is not invertible" % (self, name))
+        return Scalar(self.ring, {-key: _coeff(Fraction(1) / coeff)}, self._bound)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return _same_ring(self.ring, other.ring) and self._terms == other._terms
 
     __hash__ = None
 
@@ -354,11 +437,12 @@ class Scalar:
         return "*".join(factors)
 
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
+        terms = self.terms
         pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
+        for exps in sorted(terms, reverse=True):
+            coeff = terms[exps]
             sign = "-" if coeff < 0 else "+"
             pieces.append((sign, self._term_str(exps, coeff)))
         first_sign, first_term = pieces[0]
@@ -446,7 +530,7 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self._next()
                 rhs = self.unary()
-                if op == "*" and len(value.terms) * len(rhs.terms) > MAX_PRODUCT_TERMS:
+                if op == "*" and len(value._terms) * len(rhs._terms) > MAX_PRODUCT_TERMS:
                     raise ParseError("product larger than MAX_PRODUCT_TERMS = %d"
                                      % MAX_PRODUCT_TERMS, self.text, pos)
                 try:

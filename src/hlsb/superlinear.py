@@ -26,7 +26,7 @@ so that ``xi`` is (1 (x) tau) o (tau (x) 1) and ``xi^3`` is the identity.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, ParityError
-from .scalar import ParamRing
+from .scalar import ParamRing, _same_ring
 
 EVEN = 0
 ODD = 1
@@ -172,7 +172,7 @@ class EvenMap:
     def __eq__(self, other):
         if not isinstance(other, EvenMap):
             return NotImplemented
-        return (self.ring == other.ring and self.src == other.src
+        return (_same_ring(self.ring, other.ring) and self.src == other.src
                 and self.dst == other.dst and self._cols == other._cols)
 
     def __repr__(self):
@@ -331,7 +331,7 @@ class _TensorBase:
         if not isinstance(other, type(self)):
             raise TypeError("cannot combine %s with %r" % (type(self).__name__, other))
         _check_same_basis(self.basis, other.basis)
-        if self.ring != other.ring:
+        if not _same_ring(self.ring, other.ring):
             raise DimensionMismatchError("tensors over different rings")
 
     def __add__(self, other):
@@ -381,7 +381,7 @@ class _TensorBase:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (self.basis == other.basis and self.ring == other.ring
+        return (self.basis == other.basis and _same_ring(self.ring, other.ring)
                 and self._cells == other._cells)
 
     __hash__ = None

@@ -33,7 +33,9 @@ fixed spans; gl(1|1), gl(2|1), gl(2|2) and the shifted gl(2|1)
 control built by coboundary and checked; and seeded random scalars with
 integral and non-integral coefficients, with their sums, differences,
 products, quotients, powers, inverses, substitutions, evaluations and
-constant values.
+constant values; and sums, products, quotients, powers, inverses,
+substitutions, parse round trips and evaluations of scalars with
+exponents near +-2^40 on the two neighbouring invertible parameters.
 
 Per catalog variant and dual convention it also checks the actions: the
 adjoint action, its dual, both coadjoint actions and a broken action (one
@@ -370,7 +372,7 @@ def scalar_section():
     ring = ParamRing(["a", "s", "t"], invertible=["s", "t"])
     target = ParamRing(["u"], invertible=["u"])
 
-    def coeff():
+    def coeff(rng=rng):
         return Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((1, 1, 2, 3)))
 
     def monomial(names):
@@ -412,6 +414,44 @@ def scalar_section():
         emit(label, "constant", c, repr(c.constant_value()), c == c.constant_value(),
              repr((c * c.inverse()).constant_value()))
         emit(label, "coerce", x + 2, Fraction(1, 2) * x, 3 - x)
+
+    # exponents near +-2^40 on the neighbouring invertible parameters s and
+    # t, with mixed signs, and small ones on a
+    big = random.Random(43)
+
+    def big_unit():
+        term = ring.from_fraction(coeff(big))
+        for name in ("s", "t"):
+            e = big.choice((-1, 1)) * (2 ** 40 + big.randint(-3, 3))
+            term = term * ring.param(name) ** e
+        return term
+
+    def big_scalar():
+        value = ring.zero()
+        for _ in range(big.randint(1, 3)):
+            value = value + big_unit() * ring.param("a") ** big.randint(0, 2)
+        return value
+
+    unit_point = {"a": Fraction(2, 3), "s": -1, "t": 1}
+    for trial in range(20):
+        x, y, m = big_scalar(), big_scalar(), big_unit()
+        label = "packed %d" % trial
+        emit(label, "x", x)
+        emit(label, "y", y)
+        emit(label, "m", m)
+        emit(label, "terms", sorted(x.terms.items()))
+        emit(label, "x+y", x + y)
+        emit(label, "x*y", x * y)
+        emit(label, "x/m", x / m)
+        emit(label, "inverse", m.inverse())
+        emit(label, "m^3", m ** 3)
+        emit(label, "m^-2", m ** -2)
+        emit(label, "x^2", x ** 2)
+        emit(label, "parse", ring.parse(str(x)) == x, ring.parse(str(x * y)) == x * y)
+        emit(label, "substitute", x.substitute({"a": "u + 1/2", "s": "u^-1", "t": "-u"},
+                                               ring=target))
+        emit(label, "swap", x.substitute({"s": "t", "t": "s^-1"}))
+        emit(label, "evaluate", repr(x.evaluate(unit_point)))
 
 
 def main():

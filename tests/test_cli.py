@@ -112,6 +112,18 @@ def test_huge_power_is_a_parse_error(tmp_path, capsys):
         assert "MAX_POWER_SIZE" in err and "Traceback" not in err
 
 
+def test_exponent_of_max_exponent_is_a_parse_error(tmp_path, capsys):
+    path, _ = write_variant(tmp_path, "diagonal-1")
+    data = json.loads(path.read_text())
+    data["parameters"].append({"name": "s", "invertible": True})
+    data["alpha"][0][0] = "s^4611686018427387904"
+    bad = tmp_path / "exponent.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "MAX_EXPONENT" in err and "Traceback" not in err
+
+
 def test_long_product_of_sums_is_a_parse_error(tmp_path, capsys):
     path, _ = write_variant(tmp_path, "diagonal-1")
     data = json.loads(path.read_text())
@@ -373,6 +385,28 @@ def test_wide_representation_check_evaluates_only_pairs_an_action_enters(monkeyp
     assert sorted(i for i, in calls["_intertwine_into"]) == [0, 1, 3]
     pairs = {(i, j) for i in range(n) for j in range(n) if {i, j} & acting}
     assert calls["_action_into"] == pairs and len(pairs) == 183
+
+
+def test_wide_representation_check_evaluates_only_columns_an_action_reaches(monkeypatch):
+    rep = adjoint_representation(
+        loads_definition(json.dumps(wide_definition(32))).bialgebra.algebra)
+    calls = {"_intertwine_into": set(), "_action_into": set()}
+    for name, seen in calls.items():
+        into = getattr(Representation, name)
+        monkeypatch.setattr(Representation, name,
+                            lambda self, col, c, *args, seen=seen, into=into:
+                            seen.add((args, c)) or into(self, col, c, *args))
+    assert rep.check().passed
+    # alpha = beta = id and the bracket cells [e0, e1], [e1, e0] (into e1)
+    # and [e0, e3], [e3, e0] (into e3): rho(e_i) e_c is nonzero exactly
+    # at these (i, c)
+    reach = {0: {1, 3}, 1: {0}, 3: {0}}
+    assert calls["_intertwine_into"] == {((i,), c) for i, cs in reach.items() for c in cs}
+    n = rep.algebra.dim
+    want = {((i, j), c) for i in range(n) for j in range(n) for c in range(n)
+            if c in reach.get(i, ()) or c in reach.get(j, ())
+            or {i, j} in ({0, 1}, {0, 3})}
+    assert calls["_action_into"] == want and len(want) == 366
 
 
 def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):

@@ -10,8 +10,8 @@ import subprocess
 import sys
 
 DUMP = os.path.join(os.path.dirname(os.path.abspath(__file__)), "residual_dump.py")
-PINNED_MD5 = "d2ae9e9d24798dff569dfd293a354a0e"
-PINNED_LINES = 20812
+PINNED_MD5 = "00b79ae0544562ad027902abab284cdf"
+PINNED_LINES = 21112
 
 
 def test_residual_dump_is_byte_identical_to_the_pin():

@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlsb.errors import ParseError, RingMismatchError, ScalarError
-from hlsb.scalar import MAX_NESTING, MAX_POWER_SIZE, MAX_PRODUCT_TERMS, ParamRing, Scalar
+from hlsb.scalar import (
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_POWER_SIZE,
+    MAX_PRODUCT_TERMS,
+    ParamRing,
+    Scalar,
+)
 
 RING = ParamRing(["a", "b", "s"], invertible=["s"])
 
@@ -302,3 +309,115 @@ def test_scalar_operations_match_the_term_dict_oracle(rx, ry, rm, rv, k, point):
         if c.is_constant():
             assert type(c.constant_value()) is Fraction
             assert c.constant_value() == ORACLE.evaluate(c.terms, values)
+
+
+def test_reflected_division():
+    s = RING.param("s")
+    assert 1 / s == s ** -1
+    assert Fraction(3, 2) / (2 * s ** 2) == Fraction(3, 4) * s ** -2
+    assert 2 / RING.from_fraction(4) == Fraction(1, 2)
+    for bad in (RING.param("a"), s + 1, RING.zero()):
+        with pytest.raises(ScalarError):
+            1 / bad
+
+
+# Packed keys: exponents just below +-2^61 with mixed signs in neighbouring
+# fields, so a field that borrows from or spills into the next shows.
+HUGE = 2 ** 61 - 1
+
+
+def huge_exponent(lo):
+    edges = [e for e in (0, 1, -1, 2, HUGE, -HUGE, 2 ** 32, -2 ** 32, 2 ** 40) if e >= lo]
+    return st.one_of(st.sampled_from(edges), st.integers(lo, HUGE))
+
+
+def huge_term(plain=True):
+    exps = st.tuples(huge_exponent(-HUGE), huge_exponent(-HUGE),
+                     huge_exponent(0) if plain else st.just(0))
+    return st.tuples(mixed_coeffs(), exps)
+
+
+def halved(raw):
+    """The raw terms with every exponent halved toward zero, so that their
+    cube stays below MAX_EXPONENT."""
+    return [(c, tuple(int(e / 2) for e in exps)) for c, exps in raw]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(huge_term(), max_size=3), st.lists(huge_term(), max_size=3),
+       huge_term(plain=False).map(lambda term: [term]), st.integers(-3, 3),
+       st.tuples(*[st.sampled_from([1, -1])] * 3))
+def test_packed_keys_match_the_term_dict_oracle_at_huge_exponents(rx, ry, rm, k, point):
+    (x, px), (y, py), (m, pm) = build(rx), build(ry), build(rm)
+    (hx, phx), (hm, phm) = build(halved(rx)), build(halved(rm))
+    # s -> t^-1, t -> -s, a -> -1: a monomial map, whose image the
+    # oracle's power by repeated multiplication could not reach
+    swap = {"s": MIXED.param("t").inverse(), "t": -MIXED.param("s"), "a": -1}
+    swapped = {}
+    for (es, et, ea), c in px.items():
+        swapped = ORACLE.add(swapped, ORACLE.term(c * (-1) ** ((et + ea) % 2), (et, -es, 0)))
+    results = [
+        (x + y, ORACLE.add(px, py)),
+        (x - y, ORACLE.sub(px, py)),
+        (x * y, ORACLE.mul(px, py)),
+        (x / m, ORACLE.mul(px, ORACLE.inverse(pm))),
+        (1 / m, ORACLE.inverse(pm)),
+        (m.inverse(), ORACLE.inverse(pm)),
+        (hm ** k, ORACLE.power(phm, k)),
+        (hx ** abs(k), ORACLE.power(phx, abs(k))),
+        (x.substitute(swap), swapped),
+    ]
+    values = dict(zip(MIXED.names, point))
+    for got, want in [(x, px), (y, py), (m, pm)] + results:
+        assert got.terms == want, (got, want)
+        assert canonical(got), got.terms
+        assert MIXED.parse(str(got)) == got
+        assert got.evaluate(values) == ORACLE.evaluate(want, values)
+
+
+def test_terms_is_a_read_only_view():
+    x = RING.parse("2*a*s^-3 + b")
+    with pytest.raises(TypeError):
+        x.terms[(0, 0, 0)] = 1
+    assert x.terms == {(1, 0, -3): 2, (0, 1, 0): 1}
+    assert x == RING.parse("2*a*s^-3 + b")
+
+
+def test_exponent_overflow_is_refused():
+    s = RING.param("s")
+    for _ in range(61):
+        s = s * s
+    assert s.terms == {(0, 0, 2 ** 61): 1}
+    with pytest.raises(ScalarError, match="MAX_EXPONENT"):
+        s * s
+    assert RING.parse("s^%d" % (MAX_EXPONENT - 1)).terms == {(0, 0, MAX_EXPONENT - 1): 1}
+    for text in ("s^%d" % MAX_EXPONENT, "s^-%d" % MAX_EXPONENT, "a^99999999999999999999999",
+                 "s^%d*s" % (MAX_EXPONENT - 1)):
+        with pytest.raises(ParseError, match="MAX_EXPONENT"):
+            RING.parse(text)
+    # bounds add per parameter, so distinct parameters may each come close
+    e = MAX_EXPONENT - 1
+    x = RING.parse("a^%d*b^%d*s^-%d" % (e, e, e))
+    assert x.terms == {(e, e, -e): 1} and RING.parse(str(x)) == x
+
+
+def test_same_ring_arithmetic_makes_no_ring_comparison(monkeypatch):
+    x, y = RING.parse("a + 2*s^-1"), RING.parse("b - s")
+    calls = []
+    ring_eq = ParamRing.__eq__
+    monkeypatch.setattr(ParamRing, "__eq__",
+                        lambda self, other: calls.append(1) or ring_eq(self, other))
+    for _ in range(3):
+        x = x * y + y
+        x = y + x * 3
+    assert calls == []
+
+
+def test_equal_rings_that_are_distinct_objects_combine():
+    other = ParamRing(["a", "b", "s"], invertible=["s"])
+    assert other is not RING and other == RING
+    x, y = RING.parse("a + s^-1"), other.parse("b*s")
+    assert x + y == RING.parse("a + b*s + s^-1")
+    assert x * y == other.parse("a*b*s + b")
+    assert RING.lift(y) is y
+    assert x == other.parse("s^-1 + a")
