@@ -4,6 +4,9 @@ Three commands: ``check`` runs the axiom suite on a definition file,
 ``construct`` builds a derived structure and writes it in the same schema,
 ``catalog`` lists or verifies the builtin rows.  Exit codes: 0 all checks
 pass, 1 an axiom or hypothesis fails, 2 usage or parse error.
+
+Each subcommand imports what it runs: ``check`` loads no catalog and no
+constructions, so a child process that only checks a file starts fast.
 """
 
 from __future__ import annotations
@@ -12,26 +15,11 @@ import argparse
 import json
 import sys
 
-from . import catalog as _catalog
-from .constructions import (
-    Representation,
-    dual_matched_pair,
-    dualize,
-    semidirect_product,
-    twist,
-    twist_power,
-)
 from .errors import HlsbError, HypothesisError, MorphismError, ParseError
-from .fileformat import (
-    Definition,
-    definition_from_bialgebra,
-    definition_text,
-    load_definition,
-)
+from .fileformat import definition_from_bialgebra, definition_text, load_definition
 from .scalar import MAX_POWER_SIZE, _absolute_sum, _power_size
 from .structures import HomSuperBialgebra, _bracket_cells
 from .superlinear import EvenMap, Tensor2
-from .yangbaxter import coboundary_from_r, perturb_cobracket
 
 CHECK_AXIOMS = ("bracket-grading", "skew", "jacobi",
                 "cobracket-grading", "coskew", "cojacobi", "compatibility")
@@ -111,6 +99,10 @@ def _bound_power(alpha, n):
 
 
 def _construct(args, defn):
+    from .constructions import (
+        Representation, dual_matched_pair, dualize, semidirect_product, twist, twist_power)
+    from .yangbaxter import coboundary_from_r, perturb_cobracket
+
     B = defn.bialgebra
     verb = args.verb
     if verb == "twist":
@@ -169,20 +161,22 @@ def cmd_construct(args):
 
 
 def cmd_catalog(args):
-    rows = _catalog.catalog_list()
-    if args.subcommand == "list":
-        for row in rows:
-            variants = _catalog.expand_variants(row)
-            print("%-12s %2d variant(s)  %s"
-                  % (row.ident, len(variants), row.description))
-        return 0
+    from . import catalog
+
+    rows = catalog.catalog_list()
     if args.row is not None:
         try:
-            rows = [_catalog.get_row(args.row)]
+            rows = [catalog.get_row(args.row)]
         except KeyError:
             print("unknown catalog row %r" % args.row, file=sys.stderr)
             return 2
-    summary = _catalog.verify_all(rows)
+    if args.subcommand == "list":
+        for row in rows:
+            variants = catalog.expand_variants(row)
+            print("%-12s %2d variant(s)  %s"
+                  % (row.ident, len(variants), row.description))
+        return 0
+    summary = catalog.verify_all(rows)
     print(summary.summary())
     for report in summary.failures:
         print(report.summary())

@@ -317,7 +317,8 @@ class Representation:
 
     def grading_violations(self):
         pv = self.module_basis.parities
-        return _odd_cells("action-grading", self._cells(), (self.algebra.basis.parities, pv, pv))
+        return _odd_cells("action-grading", self._cells().items(),
+                          (self.algebra.basis.parities, pv, pv))
 
     def _columns(self, into, reach, *args):
         """The nonzero columns {c: vector} of the residual matrix whose
@@ -588,7 +589,7 @@ class BilinearForm:
 
     def evenness_violations(self):
         p = self.basis.parities
-        return _odd_cells("form-even", self._cells, (p, p))
+        return _odd_cells("form-even", self._cells.items(), (p, p))
 
     def supersymmetry_violations(self):
         p, cells, zero = self.basis.parities, self._cells, self.ring.zero()

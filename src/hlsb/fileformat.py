@@ -21,14 +21,16 @@ and every scalar string obeys the parser limits of :mod:`hlsb.scalar`
 a limit raises :class:`ParseError`.  Bracket and cobracket triples go to
 the structures as cells, so parsing costs in proportion to the file, not
 to the cube of the dimension.
+
+:class:`hlsb.constructions.Representation` is imported only where a
+``representation`` payload is read or written, so loading a file without
+one does not load :mod:`hlsb.constructions`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .constructions import Representation
 from .errors import ParityError, ParseError, ScalarError
 from .scalar import ParamRing
 from .structures import HomSuperBialgebra, _bracket_cells, _cobracket_cells
@@ -43,13 +45,16 @@ FORMAT_VERSION = 1
 MAX_DIMENSION = 128
 
 
-@dataclass
 class Definition:
-    ring: ParamRing
-    basis: SuperBasis
-    bialgebra: HomSuperBialgebra
-    tensors: dict = field(default_factory=dict)
-    description: str = ""
+    """A parsed definition file: the ring, the basis, the bialgebra, the
+    named payloads and the description."""
+
+    def __init__(self, ring, basis, bialgebra, tensors=None, description=""):
+        self.ring = ring
+        self.basis = basis
+        self.bialgebra = bialgebra
+        self.tensors = {} if tensors is None else tensors
+        self.description = description
 
 
 def _fail(path, message):
@@ -154,6 +159,8 @@ def _tensor(algebra, name, value):
         except ParityError as exc:
             _fail(path, str(exc))
     if kind == "representation":
+        from .constructions import Representation
+
         module = _basis(value.get("module_basis"), path + ".module_basis")
         mat = _matrix(ring, value.get("module_map"), module.dim, module.dim,
                       path + ".module_map")
@@ -236,6 +243,8 @@ def load_definition(path):
 
 def dump_definition(defn):
     """Serialize a :class:`Definition` back to a JSON-ready dict."""
+    from .constructions import Representation
+
     ring, basis = defn.ring, defn.basis
     B = defn.bialgebra
     n = basis.dim

@@ -80,6 +80,9 @@ def _coeff(value):
     else a Fraction."""
     if isinstance(value, int):
         return int(value)
+    if isinstance(value, float):
+        raise ScalarError("%r is a float; scalars are exact, so give an int, "
+                          "a Fraction or a string" % (value,))
     if not isinstance(value, Fraction):
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value

@@ -34,19 +34,20 @@ delta(e_i): comultiplicativity, the cobracket half of a morphism check,
 Nothing is validated eagerly beyond shapes and ring membership: the point
 of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
-listing every violated axiom with the exact symbolic residual.  Every
-check of the package builds that list through three helpers:
+listing every violated axiom with the exact symbolic residual.  The
+bracket and cobracket grading checks walk their sorted rows and planes
+for odd cells; every other check builds that list through three helpers:
 ``_violations`` evaluates a residual at each index tuple and keeps the
 nonzero ones (a coefficient vector is nonzero if ``any`` entry is, and a
 tensor is falsy exactly when it is zero), ``_odd_cells`` reports the
-constants whose indices have odd total parity, and ``_prefixed`` relabels
-the violations of a sub-report.
+cells whose indices have odd total parity, and ``_prefixed`` relabels the
+violations of a sub-report.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .errors import DimensionMismatchError, HypothesisError
 from .superlinear import (
@@ -86,11 +87,11 @@ def _violations(axiom, indices, residual, nonzero=any):
 
 
 def _odd_cells(axiom, cells, slot_parities):
-    """One Violation per cell of *cells*, {index tuple: value}, whose
+    """One Violation per cell of *cells*, (index tuple, value) pairs, whose
     indices have odd total parity, the parity of slot s read from
     ``slot_parities[s]``; in sorted order."""
-    return [Violation(axiom, idx, v) for idx, v in sorted(cells.items())
-            if sum(map(getitem, slot_parities, idx)) % 2]
+    odd = [(idx, v) for idx, v in cells if sum(map(getitem, slot_parities, idx)) % 2]
+    return [Violation(axiom, idx, v) for idx, v in sorted(odd, key=itemgetter(0))]
 
 
 def _prefixed(prefix, violations):
@@ -283,7 +284,9 @@ class HomSuperAlgebra:
 
     def grading_violations(self):
         p = self.basis.parities
-        return _odd_cells("bracket-grading", _bracket_cells(self), (p, p, p))
+        return [Violation("bracket-grading", (i, j, k), v)
+                for i, plane in enumerate(self._rows) for j, row in enumerate(plane)
+                for (k,), v in row if (p[i] + p[j] + p[k]) % 2]
 
     def skew_residual(self, i, j):
         """[e_i,e_j] + (-1)^{|e_i||e_j|} [e_j,e_i]."""
@@ -360,7 +363,9 @@ class HomSuperCoalgebra:
 
     def grading_violations(self):
         p = self.basis.parities
-        return _odd_cells("cobracket-grading", _cobracket_cells(self), (p, p, p))
+        return [Violation("cobracket-grading", (i, j, k), v)
+                for i, plane in enumerate(self._planes) for (j, k), v in plane
+                if (p[i] + p[j] + p[k]) % 2]
 
     def coskew_residual(self, i):
         """(1 + tau) delta(e_i)."""

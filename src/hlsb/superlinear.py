@@ -8,7 +8,8 @@ a read-only nested-tuple view.  An element of a tensor power of the space
 is stored sparsely, as a dict ``{index tuple: scalar}`` of its nonzero
 coefficients, optionally constrained to a fixed total parity;
 :class:`Tensor2` and :class:`Tensor3` only fix the rank, and ``entries``
-is a dense nested-list view kept for compatibility.  Maps, tensors and
+is a dense nested-list view kept for compatibility, built afresh on each
+read, whose cell writes go through to the dict.  Maps, tensors and
 the structure constants of :mod:`hlsb.structures` accept either a dense
 grid or such a dict of cells (``_lift_cells``).  The contractions of the
 other modules add sparse slot products into cell dicts through
@@ -41,9 +42,10 @@ class SuperBasis:
     """An ordered homogeneous basis: labels plus parities."""
 
     def __init__(self, parities, labels=None):
-        parities = tuple(int(p) for p in parities)
+        parities = tuple(parities)
         if any(p not in (0, 1) for p in parities):
             raise ParityError("parities must be 0 or 1, got %r" % (parities,))
+        parities = tuple(map(int, parities))
         if labels is None:
             labels = tuple("e%d" % (i + 1) for i in range(len(parities)))
         else:
@@ -267,6 +269,30 @@ def _add_products(cells, coeff, factors):
         _add_at(cells, idx, c)
 
 
+class _Row(list):
+    """An innermost row of an ``entries`` grid.  A cell written into it is
+    written through to its tensor: lifted into the ring, and dropped from
+    the tensor's cells if it is zero."""
+
+    __slots__ = ("_tensor", "_prefix")
+
+    def __init__(self, tensor, prefix, values):
+        super().__init__(values)
+        self._tensor, self._prefix = tensor, prefix
+
+    def __setitem__(self, i, value):
+        if isinstance(i, slice):
+            raise TypeError("entries rows are written one cell at a time")
+        i = range(len(self))[i]
+        t = self._tensor
+        value = t.ring.lift(value)
+        super().__setitem__(i, value)
+        if value:
+            t._cells[self._prefix + (i,)] = value
+        else:
+            t._cells.pop(self._prefix + (i,), None)
+
+
 class _TensorBase:
     """An element of the rank-fold tensor power of V, stored sparsely as
     ``{(i, j, ...): coefficient of e_i (x) e_j (x) ...}``.  No zero is
@@ -274,35 +300,36 @@ class _TensorBase:
     A tensor is falsy exactly when it is zero.
 
     *entries* is a dense nested-list grid of depth ``rank`` or a dict of
-    cells.  The ``entries`` attribute is a dense compatibility view:
-    reading it builds the grid and makes it this tensor's storage, so a
-    cell written into it is seen by every later operation, each of which
-    then scans the whole grid.  If *parity* is given, every nonzero entry
-    must have that total parity.
+    cells.  The ``entries`` attribute is a dense compatibility view: each
+    read builds a fresh grid, and a cell written into one of its rows is
+    written through to the cells.  If *parity* (None, 0 or 1) is given,
+    every nonzero entry must have that total parity.
     """
 
     rank = None
-    __slots__ = ("ring", "basis", "parity", "_store")
+    __slots__ = ("ring", "basis", "parity", "_cells")
 
     def __init__(self, ring, basis, entries=None, parity=None):
-        self.ring, self.basis, self.parity, self._store = ring, basis, parity, {}
+        if parity not in (None, 0, 1):
+            raise ParityError("a tensor's parity is None, 0 or 1, got %r" % (parity,))
+        self.ring, self.basis, self.parity, self._cells = ring, basis, parity, {}
         if entries is not None:
-            self._store = _lift_cells(ring, entries, (basis.dim,) * self.rank,
+            self._cells = _lift_cells(ring, entries, (basis.dim,) * self.rank,
                                       type(self).__name__)
         if parity is not None:
             for *idx, v in self.items():
                 p = sum(basis.parity(i) for i in idx) % 2
-                if p != parity % 2:
+                if p != parity:
                     raise ParityError(
                         "entry %s has parity %d, expected %d"
-                        % ("(x)".join(basis.labels[i] for i in idx), p, parity % 2))
+                        % ("(x)".join(basis.labels[i] for i in idx), p, parity))
 
     @classmethod
     def _wrap(cls, ring, basis, cells=None, parity=None):
         """A tensor over a cell dict that is already lifted, indexed and
         free of zeros (or an empty one); unlike the constructor it checks nothing."""
         t = object.__new__(cls)
-        t.ring, t.basis, t.parity, t._store = ring, basis, parity, {} if cells is None else cells
+        t.ring, t.basis, t.parity, t._cells = ring, basis, parity, {} if cells is None else cells
         return t
 
     @classmethod
@@ -310,18 +337,16 @@ class _TensorBase:
         return cls(ring, basis, data, parity=parity)
 
     @property
-    def _cells(self):
-        """The nonzero cells as {index tuple: value}, read from the grid
-        once ``entries`` has handed it out."""
-        store = self._store
-        return store if type(store) is dict else dict(_sparse(store, self.rank))
-
-    @property
     def entries(self):
-        """The dense grid ``entries[i][j]...``, from now on this tensor's storage."""
-        if type(self._store) is dict:
-            self._store = _filled(self._store, (self.basis.dim,) * self.rank, self.ring.zero())
-        return self._store
+        """A fresh dense grid ``entries[i][j]...``; a cell written into it
+        is written through to this tensor."""
+        n, cells, zero = self.basis.dim, self._cells, self.ring.zero()
+
+        def grid(prefix):
+            if len(prefix) + 1 < self.rank:
+                return [grid(prefix + (i,)) for i in range(n)]
+            return _Row(self, prefix, [cells.get(prefix + (i,), zero) for i in range(n)])
+        return grid(())
 
     def items(self):
         """Nonzero entries as (i, j, ..., value), in row-major order."""

@@ -82,7 +82,7 @@ def _tensor_hypotheses(algebra, r, defect, name, defect_name):
     """r even, alpha-fixed and skew under the graded flip, and the adjoint
     image of the 3-tensor *defect* killed by the cube of the structure map."""
     p, alpha = algebra.basis.parities, algebra.alpha
-    return (_odd_cells(name + "-even", r._cells, (p, p))[:1]  # the first odd cell only
+    return (_odd_cells(name + "-even", r._cells.items(), (p, p))[:1]  # the first odd cell only
             + _violations(name + "-alpha-fixed", [()], lambda: r.apply_all(alpha) - r, bool)
             + _violations(name + "-skew", [()], lambda: r + tau(r), bool)
             + _violations(name + "-adjoint-" + defect_name, [(i,) for i in range(algebra.dim)],

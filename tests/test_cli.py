@@ -281,6 +281,14 @@ def test_catalog_verify_unknown_row(capsys):
     assert main(["catalog", "verify", "--row", "made-up"]) == 2
 
 
+def test_catalog_list_honours_row(capsys):
+    assert main(["catalog", "list", "--row", "jordan-1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("jordan-1 ")
+    assert main(["catalog", "list", "--row", "nope"]) == 2
+    assert "unknown catalog row 'nope'" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["bogus-command"]) == 2
 

@@ -151,6 +151,16 @@ def test_parse_product_limit_boundary():
     assert ring.parse(_product_of_sums(13) + "/2/3").terms
 
 
+def test_a_float_is_refused_not_rounded():
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    for value in (0.1, 0.5, 2.0):
+        with pytest.raises(ScalarError, match="float"):
+            RING.lift(value)
+        with pytest.raises(ScalarError):
+            RING.from_fraction(value)
+    assert RING.lift(Fraction(1, 10)) == RING.parse("1/10")
+
+
 def test_inverse():
     s = RING.param("s")
     assert s * s.inverse() == 1

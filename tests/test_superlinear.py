@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import DenseOracle
-from hlsb.errors import DimensionMismatchError, ParityError
-from hlsb.scalar import ParamRing
+from hlsb.errors import DimensionMismatchError, ParityError, ScalarError
+from hlsb.scalar import ParamRing, Scalar
 from hlsb.superlinear import (
     EVEN,
     ODD,
@@ -72,6 +72,15 @@ def test_basis_validation():
     with pytest.raises(DimensionMismatchError):
         SuperBasis([0, 1], labels=["x"])
     assert SuperBasis([0, 1]).labels == ("e1", "e2")
+    with pytest.raises(ParityError):
+        SuperBasis([0.7, 1.2])  # int() would truncate these to (0, 1)
+
+
+def test_a_float_cell_is_refused():
+    with pytest.raises(ScalarError):
+        Tensor2.from_dict(QQ, B, {(0, 1): 0.1})
+    with pytest.raises(ScalarError):
+        EvenMap.diagonal(QQ, B, [1, 1, 0.5, 1])
 
 
 def test_even_map_rejects_parity_mixing():
@@ -88,6 +97,11 @@ def test_tensor_parity_validation():
         Tensor3(QQ, B, entries=[[[1 if (i, j, k) == (0, 1, 2) else 0
                                   for k in range(4)] for j in range(4)]
                                 for i in range(4)], parity=EVEN)
+    for parity in (3, -1, 2):
+        with pytest.raises(ParityError):
+            Tensor2.from_dict(QQ, B, {(0, 2): 1}, parity=parity)
+    odd = Tensor2.from_dict(QQ, B, {(0, 2): 1}, parity=ODD)
+    assert (odd + odd).parity == ODD
 
 
 def test_tau_involution(rng):
@@ -253,6 +267,31 @@ def test_entries_view_stays_consistent_with_the_sparse_cells():
     assert not u.is_zero() and u == u.apply_all(EvenMap.identity(QQ, B))
 
 
+def test_entries_rows_write_one_cell_through():
+    t = Tensor2.from_dict(QQ, B, {(0, 1): 2})
+    t.entries[-1][-2] = 7  # lifted, and the negative index normalized
+    assert t.items() == [(0, 1, 2), (3, 2, 7)] and t._cells[3, 2] == QQ.from_fraction(7)
+    t.entries[0][-3] = 0
+    assert t.items() == [(3, 2, 7)]
+    row = t.entries[3]
+    with pytest.raises(TypeError):
+        row[0:2] = [1, 1]
+    with pytest.raises(IndexError):
+        row[4] = 1
+    assert t.items() == [(3, 2, 7)]
+
+
+def test_reading_entries_leaves_operations_sparse(monkeypatch):
+    big = SuperBasis([EVEN] * 30)
+    t = Tensor2.from_dict(QQ, big, {(3, 4): 5})
+    assert len(t.entries) == 30 and t.entries[3][4] == 5
+    calls = []
+    original = Scalar.__bool__
+    monkeypatch.setattr(Scalar, "__bool__", lambda s: calls.append(1) or original(s))
+    assert t.scale(2).items() == [(3, 4, 10)]
+    assert len(calls) <= 5  # not one per cell of the 30 x 30 grid
+
+
 def test_cancellation_stores_no_cell():
     t = Tensor2.from_dict(QQ, B, {(0, 0): 1, (2, 3): Fraction(-3, 2)})
     zero = t - t
@@ -301,7 +340,7 @@ def test_sparse_operations_match_the_dense_oracle(rank, data, matrix, c, as_grid
     t = cls.from_dict(QQ, B, data.draw(_cell_dicts(rank)))
     u = cls.from_dict(QQ, B, data.draw(_cell_dicts(rank)))
     if as_grid:
-        assert len(t.entries) == B.dim  # later operations read t through the grid
+        assert len(t.entries) == B.dim  # reading the grid leaves the cells as they were
     oracle = DenseOracle(QQ, B.parities, alpha=matrix)
     f = EvenMap(QQ, B, B, matrix)
     assert _cells(t + u) == oracle.reduce(_terms(t) + _terms(u))
