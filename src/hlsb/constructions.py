@@ -15,6 +15,8 @@ f([x, y]) - [f(x), f(y)] and ``_cobracket_morphism`` for delta(f(x)) -
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import DimensionMismatchError, HypothesisError, MorphismError, RingMismatchError
 from .structures import (
     CheckReport,
@@ -628,7 +630,18 @@ class BilinearForm:
         return [Violation("form-invariant", idx, v) for idx, v in sorted(diff.items())]
 
     def determinant(self):
-        return _det(self.ring, self.matrix)
+        """det S.  A form with exactly one cell in each row and each column
+        is the sign of that permutation times the product of its cells;
+        any other form goes through ``_det``."""
+        cols = [j for _, j in sorted(self._cells)]
+        n = self.basis.dim
+        if len(cols) != n or len(set(cols)) != n or len({i for i, _ in self._cells}) != n:
+            return _det(self.ring, self.matrix)
+        odd = sum(a > b for a, b in combinations(cols, 2)) % 2
+        det = -self.ring.one() if odd else self.ring.one()
+        for i, j in enumerate(cols):
+            det = det * self._cells[i, j]
+        return det
 
     def is_nondegenerate(self):
         return not self.determinant().is_zero()

@@ -17,7 +17,10 @@ pairs, and alpha as the sparse columns of its :class:`EvenMap`.  Every
 residual loops over these lists only (Jacobi skips each hop whose inner
 bracket is zero, and ``check`` each skew pair, Jacobi triple and
 multiplicativity pair that no nonzero bracket enters), so its cost
-follows the nonzero constants.  The
+follows the nonzero constants.  ``HomSuperBialgebra.check`` evaluates
+compatibility once per unordered pair {i, j} where the bracket is skew,
+deriving the mirror pair (j, i) by the Koszul sign, and directly at each
+pair where it is not.  The
 ``bracket``, ``cobracket`` and ``alpha.matrix`` attributes are read-only
 nested-tuple views, built on first use.
 
@@ -486,6 +489,26 @@ def _compat_residual(algebra, deltas, i, j):
     return out
 
 
+def _compat_residuals(algebra, deltas, nonskew):
+    """The compatibility residual of every ordered pair, as a dict keyed by
+    (i, j) in row-major order.  *nonskew* holds the pairs (i, j), i <= j,
+    at which the bracket is not skew.  Where it is skew, [e_j, e_i] =
+    -s [e_i, e_j] with s = (-1)^{|e_i||e_j|}; delta is linear and the two
+    ad terms trade places, so compat(j, i) = -s compat(i, j) exactly, and
+    an even compat(i, i) is zero.  Every other pair, odd diagonal ones
+    included, is evaluated by ``_compat_residual``."""
+    p = algebra.basis.parities
+    out = {}
+    for i, j in product(range(algebra.dim), repeat=2):
+        if i > j and (j, i) not in nonskew:
+            out[i, j] = out[j, i].scale(-koszul_sign(p[i], p[j]))
+        elif i == j and not p[i] and (i, i) not in nonskew:
+            out[i, j] = Tensor2(algebra.ring, algebra.basis)
+        else:
+            out[i, j] = _compat_residual(algebra, deltas, i, j)
+    return out
+
+
 class HomSuperBialgebra:
     """Bracket + cobracket over one twisting map, with the compatibility
     condition linking them."""
@@ -518,11 +541,11 @@ class HomSuperBialgebra:
 
     def check(self, multiplicative=False):
         deltas = [self.delta(k) for k in range(self.dim)]
-        violations = (self.algebra.check(multiplicative=multiplicative).violations
-                      + self.coalgebra.check(comultiplicative=multiplicative).violations
-                      + _violations("compatibility", product(range(self.dim), repeat=2),
-                                    lambda i, j: _compat_residual(self.algebra, deltas, i, j),
-                                    bool))
+        violations = self.algebra.check(multiplicative=multiplicative).violations
+        nonskew = {v.indices for v in violations if v.axiom == "skew"}
+        compat = _compat_residuals(self.algebra, deltas, nonskew)
+        violations += (self.coalgebra.check(comultiplicative=multiplicative).violations
+                       + _violations("compatibility", compat, lambda i, j: compat[i, j], bool))
         return CheckReport("hom-super-bialgebra", violations)
 
 

@@ -1,0 +1,99 @@
+"""``HomSuperBialgebra.check`` evaluates the compatibility residual once per
+unordered pair {i, j} at which the bracket is skew and derives the mirror
+pair (j, i) from it.  These tests pin the pairs it must still evaluate
+directly, the number of evaluations it makes, and its agreement with
+``delta1``, which evaluates every ordered pair."""
+
+import dataclasses
+import sys
+from itertools import product
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT / "bench") not in sys.path:
+    sys.path.insert(0, str(ROOT / "bench"))
+
+import glmn  # noqa: E402
+from dense_oracle import t2_dict  # noqa: E402
+from hlsb import structures  # noqa: E402
+from hlsb.catalog import Stratum, catalog_list, expand_variants, get_row  # noqa: E402
+from hlsb.scalar import ParamRing  # noqa: E402
+from hlsb.structures import HomSuperBialgebra, delta1  # noqa: E402
+from hlsb.superlinear import EvenMap, SuperBasis  # noqa: E402
+from hlsb.yangbaxter import coboundary_from_r  # noqa: E402
+
+QQ = ParamRing()
+
+
+def nonskew_bialgebra():
+    """e1, e2 even, e3 odd and alpha = id.  The bracket is skew except at
+    (e1, e2), where [e1, e2] = e2 but [e2, e1] = 0, and at the even diagonal
+    (e1, e1), where [e1, e1] = e2; compatibility fails at both, and at the
+    odd diagonal (e3, e3)."""
+    basis = SuperBasis([0, 0, 1])
+    bracket = {(0, 0, 1): 1, (0, 1, 1): 1, (0, 2, 2): 2, (2, 0, 2): -2,
+               (1, 2, 2): 1, (2, 1, 2): -1, (2, 2, 0): 1}
+    cobracket = {(1, 0, 1): 1, (1, 1, 0): -1, (0, 2, 2): 1, (2, 0, 2): 1, (2, 2, 0): -1}
+    return HomSuperBialgebra(QQ, basis, bracket, cobracket, EvenMap.identity(QQ, basis))
+
+
+def coboundary(m, n, algebra=None):
+    A = glmn.gl_algebra(m, n) if algebra is None else algebra
+    return coboundary_from_r(A, glmn.cartan_wedge(A, m, n))
+
+
+def test_compat_is_evaluated_directly_where_the_bracket_is_not_skew():
+    B = nonskew_bialgebra()
+    report = B.check()
+    assert [v.indices for v in report.by_axiom("skew")] == [(0, 0), (0, 1)]
+    want = [((i, j), r) for i, j in product(range(B.dim), repeat=2)
+            if (r := B.compat_residual(i, j))]
+    assert {(0, 0), (0, 1), (1, 0), (2, 2)} <= {idx for idx, _ in want}
+    assert [(v.indices, v.residual) for v in report.by_axiom("compatibility")] == want
+
+
+@pytest.mark.parametrize("build, nonskew, calls", [
+    (lambda: coboundary(2, 2), set(), 128),
+    (lambda: coboundary(2, 1, glmn.control_algebra()), {(1, 1)}, 41),
+], ids=["gl(2|2)", "gl(2|1) shifted"])
+def test_check_evaluates_each_skew_pair_once(monkeypatch, build, nonskew, calls):
+    B = build()
+    n, p = B.dim, B.basis.parities
+    evaluated = []
+    compat = structures._compat_residual
+
+    def counted(algebra, deltas, i, j):
+        evaluated.append((i, j))
+        return compat(algebra, deltas, i, j)
+    monkeypatch.setattr(structures, "_compat_residual", counted)
+    B.check(multiplicative=True)
+    assert len(evaluated) == calls == n * (n - 1) // 2 + sum(p) + len(nonskew)
+    assert set(evaluated) == ({(i, j) for i in range(n) for j in range(i + 1, n)}
+                              | {(i, i) for i in range(n) if p[i]} | nonskew)
+
+
+def dim2_strata():
+    """The dim-2 row's free family and its two strata that fail compatibility."""
+    row = get_row("dim2")
+
+    def family(*subs):
+        return expand_variants(dataclasses.replace(row, strata=(Stratum("x", (), subs),)))[0]
+    return [family(), family(("a2", "0", None)), family(("a1", "1", None))]
+
+
+def test_check_and_delta1_agree_on_compatibility():
+    cases = [(v.ident, v.bialgebra) for row in catalog_list() for v in expand_variants(row)]
+    failing = [("dim2 family %d" % k, v.bialgebra) for k, v in enumerate(dim2_strata())]
+    failing.append(("non-skew", nonskew_bialgebra()))
+    cases += failing + [("gl(1|1)", coboundary(1, 1)), ("gl(2|1)", coboundary(2, 1)),
+                        ("gl(2|1) shifted", coboundary(2, 1, glmn.control_algebra()))]
+    assert len(cases) == 77 + 4 + 3
+    for label, B in cases:
+        grid = delta1(B.algebra, [B.delta(k) for k in range(B.dim)])
+        want = [((i, j), t2_dict(r)) for i, row in enumerate(grid) for j, r in enumerate(row)
+                if r]
+        got = [(v.indices, t2_dict(v.residual)) for v in B.check().by_axiom("compatibility")]
+        assert got == want, label
+        assert bool(want) == any(B is b for _, b in failing), label

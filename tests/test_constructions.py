@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from dense_oracle import (
     ActionOracle, DenseOracle, FormOracle, morphism_violations, t2_dict, vec_dict)
+from hlsb import constructions
 from hlsb.catalog import catalog_list, concrete_variant, expand_variants, get_row
 from hlsb.constructions import (
     BilinearForm,
     MatchedPair,
     Representation,
+    _det,
     adjoint_representation,
     check_admissible,
     check_algebra_morphism,
@@ -283,6 +286,51 @@ def test_determinant_matches_laplace_expansion(rng):
             m = [[sum((rng.randint(-2, 2) * mono for mono in rng.sample(monomials, 2)),
                       ring.zero()) for _ in range(n)] for _ in range(n)]
             assert BilinearForm(ring, basis, m).determinant() == _laplace(ring, m)
+
+
+def _berkowitz_calls(monkeypatch):
+    calls = []
+
+    def counted(ring, m):
+        calls.append(len(m))
+        return _det(ring, m)
+    monkeypatch.setattr(constructions, "_det", counted)
+    return calls
+
+
+def test_manin_form_determinant_skips_berkowitz(monkeypatch):
+    calls = _berkowitz_calls(monkeypatch)
+    variants = [v for row in catalog_list() for v in expand_variants(row)]
+    assert len(variants) == 77
+    for v in variants:
+        B = v.bialgebra
+        form = manin_supertriple(B.algebra, dualize(B).algebra).form
+        assert form.determinant() == _det(form.ring, form.matrix), v.ident
+    assert calls == []
+
+
+def test_monomial_form_determinant_matches_berkowitz(rng, monkeypatch):
+    calls = _berkowitz_calls(monkeypatch)
+    ring = ParamRing(["s", "t"], invertible=["t"])
+    s, t = ring.param("s"), ring.param("t")
+    values = [ring.one(), -s, t, 3 * t ** -2, s * t ** -1 + Fraction(1, 2)]
+    odd = 0
+    for n in range(1, 8):
+        basis = SuperBasis([rng.randint(0, 1) for _ in range(n)])
+        for _ in range(6):
+            perm = rng.sample(range(n), n)
+            odd += sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+            form = BilinearForm(ring, basis, {(i, perm[i]): rng.choice(values)
+                                              for i in range(n)})
+            assert form.determinant() == _det(ring, form.matrix), perm
+    assert calls == [] and odd > 5
+    # two cells in a row, or a column hit twice, is not monomial
+    basis = SuperBasis([0, 0, 1])
+    dense = BilinearForm(ring, basis, {(0, 1): s, (0, 0): t, (1, 0): 2, (2, 2): t ** -1})
+    assert dense.determinant() == _det(ring, dense.matrix) == -2 * s * t ** -1
+    singular = BilinearForm(ring, basis, {(0, 1): s, (1, 1): t, (2, 0): 1})
+    assert singular.determinant() == ring.zero()
+    assert calls == [3, 3]
 
 
 def test_dual_pair_positive():
