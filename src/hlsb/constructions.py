@@ -10,7 +10,10 @@ Morphism checks, the intertwining condition of a representation and the
 cobrackets of ``twist`` and ``transport_structure`` run on the two
 morphism kernels of :mod:`hlsb.structures`: ``_bracket_morphism`` for
 f([x, y]) - [f(x), f(y)] and ``_cobracket_morphism`` for delta(f(x)) -
-(f (x) f) delta(x).
+(f (x) f) delta(x).  The bracket kernels, and with them the morphism and
+admissibility checks and a representation's ``act`` and residual
+columns, add into sparse ``{(k,): value}`` cell dicts; a vector or matrix
+is filled only for a reported violation or a public residual.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .structures import (
     _cobracket_cells,
     _cobracket_morphism,
     _delta_cells,
+    _densified,
     _group,
     _morphism_pairs,
     _odd_cells,
@@ -49,10 +53,10 @@ def check_algebra_morphism(f, src, dst):
     if f.src != src.basis or f.dst != dst.basis:
         raise DimensionMismatchError("map bases do not match the structures")
     cols = f._cols
-    violations = _violations(
+    violations = _densified(_violations(
         "bracket-morphism", _morphism_pairs(src, dst, f),
-        lambda i, j: _bracket_morphism([f.ring.zero()] * dst.dim, cols, src._rows,
-                                       dst._rows, cols, cols, i, j, False))
+        lambda i, j: _bracket_morphism({}, cols, src._rows, dst._rows, cols, cols, i, j, False)),
+        dst._vector)
     diff = _map_cells(f.compose(src.alpha))
     for idx, v in _map_cells(dst.alpha.compose(f)).items():
         _add_at(diff, idx, -v)
@@ -67,7 +71,7 @@ def check_bialgebra_morphism(f, src, dst):
     planes = src.coalgebra._planes
     violations = check_algebra_morphism(f, src.algebra, dst.algebra).violations + _violations(
         "cobracket-morphism", [(i,) for i in range(src.dim)],
-        lambda i: _cobracket_morphism(dst.coalgebra, f._cols[i], f, planes[i]), bool)
+        lambda i: _cobracket_morphism(dst.coalgebra, f._cols[i], f, planes[i]))
     return CheckReport("bialgebra-morphism", violations)
 
 
@@ -313,9 +317,8 @@ class Representation:
 
     def act(self, m, vec):
         """Action of the m-th algebra basis vector on a module vector."""
-        out = [self.ring.zero()] * self.module_basis.dim
-        _bracket_into(self._rows, out, (((m,), self.ring.one()),), _sparse(vec, 1))
-        return out
+        out = _bracket_into(self._rows, {}, (((m,), self.ring.one()),), _sparse(vec, 1))
+        return _filled(out, (self.module_basis.dim,), self.ring.zero())
 
     def grading_violations(self):
         pv = self.module_basis.parities
@@ -323,22 +326,22 @@ class Representation:
                           (self.algebra.basis.parities, pv, pv))
 
     def _columns(self, into, reach, *args):
-        """The nonzero columns {c: vector} of the residual matrix whose
-        column c ``into(col, c, *args)`` adds into a zero vector, for c in
-        *reach*, the columns that can be nonzero."""
-        d = self.module_basis.dim
+        """The nonzero columns {c: {(i,): value}} of the residual matrix
+        whose column c ``into(col, c, *args)`` adds into an empty cell dict,
+        for c in *reach*, the columns that can be nonzero."""
         cols = {}
         for c in reach:
-            col = [self.ring.zero()] * d
+            col = {}
             into(col, c, *args)
-            if any(col):
+            if col:
                 cols[c] = col
         return cols
 
     def _matrix(self, cols):
         """The residual matrix with the given nonzero columns, as nested lists."""
-        d, zero = self.module_basis.dim, self.ring.zero()
-        return [[cols[j][i] if j in cols else zero for j in range(d)] for i in range(d)]
+        d = self.module_basis.dim
+        return _filled({(i, j): v for j, col in cols.items() for (i,), v in col.items()},
+                       (d, d), self.ring.zero())
 
     def _intertwine_into(self, col, c, i):
         beta, rows = self.module_map._cols, self._rows
@@ -391,11 +394,10 @@ class Representation:
                 if acts[i] or any(acts[m] for (m,), _ in A.alpha._cols[i])]
         pairs = [(i, j) for i in range(n) for j in range(n)
                  if A._rows[i][j] or acts[i] or acts[j]]
-        found = (_violations("action-intertwine", each, self._intertwine_columns, bool)
-                 + _violations("action-bracket", pairs, self._action_columns, bool))
-        for v in found:
-            v.residual = self._matrix(v.residual)
-        return CheckReport("representation", self.grading_violations() + found)
+        found = (_violations("action-intertwine", each, self._intertwine_columns)
+                 + _violations("action-bracket", pairs, self._action_columns))
+        return CheckReport("representation",
+                           self.grading_violations() + _densified(found, self._matrix))
 
 
 def adjoint_representation(algebra):
@@ -428,9 +430,9 @@ def check_admissible(algebra):
         _add_at(defect, idx, -v)
     defect = EvenMap(A.ring, A.basis, A.basis, defect)._cols
     pairs = [(i, j) for i in range(n) if defect[i] for j in range(n)]
-    return CheckReport("admissible", _violations(
+    return CheckReport("admissible", _densified(_violations(
         "admissible", pairs,
-        lambda i, j: _bracket_into(A._rows, [A.ring.zero()] * n, defect[i], A.alpha._cols[j])))
+        lambda i, j: _bracket_into(A._rows, {}, defect[i], A.alpha._cols[j])), A._vector))
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +602,7 @@ class BilinearForm:
             other = cells.get((j, i), zero)
             return cells.get((i, j), zero) - (other if koszul_sign(p[i], p[j]) == 1 else -other)
         return _violations("form-supersymmetric",
-                           sorted({(min(idx), max(idx)) for idx in cells}), residual, bool)
+                           sorted({(min(idx), max(idx)) for idx in cells}), residual)
 
     def self_adjoint_violations(self, alpha):
         """S(alpha(e_i), e_j) - S(e_i, alpha(e_j)), reported if nonzero."""

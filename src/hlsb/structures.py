@@ -17,16 +17,20 @@ pairs, and alpha as the sparse columns of its :class:`EvenMap`.  Every
 residual loops over these lists only (Jacobi skips each hop whose inner
 bracket is zero, and ``check`` each skew pair, Jacobi triple and
 multiplicativity pair that no nonzero bracket enters), so its cost
-follows the nonzero constants.  ``HomSuperBialgebra.check`` evaluates
-compatibility once per unordered pair {i, j} where the bracket is skew,
-deriving the mirror pair (j, i) by the Koszul sign, and directly at each
-pair where it is not.  The
+follows the nonzero constants.  The skew, Jacobi and multiplicativity
+residuals add into sparse ``{(k,): value}`` cell dicts, and only
+``skew_residual``, ``jacobi_residual``, ``mult_residual`` and a reported
+violation fill a dense coefficient vector from them.
+``HomSuperBialgebra.check`` evaluates compatibility once per unordered
+pair {i, j} where the bracket is skew, deriving the mirror pair (j, i) by
+the Koszul sign, and directly at each pair where it is not, skipping a
+pair where [e_i, e_j], delta(e_i) and delta(e_j) are all zero.  The
 ``bracket``, ``cobracket`` and ``alpha.matrix`` attributes are read-only
 nested-tuple views, built on first use.
 
 Every condition on a structure map is a morphism condition, and two
 kernels compute them all.  ``_bracket_morphism`` adds f([e_i, e_j]) -
-[f(e_i), f(e_j)] into a vector (with ``_morphism_pairs`` naming the pairs
+[f(e_i), f(e_j)] into a cell dict (with ``_morphism_pairs`` naming the pairs
 where it can be nonzero); it gives multiplicativity of alpha, the
 bracket half of a morphism check and a representation's intertwining
 columns.  ``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f)
@@ -39,12 +43,13 @@ of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
 listing every violated axiom with the exact symbolic residual.  The
 bracket and cobracket grading checks walk their sorted rows and planes
-for odd cells; every other check builds that list through three helpers:
+for odd cells; every other check builds that list through four helpers:
 ``_violations`` evaluates a residual at each index tuple and keeps the
-nonzero ones (a coefficient vector is nonzero if ``any`` entry is, and a
-tensor is falsy exactly when it is zero), ``_odd_cells`` reports the
-cells whose indices have odd total parity, and ``_prefixed`` relabels the
-violations of a sub-report.
+nonzero ones (a residual is a tensor, a scalar or a sparse cell dict,
+and each of those is falsy exactly when it is zero), ``_densified``
+replaces the cell dicts of the kept ones by their dense vectors or
+matrices, ``_odd_cells`` reports the cells whose indices have odd total
+parity, and ``_prefixed`` relabels the violations of a sub-report.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ from operator import getitem, itemgetter
 
 from .errors import DimensionMismatchError, HypothesisError
 from .superlinear import (
-    EvenMap, Tensor2, Tensor3, _add_products, _frozen, _grid, _lift_cells,
-    _sparse, _TensorBase, cyclic_sum, koszul_sign, tau)
+    EvenMap, Tensor2, Tensor3, _add_at, _add_products, _filled, _frozen, _grid,
+    _lift_cells, _sparse, _TensorBase, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -82,11 +87,19 @@ class Violation:
         return "%s%r: %s" % (self.axiom, self.indices, self._residual_str())
 
 
-def _violations(axiom, indices, residual, nonzero=any):
+def _violations(axiom, indices, residual):
     """One Violation per index tuple idx of *indices* at which
-    ``residual(*idx)`` is nonzero, as judged by *nonzero*: ``any`` for a
-    coefficient vector, ``bool`` for a tensor or a scalar."""
-    return [Violation(axiom, idx, r) for idx in indices if nonzero(r := residual(*idx))]
+    ``residual(*idx)``, a tensor, a scalar or a sparse cell dict, is
+    nonzero; each of those is falsy exactly when it is zero."""
+    return [Violation(axiom, idx, r) for idx in indices if (r := residual(*idx))]
+
+
+def _densified(violations, dense):
+    """The violations, each residual, found as sparse cells, replaced by
+    its dense form ``dense(cells)``."""
+    for v in violations:
+        v.residual = dense(v.residual)
+    return violations
 
 
 def _odd_cells(axiom, cells, slot_parities):
@@ -189,17 +202,18 @@ def zero_cobracket(ring, basis):
 
 def _bracket_into(rows, out, xs, ys, negate=False):
     """out += [x, y], or -= if *negate*, for sparse vectors of ((index,),
-    value) pairs such as alpha columns and bracket rows.  *rows* is an
-    algebra's bracket rows, or the columns ``rho(e_i) e_j`` of an action,
-    which then gives out += rho(x) y.  Returns out."""
+    value) pairs such as alpha columns and bracket rows, adding into the
+    sparse cell dict *out* keyed by ``(index,)``.  *rows* is an algebra's
+    bracket rows, or the columns ``rho(e_i) e_j`` of an action, which then
+    gives out += rho(x) y.  Returns out."""
     for (i,), x in xs:
         row_i = rows[i]
         for (j,), y in ys:
             row = row_i[j]
             if row:
                 c = -(x * y) if negate else x * y
-                for (k,), v in row:
-                    out[k] = out[k] + c * v
+                for k, v in row:
+                    _add_at(out, k, c * v)
     return out
 
 
@@ -213,15 +227,15 @@ def _morphism_pairs(src, dst, f):
 
 def _bracket_morphism(out, image, src_rows, dst_rows, left, right, i, j, negate):
     """out += image([e_i, e_j]) - [left(e_i), right(e_j)], or -= if
-    *negate*, for bracket (or action) rows *src_rows* and *dst_rows* and
-    sparse map columns *image*, *left* and *right*.  With all three the
-    columns of f it is f's bracket-morphism residual at (i, j), which for
-    f = alpha is multiplicativity; with action rows, left = alpha and
-    image = right = the module map it is an intertwining column.  Returns
-    out."""
+    *negate*, into the sparse cell dict *out*, for bracket (or action) rows
+    *src_rows* and *dst_rows* and sparse map columns *image*, *left* and
+    *right*.  With all three the columns of f it is f's bracket-morphism
+    residual at (i, j), which for f = alpha is multiplicativity; with
+    action rows, left = alpha and image = right = the module map it is an
+    intertwining column.  Returns out."""
     for (k,), v in src_rows[i][j]:
-        for (m,), a in image[k]:
-            out[m] = out[m] - a * v if negate else out[m] + a * v
+        for m, a in image[k]:
+            _add_at(out, m, -(a * v) if negate else a * v)
     return _bracket_into(dst_rows, out, left[i], right[j], not negate)
 
 
@@ -278,10 +292,11 @@ class HomSuperAlgebra:
 
     def bracket_of(self, i, j):
         """[e_i, e_j] as a coefficient vector."""
-        out = [self.ring.zero()] * self.dim
-        for (k,), v in self._rows[i][j]:
-            out[k] = v
-        return out
+        return self._vector(dict(self._rows[i][j]))
+
+    def _vector(self, cells):
+        """The coefficient vector holding sparse ``{(k,): value}`` cells."""
+        return _filled(cells, (self.dim,), self.ring.zero())
 
     # -- residuals -------------------------------------------------------
 
@@ -293,17 +308,29 @@ class HomSuperAlgebra:
 
     def skew_residual(self, i, j):
         """[e_i,e_j] + (-1)^{|e_i||e_j|} [e_j,e_i]."""
-        out = self.bracket_of(i, j)
-        s = koszul_sign(self.basis.parity(i), self.basis.parity(j))
-        for (k,), v in self._rows[j][i]:
-            out[k] = out[k] + (v if s == 1 else -v)
-        return out
+        return self._vector(self._skew_cells(i, j))
 
     def jacobi_residual(self, i, j, k):
         """The graded cyclic sum of [alpha(x), [y, z]] over (e_i,e_j,e_k)."""
+        return self._vector(self._jacobi_cells(i, j, k))
+
+    def mult_residual(self, i, j):
+        """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
+        return self._vector(self._mult_cells(i, j))
+
+    def _skew_cells(self, i, j):
+        """skew_residual(i, j) as sparse ``{(k,): value}`` cells."""
+        out = dict(self._rows[i][j])
+        s = koszul_sign(self.basis.parity(i), self.basis.parity(j))
+        for k, v in self._rows[j][i]:
+            _add_at(out, k, v if s == 1 else -v)
+        return out
+
+    def _jacobi_cells(self, i, j, k):
+        """jacobi_residual(i, j, k) as sparse ``{(k,): value}`` cells."""
         p = self.basis.parities
         cols = self.alpha._cols
-        out = [self.ring.zero()] * self.dim
+        out = {}
         for (a, b, c), sgn in (((i, j, k), koszul_sign(p[i], p[k])),
                                ((k, i, j), koszul_sign(p[k], p[j])),
                                ((j, k, i), koszul_sign(p[j], p[i]))):
@@ -312,11 +339,10 @@ class HomSuperAlgebra:
                 _bracket_into(self._rows, out, cols[a], inner, sgn == -1)
         return out
 
-    def mult_residual(self, i, j):
-        """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
+    def _mult_cells(self, i, j):
+        """mult_residual(i, j) as sparse ``{(k,): value}`` cells."""
         cols = self.alpha._cols
-        return _bracket_morphism([self.ring.zero()] * self.dim, cols, self._rows,
-                                 self._rows, cols, cols, i, j, False)
+        return _bracket_morphism({}, cols, self._rows, self._rows, cols, cols, i, j, False)
 
     # -- checks ----------------------------------------------------------
 
@@ -327,16 +353,16 @@ class HomSuperAlgebra:
         # each hop of the cyclic sum brackets one of these rows
         triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
                    if rows[j][k] or rows[i][j] or rows[k][i]]
-        violations = (self.grading_violations() + _violations("skew", pairs, self.skew_residual)
-                      + _violations("jacobi", triples, self.jacobi_residual))
+        found = (_violations("skew", pairs, self._skew_cells)
+                 + _violations("jacobi", triples, self._jacobi_cells))
         if multiplicative:
-            violations += _violations("multiplicative", _morphism_pairs(self, self, self.alpha),
-                                      self.mult_residual)
-        return CheckReport("hom-super-algebra", violations)
+            found += _violations("multiplicative", _morphism_pairs(self, self, self.alpha),
+                                 self._mult_cells)
+        return CheckReport("hom-super-algebra",
+                           self.grading_violations() + _densified(found, self._vector))
 
     def is_multiplicative(self):
-        return not any(any(self.mult_residual(i, j))
-                       for i, j in _morphism_pairs(self, self, self.alpha))
+        return not any(self._mult_cells(i, j) for i, j in _morphism_pairs(self, self, self.alpha))
 
 
 class HomSuperCoalgebra:
@@ -390,10 +416,10 @@ class HomSuperCoalgebra:
     def check(self, comultiplicative=False):
         each = [(i,) for i in range(self.dim)]
         violations = (self.grading_violations()
-                      + _violations("coskew", each, self.coskew_residual, bool)
-                      + _violations("cojacobi", each, self.cojacobi_residual, bool))
+                      + _violations("coskew", each, self.coskew_residual)
+                      + _violations("cojacobi", each, self.cojacobi_residual))
         if comultiplicative:
-            violations += _violations("comultiplicative", each, self.comult_residual, bool)
+            violations += _violations("comultiplicative", each, self.comult_residual)
         return CheckReport("hom-super-coalgebra", violations)
 
     def is_comultiplicative(self):
@@ -495,14 +521,16 @@ def _compat_residuals(algebra, deltas, nonskew):
     at which the bracket is not skew.  Where it is skew, [e_j, e_i] =
     -s [e_i, e_j] with s = (-1)^{|e_i||e_j|}; delta is linear and the two
     ad terms trade places, so compat(j, i) = -s compat(i, j) exactly, and
-    an even compat(i, i) is zero.  Every other pair, odd diagonal ones
-    included, is evaluated by ``_compat_residual``."""
-    p = algebra.basis.parities
+    an even compat(i, i) is zero.  So is compat(i, j) when [e_i, e_j],
+    delta(e_i) and delta(e_j) are all zero.  Every other pair, odd diagonal
+    ones included, is evaluated by ``_compat_residual``."""
+    p, rows = algebra.basis.parities, algebra._rows
     out = {}
     for i, j in product(range(algebra.dim), repeat=2):
         if i > j and (j, i) not in nonskew:
             out[i, j] = out[j, i].scale(-koszul_sign(p[i], p[j]))
-        elif i == j and not p[i] and (i, i) not in nonskew:
+        elif (i == j and not p[i] and (i, i) not in nonskew
+              or not (rows[i][j] or deltas[i] or deltas[j])):
             out[i, j] = Tensor2(algebra.ring, algebra.basis)
         else:
             out[i, j] = _compat_residual(algebra, deltas, i, j)
@@ -545,7 +573,7 @@ class HomSuperBialgebra:
         nonskew = {v.indices for v in violations if v.axiom == "skew"}
         compat = _compat_residuals(self.algebra, deltas, nonskew)
         violations += (self.coalgebra.check(comultiplicative=multiplicative).violations
-                       + _violations("compatibility", compat, lambda i, j: compat[i, j], bool))
+                       + _violations("compatibility", compat, lambda i, j: compat[i, j]))
         return CheckReport("hom-super-bialgebra", violations)
 
 
@@ -568,6 +596,10 @@ def delta1(algebra, deltas):
 
 
 def bialgebra_from_deltas(algebra, deltas):
-    """Package an algebra and per-basis cobracket images as a bialgebra."""
-    return HomSuperBialgebra(algebra.ring, algebra.basis, _bracket_cells(algebra),
-                             _delta_cells(deltas), algebra.alpha)
+    """Package an algebra and per-basis cobracket images as a bialgebra,
+    which holds *algebra* itself: only the cobracket is built."""
+    B = object.__new__(HomSuperBialgebra)
+    B.ring, B.basis, B.alpha, B.algebra = algebra.ring, algebra.basis, algebra.alpha, algebra
+    B.coalgebra = HomSuperCoalgebra(algebra.ring, algebra.basis, _delta_cells(deltas),
+                                    algebra.alpha)
+    return B

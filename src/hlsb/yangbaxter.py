@@ -80,13 +80,15 @@ def yang_baxter_residual(algebra, r):
 
 def _tensor_hypotheses(algebra, r, defect, name, defect_name):
     """r even, alpha-fixed and skew under the graded flip, and the adjoint
-    image of the 3-tensor *defect* killed by the cube of the structure map."""
+    image of the 3-tensor *defect* killed by the cube of the structure map.
+    A zero defect has zero adjoint images, so none is computed."""
     p, alpha = algebra.basis.parities, algebra.alpha
     return (_odd_cells(name + "-even", r._cells.items(), (p, p))[:1]  # the first odd cell only
-            + _violations(name + "-alpha-fixed", [()], lambda: r.apply_all(alpha) - r, bool)
-            + _violations(name + "-skew", [()], lambda: r + tau(r), bool)
-            + _violations(name + "-adjoint-" + defect_name, [(i,) for i in range(algebra.dim)],
-                          lambda i: ad_basis(algebra, i, defect).apply_all(alpha), bool))
+            + _violations(name + "-alpha-fixed", [()], lambda: r.apply_all(alpha) - r)
+            + _violations(name + "-skew", [()], lambda: r + tau(r))
+            + _violations(name + "-adjoint-" + defect_name,
+                          [(i,) for i in range(algebra.dim)] if defect else [],
+                          lambda i: ad_basis(algebra, i, defect).apply_all(alpha)))
 
 
 def coboundary_hypothesis_violations(algebra, r, name="r"):
@@ -114,7 +116,7 @@ def check_coboundary(bialgebra, r):
     B = bialgebra
     return CheckReport("coboundary-structure", coboundary_hypothesis_violations(B.algebra, r)
                        + _violations("coboundary", [(i,) for i in range(B.dim)],
-                                     lambda i: B.delta(i) - ad_basis(B.algebra, i, r), bool))
+                                     lambda i: B.delta(i) - ad_basis(B.algebra, i, r)))
 
 
 class QuasiTriangularEquivalences:
@@ -154,7 +156,7 @@ def quasi_triangular_equivalences(bialgebra, r):
 def check_quasi_triangular(bialgebra, r):
     """Coboundary check plus vanishing of the Yang-Baxter residual."""
     violations = check_coboundary(bialgebra, r).violations + _violations(
-        "yang-baxter", [()], lambda: yang_baxter_residual(bialgebra.algebra, r), bool)
+        "yang-baxter", [()], lambda: yang_baxter_residual(bialgebra.algebra, r))
     eq = quasi_triangular_equivalences(bialgebra, r)
     return CheckReport("quasi-triangular", violations,
                        details={"equivalences": eq.as_tuple()})

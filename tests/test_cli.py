@@ -351,8 +351,8 @@ def test_wide_check_evaluates_only_jacobi_triples_with_a_bracket(monkeypatch):
     data = wide_definition(MAX_DIMENSION)
     A = loads_definition(json.dumps(data)).bialgebra.algebra
     calls = []
-    residual = HomSuperAlgebra.jacobi_residual
-    monkeypatch.setattr(HomSuperAlgebra, "jacobi_residual",
+    residual = HomSuperAlgebra._jacobi_cells
+    monkeypatch.setattr(HomSuperAlgebra, "_jacobi_cells",
                         lambda self, *ijk: calls.append(ijk) or residual(self, *ijk))
     assert A.check(multiplicative=True).passed
     bracketed = {(i, j) for i, j, _, _ in data["bracket"]}
@@ -365,7 +365,7 @@ def test_wide_check_evaluates_only_jacobi_triples_with_a_bracket(monkeypatch):
 def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatch):
     data = wide_definition(MAX_DIMENSION)
     A = loads_definition(json.dumps(data)).bialgebra.algebra
-    calls = {"skew_residual": [], "mult_residual": []}
+    calls = {"_skew_cells": [], "_mult_cells": []}
     for name, seen in calls.items():
         residual = getattr(HomSuperAlgebra, name)
         monkeypatch.setattr(HomSuperAlgebra, name,
@@ -374,8 +374,8 @@ def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatc
     assert A.check(multiplicative=True).passed
     assert A.is_multiplicative()
     # alpha = id, so a pair's alpha images bracket only where the pair does
-    assert calls["skew_residual"] == [(0, 1), (0, 3)]
-    assert calls["mult_residual"] == [(0, 1), (0, 3), (1, 0), (3, 0)] * 2
+    assert calls["_skew_cells"] == [(0, 1), (0, 3)]
+    assert calls["_mult_cells"] == [(0, 1), (0, 3), (1, 0), (3, 0)] * 2
 
 
 def test_wide_representation_check_evaluates_only_pairs_an_action_enters(monkeypatch):

@@ -13,6 +13,7 @@ from hlsb.structures import (
     zero_bracket,
 )
 from hlsb.superlinear import EvenMap, SuperBasis, Tensor2, tau
+from hlsb import yangbaxter
 from hlsb.yangbaxter import (
     alpha_fixed_tensors,
     alpha_otimes_delta,
@@ -20,6 +21,7 @@ from hlsb.yangbaxter import (
     check_perturbation_hypotheses,
     check_quasi_triangular,
     coboundary_from_r,
+    coboundary_hypothesis_violations,
     perturb_cobracket,
     quasi_triangular_equivalences,
     random_fixed_tensor,
@@ -101,6 +103,29 @@ def test_coboundary_construction_and_check():
     report = check_coboundary(other, r)
     assert not report.passed
     assert report.by_axiom("coboundary")
+
+
+def test_coboundary_holds_its_algebra_and_skips_a_zero_defect(monkeypatch):
+    A = scaling_family(2)
+    r = Tensor2.from_dict(QQ, A.basis, {(2, 2): 7})
+    assert yang_baxter_residual(A, r).is_zero()
+    seen = []
+    monkeypatch.setattr(yangbaxter, "ad_basis",
+                        lambda algebra, m, t: seen.append(t) or ad_basis(algebra, m, t))
+    B = coboundary_from_r(A, r)
+    assert B.algebra is A
+    # only the n cobracket images: no adjoint image of the zero defect
+    assert seen == [r] * A.dim
+
+
+def test_nonzero_defect_reports_each_adjoint_image():
+    B = scaling_family(1)
+    r = Tensor2.from_dict(QQ, B.basis, {(0, 1): -1, (1, 0): 1, (2, 2): 2})
+    yb = yang_baxter_residual(B, r)
+    want = [((i,), t) for i in range(B.dim) if (t := ad_basis(B, i, yb).apply_all(B.alpha))]
+    got = [(v.indices, v.residual) for v in coboundary_hypothesis_violations(B, r)
+           if v.axiom == "r-adjoint-yang-baxter"]
+    assert want and got == want
 
 
 def test_quasi_triangular_statements_all_false_together():
