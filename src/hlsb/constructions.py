@@ -13,7 +13,7 @@ f([x, y]) - [f(x), f(y)] and ``_cobracket_morphism`` for delta(f(x)) -
 (f (x) f) delta(x).  The bracket kernels, and with them the morphism and
 admissibility checks and a representation's ``act`` and residual
 columns, add into sparse ``{(k,): value}`` cell dicts; a vector or matrix
-is filled only for a reported violation or a public residual.
+is filled only for a reported violation or for the vector ``act`` returns.
 """
 
 from __future__ import annotations
@@ -374,15 +374,6 @@ class Representation:
         reach = [c for c in range(self.module_basis.dim)
                  if rows[i][c] or rows[j][c] or (bracket and beta[c])]
         return self._columns(self._action_into, reach, i, j)
-
-    def intertwine_residual(self, i):
-        """rho(alpha(e_i)) o module_map - module_map o rho(e_i)."""
-        return self._matrix(self._intertwine_columns(i))
-
-    def action_residual(self, i, j):
-        """rho([e_i,e_j]) o module_map
-        - (rho(alpha(e_i)) rho(e_j) - (-1)^{|e_i||e_j|} rho(alpha(e_j)) rho(e_i))."""
-        return self._matrix(self._action_columns(i, j))
 
     def check(self):
         A = self.algebra

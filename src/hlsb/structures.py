@@ -20,22 +20,32 @@ multiplicativity pair that no nonzero bracket enters), so its cost
 follows the nonzero constants.  The skew, Jacobi and multiplicativity
 residuals add into sparse ``{(k,): value}`` cell dicts, and only
 ``skew_residual``, ``jacobi_residual``, ``mult_residual`` and a reported
-violation fill a dense coefficient vector from them.
-``HomSuperBialgebra.check`` evaluates compatibility once per unordered
-pair {i, j} where the bracket is skew, deriving the mirror pair (j, i) by
-the Koszul sign, and directly at each pair where it is not, skipping a
-pair where [e_i, e_j], delta(e_i) and delta(e_j) are all zero.  The
-``bracket``, ``cobracket`` and ``alpha.matrix`` attributes are read-only
-nested-tuple views, built on first use.
+violation fill a dense coefficient vector from them.  The ``bracket``,
+``cobracket`` and ``alpha.matrix`` attributes are read-only nested-tuple
+views, built on first use.
 
-Every condition on a structure map is a morphism condition, and two
-kernels compute them all.  ``_bracket_morphism`` adds f([e_i, e_j]) -
-[f(e_i), f(e_j)] into a cell dict (with ``_morphism_pairs`` naming the pairs
-where it can be nonzero); it gives multiplicativity of alpha, the
-bracket half of a morphism check and a representation's intertwining
-columns.  ``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f)
-delta(e_i): comultiplicativity, the cobracket half of a morphism check,
-``delta_vector`` and the twisted cobrackets of
+Jacobi, multiplicativity and compatibility read the twisted-bracket
+rows T[a][m] = [alpha(e_a), e_m] (``_twisted_rows``), so each term costs
+one product.  ``_compat_residual`` adds delta([e_i, e_j]) and both ad
+terms into one cell dict, each ad term a T row times a cell of
+(id (x) alpha) delta(e_k) or (alpha (x) id) delta(e_k)
+(``_compat_tables``).  A table entry is built on first read and lives
+for one check, never on a structure: ``HomSuperBialgebra.check`` shares
+T between its algebra check and its compatibility pairs, and a single
+residual (``compat_residual``, each pair of ``delta1``) builds only what
+it reads.  The bialgebra check evaluates compatibility once per
+unordered pair {i, j} where the bracket is skew, deriving (j, i) by the
+Koszul sign, directly where it is not, and not at all where [e_i, e_j],
+delta(e_i) and delta(e_j) are all zero.
+
+Every condition on a structure map other than alpha's multiplicativity
+is a morphism condition, and two kernels compute them all.
+``_bracket_morphism`` adds f([e_i, e_j]) - [f(e_i), f(e_j)] into a cell
+dict (with ``_morphism_pairs`` naming the pairs where it can be nonzero);
+it gives the bracket half of a morphism check and a representation's
+intertwining columns.  ``_cobracket_morphism`` gives delta(f(e_i)) -
+(f (x) f) delta(e_i): comultiplicativity, the cobracket half of a
+morphism check, ``delta_vector`` and the twisted cobrackets of
 :mod:`hlsb.constructions`.
 
 Nothing is validated eagerly beyond shapes and ring membership: the point
@@ -211,10 +221,52 @@ def _bracket_into(rows, out, xs, ys, negate=False):
         for (j,), y in ys:
             row = row_i[j]
             if row:
-                c = -(x * y) if negate else x * y
-                for k, v in row:
-                    _add_at(out, k, c * v)
+                _add_row(out, -(x * y) if negate else x * y, row)
     return out
+
+
+def _add_row(out, c, row):
+    """out += c * row for sparse (index tuple, value) pairs *row*, such as
+    a bracket row or a tensor's cells, into the sparse cell dict *out*."""
+    for k, v in row:
+        _add_at(out, k, c * v)
+
+
+class _Lazy(dict):
+    """A table whose missing entry is built by ``build(key)`` on first
+    read and then kept."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+def _twisted_rows(algebra):
+    """The twisted-bracket rows T[a][m] = [alpha(e_a), e_m] as a lazy table,
+    each row a tuple of nonzero ((k,), value) pairs like a bracket row.
+    T[a] is built on first read, and is the bracket rows of e_i itself where
+    alpha(e_a) = e_i; otherwise each of its rows is built on first read.
+    One table serves one check: it is never kept on the structure."""
+    rows, cols = algebra._rows, algebra.alpha._cols
+
+    def table(a):
+        col = cols[a]
+        if len(col) == 1 and col[0][1].is_one():
+            return rows[col[0][0][0]]
+
+        def row(m):
+            out = {}
+            for (i,), x in col:
+                _add_row(out, x, rows[i][m])
+            return tuple(out.items())
+        return _Lazy(row)
+    return _Lazy(table)
 
 
 def _morphism_pairs(src, dst, f):
@@ -230,8 +282,7 @@ def _bracket_morphism(out, image, src_rows, dst_rows, left, right, i, j, negate)
     *negate*, into the sparse cell dict *out*, for bracket (or action) rows
     *src_rows* and *dst_rows* and sparse map columns *image*, *left* and
     *right*.  With all three the columns of f it is f's bracket-morphism
-    residual at (i, j), which for f = alpha is multiplicativity; with
-    action rows, left = alpha and image = right = the module map it is an
+    residual at (i, j); with action rows, left = alpha and image = right = the module map it is an
     intertwining column.  Returns out."""
     for (k,), v in src_rows[i][j]:
         for m, a in image[k]:
@@ -326,27 +377,49 @@ class HomSuperAlgebra:
             _add_at(out, k, v if s == 1 else -v)
         return out
 
-    def _jacobi_cells(self, i, j, k):
-        """jacobi_residual(i, j, k) as sparse ``{(k,): value}`` cells."""
-        p = self.basis.parities
-        cols = self.alpha._cols
+    def _jacobi_cells(self, i, j, k, twisted=None):
+        """jacobi_residual(i, j, k) as sparse ``{(k,): value}`` cells.  A
+        hop [alpha(e_a), [e_b, e_c]] is the sum over [e_b, e_c] = sum y_m e_m
+        of y_m T[a][m], one product per term, reading the twisted-bracket
+        rows *twisted* (``_twisted_rows``), built here if not given."""
+        p, rows = self.basis.parities, self._rows
+        twisted = _twisted_rows(self) if twisted is None else twisted
         out = {}
-        for (a, b, c), sgn in (((i, j, k), koszul_sign(p[i], p[k])),
-                               ((k, i, j), koszul_sign(p[k], p[j])),
-                               ((j, k, i), koszul_sign(p[j], p[i]))):
-            inner = self._rows[b][c]
+        for (a, b, c), odd in (((i, j, k), p[i] * p[k]), ((k, i, j), p[k] * p[j]),
+                               ((j, k, i), p[j] * p[i])):
+            inner = rows[b][c]
             if inner:
-                _bracket_into(self._rows, out, cols[a], inner, sgn == -1)
+                twisted_a = twisted[a]
+                for (m,), y in inner:
+                    row = twisted_a[m]
+                    if row:
+                        _add_row(out, -y if odd else y, row)
         return out
 
-    def _mult_cells(self, i, j):
-        """mult_residual(i, j) as sparse ``{(k,): value}`` cells."""
+    def _mult_cells(self, i, j, twisted=None):
+        """mult_residual(i, j) as sparse ``{(k,): value}`` cells:
+        alpha([e_i, e_j]) less [alpha(e_i), alpha(e_j)], the sum over
+        alpha(e_j) = sum y_b e_b of y_b T[i][b]."""
+        twisted = _twisted_rows(self) if twisted is None else twisted
         cols = self.alpha._cols
-        return _bracket_morphism({}, cols, self._rows, self._rows, cols, cols, i, j, False)
+        out = {}
+        for (k,), v in self._rows[i][j]:
+            _add_row(out, v, cols[k])
+        twisted_i = twisted[i]
+        for (b,), y in cols[j]:
+            row = twisted_i[b]
+            if row:
+                _add_row(out, -y, row)
+        return out
 
     # -- checks ----------------------------------------------------------
 
     def check(self, multiplicative=False):
+        return CheckReport("hom-super-algebra",
+                           self._found(multiplicative, _twisted_rows(self)))
+
+    def _found(self, multiplicative, twisted):
+        """check's violations, reading the twisted-bracket rows *twisted*."""
         n = self.dim
         rows = self._rows
         pairs = [(i, j) for i in range(n) for j in range(i, n) if rows[i][j] or rows[j][i]]
@@ -354,15 +427,17 @@ class HomSuperAlgebra:
         triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
                    if rows[j][k] or rows[i][j] or rows[k][i]]
         found = (_violations("skew", pairs, self._skew_cells)
-                 + _violations("jacobi", triples, self._jacobi_cells))
+                 + _violations("jacobi", triples,
+                               lambda *ijk: self._jacobi_cells(*ijk, twisted)))
         if multiplicative:
             found += _violations("multiplicative", _morphism_pairs(self, self, self.alpha),
-                                 self._mult_cells)
-        return CheckReport("hom-super-algebra",
-                           self.grading_violations() + _densified(found, self._vector))
+                                 lambda i, j: self._mult_cells(i, j, twisted))
+        return self.grading_violations() + _densified(found, self._vector)
 
     def is_multiplicative(self):
-        return not any(self._mult_cells(i, j) for i, j in _morphism_pairs(self, self, self.alpha))
+        twisted = _twisted_rows(self)
+        return not any(self._mult_cells(i, j, twisted)
+                       for i, j in _morphism_pairs(self, self, self.alpha))
 
 
 class HomSuperCoalgebra:
@@ -467,16 +542,10 @@ def ad_action(algebra, x, t):
     if len(coeffs) != algebra.dim:
         raise DimensionMismatchError("vector length %d, expected %d"
                                      % (len(coeffs), algebra.dim))
-    return _ad_sparse(algebra, _sparse(coeffs, 1), parity, t)
-
-
-def _ad_sparse(algebra, xs, parity, t):
-    """ad_action of the element with nonzero ``((m,), coeff)`` pairs *xs*,
-    such as an alpha column, and the given parity."""
     p = algebra.basis.parities
     out_parity = None if t.parity is None else (t.parity + parity) % 2
     cells, src, cols = {}, t._cells, algebra.alpha._cols
-    for (m,), xm in xs:
+    for (m,), xm in _sparse(coeffs, 1):
         rows = algebra._rows[m]
         for idx, v in src.items():
             base = xm * v
@@ -497,28 +566,54 @@ def ad_basis(algebra, m, t):
     return ad_action(algebra, (coeffs, algebra.basis.parity(m)), t)
 
 
-def _compat_residual(algebra, deltas, i, j):
+def _compat_tables(algebra, deltas, twisted=None):
+    """The tables compatibility reads, each a lazy table built on first
+    read: the twisted-bracket rows T (*twisted* if given) and, per k, the
+    cells of (id (x) alpha) delta(e_k) and of (alpha (x) id) delta(e_k)."""
+    alpha = algebra.alpha
+    return (_twisted_rows(algebra) if twisted is None else twisted,
+            _Lazy(lambda k: deltas[k].apply(alpha, 1)._cells),
+            _Lazy(lambda k: deltas[k].apply(alpha, 0)._cells))
+
+
+def _compat_residual(algebra, deltas, i, j, tables=None):
     """delta([e_i,e_j]) - ad_{alpha(e_i)} delta(e_j)
-    + (-1)^{|e_i||e_j|} ad_{alpha(e_j)} delta(e_i)."""
-    ring, basis = algebra.ring, algebra.basis
-    p = basis.parities
-    out = Tensor2(ring, basis)
-    for (k,), coeff in algebra._rows[i][j]:
-        out = out + deltas[k].scale(coeff)
-    cols = algebra.alpha._cols
-    out = out - _ad_sparse(algebra, cols[i], p[i], deltas[j])
-    term = _ad_sparse(algebra, cols[j], p[j], deltas[i])
-    if koszul_sign(p[i], p[j]) == 1:
-        out = out + term
-    else:
-        out = out - term
-    return out
+    + (-1)^{|e_i||e_j|} ad_{alpha(e_j)} delta(e_i), added into one cell dict.
+
+    ad_{alpha(e_x)} sends e_u (x) e_v to T[x][u] (x) alpha(e_v)
+    + (-1)^{|e_x||e_u|} alpha(e_u) (x) T[x][v], so each ad term reads T
+    against (id (x) alpha) delta and (alpha (x) id) delta, whose cells keep
+    the parity of e_u as alpha is even.  *tables* are ``_compat_tables``;
+    without them only what this pair reads is built."""
+    twisted, id_alpha, alpha_id = _compat_tables(algebra, deltas) if tables is None else tables
+    p = algebra.basis.parities
+    out = {}
+    for (k,), c in algebra._rows[i][j]:
+        _add_row(out, c, deltas[k]._cells.items())
+    for x, t, negate in ((i, j, True), (j, i, p[i] * p[j] == 1)):
+        if not deltas[t]:
+            continue
+        twisted_x = twisted[x]
+        for (u, w), d in id_alpha[t].items():
+            row = twisted_x[u]
+            if row:
+                d = -d if negate else d
+                for (k,), y in row:
+                    _add_at(out, (k, w), d * y)
+        for (w, v), d in alpha_id[t].items():
+            row = twisted_x[v]
+            if row:
+                d = -d if negate != (p[x] * p[w] == 1) else d
+                for (k,), y in row:
+                    _add_at(out, (w, k), d * y)
+    return Tensor2._wrap(algebra.ring, algebra.basis, out)
 
 
-def _compat_residuals(algebra, deltas, nonskew):
+def _compat_residuals(algebra, deltas, nonskew, tables):
     """The compatibility residual of every ordered pair, as a dict keyed by
-    (i, j) in row-major order.  *nonskew* holds the pairs (i, j), i <= j,
-    at which the bracket is not skew.  Where it is skew, [e_j, e_i] =
+    (i, j) in row-major order, read from the ``_compat_tables`` *tables*.
+    *nonskew* holds the pairs (i, j), i <= j, at which the bracket is not
+    skew.  Where it is skew, [e_j, e_i] =
     -s [e_i, e_j] with s = (-1)^{|e_i||e_j|}; delta is linear and the two
     ad terms trade places, so compat(j, i) = -s compat(i, j) exactly, and
     an even compat(i, i) is zero.  So is compat(i, j) when [e_i, e_j],
@@ -533,7 +628,7 @@ def _compat_residuals(algebra, deltas, nonskew):
               or not (rows[i][j] or deltas[i] or deltas[j])):
             out[i, j] = Tensor2(algebra.ring, algebra.basis)
         else:
-            out[i, j] = _compat_residual(algebra, deltas, i, j)
+            out[i, j] = _compat_residual(algebra, deltas, i, j, tables)
     return out
 
 
@@ -568,10 +663,12 @@ class HomSuperBialgebra:
         return _compat_residual(self.algebra, deltas, i, j)
 
     def check(self, multiplicative=False):
+        A = self.algebra
         deltas = [self.delta(k) for k in range(self.dim)]
-        violations = self.algebra.check(multiplicative=multiplicative).violations
+        twisted = _twisted_rows(A)
+        violations = A._found(multiplicative, twisted)
         nonskew = {v.indices for v in violations if v.axiom == "skew"}
-        compat = _compat_residuals(self.algebra, deltas, nonskew)
+        compat = _compat_residuals(A, deltas, nonskew, _compat_tables(A, deltas, twisted))
         violations += (self.coalgebra.check(comultiplicative=multiplicative).violations
                        + _violations("compatibility", compat, lambda i, j: compat[i, j]))
         return CheckReport("hom-super-bialgebra", violations)

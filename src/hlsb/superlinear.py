@@ -442,19 +442,23 @@ class Tensor3(_TensorBase):
         _TensorBase.apply, _TensorBase.apply_all)
 
 
-def _permuted(t, order):
-    """The tensor whose slot k holds slot order[k] of t, with the Koszul
-    sign of every pair of slots that changes places."""
+def _permuted_cells(t, order):
+    """The cells of the tensor whose slot k holds slot order[k] of t, with
+    the Koszul sign of every pair of slots that changes places, as
+    (index tuple, value) pairs."""
     if len(order) != t.rank:
         raise TypeError("a %d-slot permutation cannot act on %s"
                         % (len(order), type(t).__name__))
     p = t.basis.parities
     crossed = [(a, b) for k, a in enumerate(order) for b in order[k + 1:] if a > b]
-    cells = {}
     for idx, v in t._cells.items():
         odd = sum(p[idx[a]] * p[idx[b]] for a, b in crossed) % 2
-        cells[tuple(idx[s] for s in order)] = -v if odd else v
-    return t._wrap(t.ring, t.basis, cells, t.parity)
+        yield tuple(idx[s] for s in order), -v if odd else v
+
+
+def _permuted(t, order):
+    """t with its slots permuted as in ``_permuted_cells``."""
+    return t._wrap(t.ring, t.basis, dict(_permuted_cells(t, order)), t.parity)
 
 
 def tau(t):
@@ -468,6 +472,10 @@ def xi(t):
 
 
 def cyclic_sum(t):
-    """t + xi(t) + xi(xi(t)) for a Tensor3."""
-    first = xi(t)
-    return t + first + xi(first)
+    """t + xi(t) + xi(xi(t)) for a Tensor3, added into one cell dict;
+    xi(xi(t)) is the rotation that moves the last slot to the front."""
+    cells = dict(t._cells)
+    for order in ((1, 2, 0), (2, 0, 1)):
+        for idx, v in _permuted_cells(t, order):
+            _add_at(cells, idx, v)
+    return t._wrap(t.ring, t.basis, cells, t.parity)

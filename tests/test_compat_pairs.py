@@ -66,9 +66,9 @@ def test_check_evaluates_each_skew_pair_once(monkeypatch, build, nonskew, calls)
     evaluated = []
     compat = structures._compat_residual
 
-    def counted(algebra, deltas, i, j):
+    def counted(algebra, deltas, i, j, *rest):
         evaluated.append((i, j))
-        return compat(algebra, deltas, i, j)
+        return compat(algebra, deltas, i, j, *rest)
     monkeypatch.setattr(structures, "_compat_residual", counted)
     B.check(multiplicative=True)
     direct = ({(i, j) for i in range(n) for j in range(i + 1, n)}

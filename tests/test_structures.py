@@ -223,15 +223,29 @@ def test_ad_alpha_column_is_ad_of_alpha_image():
     assert t2_dict(got) == t2_dict(want)
 
 
-def sparse_cube(rng, n, fill, empty):
-    """Random integer constants with about *fill* of the cells nonzero and
-    every cell whose leading indices are in *empty* zero."""
-    cube = [[[QQ.zero()] * n for _ in range(n)] for _ in range(n)]
+LAURENT = ParamRing(["s", "t"], invertible=["t"])
+
+
+def draw_value(rng, ring, value):
+    """*value* over QQ; over LAURENT, *value* times a random monomial
+    s^a t^b (a in 0..1, b in -1..1), with 1 added at random."""
+    value = ring.from_fraction(value)
+    if ring is QQ:
+        return value
+    value = value * ring.param("s") ** rng.randint(0, 1) * ring.param("t") ** rng.randint(-1, 1)
+    return value + 1 if rng.random() < 0.3 else value
+
+
+def sparse_cube(rng, n, fill, empty, ring=QQ):
+    """Random integer constants (symbolic over LAURENT, see ``draw_value``)
+    with about *fill* of the cells nonzero and every cell whose leading
+    indices are in *empty* zero."""
+    cube = [[[ring.zero()] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if (i, j) not in empty and i not in empty and rng.random() < fill:
-                    cube[i][j][k] = QQ.from_fraction(rng.choice([-2, -1, 1, 2, 3]))
+                    cube[i][j][k] = draw_value(rng, ring, rng.choice([-2, -1, 1, 2, 3]))
     return cube
 
 
@@ -271,31 +285,36 @@ def oracle_violations(oracle, cube, cocube):
     return [v for v in out if v[2]]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
-       fill=st.sampled_from([0.0, 0.05, 0.15, 0.3]), as_dict=st.booleans())
-def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict):
+       fill=st.sampled_from([0.0, 0.05, 0.15, 0.3]), as_dict=st.booleans(),
+       laurent=st.booleans())
+def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict, laurent):
+    """Over QQ, or over a Laurent ring where the residuals are symbolic;
+    alpha has random entries on and off the diagonal of both parity
+    blocks, so the twisted-bracket rows are sums of products."""
+    ring = LAURENT if laurent else QQ
     rng = random.Random(seed)
     parities = [rng.randint(0, 1) for _ in range(n)]
     basis = SuperBasis(parities)
     empty = {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.3}
     empty |= {i for i in range(n) if rng.random() < 0.3}
-    cube = sparse_cube(rng, n, fill, empty)
-    cocube = sparse_cube(rng, n, fill, empty)
-    alpha = [[QQ.from_fraction(rng.randint(-2, 2))
-              if parities[i] == parities[j] and rng.random() < max(fill, 0.3) else QQ.zero()
+    cube = sparse_cube(rng, n, fill, empty, ring)
+    cocube = sparse_cube(rng, n, fill, empty, ring)
+    alpha = [[draw_value(rng, ring, rng.randint(-2, 2))
+              if parities[i] == parities[j] and rng.random() < max(fill, 0.3) else ring.zero()
               for j in range(n)] for i in range(n)]
 
     def cells(grid):
         return {(i, j, k): v for i, plane in enumerate(grid) for j, row in enumerate(plane)
                 for k, v in enumerate(row) if v}
     if as_dict:
-        B = HomSuperBialgebra(QQ, basis, cells(cube), cells(cocube),
+        B = HomSuperBialgebra(ring, basis, cells(cube), cells(cocube),
                               {(i, j): v for i, row in enumerate(alpha)
                                for j, v in enumerate(row) if v})
     else:
-        B = HomSuperBialgebra(QQ, basis, cube, cocube, alpha)
-    oracle = DenseOracle(QQ, parities, bracket=cube, cobracket=cocube, alpha=alpha)
+        B = HomSuperBialgebra(ring, basis, cube, cocube, alpha)
+    oracle = DenseOracle(ring, parities, bracket=cube, cobracket=cocube, alpha=alpha)
     assert B.bracket == tuple(tuple(map(tuple, plane)) for plane in cube)
     assert B.cobracket == tuple(tuple(map(tuple, plane)) for plane in cocube)
     assert B.alpha.matrix == tuple(map(tuple, alpha))
@@ -311,9 +330,9 @@ def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict):
             for k in range(n):
                 assert vec_dict(alg.jacobi_residual(i, j, k)) == oracle.jacobi(i, j, k)
     for rank, kind in ((2, Tensor2), (3, Tensor3)):
-        t = kind.from_dict(QQ, basis, sparse_tensor(rng, n, rank, fill))
+        t = kind.from_dict(ring, basis, sparse_tensor(rng, n, rank, fill))
         q = rng.randint(0, 1)
-        x = [QQ.from_fraction(rng.randint(-1, 1)) if parities[m] == q else QQ.zero()
+        x = [ring.from_fraction(rng.randint(-1, 1)) if parities[m] == q else ring.zero()
              for m in range(n)]
         want = oracle.reduce(oracle.ad([(v, (m,)) for m, v in enumerate(x) if v], q,
                                        [(row[-1], tuple(row[:-1])) for row in t.items()]))
