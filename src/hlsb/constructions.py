@@ -6,14 +6,14 @@ ring they produce structure constants over the same ring (or its dual
 basis), and every hypothesis a construction needs is either verified on
 the spot or surfaced through :class:`~hlsb.errors.HypothesisError`.
 
-Morphism checks, the intertwining condition of a representation and the
-cobrackets of ``twist`` and ``transport_structure`` run on the two
-morphism kernels of :mod:`hlsb.structures`: ``_bracket_morphism`` for
-f([x, y]) - [f(x), f(y)] and ``_cobracket_morphism`` for delta(f(x)) -
-(f (x) f) delta(x).  The bracket kernels, and with them the morphism and
-admissibility checks and a representation's ``act`` and residual
-columns, add into sparse ``{(k,): value}`` cell dicts; a vector or matrix
-is filled only for a reported violation or for the vector ``act`` returns.
+Morphism, representation and admissibility checks run on the bracket
+kernels of :mod:`hlsb.structures`, reading one ``_images`` table per
+check (of f, of alpha over the action rows, of Id - alpha^2):
+``_bracket_into`` adds [f(e_a), y] from it and ``_bracket_morphism``
+f([x, y]) - [f(x), f(y)].  ``_cobracket_morphism`` gives delta(f(x)) -
+(f (x) f) delta(x), for morphism checks and the cobrackets of ``twist``
+and ``transport_structure``.  All of them add into sparse cell dicts; a
+vector or matrix is filled only for a reported violation or for ``act``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .structures import (
     _delta_cells,
     _densified,
     _group,
+    _images,
     _morphism_pairs,
     _odd_cells,
     _prefixed,
@@ -42,7 +43,7 @@ from .structures import (
 )
 from .superlinear import (
     EvenMap, SuperBasis, Tensor2, _add_at, _add_products, _filled, _frozen, _lift_cells,
-    _map_cells, _sparse, koszul_sign)
+    _map_cells, _vector_cells, koszul_sign)
 
 # ---------------------------------------------------------------------------
 # morphisms
@@ -52,10 +53,10 @@ def check_algebra_morphism(f, src, dst):
     """Is f a morphism of bracket structures (bracket- and twist-compatible)?"""
     if f.src != src.basis or f.dst != dst.basis:
         raise DimensionMismatchError("map bases do not match the structures")
-    cols = f._cols
+    cols, images = f._cols, _images(dst._rows, f._cols)
     violations = _densified(_violations(
         "bracket-morphism", _morphism_pairs(src, dst, f),
-        lambda i, j: _bracket_morphism({}, cols, src._rows, dst._rows, cols, cols, i, j, False)),
+        lambda i, j: _bracket_morphism({}, cols, src._rows, images, cols, i, j, False)),
         dst._vector)
     diff = _map_cells(f.compose(src.alpha))
     for idx, v in _map_cells(dst.alpha.compose(f)).items():
@@ -317,7 +318,7 @@ class Representation:
 
     def act(self, m, vec):
         """Action of the m-th algebra basis vector on a module vector."""
-        out = _bracket_into(self._rows, {}, (((m,), self.ring.one()),), _sparse(vec, 1))
+        out = _bracket_into({}, self._rows[m], _vector_cells(vec, self.module_basis.dim))
         return _filled(out, (self.module_basis.dim,), self.ring.zero())
 
     def grading_violations(self):
@@ -343,19 +344,18 @@ class Representation:
         return _filled({(i, j): v for j, col in cols.items() for (i,), v in col.items()},
                        (d, d), self.ring.zero())
 
-    def _intertwine_into(self, col, c, i):
-        beta, rows = self.module_map._cols, self._rows
-        _bracket_morphism(col, beta, rows, rows, self.algebra.alpha._cols, beta, i, c, True)
+    def _intertwine_into(self, col, c, i, images):
+        beta = self.module_map._cols
+        _bracket_morphism(col, beta, self._rows, images, beta, i, c, True)
 
-    def _action_into(self, col, c, i, j):
+    def _action_into(self, col, c, i, j, images):
         A, rows = self.algebra, self._rows
-        alpha = A.alpha._cols
         s = koszul_sign(A.basis.parity(i), A.basis.parity(j))
-        _bracket_into(rows, col, A._rows[i][j], self.module_map._cols[c])
-        _bracket_into(rows, col, alpha[i], rows[j][c], negate=True)
-        _bracket_into(rows, col, alpha[j], rows[i][c], negate=s == -1)
+        _bracket_into(col, _images(rows, [A._rows[i][j]])[0], self.module_map._cols[c])
+        _bracket_into(col, images[i], rows[j][c], negate=True)
+        _bracket_into(col, images[j], rows[i][c], negate=s == -1)
 
-    def _intertwine_columns(self, i):
+    def _intertwine_columns(self, i, images):
         """The intertwine residual's columns at i, evaluated only where
         rho(e_i) e_c or rho(alpha(e_i)) beta(e_c) can be nonzero."""
         rows, beta = self._rows, self.module_map._cols
@@ -363,9 +363,9 @@ class Representation:
                for k, col in enumerate(rows[m]) if col}
         reach = [c for c in range(self.module_basis.dim)
                  if rows[i][c] or any(k in hit for (k,), _ in beta[c])]
-        return self._columns(self._intertwine_into, reach, i)
+        return self._columns(self._intertwine_into, reach, i, images)
 
-    def _action_columns(self, i, j):
+    def _action_columns(self, i, j, images):
         """The action residual's columns at (i, j), evaluated only where
         rho(e_i) e_c or rho(e_j) e_c is nonzero, or both [e_i, e_j] and
         beta(e_c) are."""
@@ -373,7 +373,7 @@ class Representation:
         bracket = bool(self.algebra._rows[i][j])
         reach = [c for c in range(self.module_basis.dim)
                  if rows[i][c] or rows[j][c] or (bracket and beta[c])]
-        return self._columns(self._action_into, reach, i, j)
+        return self._columns(self._action_into, reach, i, j, images)
 
     def check(self):
         A = self.algebra
@@ -385,8 +385,12 @@ class Representation:
                 if acts[i] or any(acts[m] for (m,), _ in A.alpha._cols[i])]
         pairs = [(i, j) for i in range(n) for j in range(n)
                  if A._rows[i][j] or acts[i] or acts[j]]
-        found = (_violations("action-intertwine", each, self._intertwine_columns)
-                 + _violations("action-bracket", pairs, self._action_columns))
+        # rho(alpha(e_a)) v_m, read by both residuals
+        images = _images(self._rows, A.alpha._cols)
+        found = (_violations("action-intertwine", each,
+                             lambda i: self._intertwine_columns(i, images))
+                 + _violations("action-bracket", pairs,
+                               lambda i, j: self._action_columns(i, j, images)))
         return CheckReport("representation",
                            self.grading_violations() + _densified(found, self._matrix))
 
@@ -420,10 +424,11 @@ def check_admissible(algebra):
     for idx, v in _map_cells(A.alpha.power(2)).items():
         _add_at(defect, idx, -v)
     defect = EvenMap(A.ring, A.basis, A.basis, defect)._cols
+    images = _images(A._rows, defect)
     pairs = [(i, j) for i in range(n) if defect[i] for j in range(n)]
     return CheckReport("admissible", _densified(_violations(
         "admissible", pairs,
-        lambda i, j: _bracket_into(A._rows, {}, defect[i], A.alpha._cols[j])), A._vector))
+        lambda i, j: _bracket_into({}, images[i], A.alpha._cols[j])), A._vector))
 
 
 # ---------------------------------------------------------------------------

@@ -24,28 +24,25 @@ violation fill a dense coefficient vector from them.  The ``bracket``,
 ``cobracket`` and ``alpha.matrix`` attributes are read-only nested-tuple
 views, built on first use.
 
-Jacobi, multiplicativity and compatibility read the twisted-bracket
-rows T[a][m] = [alpha(e_a), e_m] (``_twisted_rows``), so each term costs
-one product.  ``_compat_residual`` adds delta([e_i, e_j]) and both ad
-terms into one cell dict, each ad term a T row times a cell of
+Every bracket of an image runs on one kernel set.  ``_images(rows,
+cols)`` is the lazy table T[a][m] = [f(e_a), e_m] for bracket (or action)
+rows and a map's columns, built on first read for one check and never
+kept on a structure; ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
+T[a][b] into a cell dict; ``_bracket_morphism`` adds f([e_i, e_j]) -
+[f(e_i), f(e_j)] from T, for morphism checks, alpha's multiplicativity
+and a representation's intertwining columns.  Jacobi reads alpha's table
+once per hop, and ``ad_action`` reads [x, e_u] from the table of x.
+``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
+cell dict, each ad term an alpha-table row times a cell of
 (id (x) alpha) delta(e_k) or (alpha (x) id) delta(e_k)
-(``_compat_tables``).  A table entry is built on first read and lives
-for one check, never on a structure: ``HomSuperBialgebra.check`` shares
-T between its algebra check and its compatibility pairs, and a single
-residual (``compat_residual``, each pair of ``delta1``) builds only what
-it reads.  The bialgebra check evaluates compatibility once per
-unordered pair {i, j} where the bracket is skew, deriving (j, i) by the
-Koszul sign, directly where it is not, and not at all where [e_i, e_j],
-delta(e_i) and delta(e_j) are all zero.
-
-Every condition on a structure map other than alpha's multiplicativity
-is a morphism condition, and two kernels compute them all.
-``_bracket_morphism`` adds f([e_i, e_j]) - [f(e_i), f(e_j)] into a cell
-dict (with ``_morphism_pairs`` naming the pairs where it can be nonzero);
-it gives the bracket half of a morphism check and a representation's
-intertwining columns.  ``_cobracket_morphism`` gives delta(f(e_i)) -
-(f (x) f) delta(e_i): comultiplicativity, the cobracket half of a
-morphism check, ``delta_vector`` and the twisted cobrackets of
+(``_compat_tables``).  ``HomSuperBialgebra.check`` shares alpha's table
+between its algebra check and its compatibility pairs, which it
+evaluates once per unordered pair {i, j} where the bracket is skew
+(deriving (j, i) by the Koszul sign), directly where it is not, and not
+at all where [e_i, e_j], delta(e_i) and delta(e_j) are all zero; each
+pair of ``delta1`` builds its own.  ``_cobracket_morphism`` gives
+delta(f(e_i)) - (f (x) f) delta(e_i): comultiplicativity, the cobracket
+half of a morphism check, ``delta_vector`` and the twisted cobrackets of
 :mod:`hlsb.constructions`.
 
 Nothing is validated eagerly beyond shapes and ring membership: the point
@@ -67,10 +64,10 @@ from __future__ import annotations
 from itertools import product
 from operator import getitem, itemgetter
 
-from .errors import DimensionMismatchError, HypothesisError
+from .errors import DimensionMismatchError, HypothesisError, ParityError
 from .superlinear import (
     EvenMap, Tensor2, Tensor3, _add_at, _add_products, _filled, _frozen, _grid,
-    _lift_cells, _sparse, _TensorBase, cyclic_sum, koszul_sign, tau)
+    _lift_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -210,26 +207,24 @@ def zero_cobracket(ring, basis):
     return zero_bracket(ring, basis)
 
 
-def _bracket_into(rows, out, xs, ys, negate=False):
-    """out += [x, y], or -= if *negate*, for sparse vectors of ((index,),
-    value) pairs such as alpha columns and bracket rows, adding into the
-    sparse cell dict *out* keyed by ``(index,)``.  *rows* is an algebra's
-    bracket rows, or the columns ``rho(e_i) e_j`` of an action, which then
-    gives out += rho(x) y.  Returns out."""
-    for (i,), x in xs:
-        row_i = rows[i]
-        for (j,), y in ys:
-            row = row_i[j]
-            if row:
-                _add_row(out, -(x * y) if negate else x * y, row)
-    return out
-
-
 def _add_row(out, c, row):
     """out += c * row for sparse (index tuple, value) pairs *row*, such as
     a bracket row or a tensor's cells, into the sparse cell dict *out*."""
     for k, v in row:
         _add_at(out, k, c * v)
+
+
+def _bracket_into(out, table, ys, negate=False):
+    """out += sum_b y_b table[b], or -= if *negate*, for a sparse vector
+    *ys* of ((b,), y_b) pairs, into the sparse cell dict *out*.  With
+    table = ``_images(rows, cols)[a]`` it adds [f(e_a), y]; with table =
+    rows[a], one plane of bracket (or action) rows, [e_a, y] (or
+    rho(e_a) y).  Returns out."""
+    for (b,), y in ys:
+        row = table[b]
+        if row:
+            _add_row(out, -y if negate else y, row)
+    return out
 
 
 class _Lazy(dict):
@@ -247,14 +242,13 @@ class _Lazy(dict):
         return value
 
 
-def _twisted_rows(algebra):
-    """The twisted-bracket rows T[a][m] = [alpha(e_a), e_m] as a lazy table,
-    each row a tuple of nonzero ((k,), value) pairs like a bracket row.
-    T[a] is built on first read, and is the bracket rows of e_i itself where
-    alpha(e_a) = e_i; otherwise each of its rows is built on first read.
-    One table serves one check: it is never kept on the structure."""
-    rows, cols = algebra._rows, algebra.alpha._cols
-
+def _images(rows, cols):
+    """The bracket-of-images table T[a][m] = [f(e_a), e_m] as a lazy table,
+    for bracket (or action) rows *rows* and the sparse columns *cols* of a
+    map f, each row a tuple of nonzero ((k,), value) pairs like a bracket
+    row.  T[a] is built on first read, and is the rows of e_i itself where
+    f(e_a) = e_i; otherwise each of its rows is built on first read.  One
+    table serves one check: it is never kept on a structure."""
     def table(a):
         col = cols[a]
         if len(col) == 1 and col[0][1].is_one():
@@ -277,17 +271,18 @@ def _morphism_pairs(src, dst, f):
             if row or any(rows[a][b] for (a,), _ in cols[i] for (b,), _ in cols[j])]
 
 
-def _bracket_morphism(out, image, src_rows, dst_rows, left, right, i, j, negate):
+def _bracket_morphism(out, image, src_rows, images, right, i, j, negate):
     """out += image([e_i, e_j]) - [left(e_i), right(e_j)], or -= if
     *negate*, into the sparse cell dict *out*, for bracket (or action) rows
-    *src_rows* and *dst_rows* and sparse map columns *image*, *left* and
-    *right*.  With all three the columns of f it is f's bracket-morphism
-    residual at (i, j); with action rows, left = alpha and image = right = the module map it is an
-    intertwining column.  Returns out."""
+    *src_rows*, sparse map columns *image* and *right*, and the table
+    *images* = ``_images(dst_rows, left)``.  With image = left = right = f
+    it is f's bracket-morphism residual at (i, j), with f = alpha the
+    multiplicativity residual; with action rows, left = alpha and image =
+    right = the module map it is an intertwining column.  Returns out."""
     for (k,), v in src_rows[i][j]:
         for m, a in image[k]:
             _add_at(out, m, -(a * v) if negate else a * v)
-    return _bracket_into(dst_rows, out, left[i], right[j], not negate)
+    return _bracket_into(out, images[i], right[j], not negate)
 
 
 def _cobracket_morphism(dst, x, f, plane):
@@ -363,11 +358,11 @@ class HomSuperAlgebra:
 
     def jacobi_residual(self, i, j, k):
         """The graded cyclic sum of [alpha(x), [y, z]] over (e_i,e_j,e_k)."""
-        return self._vector(self._jacobi_cells(i, j, k))
+        return self._vector(self._jacobi_cells(i, j, k, _images(self._rows, self.alpha._cols)))
 
     def mult_residual(self, i, j):
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
-        return self._vector(self._mult_cells(i, j))
+        return self._vector(self._mult_cells(i, j, _images(self._rows, self.alpha._cols)))
 
     def _skew_cells(self, i, j):
         """skew_residual(i, j) as sparse ``{(k,): value}`` cells."""
@@ -377,49 +372,33 @@ class HomSuperAlgebra:
             _add_at(out, k, v if s == 1 else -v)
         return out
 
-    def _jacobi_cells(self, i, j, k, twisted=None):
-        """jacobi_residual(i, j, k) as sparse ``{(k,): value}`` cells.  A
-        hop [alpha(e_a), [e_b, e_c]] is the sum over [e_b, e_c] = sum y_m e_m
-        of y_m T[a][m], one product per term, reading the twisted-bracket
-        rows *twisted* (``_twisted_rows``), built here if not given."""
+    def _jacobi_cells(self, i, j, k, twisted):
+        """jacobi_residual(i, j, k) as sparse ``{(k,): value}`` cells, read
+        from the twisted-bracket table *twisted* = ``_images(rows, alpha)``:
+        a hop [alpha(e_a), [e_b, e_c]] is the sum over [e_b, e_c] =
+        sum y_m e_m of y_m T[a][m], one product per term."""
         p, rows = self.basis.parities, self._rows
-        twisted = _twisted_rows(self) if twisted is None else twisted
         out = {}
         for (a, b, c), odd in (((i, j, k), p[i] * p[k]), ((k, i, j), p[k] * p[j]),
                                ((j, k, i), p[j] * p[i])):
-            inner = rows[b][c]
-            if inner:
-                twisted_a = twisted[a]
-                for (m,), y in inner:
-                    row = twisted_a[m]
-                    if row:
-                        _add_row(out, -y if odd else y, row)
+            _bracket_into(out, twisted[a], rows[b][c], odd)
         return out
 
-    def _mult_cells(self, i, j, twisted=None):
-        """mult_residual(i, j) as sparse ``{(k,): value}`` cells:
-        alpha([e_i, e_j]) less [alpha(e_i), alpha(e_j)], the sum over
-        alpha(e_j) = sum y_b e_b of y_b T[i][b]."""
-        twisted = _twisted_rows(self) if twisted is None else twisted
+    def _mult_cells(self, i, j, twisted):
+        """mult_residual(i, j) as sparse ``{(k,): value}`` cells: alpha's
+        bracket-morphism residual, read from *twisted* as in
+        ``_jacobi_cells``."""
         cols = self.alpha._cols
-        out = {}
-        for (k,), v in self._rows[i][j]:
-            _add_row(out, v, cols[k])
-        twisted_i = twisted[i]
-        for (b,), y in cols[j]:
-            row = twisted_i[b]
-            if row:
-                _add_row(out, -y, row)
-        return out
+        return _bracket_morphism({}, cols, self._rows, twisted, cols, i, j, False)
 
     # -- checks ----------------------------------------------------------
 
     def check(self, multiplicative=False):
-        return CheckReport("hom-super-algebra",
-                           self._found(multiplicative, _twisted_rows(self)))
+        return CheckReport("hom-super-algebra", self._found(
+            multiplicative, _images(self._rows, self.alpha._cols)))
 
     def _found(self, multiplicative, twisted):
-        """check's violations, reading the twisted-bracket rows *twisted*."""
+        """check's violations, reading the twisted-bracket table *twisted*."""
         n = self.dim
         rows = self._rows
         pairs = [(i, j) for i in range(n) for j in range(i, n) if rows[i][j] or rows[j][i]]
@@ -435,7 +414,7 @@ class HomSuperAlgebra:
         return self.grading_violations() + _densified(found, self._vector)
 
     def is_multiplicative(self):
-        twisted = _twisted_rows(self)
+        twisted = _images(self._rows, self.alpha._cols)
         return not any(self._mult_cells(i, j, twisted)
                        for i, j in _morphism_pairs(self, self, self.alpha))
 
@@ -478,7 +457,7 @@ class HomSuperCoalgebra:
 
     def delta_vector(self, x):
         """delta of a coefficient vector (linear extension), as a Tensor2."""
-        return _cobracket_morphism(self, _sparse(x, 1), None, ())
+        return _cobracket_morphism(self, _vector_cells(x, self.dim), None, ())
 
     def cojacobi_residual(self, i):
         """The graded cyclic sum of (alpha (x) delta) delta at e_i."""
@@ -529,8 +508,9 @@ def delta_otimes_alpha(coalgebra, r):
 def ad_action(algebra, x, t):
     """The twisted adjoint action of a homogeneous element on a tensor.
 
-    *x* is a pair ``(coeffs, parity)``.  On each summand the bracket hits
-    one slot while ``alpha`` hits all the others, with the Koszul sign for
+    *x* is a pair ``(coeffs, parity)``, whose coefficients must all lie on
+    basis vectors of that parity.  On each summand the bracket hits one
+    slot while ``alpha`` hits all the others, with the Koszul sign for
     moving x past the slots it skips:
 
         x . (y1 (x) ... (x) yn)
@@ -539,23 +519,22 @@ def ad_action(algebra, x, t):
     if not isinstance(t, _TensorBase):
         raise TypeError("ad_action expects a Tensor2 or Tensor3")
     coeffs, parity = x
-    if len(coeffs) != algebra.dim:
-        raise DimensionMismatchError("vector length %d, expected %d"
-                                     % (len(coeffs), algebra.dim))
+    xs = _vector_cells(coeffs, algebra.dim)
     p = algebra.basis.parities
+    if parity not in (0, 1) or any(p[m] != parity for (m,), _ in xs):
+        raise ParityError("x is not homogeneous of parity %r" % (parity,))
     out_parity = None if t.parity is None else (t.parity + parity) % 2
-    cells, src, cols = {}, t._cells, algebra.alpha._cols
-    for (m,), xm in _sparse(coeffs, 1):
-        rows = algebra._rows[m]
-        for idx, v in src.items():
-            base = xm * v
-            skipped = 0
-            for slot, i in enumerate(idx):
-                if rows[i]:
-                    factors = [cols[j] for j in idx]
-                    factors[slot] = rows[i]
-                    _add_products(cells, -base if parity * skipped % 2 else base, factors)
-                skipped += p[i]
+    cells, cols = {}, algebra.alpha._cols
+    bracket = _images(algebra._rows, [xs])[0]  # bracket[u] = [x, e_u]
+    for idx, v in t._cells.items():
+        skipped = 0
+        for slot, i in enumerate(idx):
+            row = bracket[i]
+            if row:
+                factors = [cols[j] for j in idx]
+                factors[slot] = row
+                _add_products(cells, -v if parity * skipped % 2 else v, factors)
+            skipped += p[i]
     return t._wrap(algebra.ring, algebra.basis, cells, out_parity)
 
 
@@ -566,26 +545,27 @@ def ad_basis(algebra, m, t):
     return ad_action(algebra, (coeffs, algebra.basis.parity(m)), t)
 
 
-def _compat_tables(algebra, deltas, twisted=None):
+def _compat_tables(algebra, deltas, twisted):
     """The tables compatibility reads, each a lazy table built on first
-    read: the twisted-bracket rows T (*twisted* if given) and, per k, the
-    cells of (id (x) alpha) delta(e_k) and of (alpha (x) id) delta(e_k)."""
+    read: the twisted-bracket table *twisted* = ``_images(rows, alpha)``
+    and, per k, the cells of (id (x) alpha) delta(e_k) and of
+    (alpha (x) id) delta(e_k)."""
     alpha = algebra.alpha
-    return (_twisted_rows(algebra) if twisted is None else twisted,
+    return (twisted,
             _Lazy(lambda k: deltas[k].apply(alpha, 1)._cells),
             _Lazy(lambda k: deltas[k].apply(alpha, 0)._cells))
 
 
-def _compat_residual(algebra, deltas, i, j, tables=None):
+def _compat_residual(algebra, deltas, i, j, tables):
     """delta([e_i,e_j]) - ad_{alpha(e_i)} delta(e_j)
     + (-1)^{|e_i||e_j|} ad_{alpha(e_j)} delta(e_i), added into one cell dict.
 
     ad_{alpha(e_x)} sends e_u (x) e_v to T[x][u] (x) alpha(e_v)
     + (-1)^{|e_x||e_u|} alpha(e_u) (x) T[x][v], so each ad term reads T
     against (id (x) alpha) delta and (alpha (x) id) delta, whose cells keep
-    the parity of e_u as alpha is even.  *tables* are ``_compat_tables``;
-    without them only what this pair reads is built."""
-    twisted, id_alpha, alpha_id = _compat_tables(algebra, deltas) if tables is None else tables
+    the parity of e_u as alpha is even.  *tables* are ``_compat_tables``,
+    of which only what this pair reads is built."""
+    twisted, id_alpha, alpha_id = tables
     p = algebra.basis.parities
     out = {}
     for (k,), c in algebra._rows[i][j]:
@@ -659,13 +639,15 @@ class HomSuperBialgebra:
         return self.coalgebra.delta(i)
 
     def compat_residual(self, i, j):
+        A = self.algebra
         deltas = [self.delta(k) for k in range(self.dim)]
-        return _compat_residual(self.algebra, deltas, i, j)
+        tables = _compat_tables(A, deltas, _images(A._rows, A.alpha._cols))
+        return _compat_residual(A, deltas, i, j, tables)
 
     def check(self, multiplicative=False):
         A = self.algebra
         deltas = [self.delta(k) for k in range(self.dim)]
-        twisted = _twisted_rows(A)
+        twisted = _images(A._rows, A.alpha._cols)
         violations = A._found(multiplicative, twisted)
         nonskew = {v.indices for v in violations if v.axiom == "skew"}
         compat = _compat_residuals(A, deltas, nonskew, _compat_tables(A, deltas, twisted))
@@ -686,10 +668,12 @@ def delta0(algebra, r):
 
 def delta1(algebra, deltas):
     """The compatibility defect of a cobracket candidate, as a grid of
-    Tensor2 residuals indexed by ordered basis pairs."""
-    n = algebra.dim
-    return [[_compat_residual(algebra, deltas, i, j) for j in range(n)]
-            for i in range(n)]
+    Tensor2 residuals indexed by ordered basis pairs.  Each pair builds
+    its own tables and shares nothing with the others."""
+    n, rows, cols = algebra.dim, algebra._rows, algebra.alpha._cols
+    return [[_compat_residual(algebra, deltas, i, j,
+                              _compat_tables(algebra, deltas, _images(rows, cols)))
+             for j in range(n)] for i in range(n)]
 
 
 def bialgebra_from_deltas(algebra, deltas):

@@ -128,14 +128,10 @@ class EvenMap:
         return [row[j] for row in self.matrix]
 
     def apply(self, vec):
-        if len(vec) != self.src.dim:
-            raise DimensionMismatchError("vector length %d, expected %d"
-                                         % (len(vec), self.src.dim))
         out = [self.ring.zero()] * self.dst.dim
-        for j, v in enumerate(vec):
-            if v:
-                for (i,), a in self._cols[j]:
-                    out[i] = out[i] + a * v
+        for (j,), v in _vector_cells(vec, self.src.dim):
+            for (i,), a in self._cols[j]:
+                out[i] = out[i] + a * v
         return out
 
     def compose(self, other):
@@ -208,6 +204,14 @@ def _sparse(grid, depth, lift=None):
         rows = [(idx + (i,), sub) for idx, g in rows for i, sub in enumerate(g)]
     return [(idx + (i,), v) for idx, row in rows
             for i, v in enumerate(row if lift is None else map(lift, row)) if v]
+
+
+def _vector_cells(vec, dim):
+    """The nonzero cells of a coefficient vector, which must have length
+    *dim*."""
+    if len(vec) != dim:
+        raise DimensionMismatchError("vector length %d, expected %d" % (len(vec), dim))
+    return _sparse(vec, 1)
 
 
 def _lift_cells(ring, data, shape, name):

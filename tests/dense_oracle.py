@@ -159,6 +159,11 @@ class DenseOracle:
         rhs = self.bracket1(self.alpha1(i), self.alpha1(j))
         return self.reduce(lhs + _neg(rhs))
 
+    def admissible(self, i, j):
+        """[(Id - alpha^2) e_i, alpha(e_j)]."""
+        defect = self.basis_term(i) + _neg(self.apply_alpha(self.alpha1(i), 0))
+        return self.reduce(self.bracket1(defect, self.alpha1(j)))
+
     def coskew(self, i):
         d = self.delta_of(i)
         return self.reduce(d + self.swap(d, 0))

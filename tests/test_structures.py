@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlsb.errors import DimensionMismatchError, HypothesisError
+from hlsb.constructions import Representation, check_admissible
+from hlsb.errors import DimensionMismatchError, HypothesisError, ParityError
 from hlsb.scalar import ParamRing, Scalar
 from hlsb.structures import (
     HomSuperAlgebra,
@@ -329,6 +330,9 @@ def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict, laurent
             assert t2_dict(B.compat_residual(i, j)) == oracle.compat(i, j)
             for k in range(n):
                 assert vec_dict(alg.jacobi_residual(i, j, k)) == oracle.jacobi(i, j, k)
+    admissible = [(i, j) for i in range(n) for j in range(n) if oracle.admissible(i, j)]
+    assert [(v.indices, vec_dict(v.residual)) for v in check_admissible(alg).violations] \
+        == [(ij, oracle.admissible(*ij)) for ij in admissible]
     for rank, kind in ((2, Tensor2), (3, Tensor3)):
         t = kind.from_dict(ring, basis, sparse_tensor(rng, n, rank, fill))
         q = rng.randint(0, 1)
@@ -349,6 +353,43 @@ def test_ad_action_refuses_a_long_vector():
     ring, B = dim2_family()
     with pytest.raises(DimensionMismatchError):
         ad_action(B.algebra, ([ring.one()] * 3, 0), Tensor2.from_dict(ring, B.basis, {(0, 1): 1}))
+
+
+def odd_pair_algebra():
+    """Basis (e1 even, e2 odd, e3 odd), [e2, e3] = [e3, e2] = e1, alpha = id."""
+    basis = SuperBasis([0, 1, 1])
+    return HomSuperAlgebra(QQ, basis, {(1, 2, 0): 1, (2, 1, 0): 1},
+                           EvenMap.identity(QQ, basis))
+
+
+def test_ad_action_of_an_odd_element_signs_the_second_slot():
+    A = odd_pair_algebra()
+    e3 = [QQ.zero(), QQ.zero(), QQ.one()]
+    t = Tensor2.from_dict(QQ, A.basis, {(1, 1): 1})
+    assert t2_dict(ad_action(A, (e3, 1), t)) == {(0, 1): QQ.one(), (1, 0): -QQ.one()}
+
+
+@pytest.mark.parametrize("coeffs, parity", [
+    ([0, 0, 1], 0),  # e3 is odd, labelled even
+    ([1, 1, 0], 0),  # e1 + e2 mixes the parities
+    ([1, 0, 0], 2),  # no parity
+])
+def test_ad_action_refuses_an_element_that_is_not_homogeneous_of_its_parity(coeffs, parity):
+    A = odd_pair_algebra()
+    t = Tensor2.from_dict(QQ, A.basis, {(1, 1): 1})
+    with pytest.raises(ParityError):
+        ad_action(A, ([QQ.lift(c) for c in coeffs], parity), t)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_delta_vector_and_act_refuse_a_vector_of_the_wrong_length(length):
+    ring, B = dim2_family()
+    vec = [ring.one()] * length
+    with pytest.raises(DimensionMismatchError):
+        B.coalgebra.delta_vector(vec)
+    rep = Representation(B.algebra, B.basis, B.alpha, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+    with pytest.raises(DimensionMismatchError):
+        rep.act(0, vec)
 
 
 def test_check_on_zero_constants_multiplies_nothing(monkeypatch):
