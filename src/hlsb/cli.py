@@ -18,7 +18,7 @@ import sys
 from .errors import HlsbError, HypothesisError, MorphismError, ParseError
 from .fileformat import definition_from_bialgebra, definition_text, load_definition
 from .scalar import MAX_POWER_SIZE, _absolute_sum, _power_size
-from .structures import HomSuperBialgebra, _bracket_cells
+from .structures import bialgebra_from_deltas
 from .superlinear import EvenMap, Tensor2
 
 CHECK_AXIOMS = ("bracket-grading", "skew", "jacobi",
@@ -69,19 +69,17 @@ def cmd_check(args):
     return 0 if report.passed else 1
 
 
-def _named(defn, name, kind, flag):
+def _named(defn, name, verb, flag, cls, what):
+    """The payload that ``construct verb`` names by *flag*; it must be a
+    *cls*, described as *what*."""
     if name is None:
-        raise ParseError("construct %s requires %s NAME" % (kind, flag))
+        raise ParseError("construct %s requires %s NAME" % (verb, flag))
     value = defn.tensors.get(name)
     if value is None:
         raise ParseError("no tensor named %r in file" % name)
+    if not isinstance(value, cls):
+        raise ParseError("tensor %r is not %s" % (name, what))
     return value
-
-
-def _as_bialgebra(algebra):
-    """Wrap a plain bracket structure with a zero cobracket for output."""
-    return HomSuperBialgebra(algebra.ring, algebra.basis, _bracket_cells(algebra), {},
-                             algebra.alpha)
 
 
 def _bound_power(alpha, n):
@@ -114,9 +112,7 @@ def _construct(args, defn):
             out = twist_power(B, args.power)
             note = "twist by the structure map to the power %d" % args.power
         else:
-            beta = _named(defn, args.morphism, "twist", "--morphism")
-            if not isinstance(beta, EvenMap):
-                raise ParseError("tensor %r is not a map" % args.morphism)
+            beta = _named(defn, args.morphism, "twist", "--morphism", EvenMap, "a map")
             out = twist(B, beta)
             note = "twist along %r" % args.morphism
         return out, note
@@ -125,27 +121,22 @@ def _construct(args, defn):
     if verb == "double":
         gstar = dualize(B).algebra
         pair = dual_matched_pair(B.algebra, gstar)
-        return _as_bialgebra(pair.double()), "double of the dual pair"
+        return bialgebra_from_deltas(pair.double(), ()), "double of the dual pair"
     if verb == "semidirect":
-        rep = _named(defn, args.rep, "semidirect", "--rep")
-        if not isinstance(rep, Representation):
-            raise ParseError("tensor %r is not a representation" % args.rep)
+        rep = _named(defn, args.rep, "semidirect", "--rep", Representation,
+                     "a representation")
         report = rep.check()
         if not report.passed:
             raise HypothesisError("action %r is not a representation; first failure: %r"
                                   % (args.rep, report.violations[0]))
-        return (_as_bialgebra(semidirect_product(B.algebra, rep)),
+        return (bialgebra_from_deltas(semidirect_product(B.algebra, rep), ()),
                 "semidirect sum along %r" % args.rep)
     if verb == "coboundary":
-        r = _named(defn, args.r, "coboundary", "--r")
-        if not isinstance(r, Tensor2):
-            raise ParseError("tensor %r is not a 2-tensor" % args.r)
+        r = _named(defn, args.r, "coboundary", "--r", Tensor2, "a 2-tensor")
         return (coboundary_from_r(B.algebra, r),
                 "coboundary cobracket of %r" % args.r)
     if verb == "perturb":
-        t = _named(defn, args.t, "perturb", "--t")
-        if not isinstance(t, Tensor2):
-            raise ParseError("tensor %r is not a 2-tensor" % args.t)
+        t = _named(defn, args.t, "perturb", "--t", Tensor2, "a 2-tensor")
         return perturb_cobracket(B, t), "cobracket perturbed by %r" % args.t
     raise ParseError("unknown construct verb %r" % verb)
 

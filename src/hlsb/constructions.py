@@ -11,9 +11,9 @@ kernels of :mod:`hlsb.structures`, reading one ``_images`` table per
 check (of f, of alpha over the action rows, of Id - alpha^2):
 ``_bracket_into`` adds [f(e_a), y] from it and ``_bracket_morphism``
 f([x, y]) - [f(x), f(y)].  ``_cobracket_morphism`` gives delta(f(x)) -
-(f (x) f) delta(x), for morphism checks and the cobrackets of ``twist``
-and ``transport_structure``.  All of them add into sparse cell dicts; a
-vector or matrix is filled only for a reported violation or for ``act``.
+(f (x) f) delta(x), for morphism checks and the cobracket of ``twist``.
+All of them add into sparse cell dicts; a vector or matrix is filled
+only for a reported violation or for ``act``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .structures import (
     delta1,
 )
 from .superlinear import (
-    EvenMap, SuperBasis, Tensor2, _add_at, _add_products, _filled, _frozen, _lift_cells,
-    _map_cells, _vector_cells, koszul_sign)
+    EvenMap, SuperBasis, Tensor2, _add_at, _add_products, _basis_index, _filled, _frozen,
+    _lift_cells, _map_cells, _vector_cells, koszul_sign)
 
 # ---------------------------------------------------------------------------
 # morphisms
@@ -192,11 +192,11 @@ def transport_structure(bialgebra, f):
     g = invert_even_map(f)
     basis = f.dst
     rows_of_g = g.transpose()._cols
-    bracket = {}
+    bracket, cobracket = {}, {}
     for (a, b, k), v in _bracket_cells(B.algebra).items():
         _add_products(bracket, v, [rows_of_g[a], rows_of_g[b], f._cols[k]])
-    cobracket = _delta_cells([_cobracket_morphism(B.coalgebra, col, None, ()).apply_all(f)
-                              for col in g._cols])
+    for (i, j, k), v in _cobracket_cells(B.coalgebra).items():
+        _add_products(cobracket, v, [rows_of_g[i], f._cols[j], f._cols[k]])
     alpha = f.compose(B.alpha).compose(g)
     return HomSuperBialgebra(B.ring, basis, bracket, cobracket, alpha)
 
@@ -318,7 +318,8 @@ class Representation:
 
     def act(self, m, vec):
         """Action of the m-th algebra basis vector on a module vector."""
-        out = _bracket_into({}, self._rows[m], _vector_cells(vec, self.module_basis.dim))
+        rows = self._rows[_basis_index(m, self.algebra.dim)]
+        out = _bracket_into({}, rows, _vector_cells(vec, self.module_basis.dim))
         return _filled(out, (self.module_basis.dim,), self.ring.zero())
 
     def grading_violations(self):
@@ -581,10 +582,12 @@ class BilinearForm:
         return self._view
 
     def value(self, x, y):
+        n = self.basis.dim
+        xs, ys = dict(_vector_cells(x, n)), dict(_vector_cells(y, n))
         total = self.ring.zero()
         for (i, j), s in self._cells.items():
-            if x[i] and y[j]:
-                total = total + x[i] * s * y[j]
+            if (i,) in xs and (j,) in ys:
+                total = total + xs[i,] * s * ys[j,]
         return total
 
     def evenness_violations(self):

@@ -13,7 +13,14 @@ stored row-major with ``alpha[i][j]`` the coefficient of basis element
 expr]`` contributes ``expr * e_k`` to the bracket of ``(e_i, e_j)``; a
 cobracket triple ``[i, j, k, expr]`` contributes ``expr * e_j (x) e_k`` to
 the image of ``e_i``.  Bracket triples are stored in full (no implicit
-skew completion).
+skew completion).  A missing ``bracket`` or ``cobracket`` is empty.
+
+Fields are read strictly: ``format_version``, parities and indices must
+be JSON integers (``true`` or ``1.0`` is refused), a parameter's
+``invertible`` must be ``true`` or ``false``, and every entry list
+(bracket, cobracket, 2-tensor entries) refuses a repeated index tuple.
+Each schema element has one reader and one writer, shared by the top
+level and every payload kind.
 
 Parsing is bounded: a basis may have at most ``MAX_DIMENSION`` elements,
 and every scalar string obeys the parser limits of :mod:`hlsb.scalar`
@@ -34,7 +41,7 @@ import json
 from .errors import ParityError, ParseError, ScalarError
 from .scalar import ParamRing
 from .structures import HomSuperBialgebra, _bracket_cells, _cobracket_cells
-from .superlinear import EvenMap, SuperBasis, Tensor2, _add_at
+from .superlinear import EvenMap, SuperBasis, Tensor2
 
 FORMAT_VERSION = 1
 
@@ -75,11 +82,10 @@ def _scalar(ring, value, path):
         _fail(path, "bad scalar %r (%s)" % (value, exc))
 
 
-def _index(value, dim, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, "expected a basis index, got %r" % (value,))
-    if not 0 <= value < dim:
-        _fail(path, "index %d out of range for dimension %d" % (value, dim))
+def _choice(value, choices, path, what):
+    """*value*, which must be a JSON integer in *choices*, described as *what*."""
+    if isinstance(value, bool) or not isinstance(value, int) or value not in choices:
+        _fail(path, "expected %s, got %r" % (what, value))
     return value
 
 
@@ -95,6 +101,14 @@ def _matrix(ring, value, nrows, ncols, path):
     return out
 
 
+def _even_map(ring, value, basis, path):
+    """An even endomorphism of *basis* from its matrix."""
+    try:
+        return EvenMap(ring, basis, basis, _matrix(ring, value, basis.dim, basis.dim, path))
+    except ParityError as exc:
+        _fail(path, str(exc))
+
+
 def _basis(value, path):
     _expect(isinstance(value, list) and value, path,
             "expected a non-empty list of basis elements")
@@ -106,31 +120,28 @@ def _basis(value, path):
         _expect(isinstance(item, dict), here, "expected an object")
         _expect(isinstance(item.get("label"), str) and item["label"], here,
                 "missing label")
-        parity = item.get("parity")
-        if parity not in (0, 1):
-            _fail(here, "parity must be 0 or 1, got %r" % (parity,))
         labels.append(item["label"])
-        parities.append(parity)
+        parities.append(_choice(item.get("parity"), (0, 1), here + ".parity", "parity 0 or 1"))
     if len(set(labels)) != len(labels):
         _fail(path, "duplicate basis labels")
     return SuperBasis(parities, labels)
 
 
-def _sparse3(ring, value, dim, path):
-    """Bracket or cobracket triples as a cell dict {(i, j, k): scalar}."""
+def _cells(ring, value, dim, rank, path):
+    """Entries ``[i, ..., scalar]`` with *rank* basis indices as a cell dict
+    of their nonzero scalars; an index tuple may appear only once."""
+    shape = "[%s, scalar]" % ", ".join("ijk"[:rank])
+    what = "a basis index below %d" % dim
+    _expect(isinstance(value, list), path, "expected a list of " + shape)
     cells = {}
-    if value is None:
-        return cells
-    _expect(isinstance(value, list), path, "expected a list of triples")
     for t, item in enumerate(value):
         here = "%s[%d]" % (path, t)
-        _expect(isinstance(item, list) and len(item) == 4, here,
-                "expected [i, j, k, scalar]")
-        idx = tuple(_index(item[m], dim, here) for m in range(3))
+        _expect(isinstance(item, list) and len(item) == rank + 1, here, "expected " + shape)
+        idx = tuple(_choice(i, range(dim), here, what) for i in item[:rank])
         if idx in cells:
-            _fail(here, "duplicate entry (%d, %d, %d)" % idx)
-        cells[idx] = _scalar(ring, item[3], here)
-    return cells
+            _fail(here, "duplicate entry %r" % (idx,))
+        cells[idx] = _scalar(ring, item[rank], here)
+    return {idx: v for idx, v in cells.items() if v}
 
 
 def _tensor(algebra, name, value):
@@ -139,42 +150,20 @@ def _tensor(algebra, name, value):
     _expect(isinstance(value, dict), path, "expected an object")
     kind = value.get("kind")
     if kind == "tensor2":
-        entries = value.get("entries")
-        _expect(isinstance(entries, list), path + ".entries",
-                "expected a list of [i, j, scalar]")
-        cells = {}
-        for e, item in enumerate(entries):
-            here = "%s.entries[%d]" % (path, e)
-            _expect(isinstance(item, list) and len(item) == 3, here,
-                    "expected [i, j, scalar]")
-            i = _index(item[0], basis.dim, here)
-            j = _index(item[1], basis.dim, here)
-            _add_at(cells, (i, j), _scalar(ring, item[2], here))
+        cells = _cells(ring, value.get("entries"), basis.dim, 2, path + ".entries")
         return Tensor2._wrap(ring, basis, cells)
     if kind == "map":
-        matrix = _matrix(ring, value.get("matrix"), basis.dim, basis.dim,
-                         path + ".matrix")
-        try:
-            return EvenMap(ring, basis, basis, matrix)
-        except ParityError as exc:
-            _fail(path, str(exc))
+        return _even_map(ring, value.get("matrix"), basis, path + ".matrix")
     if kind == "representation":
         from .constructions import Representation
 
         module = _basis(value.get("module_basis"), path + ".module_basis")
-        mat = _matrix(ring, value.get("module_map"), module.dim, module.dim,
-                      path + ".module_map")
-        try:
-            module_map = EvenMap(ring, module, module, mat)
-        except ParityError as exc:
-            _fail(path + ".module_map", str(exc))
+        module_map = _even_map(ring, value.get("module_map"), module, path + ".module_map")
         raw = value.get("matrices")
-        _expect(isinstance(raw, list) and len(raw) == basis.dim,
-                path + ".matrices",
+        _expect(isinstance(raw, list) and len(raw) == basis.dim, path + ".matrices",
                 "expected one matrix per algebra basis element")
-        matrices = [_matrix(ring, raw[i], module.dim, module.dim,
-                            "%s.matrices[%d]" % (path, i))
-                    for i in range(basis.dim)]
+        matrices = [_matrix(ring, m, module.dim, module.dim, "%s.matrices[%d]" % (path, i))
+                    for i, m in enumerate(raw)]
         return Representation(algebra, module, module_map, matrices)
     _fail(path, "unknown kind %r" % (kind,))
 
@@ -182,10 +171,8 @@ def _tensor(algebra, name, value):
 def parse_definition(data):
     """Build a :class:`Definition` from a decoded JSON object."""
     _expect(isinstance(data, dict), "$", "expected a JSON object")
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        _fail("format_version",
-              "expected %d, got %r" % (FORMAT_VERSION, version))
+    _choice(data.get("format_version"), (FORMAT_VERSION,), "format_version",
+            str(FORMAT_VERSION))
 
     params = data.get("parameters", [])
     _expect(isinstance(params, list), "parameters", "expected a list")
@@ -195,7 +182,9 @@ def parse_definition(data):
         _expect(isinstance(item, dict) and isinstance(item.get("name"), str),
                 here, "expected an object with a name")
         names.append(item["name"])
-        if item.get("invertible", False):
+        flag = item.get("invertible", False)
+        _expect(isinstance(flag, bool), here + ".invertible", "expected true or false")
+        if flag:
             invertible.append(item["name"])
     try:
         ring = ParamRing(names, invertible=invertible)
@@ -203,21 +192,14 @@ def parse_definition(data):
         _fail("parameters", str(exc))
 
     basis = _basis(data.get("basis"), "basis")
-    n = basis.dim
-    matrix = _matrix(ring, data.get("alpha"), n, n, "alpha")
-    try:
-        alpha = EvenMap(ring, basis, basis, matrix)
-    except ParityError as exc:
-        _fail("alpha", str(exc))
-    bracket = _sparse3(ring, data.get("bracket"), n, "bracket")
-    cobracket = _sparse3(ring, data.get("cobracket"), n, "cobracket")
+    alpha = _even_map(ring, data.get("alpha"), basis, "alpha")
+    bracket, cobracket = (_cells(ring, data.get(key, []), basis.dim, 3, key)
+                          for key in ("bracket", "cobracket"))
     bialgebra = HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
 
-    tensors = {}
     raw = data.get("tensors", {})
     _expect(isinstance(raw, dict), "tensors", "expected an object")
-    for name, value in raw.items():
-        tensors[name] = _tensor(bialgebra.algebra, name, value)
+    tensors = {name: _tensor(bialgebra.algebra, name, value) for name, value in raw.items()}
 
     description = data.get("description", "")
     _expect(isinstance(description, str), "description", "expected a string")
@@ -241,53 +223,48 @@ def load_definition(path):
     return loads_definition(text)
 
 
+def _basis_data(basis):
+    return [{"label": label, "parity": p} for label, p in zip(basis.labels, basis.parities)]
+
+
+def _grid_data(grid):
+    """A matrix of scalars as rows of scalar strings."""
+    return [[str(v) for v in row] for row in grid]
+
+
+def _cell_data(cells):
+    """A cell dict as entries ``[i, ..., scalar string]`` in index order."""
+    return [[*idx, str(v)] for idx, v in sorted(cells.items())]
+
+
 def dump_definition(defn):
     """Serialize a :class:`Definition` back to a JSON-ready dict."""
     from .constructions import Representation
 
-    ring, basis = defn.ring, defn.basis
-    B = defn.bialgebra
-    n = basis.dim
+    ring, B = defn.ring, defn.bialgebra
     data = {"format_version": FORMAT_VERSION}
     if defn.description:
         data["description"] = defn.description
     data["parameters"] = [{"name": name,
                            "invertible": name in ring.invertible}
                           for name in ring.names]
-    data["basis"] = [{"label": basis.labels[i], "parity": basis.parity(i)}
-                     for i in range(n)]
-    data["alpha"] = [[str(B.alpha.matrix[i][j]) for j in range(n)]
-                     for i in range(n)]
-    data["bracket"] = [[i, j, k, str(v)]
-                       for (i, j, k), v in sorted(_bracket_cells(B.algebra).items())]
-    data["cobracket"] = [[i, j, k, str(v)]
-                         for (i, j, k), v in sorted(_cobracket_cells(B.coalgebra).items())]
+    data["basis"] = _basis_data(defn.basis)
+    data["alpha"] = _grid_data(B.alpha.matrix)
+    data["bracket"] = _cell_data(_bracket_cells(B.algebra))
+    data["cobracket"] = _cell_data(_cobracket_cells(B.coalgebra))
     if defn.tensors:
         out = {}
         for name in sorted(defn.tensors):
             value = defn.tensors[name]
             if isinstance(value, Tensor2):
-                out[name] = {"kind": "tensor2",
-                             "entries": [[i, j, str(v)]
-                                         for i, j, v in value.items()]}
+                out[name] = {"kind": "tensor2", "entries": _cell_data(value._cells)}
             elif isinstance(value, EvenMap):
-                out[name] = {"kind": "map",
-                             "matrix": [[str(value.matrix[i][j])
-                                         for j in range(n)]
-                                        for i in range(n)]}
+                out[name] = {"kind": "map", "matrix": _grid_data(value.matrix)}
             elif isinstance(value, Representation):
-                m = value.module_basis.dim
-                out[name] = {
-                    "kind": "representation",
-                    "module_basis": [{"label": value.module_basis.labels[i],
-                                      "parity": value.module_basis.parity(i)}
-                                     for i in range(m)],
-                    "module_map": [[str(value.module_map.matrix[i][j])
-                                    for j in range(m)] for i in range(m)],
-                    "matrices": [[[str(mat[i][j]) for j in range(m)]
-                                  for i in range(m)]
-                                 for mat in value.matrices],
-                }
+                out[name] = {"kind": "representation",
+                             "module_basis": _basis_data(value.module_basis),
+                             "module_map": _grid_data(value.module_map.matrix),
+                             "matrices": [_grid_data(mat) for mat in value.matrices]}
             else:
                 raise TypeError("cannot serialize tensor %r of type %s"
                                 % (name, type(value).__name__))

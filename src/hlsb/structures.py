@@ -66,8 +66,8 @@ from operator import getitem, itemgetter
 
 from .errors import DimensionMismatchError, HypothesisError, ParityError
 from .superlinear import (
-    EvenMap, Tensor2, Tensor3, _add_at, _add_products, _filled, _frozen, _grid,
-    _lift_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
+    EvenMap, Tensor2, Tensor3, _add_at, _add_products, _basis_index, _filled, _frozen,
+    _grid, _lift_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -338,7 +338,8 @@ class HomSuperAlgebra:
 
     def bracket_of(self, i, j):
         """[e_i, e_j] as a coefficient vector."""
-        return self._vector(dict(self._rows[i][j]))
+        n = self.dim
+        return self._vector(dict(self._rows[_basis_index(i, n)][_basis_index(j, n)]))
 
     def _vector(self, cells):
         """The coefficient vector holding sparse ``{(k,): value}`` cells."""
@@ -442,7 +443,8 @@ class HomSuperCoalgebra:
 
     def delta(self, i):
         """delta(e_i) as a Tensor2."""
-        return Tensor2._wrap(self.ring, self.basis, dict(self._planes[i]))
+        plane = self._planes[_basis_index(i, self.dim)]
+        return Tensor2._wrap(self.ring, self.basis, dict(plane))
 
     def grading_violations(self):
         p = self.basis.parities
@@ -541,7 +543,7 @@ def ad_action(algebra, x, t):
 def ad_basis(algebra, m, t):
     """ad of the m-th basis element on a tensor."""
     coeffs = [algebra.ring.zero()] * algebra.dim
-    coeffs[m] = algebra.ring.one()
+    coeffs[_basis_index(m, algebra.dim)] = algebra.ring.one()
     return ad_action(algebra, (coeffs, algebra.basis.parity(m)), t)
 
 

@@ -214,6 +214,13 @@ def _vector_cells(vec, dim):
     return _sparse(vec, 1)
 
 
+def _basis_index(i, dim):
+    """i, which must index a basis of dimension *dim*: 0 <= i < dim."""
+    if not 0 <= i < dim:
+        raise DimensionMismatchError("index %r out of range for dimension %d" % (i, dim))
+    return i
+
+
 def _lift_cells(ring, data, shape, name):
     """The nonzero cells of *data*, a dense grid of the given shape or a
     dict ``{index tuple: value}``, as a lifted {index tuple: scalar} dict."""
@@ -383,8 +390,10 @@ class _TensorBase:
         return self._wrap(self.ring, self.basis, cells, self.parity)
 
     def apply(self, f, slot):
-        """Apply an even map to one tensor slot (0 to rank - 1)."""
+        """Apply an even endomorphism of the basis to one tensor slot (0 to
+        rank - 1); every slot shares the one basis."""
         _check_same_basis(f.src, self.basis)
+        _check_same_basis(f.dst, self.basis)
         if not 0 <= slot < self.rank:
             raise ValueError("%s slots are 0 to %d" % (type(self).__name__, self.rank - 1))
         cols = f._cols
@@ -393,7 +402,7 @@ class _TensorBase:
             head, tail = idx[:slot], idx[slot + 1:]
             for u, a in cols[idx[slot]]:
                 _add_at(cells, head + u + tail, a * v)
-        return self._wrap(f.ring, f.dst, cells, self.parity)
+        return self._wrap(f.ring, self.basis, cells, self.parity)
 
     def apply_all(self, f):
         out = self

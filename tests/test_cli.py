@@ -70,11 +70,12 @@ def test_check_json_format_agrees(tmp_path, capsys):
     assert data["subject"]
 
 
-def test_malformed_parity_is_a_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("parity", [2, True, 1.0])
+def test_malformed_parity_is_a_parse_error(tmp_path, capsys, parity):
     data = {
         "format_version": 1,
         "parameters": [],
-        "basis": [{"label": "e1", "parity": 2}],
+        "basis": [{"label": "e1", "parity": parity}],
         "alpha": [["1"]],
         "bracket": [],
         "cobracket": [],
@@ -84,6 +85,29 @@ def test_malformed_parity_is_a_parse_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert "parity" in err
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (["format_version"], True, "format_version"),
+    (["format_version"], 1.0, "format_version"),
+    (["parameters", 0, "invertible"], "no", "invertible"),
+    (["parameters", 0, "invertible"], 1, "invertible"),
+    (["tensors", "r", "entries"], [[0, 1, "1"], [0, 1, "1"]], "duplicate entry"),
+    (["bracket"], None, "bracket"),
+], ids=["version-true", "version-float", "invertible-string", "invertible-int",
+        "repeated-tensor2-entry", "null-bracket"])
+def test_loosely_typed_field_is_a_parse_error(tmp_path, capsys, where, value, message):
+    data = json.loads(json.dumps(FUZZ_SEED))
+    *parents, last = where
+    owner = data
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_deeply_nested_scalar_is_a_parse_error(tmp_path, capsys):

@@ -35,7 +35,7 @@ from hlsb.constructions import (
     twist,
     twist_power,
 )
-from hlsb.errors import HypothesisError, MorphismError
+from hlsb.errors import DimensionMismatchError, HypothesisError, MorphismError
 from hlsb.scalar import ParamRing
 from hlsb.structures import HomSuperAlgebra, HomSuperBialgebra, zero_bracket
 from hlsb.superlinear import EvenMap, SuperBasis
@@ -246,6 +246,16 @@ def test_transport_structure_gives_an_isomorphic_copy():
     assert g.compose(f).is_identity()
 
 
+def test_transport_structure_onto_a_relabelled_basis():
+    B = diag_family()
+    target = SuperBasis(B.basis.parities, ["x", "y", "z"])
+    f = EvenMap(B.ring, B.basis, target, {(0, 0): 1, (1, 0): 1, (1, 1): 3, (2, 2): 5})
+    T = transport_structure(B, f)
+    assert T.basis == target and T.cobracket != B.cobracket
+    assert T.check(multiplicative=True).passed
+    assert check_bialgebra_morphism(f, B, T).passed
+
+
 def test_invert_even_map_requires_invertible_determinant():
     ring = ParamRing(["t"])
     basis = SuperBasis([0])
@@ -331,6 +341,14 @@ def test_monomial_form_determinant_matches_berkowitz(rng, monkeypatch):
     singular = BilinearForm(ring, basis, {(0, 1): s, (1, 1): t, (2, 0): 1})
     assert singular.determinant() == ring.zero()
     assert calls == [3, 3]
+
+
+@pytest.mark.parametrize("x, y", [([1], [1, 0, 0]), ([1, 0, 0], [1, 0, 0, 0])])
+def test_bilinear_form_value_refuses_a_vector_of_the_wrong_length(x, y):
+    form = BilinearForm(QQ, SuperBasis([0, 1, 1]), {(0, 0): 1, (1, 2): 2})
+    assert form.value([1, 1, 0], [1, 0, 1]) == QQ.lift(3)
+    with pytest.raises(DimensionMismatchError):
+        form.value(x, y)
 
 
 def test_dual_pair_positive():

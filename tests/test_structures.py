@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hlsb.constructions import Representation, check_admissible
+from hlsb.constructions import Representation, adjoint_representation, check_admissible
 from hlsb.errors import DimensionMismatchError, HypothesisError, ParityError
 from hlsb.scalar import ParamRing, Scalar
 from hlsb.structures import (
@@ -390,6 +390,20 @@ def test_delta_vector_and_act_refuse_a_vector_of_the_wrong_length(length):
     rep = Representation(B.algebra, B.basis, B.alpha, [[[1, 0], [0, 1]], [[0, 0], [0, 0]]])
     with pytest.raises(DimensionMismatchError):
         rep.act(0, vec)
+
+
+@pytest.mark.parametrize("m", [3, -1])
+@pytest.mark.parametrize("call", ["act", "ad_basis", "bracket_of", "delta"])
+def test_a_basis_index_out_of_range_is_a_dimension_mismatch(call, m):
+    A = odd_pair_algebra()
+    calls = {
+        "act": lambda: adjoint_representation(A).act(m, [1, 1, 1]),
+        "ad_basis": lambda: ad_basis(A, m, Tensor2.from_dict(QQ, A.basis, {(1, 1): 1})),
+        "bracket_of": lambda: A.bracket_of(1, m),
+        "delta": lambda: HomSuperCoalgebra(QQ, A.basis, {(2, 0, 2): 1}, A.alpha).delta(m),
+    }
+    with pytest.raises(DimensionMismatchError):
+        calls[call]()
 
 
 def test_check_on_zero_constants_multiplies_nothing(monkeypatch):

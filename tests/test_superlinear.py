@@ -76,6 +76,14 @@ def test_basis_validation():
         SuperBasis([0.7, 1.2])  # int() would truncate these to (0, 1)
 
 
+def test_tensor_apply_refuses_a_map_onto_another_basis():
+    other = SuperBasis(B.parities, ["x", "y", "z", "w"])
+    f = EvenMap(QQ, B, other, {(i, i): 1 for i in range(B.dim)})
+    t = Tensor2.from_dict(QQ, B, {(0, 2): 1})
+    with pytest.raises(DimensionMismatchError):
+        t.apply(f, 0)
+
+
 def test_a_float_cell_is_refused():
     with pytest.raises(ScalarError):
         Tensor2.from_dict(QQ, B, {(0, 1): 0.1})
