@@ -124,19 +124,18 @@ def _build_variant(row, stratum, signs, label):
     inv = set(name for name, invertible in row.params if invertible)
     inv |= set(name for name, invertible in stratum.extra_params if invertible)
     scratch = ParamRing(extra_names + base_names, invertible=inv)
+    targets = {target for target, _, _ in stratum.substitutions}
+    kept = extra_names + [n for n in base_names if n not in targets]
+    ring = ParamRing(kept, invertible=inv & set(kept))
+
+    def conv(text):
+        return scratch.parse(text).substitute(resolved, ring=ring)
 
     resolved = {}
     for target, expr, group in stratum.substitutions:
-        text = expr if group is None else _signed_expression(expr, signs[group])
-        value = scratch.parse(text).substitute(resolved)
-        resolved[target] = value
-
-    kept = extra_names + [n for n in base_names if n not in resolved]
-    ring = ParamRing(kept, invertible=inv & set(kept))
-
-    def conv(expr):
-        value = scratch.parse(str(expr)).substitute(resolved)
-        return ring.parse(str(value))
+        if group is not None:
+            expr = _signed_expression(expr, signs[group])
+        resolved[target] = conv(expr)
 
     basis = SuperBasis(row.parities)
     alpha = {ij: conv(expr) for ij, expr in row.alpha.items()}
@@ -161,25 +160,26 @@ def _build_variant(row, stratum, signs, label):
 def concrete_variant(variant, assignment=None, rng=None):
     """Numerically instantiate ``variant`` over the rational constants.
 
-    Free parameters receive values from ``assignment`` when given there,
-    from ``rng`` when provided, and a deterministic nonzero default
-    otherwise.  Invertible parameters are never sent to zero."""
+    Free parameters receive values from ``assignment`` when given there
+    (exact values, as ``ParamRing.lift`` takes them), from ``rng`` when
+    provided, and a deterministic nonzero default otherwise.  Invertible
+    parameters are never sent to zero."""
 
     ring = variant.ring
     target = ParamRing()
     values = {}
     for k, name in enumerate(ring.names):
         if assignment and name in assignment:
-            value = Fraction(assignment[name])
+            value = assignment[name]
         elif rng is not None:
             value = Fraction(rng.randint(1, 9), rng.randint(1, 4))
             if rng.random() < 0.5:
                 value = -value
         else:
-            value = Fraction(k + 2)
-        if value == 0 and name in ring.invertible:
+            value = k + 2
+        values[name] = value = target.lift(value)
+        if not value and name in ring.invertible:
             raise ValueError("parameter %r must be nonzero" % name)
-        values[name] = target.from_fraction(value)
 
     B = variant.bialgebra
 

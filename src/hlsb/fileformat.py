@@ -77,7 +77,7 @@ def _scalar(ring, value, path):
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         _fail(path, "expected a scalar string, got %r" % (value,))
     try:
-        return ring.parse(str(value))
+        return ring.lift(value)
     except (ParseError, ScalarError) as exc:
         _fail(path, "bad scalar %r (%s)" % (value, exc))
 

@@ -27,6 +27,12 @@ are compared by identity before ``ParamRing.__eq__`` runs.
 
 Scalars print in a stable form like ``3/2*a1^2*b4 - c2`` and the same ring
 parses that form back, so text round-trips exactly.
+
+``ParamRing.lift`` is the one coercion into a ring: it takes a Scalar of
+that ring, an int, a Fraction or a string and refuses a float.
+``Scalar.substitute`` is the one map between rings: only the parameters
+that occur in a scalar must exist in the target, and evaluation is
+substitution into the constant ring ``ParamRing()``.
 """
 
 from __future__ import annotations
@@ -157,7 +163,8 @@ class ParamRing:
         return Scalar(self, {1 << (_FIELD_BITS * i): 1}, 1)
 
     def lift(self, value):
-        """Coerce *value* (Scalar, int, Fraction or str) into this ring."""
+        """Coerce *value* (Scalar of this ring, int, Fraction or str) into
+        this ring; a float is refused."""
         if isinstance(value, Scalar):
             if not _same_ring(value.ring, self):
                 raise RingMismatchError(
@@ -251,17 +258,9 @@ class Scalar:
 
     # -- ring operations -------------------------------------------------
 
-    def _check_ring(self, other):
-        if not _same_ring(self.ring, other.ring):
-            raise RingMismatchError(
-                "cannot combine scalars over %r and %r" % (self.ring, other.ring))
-
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            self._check_ring(other)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.from_fraction(other)
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.ring.lift(other)
         return None
 
     def __add__(self, other):
@@ -372,13 +371,15 @@ class Scalar:
     # -- substitution / evaluation ---------------------------------------
 
     def substitute(self, mapping, ring=None):
-        """Substitute scalars for parameters.
+        """Map this scalar into another ring; the one ring map of the module.
 
         *mapping* maps parameter names to values (Scalar, int, Fraction or
-        str) over the target ring.  Parameters not mentioned must exist in
-        the target ring and map to themselves.  The target ring is *ring*
-        if given, else the ring of the first Scalar value in *mapping*,
-        else this scalar's own ring.
+        str), each lifted into the target ring by ``ParamRing.lift``.  A
+        parameter not mentioned maps to the parameter of the same name, so
+        only parameters that occur in some term must exist in the target;
+        ``substitute({}, ring=larger)`` lifts a scalar into a larger ring.
+        The target ring is *ring* if given, else the ring of the first
+        Scalar value in *mapping*, else this scalar's own ring.
         """
         if ring is None:
             for value in mapping.values():
@@ -387,13 +388,9 @@ class Scalar:
                     break
             else:
                 ring = self.ring
-        values = []
-        for name in self.ring.names:
-            if name in mapping:
-                values.append(ring.lift(mapping[name]))
-            else:
-                values.append(ring.param(name))
-        unknown = set(mapping) - set(self.ring.names)
+        names = self.ring.names
+        values = [ring.lift(mapping[name]) if name in mapping else None for name in names]
+        unknown = set(mapping) - set(names)
         if unknown:
             raise ScalarError(
                 "substitution names %r are not parameters of %r"
@@ -401,29 +398,22 @@ class Scalar:
         result = ring.zero()
         for exps, coeff in self.terms.items():
             term = ring.from_fraction(coeff)
-            for value, e in zip(values, exps):
+            for i, e in enumerate(exps):
                 if e:
-                    term = term * value ** e
+                    if values[i] is None:
+                        values[i] = ring.param(names[i])
+                    term = term * values[i] ** e
             result = result + term
         return result
 
     def evaluate(self, assignment):
-        """Evaluate at Fraction values for every parameter in the support."""
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for i, e in enumerate(exps):
-                if not e:
-                    continue
-                name = self.ring.names[i]
-                if name not in assignment:
-                    raise ScalarError("no value given for parameter %s" % name)
-                base = Fraction(assignment[name])
-                if base == 0 and e < 0:
-                    raise ScalarError("evaluation maps invertible %s to 0" % name)
-                value *= base ** e
-            total += value
-        return total
+        """The value, as a Fraction, at the exact values *assignment* gives
+        (int, Fraction or str, as ``ParamRing.lift`` takes them): the
+        substitution into the constant ring.  Names outside this ring are
+        ignored; a missing value or 0 at a negative power raises
+        :class:`ScalarError`."""
+        return self.substitute({name: assignment[name] for name in self.ring.names
+                                if name in assignment}, ring=ParamRing()).constant_value()
 
     # -- printing --------------------------------------------------------
 

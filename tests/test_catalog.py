@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 import hlsb.structures
@@ -12,6 +14,7 @@ from hlsb.catalog import (
     verify_all,
     verify_row,
 )
+from hlsb.errors import ScalarError
 from hlsb.fileformat import dump_definition, parse_definition
 from hlsb.superlinear import koszul_sign
 
@@ -83,6 +86,43 @@ def test_concrete_assignment_override():
                                               "c5": 5})
     assert B.bracket[0][1][1] == 2
     assert B.check(multiplicative=True).passed
+
+
+def test_concrete_assignment_is_exact():
+    variant = expand_variants(get_row("diagonal-1"))[0]
+    with pytest.raises(ScalarError, match="float"):
+        concrete_variant(variant, assignment={"a4": 0.1})
+    B = concrete_variant(variant, assignment={"a4": "1/10"})
+    assert B.alpha.matrix[1][1] == Fraction(1, 10)
+
+
+def test_every_variant_ring_keeps_the_unsubstituted_parameters():
+    for row in catalog_list():
+        base = [name for name, _ in row.params]
+        invertible = {name for name, inv in row.params if inv}
+        strata = []
+        for stratum in row.strata:
+            groups = {g for _, _, g in stratum.substitutions if g is not None}
+            strata += [stratum] * 2 ** len(groups)
+        variants = expand_variants(row)
+        assert len(variants) == len(strata)
+        for stratum, variant in zip(strata, variants):
+            assert variant.label.startswith(stratum.label)
+            targets = {target for target, _, _ in stratum.substitutions}
+            extra = [name for name, _ in stratum.extra_params]
+            kept = tuple(extra + [name for name in base if name not in targets])
+            ring = variant.ring
+            assert ring.names == kept, variant.ident
+            assert ring.invertible == (invertible | {
+                name for name, inv in stratum.extra_params if inv}) & set(kept)
+            B = variant.bialgebra
+            n = B.basis.dim
+            constants = [B.alpha.matrix[i][j] for i in range(n) for j in range(n)]
+            constants += [grid[i][j][k] for grid in (B.bracket, B.cobracket)
+                          for i in range(n) for j in range(n) for k in range(n)]
+            assert all(c.ring == ring for c in constants), variant.ident
+            for text in variant.substitutions.values():
+                ring.parse(text)
 
 
 def _flip_one_entry(variant, i, j, k, cobracket=False):

@@ -175,8 +175,10 @@ def test_inverse():
 
 def test_ring_mismatch():
     other = ParamRing(["a"])
-    with pytest.raises(RingMismatchError):
+    with pytest.raises(RingMismatchError, match="used where"):
         RING.param("a") + other.param("a")
+    with pytest.raises(RingMismatchError, match="used where"):
+        RING.param("a") * other.param("a")
     with pytest.raises(RingMismatchError):
         RING.lift(other.param("a"))
 
@@ -196,6 +198,26 @@ def test_evaluate_rejects_zero_for_invertible():
     assert RING.param("a").evaluate({"a": 0}) == 0
 
 
+def test_evaluate_takes_exact_values_only():
+    x = RING.parse("a + 1")
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ScalarError, match="float"):
+        x.evaluate({"a": 0.1})
+    with pytest.raises(ParseError):
+        x.evaluate({"a": "1.5"})
+    assert x.evaluate({"a": "3/2"}) == Fraction(5, 2)
+    assert x.evaluate({"a": Fraction(1, 10)}) == Fraction(11, 10)
+
+
+def test_evaluate_ignores_other_names_and_needs_every_occurring_one():
+    x = RING.parse("a*s^-1 + 1")
+    assert x.evaluate({"a": 2, "s": 4, "t": 0.5, "u": "not a scalar"}) == Fraction(3, 2)
+    with pytest.raises(ScalarError):
+        x.evaluate({"a": 2})
+    with pytest.raises(ScalarError):
+        x.evaluate({"s": 4})
+
+
 def test_substitute():
     target = ParamRing(["t"], invertible=["t"])
     x = RING.parse("a^2 + b*s^-1")
@@ -206,6 +228,18 @@ def test_substitute():
     assert same == RING.param("b") ** 2
     with pytest.raises(ScalarError):
         x.substitute({"nope": 1})
+
+
+def test_substitute_needs_only_the_parameters_that_occur():
+    # b and s are parameters of RING but not of the target, and a^2
+    # contains neither of them
+    target = ParamRing(["t"])
+    assert RING.parse("a^2").substitute({"a": "t"}, ring=target) == target.parse("t^2")
+    with pytest.raises(ScalarError, match="'b' is not a parameter"):
+        RING.parse("a*b").substitute({"a": "t"}, ring=target)
+    # lifting into a larger ring is the empty substitution
+    larger = ParamRing(["x", "a", "b", "s"], invertible=["s", "x"])
+    assert RING.parse("a*s^-1 + b").substitute({}, ring=larger) == larger.parse("a*s^-1 + b")
 
 
 @given(scalars())
