@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import ParamRing
+from .scalar import ParamRing, _add_at
 from .structures import (
     CheckReport, HomSuperBialgebra, _bracket_cells, _cobracket_cells, _prefixed)
-from .superlinear import SuperBasis, _add_at, _map_cells, koszul_sign
+from .superlinear import SuperBasis, _map_cells, koszul_sign
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatchError, HypothesisError, MorphismError, RingMismatchError
+from .scalar import _add_at, _add_product
 from .structures import (
     CheckReport,
     HomSuperAlgebra,
@@ -42,8 +43,8 @@ from .structures import (
     delta1,
 )
 from .superlinear import (
-    EvenMap, SuperBasis, Tensor2, _add_at, _add_products, _basis_index, _filled, _frozen,
-    _lift_cells, _map_cells, _vector_cells, koszul_sign)
+    EvenMap, SuperBasis, Tensor2, _add_products, _basis_index, _filled, _frozen, _lift_cells,
+    _map_cells, _vector_cells, koszul_sign)
 
 # ---------------------------------------------------------------------------
 # morphisms
@@ -101,7 +102,7 @@ def twist(bialgebra, beta, verify=True):
     bracket = {}
     for (i, j, k), v in _bracket_cells(B.algebra).items():
         for (m,), b in beta._cols[k]:
-            _add_at(bracket, (i, j, m), b * v)
+            _add_product(bracket, (i, j, m), b, v)
     cobracket = _delta_cells([_cobracket_morphism(B.coalgebra, col, None, ())
                               for col in beta._cols])
     return HomSuperBialgebra(B.ring, B.basis, bracket, cobracket,
@@ -175,7 +176,7 @@ def invert_even_map(f):
         prod = {}
         for (t, j), b in adj.items():
             for (i,), a in f._cols[t]:
-                _add_at(prod, (i, j), a * b)
+                _add_product(prod, (i, j), a, b)
         for i in range(n):
             _add_at(prod, (i, i), c)
         adj = prod
@@ -609,10 +610,10 @@ class BilinearForm:
         diff = {}
         for (k, j), s in self._cells.items():
             for (i,), a in rows_of_alpha[k]:
-                _add_at(diff, (i, j), a * s)
+                _add_product(diff, (i, j), a, s)
         for (i, k), s in self._cells.items():
             for (j,), a in rows_of_alpha[k]:
-                _add_at(diff, (i, j), -(s * a))
+                _add_product(diff, (i, j), s, a, True)
         return [Violation("form-self-adjoint", idx, v) for idx, v in sorted(diff.items())]
 
     def invariance_violations(self, algebra):
@@ -625,9 +626,9 @@ class BilinearForm:
         diff = {}
         for (i, j, m), c in _bracket_cells(algebra).items():
             for k, s in rows[m]:
-                _add_at(diff, (i, j, k), c * s)
+                _add_product(diff, (i, j, k), c, s)
             for a, s in cols[m]:
-                _add_at(diff, (a, i, j), -(s * c))
+                _add_product(diff, (a, i, j), s, c, True)
         return [Violation("form-invariant", idx, v) for idx, v in sorted(diff.items())]
 
     def determinant(self):
@@ -737,7 +738,7 @@ def _pairing_cocycle_violations(g, gstar, convention, shifted, axiom):
             totals = {}
             for (s, q), w in wedge.items():
                 for (pp,), a in g.alpha._cols[s]:
-                    _add_at(totals, (q, pp), a * w)
+                    _add_product(totals, (q, pp), a, w)
             violations.extend(Violation(axiom, (i, j, pp, q), v)
                               for (q, pp), v in sorted(totals.items()))
     return violations

@@ -25,6 +25,12 @@ in some parameter raises :class:`ScalarError`.  ``Scalar.terms`` is a
 read-only ``{exponent tuple: coeff}`` view, decoded on each read.  Rings
 are compared by identity before ``ParamRing.__eq__`` runs.
 
+Every contraction of the other modules is a sum of products of scalars,
+and each product goes through one fused multiply-accumulate kernel,
+``_add_product(cells, idx, x, y, negate)``: it adds the term products of
+x and y straight into a copy of the cell's terms, as sparse polynomial
+codes accumulate into one result, so the product x * y is never built.
+
 Scalars print in a stable form like ``3/2*a1^2*b4 - c2`` and the same ring
 parses that form back, so text round-trips exactly.
 
@@ -98,6 +104,58 @@ def _same_ring(a, b):
     """Are rings *a* and *b* equal?  Nearly every pair is one ring object,
     so identity is tested before ``ParamRing.__eq__``."""
     return a is b or a == b
+
+
+def _add_at(cells, idx, value):
+    """cells[idx] += value in a sparse cell dict, which never keeps a zero."""
+    if value:
+        value = cells[idx] + value if idx in cells else value
+        if value:
+            cells[idx] = value
+        else:
+            del cells[idx]
+
+
+def _add_product(cells, idx, x, y, negate=False):
+    """cells[idx] += x * y, or -= if *negate*, for scalars x and y, in a
+    sparse cell dict that never keeps a zero.
+
+    Each product of a term of x and a term of y is added straight into a
+    copy of the cell's terms, so neither x * y nor -x is built; the cell
+    gets one new Scalar, or is deleted when its terms cancel.  Where x, y
+    and the cell are not over one ring object, or the product may reach
+    ``MAX_EXPONENT``, it takes the generic path ``_add_at(cells, idx,
+    x * y)`` instead, which checks the rings and the exponents."""
+    xt, yt = x._terms, y._terms
+    if not (xt and yt):
+        return
+    ring, old = x.ring, cells.get(idx)
+    bound = x._bound + y._bound
+    if (y.ring is not ring or old is not None and old.ring is not ring
+            or bound >= MAX_EXPONENT):
+        value = x * y
+        _add_at(cells, idx, -value if negate else value)
+        return
+    if old is None:
+        terms = {}
+    else:
+        terms = dict(old._terms)
+        if old._bound > bound:
+            bound = old._bound
+    for k1, c1 in xt.items():
+        if negate:
+            c1 = -c1
+        for k2, c2 in yt.items():
+            key = k1 + k2
+            s = terms.get(key, 0) + c1 * c2
+            if s:
+                terms[key] = s if type(s) is int else _coeff(s)
+            else:
+                del terms[key]
+    if terms:
+        cells[idx] = Scalar(ring, terms, bound)
+    else:
+        cells.pop(idx, None)
 
 
 class ParamRing:

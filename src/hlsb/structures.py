@@ -35,7 +35,10 @@ once per hop, and ``ad_action`` reads [x, e_u] from the table of x.
 ``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
 cell dict, each ad term an alpha-table row times a cell of
 (id (x) alpha) delta(e_k) or (alpha (x) id) delta(e_k)
-(``_compat_tables``).  ``HomSuperBialgebra.check`` shares alpha's table
+(``_compat_tables``).  Every product in these kernels, a row times a
+coefficient or an alpha-table row times a cell, is added by the fused
+kernel ``hlsb.scalar._add_product``, which takes a ``negate`` flag in
+place of a negated factor.  ``HomSuperBialgebra.check`` shares alpha's table
 between its algebra check and its compatibility pairs, which it
 evaluates once per unordered pair {i, j} where the bracket is skew
 (deriving (j, i) by the Koszul sign), directly where it is not, and not
@@ -65,9 +68,10 @@ from itertools import product
 from operator import getitem, itemgetter
 
 from .errors import DimensionMismatchError, HypothesisError, ParityError
+from .scalar import _add_at, _add_product
 from .superlinear import (
-    EvenMap, Tensor2, Tensor3, _add_at, _add_products, _basis_index, _filled, _frozen,
-    _grid, _lift_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
+    EvenMap, Tensor2, Tensor3, _add_products, _basis_index, _filled, _frozen, _grid,
+    _lift_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -207,11 +211,12 @@ def zero_cobracket(ring, basis):
     return zero_bracket(ring, basis)
 
 
-def _add_row(out, c, row):
-    """out += c * row for sparse (index tuple, value) pairs *row*, such as
-    a bracket row or a tensor's cells, into the sparse cell dict *out*."""
+def _add_row(out, c, row, negate=False):
+    """out += c * row, or -= if *negate*, for sparse (index tuple, value)
+    pairs *row*, such as a bracket row or a tensor's cells, into the
+    sparse cell dict *out*."""
     for k, v in row:
-        _add_at(out, k, c * v)
+        _add_product(out, k, c, v, negate)
 
 
 def _bracket_into(out, table, ys, negate=False):
@@ -223,7 +228,7 @@ def _bracket_into(out, table, ys, negate=False):
     for (b,), y in ys:
         row = table[b]
         if row:
-            _add_row(out, -y if negate else y, row)
+            _add_row(out, y, row, negate)
     return out
 
 
@@ -281,7 +286,7 @@ def _bracket_morphism(out, image, src_rows, images, right, i, j, negate):
     right = the module map it is an intertwining column.  Returns out."""
     for (k,), v in src_rows[i][j]:
         for m, a in image[k]:
-            _add_at(out, m, -(a * v) if negate else a * v)
+            _add_product(out, m, a, v, negate)
     return _bracket_into(out, images[i], right[j], not negate)
 
 
@@ -353,17 +358,23 @@ class HomSuperAlgebra:
                 for i, plane in enumerate(self._rows) for j, row in enumerate(plane)
                 for (k,), v in row if (p[i] + p[j] + p[k]) % 2]
 
+    def _indices(self, *idx):
+        """idx, each of which must index the basis (``_basis_index``)."""
+        return [_basis_index(i, self.dim) for i in idx]
+
     def skew_residual(self, i, j):
         """[e_i,e_j] + (-1)^{|e_i||e_j|} [e_j,e_i]."""
-        return self._vector(self._skew_cells(i, j))
+        return self._vector(self._skew_cells(*self._indices(i, j)))
 
     def jacobi_residual(self, i, j, k):
         """The graded cyclic sum of [alpha(x), [y, z]] over (e_i,e_j,e_k)."""
-        return self._vector(self._jacobi_cells(i, j, k, _images(self._rows, self.alpha._cols)))
+        return self._vector(self._jacobi_cells(*self._indices(i, j, k),
+                                               _images(self._rows, self.alpha._cols)))
 
     def mult_residual(self, i, j):
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
-        return self._vector(self._mult_cells(i, j, _images(self._rows, self.alpha._cols)))
+        return self._vector(self._mult_cells(*self._indices(i, j),
+                                             _images(self._rows, self.alpha._cols)))
 
     def _skew_cells(self, i, j):
         """skew_residual(i, j) as sparse ``{(k,): value}`` cells."""
@@ -467,6 +478,7 @@ class HomSuperCoalgebra:
 
     def comult_residual(self, i):
         """delta(alpha(e_i)) - (alpha (x) alpha) delta(e_i)."""
+        i = _basis_index(i, self.dim)
         return _cobracket_morphism(self, self.alpha._cols[i], self.alpha, self._planes[i])
 
     def check(self, comultiplicative=False):
@@ -579,15 +591,14 @@ def _compat_residual(algebra, deltas, i, j, tables):
         for (u, w), d in id_alpha[t].items():
             row = twisted_x[u]
             if row:
-                d = -d if negate else d
                 for (k,), y in row:
-                    _add_at(out, (k, w), d * y)
+                    _add_product(out, (k, w), d, y, negate)
         for (w, v), d in alpha_id[t].items():
             row = twisted_x[v]
             if row:
-                d = -d if negate != (p[x] * p[w] == 1) else d
+                flip = negate != (p[x] * p[w] == 1)
                 for (k,), y in row:
-                    _add_at(out, (w, k), d * y)
+                    _add_product(out, (w, k), d, y, flip)
     return Tensor2._wrap(algebra.ring, algebra.basis, out)
 
 
@@ -642,6 +653,7 @@ class HomSuperBialgebra:
 
     def compat_residual(self, i, j):
         A = self.algebra
+        i, j = A._indices(i, j)
         deltas = [self.delta(k) for k in range(self.dim)]
         tables = _compat_tables(A, deltas, _images(A._rows, A.alpha._cols))
         return _compat_residual(A, deltas, i, j, tables)
@@ -668,10 +680,18 @@ def delta0(algebra, r):
     return [ad_basis(algebra, i, r) for i in range(algebra.dim)]
 
 
+def _require_deltas(algebra, deltas):
+    """Refuse cobracket images *deltas* that are not one per basis vector."""
+    if len(deltas) != algebra.dim:
+        raise DimensionMismatchError("%d cobracket images for dimension %d"
+                                     % (len(deltas), algebra.dim))
+
+
 def delta1(algebra, deltas):
     """The compatibility defect of a cobracket candidate, as a grid of
     Tensor2 residuals indexed by ordered basis pairs.  Each pair builds
     its own tables and shares nothing with the others."""
+    _require_deltas(algebra, deltas)
     n, rows, cols = algebra.dim, algebra._rows, algebra.alpha._cols
     return [[_compat_residual(algebra, deltas, i, j,
                               _compat_tables(algebra, deltas, _images(rows, cols)))
@@ -680,7 +700,10 @@ def delta1(algebra, deltas):
 
 def bialgebra_from_deltas(algebra, deltas):
     """Package an algebra and per-basis cobracket images as a bialgebra,
-    which holds *algebra* itself: only the cobracket is built."""
+    which holds *algebra* itself: only the cobracket is built.  *deltas*
+    has one image per basis vector, or is empty for the zero cobracket."""
+    if deltas:
+        _require_deltas(algebra, deltas)
     B = object.__new__(HomSuperBialgebra)
     B.ring, B.basis, B.alpha, B.algebra = algebra.ring, algebra.basis, algebra.alpha, algebra
     B.coalgebra = HomSuperCoalgebra(algebra.ring, algebra.basis, _delta_cells(deltas),

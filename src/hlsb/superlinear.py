@@ -13,7 +13,11 @@ read, whose cell writes go through to the dict.  Maps, tensors and
 the structure constants of :mod:`hlsb.structures` accept either a dense
 grid or such a dict of cells (``_lift_cells``).  The contractions of the
 other modules add sparse slot products into cell dicts through
-``_add_products``, so their cost follows the nonzero entries.
+``_add_products``, so their cost follows the nonzero entries.  Every
+product of two scalars added into a cell, there and in ``EvenMap.apply``,
+``EvenMap.compose`` and ``_TensorBase.apply``, goes through the fused kernel
+``hlsb.scalar._add_product``; ``hlsb.scalar._add_at`` adds a scalar that
+is already built.
 
 The graded flip ``tau`` and the graded cyclic rotation ``xi`` are one
 signed slot permutation and implement
@@ -27,7 +31,7 @@ so that ``xi`` is (1 (x) tau) o (tau (x) 1) and ``xi^3`` is the identity.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, ParityError
-from .scalar import ParamRing, _same_ring
+from .scalar import ParamRing, _add_at, _add_product, _same_ring
 
 EVEN = 0
 ODD = 1
@@ -128,11 +132,12 @@ class EvenMap:
         return [row[j] for row in self.matrix]
 
     def apply(self, vec):
-        out = [self.ring.zero()] * self.dst.dim
+        cells = {}
         for (j,), v in _vector_cells(vec, self.src.dim):
-            for (i,), a in self._cols[j]:
-                out[i] = out[i] + a * v
-        return out
+            v = self.ring.lift(v)
+            for u, a in self._cols[j]:
+                _add_product(cells, u, a, v)
+        return _filled(cells, (self.dst.dim,), self.ring.zero())
 
     def compose(self, other):
         """self after other."""
@@ -142,7 +147,7 @@ class EvenMap:
         for j, col in enumerate(other._cols):
             for (t,), b in col:
                 for (i,), a in self._cols[t]:
-                    _add_at(cells, (i, j), a * b)
+                    _add_product(cells, (i, j), a, b)
         return EvenMap(self.ring, other.src, self.dst, cells)
 
     def power(self, n):
@@ -257,27 +262,21 @@ def _frozen(cells, shape, zero):
     return freeze(_filled(cells, shape, zero))
 
 
-def _add_at(cells, idx, value):
-    """cells[idx] += value in a sparse cell dict, which never keeps a zero."""
-    if value:
-        value = cells[idx] + value if idx in cells else value
-        if value:
-            cells[idx] = value
-        else:
-            del cells[idx]
-
-
 def _add_products(cells, coeff, factors):
     """Add coeff * (f_1 (x) f_2 (x) ...) into a sparse cell dict.
 
     Each factor is a sparse list of (index tuple, scalar) pairs over one or
     more consecutive slots: an alpha column, a bracket row, a delta plane.
+    There is at least one factor, and the last one is multiplied straight
+    into the cells by ``_add_product``.
     """
+    *head, last = factors
     terms = [((), coeff)]
-    for factor in factors:
+    for factor in head:
         terms = [(idx + i, c * v) for idx, c in terms for i, v in factor]
     for idx, c in terms:
-        _add_at(cells, idx, c)
+        for i, v in last:
+            _add_product(cells, idx + i, c, v)
 
 
 class _Row(list):
@@ -401,7 +400,7 @@ class _TensorBase:
         for idx, v in self._cells.items():
             head, tail = idx[:slot], idx[slot + 1:]
             for u, a in cols[idx[slot]]:
-                _add_at(cells, head + u + tail, a * v)
+                _add_product(cells, head + u + tail, a, v)
         return self._wrap(f.ring, self.basis, cells, self.parity)
 
     def apply_all(self, f):

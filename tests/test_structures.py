@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlsb import structures, superlinear
 from hlsb.constructions import Representation, adjoint_representation, check_admissible
 from hlsb.errors import DimensionMismatchError, HypothesisError, ParityError
-from hlsb.scalar import ParamRing, Scalar
+from hlsb.scalar import ParamRing, Scalar, _add_product
 from hlsb.structures import (
     HomSuperAlgebra,
     HomSuperBialgebra,
@@ -417,10 +418,41 @@ def test_check_on_zero_constants_multiplies_nothing(monkeypatch):
     def counted(a, b):
         calls.append(1)
         return mul(a, b)
+
+    def counted_product(cells, idx, x, y, negate=False):
+        calls.append(1)
+        return _add_product(cells, idx, x, y, negate)
     monkeypatch.setattr(Scalar, "__mul__", counted)
     monkeypatch.setattr(Scalar, "__rmul__", counted)
+    for module in (structures, superlinear):
+        monkeypatch.setattr(module, "_add_product", counted_product)
     assert B.check(multiplicative=True).passed
     assert calls == []
+
+
+@pytest.mark.parametrize("call, idx", [
+    ("skew", (-1, 0)), ("jacobi", (0, 0, -1)), ("compat", (-1, 0)), ("comult", (-1,)),
+    ("jacobi", (0, 0, 7)), ("mult", (9, 0)), ("compat", (5, 0)), ("skew", (0, 2)),
+    ("mult", (0, -2)), ("comult", (2,))])
+def test_a_residual_index_out_of_range_is_a_dimension_mismatch(call, idx):
+    _, B = dim2_family()
+    residual = {"skew": B.algebra.skew_residual, "jacobi": B.algebra.jacobi_residual,
+                "mult": B.algebra.mult_residual, "compat": B.compat_residual,
+                "comult": B.coalgebra.comult_residual}[call]
+    with pytest.raises(DimensionMismatchError, match="out of range"):
+        residual(*idx)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_cobracket_images_must_cover_the_basis(count):
+    ring, B = dim2_family()
+    deltas = [Tensor2(ring, B.basis)] * count
+    with pytest.raises(DimensionMismatchError, match="cobracket images"):
+        delta1(B.algebra, deltas)
+    with pytest.raises(DimensionMismatchError, match="cobracket images"):
+        bialgebra_from_deltas(B.algebra, deltas)
+    # no images at all is the zero cobracket
+    assert not any(bialgebra_from_deltas(B.algebra, ()).coalgebra._planes)
 
 
 def test_structure_constant_views_are_read_only():
