@@ -6,7 +6,8 @@ Three commands: ``check`` runs the axiom suite on a definition file,
 pass, 1 an axiom or hypothesis fails, 2 usage or parse error.
 
 Each subcommand imports what it runs: ``check`` loads no catalog and no
-constructions, so a child process that only checks a file starts fast.
+constructions, so a child process that only checks a file starts fast,
+and ``construct`` loads :mod:`hlsb.yangbaxter` only for the verbs that use it.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ def _bound_power(alpha, n):
 def _construct(args, defn):
     from .constructions import (
         Representation, dual_matched_pair, dualize, semidirect_product, twist, twist_power)
-    from .yangbaxter import coboundary_from_r, perturb_cobracket
 
     B = defn.bialgebra
     verb = args.verb
@@ -132,10 +132,14 @@ def _construct(args, defn):
         return (bialgebra_from_deltas(semidirect_product(B.algebra, rep), ()),
                 "semidirect sum along %r" % args.rep)
     if verb == "coboundary":
+        from .yangbaxter import coboundary_from_r
+
         r = _named(defn, args.r, "coboundary", "--r", Tensor2, "a 2-tensor")
         return (coboundary_from_r(B.algebra, r),
                 "coboundary cobracket of %r" % args.r)
     if verb == "perturb":
+        from .yangbaxter import perturb_cobracket
+
         t = _named(defn, args.t, "perturb", "--t", Tensor2, "a 2-tensor")
         return perturb_cobracket(B, t), "cobracket perturbed by %r" % args.t
     raise ParseError("unknown construct verb %r" % verb)

@@ -30,8 +30,9 @@ rows and a map's columns, built on first read for one check and never
 kept on a structure; ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
 T[a][b] into a cell dict; ``_bracket_morphism`` adds f([e_i, e_j]) -
 [f(e_i), f(e_j)] from T, for morphism checks, alpha's multiplicativity
-and a representation's intertwining columns.  Jacobi reads alpha's table
-once per hop, and ``ad_action`` reads [x, e_u] from the table of x.
+and a representation's intertwining columns.  Jacobi walks each hop
+[alpha(e_a), [e_b, e_c]] inline, adding y_m T[a][m] for each term y_m e_m
+of [e_b, e_c], and ``ad_action`` reads [x, e_u] from the table of x.
 ``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
 cell dict, each ad term an alpha-table row times a cell of
 (id (x) alpha) delta(e_k) or (alpha (x) id) delta(e_k)
@@ -42,19 +43,21 @@ place of a negated factor.  ``HomSuperBialgebra.check`` shares alpha's table
 between its algebra check and its compatibility pairs, which it
 evaluates once per unordered pair {i, j} where the bracket is skew
 (deriving (j, i) by the Koszul sign), directly where it is not, and not
-at all where [e_i, e_j], delta(e_i) and delta(e_j) are all zero; each
-pair of ``delta1`` builds its own.  ``_cobracket_morphism`` gives
-delta(f(e_i)) - (f (x) f) delta(e_i): comultiplicativity, the cobracket
-half of a morphism check, ``delta_vector`` and the twisted cobrackets of
-:mod:`hlsb.constructions`.
+at all where [e_i, e_j], delta(e_i) and delta(e_j) are all zero, and
+keeps only the nonzero residuals; each pair of ``delta1`` builds its
+own.  ``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f)
+delta(e_i): comultiplicativity, the cobracket half of a morphism check,
+``delta_vector`` and the twisted cobrackets of :mod:`hlsb.constructions`.
 
 Nothing is validated eagerly beyond shapes and ring membership: the point
 of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
 listing every violated axiom with the exact symbolic residual.  The
 bracket and cobracket grading checks walk their sorted rows and planes
-for odd cells; every other check builds that list through four helpers:
-``_violations`` evaluates a residual at each index tuple and keeps the
+for odd cells, and compatibility reports the residuals
+``_compat_residuals`` kept; every other check builds that list through
+four helpers: ``_violations`` calls a residual kernel directly at each
+index tuple, with any extra arguments such as a table, and keeps the
 nonzero ones (a residual is a tensor, a scalar or a sparse cell dict,
 and each of those is falsy exactly when it is zero), ``_densified``
 replaces the cell dicts of the kept ones by their dense vectors or
@@ -70,8 +73,8 @@ from operator import getitem, itemgetter
 from .errors import DimensionMismatchError, HypothesisError, ParityError
 from .scalar import _add_at, _add_product
 from .superlinear import (
-    EvenMap, Tensor2, Tensor3, _add_products, _basis_index, _filled, _frozen, _grid,
-    _lift_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
+    EvenMap, Tensor2, Tensor3, _add_products, _basis_index, _check_same_basis, _filled,
+    _frozen, _grid, _lift_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -98,11 +101,11 @@ class Violation:
         return "%s%r: %s" % (self.axiom, self.indices, self._residual_str())
 
 
-def _violations(axiom, indices, residual):
+def _violations(axiom, indices, residual, *extra):
     """One Violation per index tuple idx of *indices* at which
-    ``residual(*idx)``, a tensor, a scalar or a sparse cell dict, is
-    nonzero; each of those is falsy exactly when it is zero."""
-    return [Violation(axiom, idx, r) for idx in indices if (r := residual(*idx))]
+    ``residual(*idx, *extra)``, a tensor, a scalar or a sparse cell dict,
+    is nonzero; each of those is falsy exactly when it is zero."""
+    return [Violation(axiom, idx, r) for idx in indices if (r := residual(*idx, *extra))]
 
 
 def _densified(violations, dense):
@@ -388,12 +391,17 @@ class HomSuperAlgebra:
         """jacobi_residual(i, j, k) as sparse ``{(k,): value}`` cells, read
         from the twisted-bracket table *twisted* = ``_images(rows, alpha)``:
         a hop [alpha(e_a), [e_b, e_c]] is the sum over [e_b, e_c] =
-        sum y_m e_m of y_m T[a][m], one product per term."""
+        sum y_m e_m of y_m T[a][m], one fused product per term of each row."""
         p, rows = self.basis.parities, self._rows
         out = {}
-        for (a, b, c), odd in (((i, j, k), p[i] * p[k]), ((k, i, j), p[k] * p[j]),
-                               ((j, k, i), p[j] * p[i])):
-            _bracket_into(out, twisted[a], rows[b][c], odd)
+        for a, b, c, odd in ((i, j, k, p[i] * p[k]), (k, i, j, p[k] * p[j]),
+                             (j, k, i, p[j] * p[i])):
+            inner = rows[b][c]
+            if inner:
+                table = twisted[a]
+                for (m,), y in inner:
+                    for idx, v in table[m]:
+                        _add_product(out, idx, y, v, odd)
         return out
 
     def _mult_cells(self, i, j, twisted):
@@ -418,11 +426,10 @@ class HomSuperAlgebra:
         triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
                    if rows[j][k] or rows[i][j] or rows[k][i]]
         found = (_violations("skew", pairs, self._skew_cells)
-                 + _violations("jacobi", triples,
-                               lambda *ijk: self._jacobi_cells(*ijk, twisted)))
+                 + _violations("jacobi", triples, self._jacobi_cells, twisted))
         if multiplicative:
             found += _violations("multiplicative", _morphism_pairs(self, self, self.alpha),
-                                 lambda i, j: self._mult_cells(i, j, twisted))
+                                 self._mult_cells, twisted)
         return self.grading_violations() + _densified(found, self._vector)
 
     def is_multiplicative(self):
@@ -603,25 +610,25 @@ def _compat_residual(algebra, deltas, i, j, tables):
 
 
 def _compat_residuals(algebra, deltas, nonskew, tables):
-    """The compatibility residual of every ordered pair, as a dict keyed by
-    (i, j) in row-major order, read from the ``_compat_tables`` *tables*.
-    *nonskew* holds the pairs (i, j), i <= j, at which the bracket is not
-    skew.  Where it is skew, [e_j, e_i] =
-    -s [e_i, e_j] with s = (-1)^{|e_i||e_j|}; delta is linear and the two
-    ad terms trade places, so compat(j, i) = -s compat(i, j) exactly, and
-    an even compat(i, i) is zero.  So is compat(i, j) when [e_i, e_j],
-    delta(e_i) and delta(e_j) are all zero.  Every other pair, odd diagonal
-    ones included, is evaluated by ``_compat_residual``."""
+    """The nonzero compatibility residuals, as a dict keyed by (i, j) in
+    row-major order, read from the ``_compat_tables`` *tables*.  *nonskew*
+    holds the pairs (i, j), i <= j, at which the bracket is not skew.
+    Where it is skew, [e_j, e_i] = -s [e_i, e_j] with s =
+    (-1)^{|e_i||e_j|}; delta is linear and the two ad terms trade places,
+    so compat(j, i) = -s compat(i, j) exactly, and an even compat(i, i) is
+    zero.  So is compat(i, j) when [e_i, e_j], delta(e_i) and delta(e_j)
+    are all zero.  Every other pair, odd diagonal ones included, is
+    evaluated by ``_compat_residual``."""
     p, rows = algebra.basis.parities, algebra._rows
     out = {}
     for i, j in product(range(algebra.dim), repeat=2):
         if i > j and (j, i) not in nonskew:
-            out[i, j] = out[j, i].scale(-koszul_sign(p[i], p[j]))
-        elif (i == j and not p[i] and (i, i) not in nonskew
-              or not (rows[i][j] or deltas[i] or deltas[j])):
-            out[i, j] = Tensor2(algebra.ring, algebra.basis)
-        else:
-            out[i, j] = _compat_residual(algebra, deltas, i, j, tables)
+            if (j, i) in out:
+                out[i, j] = out[j, i].scale(-koszul_sign(p[i], p[j]))
+        elif ((i != j or p[i] or (i, i) in nonskew)
+              and (rows[i][j] or deltas[i] or deltas[j])
+              and (r := _compat_residual(algebra, deltas, i, j, tables))):
+            out[i, j] = r
     return out
 
 
@@ -666,7 +673,7 @@ class HomSuperBialgebra:
         nonskew = {v.indices for v in violations if v.axiom == "skew"}
         compat = _compat_residuals(A, deltas, nonskew, _compat_tables(A, deltas, twisted))
         violations += (self.coalgebra.check(comultiplicative=multiplicative).violations
-                       + _violations("compatibility", compat, lambda i, j: compat[i, j]))
+                       + [Violation("compatibility", ij, r) for ij, r in compat.items()])
         return CheckReport("hom-super-bialgebra", violations)
 
 
@@ -681,10 +688,15 @@ def delta0(algebra, r):
 
 
 def _require_deltas(algebra, deltas):
-    """Refuse cobracket images *deltas* that are not one per basis vector."""
+    """Refuse cobracket images *deltas* that are not one Tensor2 on the
+    algebra's basis per basis vector."""
     if len(deltas) != algebra.dim:
         raise DimensionMismatchError("%d cobracket images for dimension %d"
                                      % (len(deltas), algebra.dim))
+    for d in deltas:
+        if not isinstance(d, Tensor2):
+            raise TypeError("a cobracket image must be a Tensor2, not %s" % type(d).__name__)
+        _check_same_basis(d.basis, algebra.basis)
 
 
 def delta1(algebra, deltas):

@@ -4,14 +4,18 @@ pair (j, i) from it.  These tests pin the pairs it must still evaluate
 directly, the number of evaluations it makes, and its agreement with
 ``delta1``, which evaluates every ordered pair.  They also hold the
 skew, Jacobi and multiplicativity violations, which ``check`` finds from
-sparse kernels, to the dense public residuals on the same inputs."""
+sparse kernels, and every other axiom ``check`` reports, to the public
+residuals on the same inputs."""
 
 import dataclasses
+import random
 import sys
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT / "bench") not in sys.path:
@@ -21,12 +25,10 @@ import glmn  # noqa: E402
 from dense_oracle import t2_dict  # noqa: E402
 from hlsb import structures  # noqa: E402
 from hlsb.catalog import Stratum, catalog_list, expand_variants, get_row  # noqa: E402
-from hlsb.scalar import ParamRing  # noqa: E402
 from hlsb.structures import HomSuperBialgebra, delta1  # noqa: E402
 from hlsb.superlinear import EvenMap, SuperBasis  # noqa: E402
 from hlsb.yangbaxter import coboundary_from_r  # noqa: E402
-
-QQ = ParamRing()
+from test_structures import LAURENT, QQ, draw_value, sparse_cube  # noqa: E402
 
 
 def nonskew_bialgebra():
@@ -125,3 +127,44 @@ def test_check_reports_exactly_the_nonzero_public_bracket_residuals():
             assert got == want, (label, axiom)
             failed |= {axiom} if want else set()
     assert failed == {"skew", "jacobi", "multiplicative"}
+
+
+def random_bialgebra(rng, n, fill, ring, skew):
+    """Random sparse constants (see ``sparse_cube``) on a random basis.
+    With *skew* the bracket is made graded skew, [e_j, e_i] =
+    -(-1)^{|e_i||e_j|} [e_i, e_j] and an even [e_i, e_i] zero, at about
+    four pairs in five; about two in five deltas are zero."""
+    parities = [rng.randint(0, 1) for _ in range(n)]
+    cube = sparse_cube(rng, n, fill, set(), ring)
+    for i, j in product(range(n), repeat=2):
+        if skew and i <= j and (i < j or not parities[i]) and rng.random() < 0.8:
+            odd = parities[i] * parities[j]
+            cube[j][i] = [v if odd else -v for v in cube[i][j]] if i < j else [ring.zero()] * n
+    cocube = sparse_cube(rng, n, fill, {i for i in range(n) if rng.random() < 0.4}, ring)
+    alpha = [[draw_value(rng, ring, rng.randint(-2, 2))
+              if parities[i] == parities[j] and rng.random() < 0.4 else ring.zero()
+              for j in range(n)] for i in range(n)]
+    return HomSuperBialgebra(ring, SuperBasis(parities), cube, cocube, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.sampled_from([0.05, 0.15, 0.3]), laurent=st.booleans(), skew=st.booleans())
+def test_check_reports_exactly_the_nonzero_public_residuals(n, seed, fill, laurent, skew):
+    B = random_bialgebra(random.Random(seed), n, fill, LAURENT if laurent else QQ, skew)
+    A, C = B.algebra, B.coalgebra
+    report = B.check(multiplicative=True)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    triples = [(i, j, k) for i, j in pairs for k in range(j, n)]
+    square = list(product(range(n), repeat=2))
+    each = [(i,) for i in range(n)]
+    for axiom, residual, indices in (
+            ("skew", A.skew_residual, pairs), ("jacobi", A.jacobi_residual, triples),
+            ("multiplicative", A.mult_residual, square),
+            ("coskew", C.coskew_residual, each), ("cojacobi", C.cojacobi_residual, each),
+            ("comultiplicative", C.comult_residual, each),
+            ("compatibility", B.compat_residual, square)):
+        want = [(idx, r) for idx in indices
+                if (any(r) if isinstance(r := residual(*idx), list) else r)]
+        got = [(v.indices, v.residual) for v in report.by_axiom(axiom)]
+        assert got == want, axiom

@@ -89,3 +89,18 @@ def test_check_reads_a_representation_payload_in_a_fresh_process(tmp_path):
     done = _python("-m", "hlsb.cli", "check", str(path))
     assert done.returncode == 0, done.stdout + done.stderr
     assert "result: PASS" in done.stdout
+
+
+def test_construct_dual_never_loads_yangbaxter(tmp_path):
+    v = expand_variants(get_row("diagonal-1"))[0]
+    path = tmp_path / "in.json"
+    path.write_text(definition_text(definition_from_bialgebra(v.bialgebra)))
+    out = tmp_path / "dual.json"
+    code = ("import json, sys\nfrom hlsb.cli import main\n"
+            "code = main(['construct', 'dual', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))")
+    done = _python("-c", code, str(path), str(out))
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+    assert code == 0 and out.exists()
+    assert "hlsb.constructions" in loaded and "hlsb.yangbaxter" not in loaded

@@ -455,6 +455,30 @@ def test_cobracket_images_must_cover_the_basis(count):
     assert not any(bialgebra_from_deltas(B.algebra, ()).coalgebra._planes)
 
 
+@pytest.mark.parametrize("make", [
+    lambda ring, basis: Tensor3(ring, basis, {(0, 0, 1): 1}),
+    lambda ring, basis: Tensor3(ring, basis),
+    lambda ring, basis: [[ring.zero()] * basis.dim] * basis.dim,
+], ids=["tensor3", "zero tensor3", "grid"])
+def test_a_cobracket_image_that_is_not_a_tensor2_is_a_type_error(make):
+    ring, B = dim2_family()
+    deltas = [B.delta(0), make(ring, B.basis)]
+    for build in (delta1, bialgebra_from_deltas):
+        with pytest.raises(TypeError, match="must be a Tensor2"):
+            build(B.algebra, deltas)
+
+
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_a_cobracket_image_on_another_basis_is_a_dimension_mismatch(nonzero):
+    ring, B = dim2_family()
+    other = SuperBasis([1, 0])  # same dimension, other parities
+    image = Tensor2(ring, other, {(0, 0): ring.param("d")} if nonzero else None)
+    deltas = [image, B.delta(1)]
+    for build in (delta1, bialgebra_from_deltas):
+        with pytest.raises(DimensionMismatchError, match="bases differ"):
+            build(B.algebra, deltas)
+
+
 def test_structure_constant_views_are_read_only():
     ring, B = dim2_family()
     A = B.algebra
