@@ -8,9 +8,14 @@ and cobracket data, and the side conditions under which the family closes
 root ``s`` and expanded into explicit sign branches; alternatives of the
 shape ``... or (b5 = 0)`` become separate strata.
 
-``verify_row`` instantiates every variant of a row over its own parameter
-ring and runs the full axiom check symbolically; a row passes only when
-every residual is the identically-zero polynomial.
+``expand_variants`` builds every variant of a row over its own parameter
+ring: the row's parameters minus the substituted ones, plus the
+stratum's extra ones.  Each constant is parsed straight into that ring,
+with every substituted parameter bound to its value
+(``ParamRing.parse(text, values=...)``), so no scalar is mapped between
+rings.  ``verify_row`` runs the full axiom check on every variant
+symbolically; a row passes only when every residual is the
+identically-zero polynomial.
 """
 
 from __future__ import annotations
@@ -123,13 +128,12 @@ def _build_variant(row, stratum, signs, label):
     extra_names = [name for name, _ in stratum.extra_params]
     inv = set(name for name, invertible in row.params if invertible)
     inv |= set(name for name, invertible in stratum.extra_params if invertible)
-    scratch = ParamRing(extra_names + base_names, invertible=inv)
     targets = {target for target, _, _ in stratum.substitutions}
     kept = extra_names + [n for n in base_names if n not in targets]
     ring = ParamRing(kept, invertible=inv & set(kept))
 
     def conv(text):
-        return scratch.parse(text).substitute(resolved, ring=ring)
+        return ring.parse(text, values=resolved)
 
     resolved = {}
     for target, expr, group in stratum.substitutions:

@@ -36,9 +36,12 @@ parses that form back, so text round-trips exactly.
 
 ``ParamRing.lift`` is the one coercion into a ring: it takes a Scalar of
 that ring, an int, a Fraction or a string and refuses a float.
-``Scalar.substitute`` is the one map between rings: only the parameters
-that occur in a scalar must exist in the target, and evaluation is
-substitution into the constant ring ``ParamRing()``.
+``ParamRing.parse(text, values=...)`` may bind names to values of its own
+ring, each checked by ``lift``, so text whose names stand for scalars of
+the ring parses straight into it and no ring changes.
+``Scalar.substitute`` stays the one map between rings: only the
+parameters that occur in a scalar must exist in the target, and
+evaluation is substitution into the constant ring ``ParamRing()``.
 """
 
 from __future__ import annotations
@@ -232,9 +235,14 @@ class ParamRing:
             return self.parse(value)
         return self.from_fraction(value)
 
-    def parse(self, text):
-        """Parse an expression like ``3/2*a1^2*b4 - c2`` into a scalar."""
-        return _Parser(self, text).parse()
+    def parse(self, text, values=None):
+        """Parse an expression like ``3/2*a1^2*b4 - c2`` into a scalar.
+
+        A name bound in *values*, a mapping from names to values that
+        ``lift`` takes into this ring, reads as that value; any other name
+        must be a parameter of this ring."""
+        bound = {name: self.lift(v) for name, v in values.items()} if values else {}
+        return _Parser(self, text, bound).parse()
 
 
 def _power_size(base, n):
@@ -519,9 +527,10 @@ class _Parser:
               atom  := NUMBER | NAME | '(' expr ')'
     """
 
-    def __init__(self, ring, text):
+    def __init__(self, ring, text, bound):
         self.ring = ring
         self.text = text
+        self.bound = bound
         self.tokens = []  # (kind, value, position)
         pos = 0
         while pos < len(text):
@@ -628,6 +637,8 @@ class _Parser:
         if kind == "num":
             return self.ring.from_fraction(value)
         if kind == "name":
+            if value in self.bound:
+                return self.bound[value]
             try:
                 return self.ring.param(value)
             except ScalarError as exc:

@@ -481,7 +481,8 @@ class HomSuperCoalgebra:
 
     def cojacobi_residual(self, i):
         """The graded cyclic sum of (alpha (x) delta) delta at e_i."""
-        return cyclic_sum(alpha_otimes_delta(self, self.delta(i)))
+        plane = self._planes[_basis_index(i, self.dim)]
+        return cyclic_sum(_alpha_beside_delta(self, plane, False))
 
     def comult_residual(self, i):
         """delta(alpha(e_i)) - (alpha (x) alpha) delta(e_i)."""
@@ -501,14 +502,15 @@ class HomSuperCoalgebra:
         return not any(self.comult_residual(i) for i in range(self.dim))
 
 
-def _alpha_beside_delta(coalgebra, r, delta_first):
-    """alpha on one factor of r and delta on the other, as a Tensor3 with
-    the alpha image in the first slot, or in the last if *delta_first*.
-    *coalgebra* may also be a bialgebra."""
+def _alpha_beside_delta(coalgebra, pairs, delta_first):
+    """alpha on one factor and delta on the other of the tensor with the
+    ((a, b), value) pairs *pairs*, such as a Tensor2's cells or a delta
+    plane, as a Tensor3 with the alpha image in the first slot, or in the
+    last if *delta_first*.  *coalgebra* may also be a bialgebra."""
     C = getattr(coalgebra, "coalgebra", coalgebra)
     cols, planes = C.alpha._cols, C._planes
     cells = {}
-    for (a, b), va in r._cells.items():
+    for (a, b), va in pairs:
         if delta_first:
             _add_products(cells, va, [planes[a], cols[b]])
         else:
@@ -518,12 +520,12 @@ def _alpha_beside_delta(coalgebra, r, delta_first):
 
 def alpha_otimes_delta(coalgebra, r):
     """(alpha (x) delta)(r) as a Tensor3."""
-    return _alpha_beside_delta(coalgebra, r, False)
+    return _alpha_beside_delta(coalgebra, r._cells.items(), False)
 
 
 def delta_otimes_alpha(coalgebra, r):
     """(delta (x) alpha)(r) as a Tensor3."""
-    return _alpha_beside_delta(coalgebra, r, True)
+    return _alpha_beside_delta(coalgebra, r._cells.items(), True)
 
 
 def ad_action(algebra, x, t):

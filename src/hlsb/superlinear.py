@@ -11,7 +11,10 @@ coefficients, optionally constrained to a fixed total parity;
 is a dense nested-list view kept for compatibility, built afresh on each
 read, whose cell writes go through to the dict.  Maps, tensors and
 the structure constants of :mod:`hlsb.structures` accept either a dense
-grid or such a dict of cells (``_lift_cells``).  The contractions of the
+grid or such a dict of cells (``_lift_cells``): a cell key must be a
+tuple of in-range ints, and a cell value that is already a Scalar over
+the ring object itself is adopted without a lift, so what the library
+builds from its own cells is not lifted again.  The contractions of the
 other modules add sparse slot products into cell dicts through
 ``_add_products``, so their cost follows the nonzero entries.  Every
 product of two scalars added into a cell, there and in ``EvenMap.apply``,
@@ -19,19 +22,20 @@ product of two scalars added into a cell, there and in ``EvenMap.apply``,
 ``hlsb.scalar._add_product``; ``hlsb.scalar._add_at`` adds a scalar that
 is already built.
 
-The graded flip ``tau`` and the graded cyclic rotation ``xi`` are one
-signed slot permutation and implement
+The graded flip ``tau`` and the graded cyclic rotation ``xi`` are signed
+slot permutations, each computing its fixed Koszul sign inline per cell:
 
     tau(x (x) y)       = (-1)^{|x||y|} y (x) x
     xi(x (x) y (x) z)  = (-1)^{|x|(|y|+|z|)} y (x) z (x) x
 
 so that ``xi`` is (1 (x) tau) o (tau (x) 1) and ``xi^3`` is the identity.
+``cyclic_sum`` adds t, xi(t) and xi(xi(t)) into one cell dict.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, ParityError
-from .scalar import ParamRing, _add_at, _add_product, _same_ring
+from .scalar import ParamRing, Scalar, _add_at, _add_product, _same_ring
 
 EVEN = 0
 ODD = 1
@@ -99,8 +103,9 @@ class EvenMap:
         self.dst = dst
         cells = _lift_cells(ring, matrix, (dst.dim, src.dim), "matrix")
         cols = [[] for _ in range(src.dim)]
+        dp, sp = dst.parities, src.parities
         for (i, j), v in sorted(cells.items()):
-            if dst.parity(i) != src.parity(j):
+            if dp[i] != sp[j]:
                 raise ParityError(
                     "entry (%s <- %s) of an even map is nonzero but "
                     "changes parity" % (dst.labels[i], src.labels[j]))
@@ -228,20 +233,33 @@ def _basis_index(i, dim):
 
 def _lift_cells(ring, data, shape, name):
     """The nonzero cells of *data*, a dense grid of the given shape or a
-    dict ``{index tuple: value}``, as a lifted {index tuple: scalar} dict."""
-    if isinstance(data, dict):
-        cells = {}
-        for idx, v in data.items():
-            idx = tuple(idx)
-            if len(idx) != len(shape) or not all(0 <= i < s for i, s in zip(idx, shape)):
-                raise DimensionMismatchError("%r is not a %s index for shape %s"
-                                             % (idx, name, "x".join(map(str, shape))))
-            _add_at(cells, idx, ring.lift(v))
-        return cells
-    if not _has_shape(data, shape):
-        raise DimensionMismatchError("%s must be a %s grid or a dict of cells"
-                                     % (name, "x".join(map(str, shape))))
-    return dict(_sparse(data, len(shape), ring.lift))
+    dict ``{index tuple: value}``, as a lifted {index tuple: scalar} dict.
+
+    A dict key must be a tuple of ints (not bools), each in range for its
+    slot.  A value that is a Scalar over *ring* itself is adopted as it
+    is, and any other value goes through ``ring.lift``."""
+    if not isinstance(data, dict):
+        if not _has_shape(data, shape):
+            raise DimensionMismatchError("%s must be a %s grid or a dict of cells"
+                                         % (name, "x".join(map(str, shape))))
+        return dict(_sparse(data, len(shape), ring.lift))
+    cells, rank = {}, len(shape)
+    for idx, v in data.items():
+        if type(idx) is not tuple or len(idx) != rank:
+            _bad_index(idx, shape, name)
+        for i, s in zip(idx, shape):
+            if type(i) is not int or not 0 <= i < s:
+                _bad_index(idx, shape, name)
+        if type(v) is not Scalar or v.ring is not ring:
+            v = ring.lift(v)
+        if v:
+            cells[idx] = v
+    return cells
+
+
+def _bad_index(idx, shape, name):
+    raise DimensionMismatchError("%r is not a %s index for shape %s"
+                                 % (idx, name, "x".join(map(str, shape))))
 
 
 def _filled(cells, shape, zero):
@@ -327,8 +345,9 @@ class _TensorBase:
             self._cells = _lift_cells(ring, entries, (basis.dim,) * self.rank,
                                       type(self).__name__)
         if parity is not None:
+            parities = basis.parities
             for *idx, v in self.items():
-                p = sum(basis.parity(i) for i in idx) % 2
+                p = sum(parities[i] for i in idx) % 2
                 if p != parity:
                     raise ParityError(
                         "entry %s has parity %d, expected %d"
@@ -454,40 +473,36 @@ class Tensor3(_TensorBase):
         _TensorBase.apply, _TensorBase.apply_all)
 
 
-def _permuted_cells(t, order):
-    """The cells of the tensor whose slot k holds slot order[k] of t, with
-    the Koszul sign of every pair of slots that changes places, as
-    (index tuple, value) pairs."""
-    if len(order) != t.rank:
+def _require_rank(t, rank):
+    if t.rank != rank:
         raise TypeError("a %d-slot permutation cannot act on %s"
-                        % (len(order), type(t).__name__))
-    p = t.basis.parities
-    crossed = [(a, b) for k, a in enumerate(order) for b in order[k + 1:] if a > b]
-    for idx, v in t._cells.items():
-        odd = sum(p[idx[a]] * p[idx[b]] for a, b in crossed) % 2
-        yield tuple(idx[s] for s in order), -v if odd else v
-
-
-def _permuted(t, order):
-    """t with its slots permuted as in ``_permuted_cells``."""
-    return t._wrap(t.ring, t.basis, dict(_permuted_cells(t, order)), t.parity)
+                        % (rank, type(t).__name__))
 
 
 def tau(t):
     """Graded flip on a Tensor2."""
-    return _permuted(t, (1, 0))
+    _require_rank(t, 2)
+    p = t.basis.parities
+    cells = {(j, i): -v if p[i] & p[j] else v for (i, j), v in t._cells.items()}
+    return t._wrap(t.ring, t.basis, cells, t.parity)
 
 
 def xi(t):
     """Graded cyclic rotation on a Tensor3 (first slot moves to the back)."""
-    return _permuted(t, (1, 2, 0))
+    _require_rank(t, 3)
+    p = t.basis.parities
+    cells = {(j, k, i): -v if p[i] & (p[j] ^ p[k]) else v
+             for (i, j, k), v in t._cells.items()}
+    return t._wrap(t.ring, t.basis, cells, t.parity)
 
 
 def cyclic_sum(t):
     """t + xi(t) + xi(xi(t)) for a Tensor3, added into one cell dict;
     xi(xi(t)) is the rotation that moves the last slot to the front."""
+    _require_rank(t, 3)
+    p = t.basis.parities
     cells = dict(t._cells)
-    for order in ((1, 2, 0), (2, 0, 1)):
-        for idx, v in _permuted_cells(t, order):
-            _add_at(cells, idx, v)
+    for (i, j, k), v in t._cells.items():
+        _add_at(cells, (j, k, i), -v if p[i] & (p[j] ^ p[k]) else v)
+        _add_at(cells, (k, i, j), -v if p[k] & (p[i] ^ p[j]) else v)
     return t._wrap(t.ring, t.basis, cells, t.parity)

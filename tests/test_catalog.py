@@ -16,7 +16,9 @@ from hlsb.catalog import (
 )
 from hlsb.errors import ScalarError
 from hlsb.fileformat import dump_definition, parse_definition
-from hlsb.superlinear import koszul_sign
+from hlsb.scalar import Scalar
+from hlsb.structures import _bracket_cells, _cobracket_cells
+from hlsb.superlinear import _map_cells, koszul_sign
 
 
 def test_row_inventory():
@@ -123,6 +125,21 @@ def test_every_variant_ring_keeps_the_unsubstituted_parameters():
             assert all(c.ring == ring for c in constants), variant.ident
             for text in variant.substitutions.values():
                 ring.parse(text)
+
+
+def test_building_the_variants_maps_no_scalar_between_rings(monkeypatch):
+    calls = []
+    substitute = Scalar.substitute
+    monkeypatch.setattr(Scalar, "substitute",
+                        lambda self, *args, **kw: calls.append(1) or substitute(self, *args, **kw))
+    variants = [v for row in catalog_list() for v in expand_variants(row)]
+    assert len(variants) == 77
+    assert calls == []
+    for v in variants:  # every constant lives over the variant's ring object
+        B = v.bialgebra
+        assert all(value.ring is v.ring for value in [
+            *_bracket_cells(B.algebra).values(), *_cobracket_cells(B.coalgebra).values(),
+            *_map_cells(B.alpha).values()]), v.ident
 
 
 def _flip_one_entry(variant, i, j, k, cobracket=False):

@@ -465,3 +465,59 @@ def test_equal_rings_that_are_distinct_objects_combine():
     assert x * y == other.parse("a*b*s + b")
     assert RING.lift(y) is y
     assert x == other.parse("s^-1 + a")
+
+
+# parse(text, values=...) against parse-then-substitute: names u (bound to
+# a unit of RING) and p (bound to any scalar of RING) join a scratch ring,
+# in which every name that is ever inverted is invertible.
+SCRATCH = ParamRing(["a", "b", "s", "u", "p"], invertible=["s", "u", "p"])
+
+
+def _wrap(strategy, template):
+    return strategy.map(lambda parts: template % parts)
+
+
+def unit_texts():
+    """Expressions that are units of RING once u is bound to one."""
+    atoms = st.sampled_from(["s", "u", "2", "3", "(-1)"])
+    return st.recursive(atoms, lambda inner: st.one_of(
+        _wrap(st.tuples(inner, inner), "(%s)*(%s)"),
+        _wrap(st.tuples(inner, inner), "(%s)/(%s)"),
+        _wrap(st.tuples(inner, st.integers(-3, 3)), "(%s)^%d")), max_leaves=4)
+
+
+def expression_texts():
+    atoms = st.sampled_from(["a", "b", "s", "u", "p", "0", "1", "5"])
+    return st.recursive(atoms, lambda inner: st.one_of(
+        _wrap(st.tuples(inner, st.sampled_from("+-*"), inner), "(%s) %s (%s)"),
+        _wrap(st.tuples(inner, unit_texts()), "(%s)/(%s)"),
+        _wrap(st.tuples(inner, st.integers(0, 2)), "(%s)^%d"),
+        _wrap(inner, "-(%s)")), max_leaves=6)
+
+
+def units():
+    return st.builds(lambda c, k: RING.from_fraction(c) * RING.param("s") ** k,
+                     coeffs(), st.integers(-2, 2))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(expression_texts(), units(), scalars())
+def test_parse_with_bound_values_is_parse_then_substitute(text, u, p):
+    values = {"u": u, "p": p}
+    assert RING.parse(text, values=values) == SCRATCH.parse(text).substitute(values, ring=RING)
+
+
+def test_parse_with_bound_values_refuses_what_it_cannot_read():
+    with pytest.raises(ParseError, match="'q' is not a parameter"):
+        RING.parse("u + q", values={"u": 1})
+    with pytest.raises(RingMismatchError):
+        RING.parse("u", values={"u": ParamRing(["x"]).param("x")})
+    non_unit = RING.parse("a + 1")
+    for text in ("1/p", "a/p", "p^-1", "(2*p)^-2"):
+        with pytest.raises(ParseError):
+            RING.parse(text, values={"p": non_unit})
+
+
+def test_a_bound_name_reads_as_its_value_even_over_a_parameter():
+    assert RING.parse("a*b + u", values={"a": "s^-1", "u": Fraction(1, 2)}) == \
+        RING.parse("s^-1*b + 1/2")

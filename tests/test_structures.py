@@ -344,6 +344,16 @@ def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict, laurent
         assert residual_dict(ad_action(alg, (x, q), t)) == want
 
 
+@pytest.mark.parametrize("key", [(0, 1.5, 0), (0, True, 1), 5, (0, "1", 1), (0, 1)],
+                         ids=repr)
+def test_a_malformed_structure_constant_index_is_refused(key):
+    basis = SuperBasis([0, 1])
+    with pytest.raises(DimensionMismatchError):
+        HomSuperAlgebra(QQ, basis, {key: 1}, EvenMap.identity(QQ, basis))
+    with pytest.raises(DimensionMismatchError):
+        HomSuperCoalgebra(QQ, basis, {key: 1}, {(0, 0): 1, (1, 1): 1})
+
+
 def test_ad_action_refuses_a_short_vector():
     ring, B = dim2_family()
     with pytest.raises(DimensionMismatchError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import DenseOracle
-from hlsb.errors import DimensionMismatchError, ParityError, ScalarError
+from hlsb.errors import DimensionMismatchError, ParityError, RingMismatchError, ScalarError
 from hlsb.scalar import ParamRing, Scalar
 from hlsb.superlinear import (
     EVEN,
@@ -159,6 +159,12 @@ def test_cyclic_sum_is_xi_invariant(rng):
     assert xi(s) == s
 
 
+def test_cyclic_sum_is_the_sum_of_the_three_rotations(rng):
+    for _ in range(20):
+        t = rand_tensor3(rng)  # mixed parity: every cell may be nonzero
+        assert cyclic_sum(t) == t + xi(t) + xi(xi(t))
+
+
 def test_compose_and_apply(rng):
     for _ in range(10):
         f = rand_even_map(rng)
@@ -257,6 +263,34 @@ def test_tau_refuses_a_tensor3():
 def test_xi_refuses_a_tensor2():
     with pytest.raises(TypeError):
         xi(Tensor2.from_dict(QQ, B, {(0, 1): 1}))
+
+
+def test_cyclic_sum_refuses_a_tensor2():
+    with pytest.raises(TypeError):
+        cyclic_sum(Tensor2.from_dict(QQ, B, {(0, 1): 1}))
+
+
+MALFORMED_KEYS = [(0, 1.5), (0, True), (False, 0), 5, (0, "1"), "01", (0, None)]
+
+
+@pytest.mark.parametrize("key", MALFORMED_KEYS, ids=repr)
+def test_a_malformed_cell_index_is_refused(key):
+    with pytest.raises(DimensionMismatchError):
+        Tensor2.from_dict(QQ, B, {key: 1})
+    with pytest.raises(DimensionMismatchError):
+        EvenMap(QQ, B, B, {key: 1})
+
+
+def test_a_cell_over_the_ring_itself_is_adopted_and_any_other_is_lifted():
+    ring = ParamRing(["a"])
+    a = ring.param("a")
+    t = Tensor2.from_dict(ring, B, {(0, 1): a, (1, 0): ring.zero(), (2, 3): 2})
+    assert t._cells[0, 1] is a
+    assert t.items() == [(0, 1, a), (2, 3, ring.from_fraction(2))]
+    twin = ParamRing(["a"])  # equal, but another object
+    assert Tensor2.from_dict(ring, B, {(0, 1): twin.param("a")}).items() == [(0, 1, a)]
+    with pytest.raises(RingMismatchError):
+        Tensor2.from_dict(ring, B, {(0, 1): ParamRing(["b"]).param("b")})
 
 
 def test_entries_view_stays_consistent_with_the_sparse_cells():
