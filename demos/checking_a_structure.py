@@ -41,6 +41,11 @@ B = HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
 report = B.check(multiplicative=True)
 print("valid family:", report.summary())
 
+# one point of the family: substitute values for every parameter, which
+# maps each bracket, cobracket and alpha cell into the rational constants
+point = B.substitute({"a4": 2, "b4": -1, "b5": 3, "c5": "1/2"}, ring=ParamRing())
+print("at a4=2, b4=-1, b5=3, c5=1/2:", point.check(multiplicative=True).summary())
+
 # now sabotage one half of a skew pair and look at what the checker says
 bad = zero_bracket(ring, basis)
 bad[0][1][1] = ring.param("b4")

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import ScalarError
 from .scalar import ParamRing, _add_at
-from .structures import (
-    CheckReport, HomSuperBialgebra, _bracket_cells, _cobracket_cells, _prefixed)
-from .superlinear import SuperBasis, _map_cells, koszul_sign
+from .structures import CheckReport, HomSuperBialgebra, _prefixed
+from .superlinear import SuperBasis, koszul_sign
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,17 @@ def concrete_variant(variant, assignment=None, rng=None):
 
     Free parameters receive values from ``assignment`` when given there
     (exact values, as ``ParamRing.lift`` takes them), from ``rng`` when
-    provided, and a deterministic nonzero default otherwise.  Invertible
-    parameters are never sent to zero."""
+    provided, and a deterministic nonzero default otherwise; the structure
+    is then ``variant.bialgebra.substitute(values, ParamRing())``.  An
+    assignment name that is not a parameter of ``variant.ring``, like a
+    value ``lift`` refuses (a float), raises :class:`ScalarError`; zero
+    for an invertible parameter raises ``ValueError``."""
 
     ring = variant.ring
+    unknown = set(assignment or ()) - set(ring.names)
+    if unknown:
+        raise ScalarError("assignment names %r are not parameters of %r"
+                          % (sorted(unknown), ring))
     target = ParamRing()
     values = {}
     for k, name in enumerate(ring.names):
@@ -184,14 +191,7 @@ def concrete_variant(variant, assignment=None, rng=None):
         values[name] = value = target.lift(value)
         if not value and name in ring.invertible:
             raise ValueError("parameter %r must be nonzero" % name)
-
-    B = variant.bialgebra
-
-    def sub(cells):
-        return {idx: s.substitute(values, ring=target) for idx, s in cells.items()}
-
-    return HomSuperBialgebra(target, B.basis, sub(_bracket_cells(B.algebra)),
-                             sub(_cobracket_cells(B.coalgebra)), sub(_map_cells(B.alpha)))
+    return variant.bialgebra.substitute(values, target)
 
 
 def verify_variant(variant):

@@ -42,6 +42,8 @@ the ring parses straight into it and no ring changes.
 ``Scalar.substitute`` stays the one map between rings: only the
 parameters that occur in a scalar must exist in the target, and
 evaluation is substitution into the constant ring ``ParamRing()``.
+``HomSuperBialgebra.substitute`` moves a whole structure by mapping each
+of its cells through it.
 """
 
 from __future__ import annotations

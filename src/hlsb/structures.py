@@ -70,11 +70,11 @@ from __future__ import annotations
 from itertools import product
 from operator import getitem, itemgetter
 
-from .errors import DimensionMismatchError, HypothesisError, ParityError
-from .scalar import _add_at, _add_product
+from .errors import DimensionMismatchError, HypothesisError, ParityError, RingMismatchError
+from .scalar import _add_at, _add_product, _same_ring
 from .superlinear import (
-    EvenMap, Tensor2, Tensor3, _add_products, _basis_index, _check_same_basis, _filled,
-    _frozen, _grid, _lift_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
+    EvenMap, Tensor2, Tensor3, _add_products, _basis_index, _check_same_basis, _filled, _frozen,
+    _grid, _lift_cells, _map_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -201,6 +201,8 @@ def _lift_alpha(ring, basis, alpha):
     if isinstance(alpha, EvenMap):
         if alpha.src != basis or alpha.dst != basis:
             raise DimensionMismatchError("alpha is not an endomorphism of the basis")
+        if not _same_ring(alpha.ring, ring):
+            raise RingMismatchError("alpha over %r used where %r expected" % (alpha.ring, ring))
         return alpha
     return EvenMap(ring, basis, basis, alpha)
 
@@ -677,6 +679,19 @@ class HomSuperBialgebra:
         violations += (self.coalgebra.check(comultiplicative=multiplicative).violations
                        + [Violation("compatibility", ij, r) for ij, r in compat.items()])
         return CheckReport("hom-super-bialgebra", violations)
+
+    def substitute(self, values, ring):
+        """This bialgebra over *ring* on the same basis: each value lifted
+        into *ring* once, every bracket, cobracket and alpha cell mapped by
+        ``Scalar.substitute(values, ring)``, and the cells that become zero
+        dropped.  The cell map refuses a name outside this ring."""
+        values = {name: ring.lift(v) for name, v in values.items()}
+
+        def sub(cells):
+            return {idx: s.substitute(values, ring) for idx, s in cells.items()}
+        return HomSuperBialgebra(
+            ring, self.basis, sub(_bracket_cells(self.algebra)),
+            sub(_cobracket_cells(self.coalgebra)), sub(_map_cells(self.alpha)))
 
 
 def delta0(algebra, r):

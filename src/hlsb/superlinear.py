@@ -134,7 +134,9 @@ class EvenMap:
         return self._view
 
     def column(self, j):
-        return [row[j] for row in self.matrix]
+        """f(e_j) as a coefficient vector; j must index the source basis."""
+        col = self._cols[_basis_index(j, self.src.dim)]
+        return _filled(dict(col), (self.dst.dim,), self.ring.zero())
 
     def apply(self, vec):
         cells = {}

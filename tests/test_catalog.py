@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,11 @@ from hlsb.catalog import (
 )
 from hlsb.errors import ScalarError
 from hlsb.fileformat import dump_definition, parse_definition
-from hlsb.scalar import Scalar
+from hlsb.scalar import ParamRing, Scalar
 from hlsb.structures import _bracket_cells, _cobracket_cells
 from hlsb.superlinear import _map_cells, koszul_sign
+
+from test_structures import substituted_per_cell
 
 
 def test_row_inventory():
@@ -96,6 +99,33 @@ def test_concrete_assignment_is_exact():
         concrete_variant(variant, assignment={"a4": 0.1})
     B = concrete_variant(variant, assignment={"a4": "1/10"})
     assert B.alpha.matrix[1][1] == Fraction(1, 10)
+
+
+def test_concrete_assignment_refuses_a_name_outside_the_variant_ring():
+    variant = expand_variants(get_row("diagonal-1"))[0]
+    with pytest.raises(ScalarError, match="a5_typo"):
+        concrete_variant(variant, assignment={"a4": -1, "b4": 2, "b5": 3, "c5": 5,
+                                              "a5_typo": 7})
+
+
+def test_concrete_variant_is_the_per_cell_map_on_every_variant():
+    """With random.Random(k), concrete_variant gives the ring and sparse
+    constants of the per-cell oracle at the values that rng draws: for
+    each parameter in ring order, a numerator in 1..9, a denominator in
+    1..4 and a sign."""
+    variants = [v for row in catalog_list() for v in expand_variants(row)]
+    assert len(variants) == 77
+    for k, variant in enumerate(variants):
+        got = concrete_variant(variant, rng=random.Random(k))
+        rng, values = random.Random(k), {}
+        for name in variant.ring.names:
+            value = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            values[name] = -value if rng.random() < 0.5 else value
+        want = substituted_per_cell(variant.bialgebra, values, ParamRing())
+        assert got.ring == want.ring == ParamRing(), variant.ident
+        assert got.algebra._rows == want.algebra._rows, variant.ident
+        assert got.coalgebra._planes == want.coalgebra._planes, variant.ident
+        assert got.alpha._cols == want.alpha._cols, variant.ident
 
 
 def test_every_variant_ring_keeps_the_unsubstituted_parameters():

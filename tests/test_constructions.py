@@ -61,15 +61,7 @@ def diag_family(a4="a4"):
 
 
 def concrete_diag(a4=-1, b4=2, b5=3, c5=5):
-    B = diag_family()
-    sub = {"a4": a4, "b4": b4, "b5": b5, "c5": c5}
-    ring = QQ
-    br = [[[v.substitute(sub, ring=ring) for v in row] for row in plane]
-          for plane in B.bracket]
-    co = [[[v.substitute(sub, ring=ring) for v in row] for row in plane]
-          for plane in B.cobracket]
-    al = [[v.substitute(sub, ring=ring) for v in row] for row in B.alpha.matrix]
-    return HomSuperBialgebra(ring, B.basis, br, co, al)
+    return diag_family().substitute({"a4": a4, "b4": b4, "b5": b5, "c5": c5}, QQ)
 
 
 def broken_pair_dim2():

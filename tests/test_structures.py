@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlsb import structures, superlinear
 from hlsb.constructions import Representation, adjoint_representation, check_admissible
-from hlsb.errors import DimensionMismatchError, HypothesisError, ParityError
+from hlsb.errors import (
+    DimensionMismatchError, HypothesisError, ParityError, RingMismatchError, ScalarError)
 from hlsb.scalar import ParamRing, Scalar, _add_product
 from hlsb.structures import (
     HomSuperAlgebra,
@@ -80,15 +81,9 @@ def test_dim2_residuals_match_hand_values():
 def test_dim2_strata_pass():
     ring, B = dim2_family()
     # a1 = 1, b = 0: everything down to compatibility holds symbolically
-    sub = {"a1": 1, "b": 0}
-    basis = B.basis
     sring = ParamRing(["a2", "c", "d"])
-    br = [[[v.substitute(sub, ring=sring) for v in row] for row in plane]
-          for plane in B.bracket]
-    co = [[[v.substitute(sub, ring=sring) for v in row] for row in plane]
-          for plane in B.cobracket]
-    al = [[v.substitute(sub, ring=sring) for v in row] for row in B.alpha.matrix]
-    stratum = HomSuperBialgebra(sring, basis, br, co, al)
+    stratum = B.substitute({"a1": 1, "b": 0}, sring)
+    assert stratum.algebra._rows[0][1] == stratum.algebra._rows[1][0] == ()  # b cells dropped
     assert stratum.check().passed
     # generic parameters violate jacobi and compatibility, nothing else
     report = B.check()
@@ -503,3 +498,95 @@ def test_structure_constant_views_are_read_only():
     # the view is the stored constants, unchanged by the failed writes
     assert A.bracket[0][1][1] == ring.param("b")
     assert set(B.check().axioms_violated()) == {"jacobi", "compatibility"}
+
+
+def test_alpha_over_another_ring_is_refused_at_construction():
+    R, S = ParamRing(["a"]), ParamRing(["b"])
+    basis = SuperBasis([0, 1])
+    alpha = EvenMap.identity(S, basis)
+    for build in (lambda: HomSuperBialgebra(R, basis, zero_bracket(R, basis), {}, alpha),
+                  lambda: HomSuperAlgebra(R, basis, {}, alpha),
+                  lambda: HomSuperCoalgebra(R, basis, {}, alpha)):
+        with pytest.raises(RingMismatchError, match="alpha over"):
+            build()
+    # an equal ring built separately is the same ring
+    same = EvenMap.identity(ParamRing(["a"]), basis)
+    assert HomSuperBialgebra(R, basis, {}, {}, same).check(multiplicative=True).passed
+
+
+def substituted_view(grid, values, ring):
+    """A dense view with each cell mapped by its own
+    ``Scalar.substitute(values, ring=ring)``, as nested tuples."""
+    if isinstance(grid, Scalar):
+        return grid.substitute(values, ring=ring)
+    return tuple(substituted_view(g, values, ring) for g in grid)
+
+
+def substituted_per_cell(B, values, ring):
+    """The bialgebra on B's basis built from its dense ``bracket``,
+    ``cobracket`` and ``alpha.matrix`` views mapped cell by cell: the
+    oracle for ``HomSuperBialgebra.substitute``."""
+    return HomSuperBialgebra(ring, B.basis, *(substituted_view(g, values, ring)
+                                              for g in (B.bracket, B.cobracket, B.alpha.matrix)))
+
+
+T_ONLY = ParamRing(["t"], invertible=["t"])
+U_ONLY = ParamRing(["u"], invertible=["u"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.sampled_from([0.0, 0.15, 0.4]), laurent=st.booleans(),
+       target=st.sampled_from(["QQ", "t", "u", "laurent"]),
+       s=st.sampled_from([0, 1, -1, Fraction(1, 2), 3]),
+       t=st.sampled_from([1, -1, 2, Fraction(-1, 3)]))
+@example(n=2, seed=0, fill=0.4, laurent=True, target="t", s=0, t=1)
+def test_substitute_is_the_scalar_map_on_every_cell(n, seed, fill, laurent, target, s, t):
+    """Over QQ the map is the empty substitution into QQ or into the
+    larger LAURENT.  Over LAURENT it sends s and t to constants (into
+    QQ), s alone to a constant (a partial substitution into the smaller
+    ring Q[t, 1/t]), s and t to text over Q[u, 1/u], or s to s + t within
+    LAURENT.  s = 0 sends every cell c*s*t^b to zero, and such cells are
+    dropped."""
+    ring = LAURENT if laurent else QQ
+    rng = random.Random(seed)
+    parities = [rng.randint(0, 1) for _ in range(n)]
+    basis = SuperBasis(parities)
+    alpha = [[draw_value(rng, ring, rng.randint(-2, 2))
+              if parities[i] == parities[j] and rng.random() < max(fill, 0.3) else ring.zero()
+              for j in range(n)] for i in range(n)]
+    B = HomSuperBialgebra(ring, basis, sparse_cube(rng, n, fill, set(), ring),
+                          sparse_cube(rng, n, fill, set(), ring), alpha)
+    if not laurent:
+        values, into = {}, (LAURENT if target == "laurent" else QQ)
+    else:
+        values, into = {
+            "QQ": ({"s": s, "t": t}, QQ),
+            "t": ({"s": s}, T_ONLY),
+            "u": ({"s": "u + %s" % s, "t": "%s*u" % t}, U_ONLY),
+            "laurent": ({"s": "s + t"}, LAURENT),
+        }[target]
+    got = B.substitute(values, into)
+    want = substituted_per_cell(B, values, into)
+    assert got.ring is into and got.basis == B.basis
+    assert got.algebra._rows == want.algebra._rows
+    assert got.coalgebra._planes == want.coalgebra._planes
+    assert got.alpha._cols == want.alpha._cols
+    assert got.algebra.alpha is got.coalgebra.alpha is got.alpha
+    for view, grid in ((got.bracket, B.bracket), (got.cobracket, B.cobracket),
+                       (got.alpha.matrix, B.alpha.matrix)):
+        assert view == substituted_view(grid, values, into)
+
+
+def test_substitute_refuses_what_the_scalar_map_refuses():
+    ring, B = dim2_family()
+    sring = ParamRing(["a2", "c", "d"])
+    with pytest.raises(ScalarError, match="not parameters"):
+        B.substitute({"a1": 1, "b": 0, "nope": 2}, sring)
+    with pytest.raises(ScalarError, match="float"):
+        B.substitute({"a1": 0.5, "b": 0}, sring)
+    with pytest.raises(RingMismatchError):
+        B.substitute({"a1": ParamRing(["x"]).param("x"), "b": 0}, sring)
+    # a parameter left in place must exist in the target
+    with pytest.raises(ScalarError, match="not a parameter"):
+        B.substitute({"a1": 1}, sring)

@@ -194,6 +194,18 @@ def test_transpose():
     assert g.transpose().matrix[1][0] == 1
 
 
+def test_column_is_the_sparse_column_and_refuses_an_index_out_of_range():
+    g = EvenMap(QQ, B, B, [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 3, 0]])
+    for j in range(B.dim):
+        assert g.column(j) == [row[j] for row in g.matrix]
+    assert g.column(1) == [1, 0, 0, 0]
+    h = EvenMap(QQ, SuperBasis([EVEN, ODD]), B, {(0, 0): 5, (3, 1): 7})
+    assert h.column(1) == [0, 0, 0, 7]
+    for f, j in ((g, -1), (g, B.dim), (h, 2), (h, -1)):
+        with pytest.raises(DimensionMismatchError, match="out of range"):
+            f.column(j)
+
+
 def test_apply_slots_commute_with_even_maps(rng):
     # for an even map, slot application needs no signs; applying to all
     # slots must commute with the graded flip
