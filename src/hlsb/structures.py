@@ -14,9 +14,10 @@ Constructors take the constants as a dense n^3 grid or as a dict
 sparsely: the bracket as rows ``_rows[i][j]`` of nonzero ``((k,), value)``
 pairs, delta(e_i) as planes ``_planes[i]`` of nonzero ``((j, k), value)``
 pairs, and alpha as the sparse columns of its :class:`EvenMap`.  Every
-residual loops over these lists only (Jacobi skips each hop whose inner
-bracket is zero, and ``check`` each skew pair, Jacobi triple and
-multiplicativity pair that no nonzero bracket enters), so its cost
+residual loops over these lists only (``check`` skips each skew and
+multiplicativity pair that no nonzero bracket enters, and walks Jacobi
+by its nonzero hops, not its triples; the coalgebra check evaluates
+coskew and co-Jacobi only where delta(e_i) is nonzero), so its cost
 follows the nonzero constants.  The skew, Jacobi and multiplicativity
 residuals add into sparse ``{(k,): value}`` cell dicts, and only
 ``skew_residual``, ``jacobi_residual``, ``mult_residual`` and a reported
@@ -30,13 +31,16 @@ rows and a map's columns, built on first read for one check and never
 kept on a structure; ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
 T[a][b] into a cell dict; ``_bracket_morphism`` adds f([e_i, e_j]) -
 [f(e_i), f(e_j)] from T, for morphism checks, alpha's multiplicativity
-and a representation's intertwining columns.  Jacobi walks each hop
-[alpha(e_a), [e_b, e_c]] inline, adding y_m T[a][m] for each term y_m e_m
-of [e_b, e_c], and ``ad_action`` reads [x, e_u] from the table of x.
-``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
+and a representation's intertwining columns.  One hop kernel,
+``HomSuperAlgebra._jacobi_hops``, walks the nonzero hops [alpha(e_a),
+[e_b, e_c]] through T and adds each into the cyclic sums of the triples
+it enters, so no check loops over the n^3 / 6 triples.  One adjoint
+kernel, ``_ad_images``, gives ad_{e_m}(t) for every m in one walk over
+t's cells.  ``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
 cell dict, each ad term an alpha-table row times a cell of
 (id (x) alpha) delta(e_k) or (alpha (x) id) delta(e_k)
-(``_compat_tables``).  Every product in these kernels, a row times a
+(``_compat_tables``, which also hold whether each delta(e_k) is
+nonzero).  Every product in these kernels, a row times a
 coefficient or an alpha-table row times a cell, is added by the fused
 kernel ``hlsb.scalar._add_product``, which takes a ``negate`` flag in
 place of a negated factor.  ``HomSuperBialgebra.check`` shares alpha's table
@@ -54,8 +58,9 @@ of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
 listing every violated axiom with the exact symbolic residual.  The
 bracket and cobracket grading checks walk their sorted rows and planes
-for odd cells, and compatibility reports the residuals
-``_compat_residuals`` kept; every other check builds that list through
+for odd cells, Jacobi reports the nonzero cyclic sums of its hop kernel
+and compatibility the residuals ``_compat_residuals`` kept; every other
+check builds that list through
 four helpers: ``_violations`` calls a residual kernel directly at each
 index tuple, with any extra arguments such as a table, and keeps the
 nonzero ones (a residual is a tensor, a scalar or a sparse cell dict,
@@ -67,6 +72,7 @@ parity, and ``_prefixed`` relabels the violations of a sub-report.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import product
 from operator import getitem, itemgetter
 
@@ -106,6 +112,18 @@ def _violations(axiom, indices, residual, *extra):
     ``residual(*idx, *extra)``, a tensor, a scalar or a sparse cell dict,
     is nonzero; each of those is falsy exactly when it is zero."""
     return [Violation(axiom, idx, r) for idx in indices if (r := residual(*idx, *extra))]
+
+
+def _sorted_rotations(a, b, c):
+    """The rotations (a, b, c), (b, c, a) and (c, a, b) that are in
+    nondecreasing order, with repeats: all three when a = b = c."""
+    if a <= b <= c:
+        return ((a, b, c),) * 3 if a == c else ((a, b, c),)
+    if b <= c <= a:
+        return ((b, c, a),)
+    if c <= a <= b:
+        return ((c, a, b),)
+    return ()
 
 
 def _densified(violations, dense):
@@ -373,8 +391,15 @@ class HomSuperAlgebra:
 
     def jacobi_residual(self, i, j, k):
         """The graded cyclic sum of [alpha(x), [y, z]] over (e_i,e_j,e_k)."""
-        return self._vector(self._jacobi_cells(*self._indices(i, j, k),
-                                               _images(self._rows, self.alpha._cols)))
+        ijk = tuple(self._indices(i, j, k))
+        i, j, k = ijk
+
+        def targets(a, b, c):
+            return [t for t in ((a, b, c), (b, c, a), (c, a, b)) if t == ijk]
+        # the hops of (i, j, k) bracket these pairs, each walked once
+        hops = self._jacobi_hops(dict.fromkeys([(j, k), (k, i), (i, j)]), targets,
+                                 _images(self._rows, self.alpha._cols))
+        return self._vector(hops.get(ijk, {}))
 
     def mult_residual(self, i, j):
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
@@ -389,27 +414,44 @@ class HomSuperAlgebra:
             _add_at(out, k, v if s == 1 else -v)
         return out
 
-    def _jacobi_cells(self, i, j, k, twisted):
-        """jacobi_residual(i, j, k) as sparse ``{(k,): value}`` cells, read
-        from the twisted-bracket table *twisted* = ``_images(rows, alpha)``:
-        a hop [alpha(e_a), [e_b, e_c]] is the sum over [e_b, e_c] =
-        sum y_m e_m of y_m T[a][m], one fused product per term of each row."""
+    def _jacobi_hops(self, pairs, targets, twisted):
+        """The Jacobi residual cells of the triples a hop is added into, as
+        {(i, j, k): {(m,): value}}, read from the twisted-bracket table
+        *twisted* = ``_images(rows, alpha)``.
+
+        The cyclic sum of (i, j, k) has the hops [alpha(e_a), [e_b, e_c]]
+        for (a, b, c) = (i, j, k), (k, i, j) and (j, k, i), each with the
+        sign (-1)^{|e_a||e_c|}; so each hop enters the triples (a, b, c),
+        (b, c, a) and (c, a, b), and ``targets(a, b, c)`` says which of
+        those the caller asks for, with repeats.  For each (b, c) in
+        *pairs* and each term y_m e_m of [e_b, e_c], the kernel walks the a
+        with T[a][m] nonzero, indexed once per call, and adds y_m T[a][m]
+        into each of those triples, one fused product per term of T[a][m].
+        Its cost follows these nonzero products, not the number of
+        triples."""
         p, rows = self.basis.parities, self._rows
-        out = {}
-        for a, b, c, odd in ((i, j, k, p[i] * p[k]), (k, i, j, p[k] * p[j]),
-                             (j, k, i, p[j] * p[i])):
-            inner = rows[b][c]
-            if inner:
-                table = twisted[a]
-                for (m,), y in inner:
-                    for idx, v in table[m]:
-                        _add_product(out, idx, y, v, odd)
+        hit = {}  # e_i -> the a whose alpha(e_a) has an e_i term
+        for a, col in enumerate(self.alpha._cols):
+            for (i,), _ in col:
+                hit.setdefault(i, []).append(a)
+        # index[m]: the a with T[a][m] = [alpha(e_a), e_m] nonzero
+        index = _Lazy(lambda m: [a for a in {a for i, plane in enumerate(rows) if plane[m]
+                                             for a in hit.get(i, ())} if twisted[a][m]])
+        out = defaultdict(dict)
+        for b, c in pairs:
+            for (m,), y in rows[b][c]:
+                for a in index[m]:
+                    row, negate = twisted[a][m], p[a] * p[c]
+                    for t in targets(a, b, c):
+                        cells = out[t]
+                        for idx, v in row:
+                            _add_product(cells, idx, y, v, negate)
         return out
 
     def _mult_cells(self, i, j, twisted):
         """mult_residual(i, j) as sparse ``{(k,): value}`` cells: alpha's
         bracket-morphism residual, read from *twisted* as in
-        ``_jacobi_cells``."""
+        ``_jacobi_hops``."""
         cols = self.alpha._cols
         return _bracket_morphism({}, cols, self._rows, twisted, cols, i, j, False)
 
@@ -424,11 +466,11 @@ class HomSuperAlgebra:
         n = self.dim
         rows = self._rows
         pairs = [(i, j) for i in range(n) for j in range(i, n) if rows[i][j] or rows[j][i]]
-        # each hop of the cyclic sum brackets one of these rows
-        triples = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
-                   if rows[j][k] or rows[i][j] or rows[k][i]]
+        hops = self._jacobi_hops([(b, c) for b, plane in enumerate(rows)
+                                  for c, row in enumerate(plane) if row],
+                                 _sorted_rotations, twisted)
         found = (_violations("skew", pairs, self._skew_cells)
-                 + _violations("jacobi", triples, self._jacobi_cells, twisted))
+                 + [Violation("jacobi", t, cells) for t, cells in sorted(hops.items()) if cells])
         if multiplicative:
             found += _violations("multiplicative", _morphism_pairs(self, self, self.alpha),
                                  self._mult_cells, twisted)
@@ -492,12 +534,15 @@ class HomSuperCoalgebra:
         return _cobracket_morphism(self, self.alpha._cols[i], self.alpha, self._planes[i])
 
     def check(self, comultiplicative=False):
-        each = [(i,) for i in range(self.dim)]
+        # coskew and co-Jacobi are zero where delta(e_i) is; comultiplicativity
+        # is not, as delta(alpha(e_i)) need not be
+        planted = [(i,) for i, plane in enumerate(self._planes) if plane]
         violations = (self.grading_violations()
-                      + _violations("coskew", each, self.coskew_residual)
-                      + _violations("cojacobi", each, self.cojacobi_residual))
+                      + _violations("coskew", planted, self.coskew_residual)
+                      + _violations("cojacobi", planted, self.cojacobi_residual))
         if comultiplicative:
-            violations += _violations("comultiplicative", each, self.comult_residual)
+            violations += _violations("comultiplicative", [(i,) for i in range(self.dim)],
+                                      self.comult_residual)
         return CheckReport("hom-super-coalgebra", violations)
 
     def is_comultiplicative(self):
@@ -530,55 +575,74 @@ def delta_otimes_alpha(coalgebra, r):
     return _alpha_beside_delta(coalgebra, r._cells.items(), True)
 
 
-def ad_action(algebra, x, t):
-    """The twisted adjoint action of a homogeneous element on a tensor.
+def _ad_images(algebra, t):
+    """The twisted adjoint images ad_{e_m}(t) of a tensor, for every basis
+    vector e_m, as a list indexed by m, in one walk over t's cells.
 
-    *x* is a pair ``(coeffs, parity)``, whose coefficients must all lie on
-    basis vectors of that parity.  On each summand the bracket hits one
-    slot while ``alpha`` hits all the others, with the Koszul sign for
-    moving x past the slots it skips:
+    On each summand the bracket hits one slot while ``alpha`` hits all the
+    others, with the Koszul sign for moving e_m past the slots it skips:
 
-        x . (y1 (x) ... (x) yn)
-          = sum_i (+-) alpha(y1) (x) ... (x) [x, y_i] (x) ... (x) alpha(yn)
-    """
+        e_m . (y1 (x) ... (x) yn)
+          = sum_i (+-) alpha(y1) (x) ... (x) [e_m, y_i] (x) ... (x) alpha(yn)
+
+    A slot holding e_u feeds only the images of the m with [e_m, e_u]
+    nonzero."""
     if not isinstance(t, _TensorBase):
         raise TypeError("ad_action expects a Tensor2 or Tensor3")
+    n, p = algebra.dim, algebra.basis.parities
+    rows, cols = algebra._rows, algebra.alpha._cols
+    acting = _Lazy(lambda u: [m for m in range(n) if rows[m][u]])  # [e_m, e_u] != 0
+    images = [{} for _ in range(n)]
+    for idx, v in t._cells.items():
+        base = [cols[j] for j in idx]
+        skipped = 0
+        for slot, u in enumerate(idx):
+            if acting[u]:
+                factors = list(base)
+                for m in acting[u]:
+                    factors[slot] = rows[m][u]
+                    _add_products(images[m], -v if p[m] * skipped % 2 else v, factors)
+            skipped += p[u]
+    return [t._wrap(algebra.ring, algebra.basis, cells,
+                    None if t.parity is None else (t.parity + p[m]) % 2)
+            for m, cells in enumerate(images)]
+
+
+def ad_action(algebra, x, t):
+    """The twisted adjoint action of a homogeneous element on a tensor,
+    sum_m x_m ad_{e_m}(t) (``_ad_images``).
+
+    *x* is a pair ``(coeffs, parity)``, whose coefficients must all lie on
+    basis vectors of that parity."""
+    images = _ad_images(algebra, t)
     coeffs, parity = x
     xs = _vector_cells(coeffs, algebra.dim)
     p = algebra.basis.parities
     if parity not in (0, 1) or any(p[m] != parity for (m,), _ in xs):
         raise ParityError("x is not homogeneous of parity %r" % (parity,))
-    out_parity = None if t.parity is None else (t.parity + parity) % 2
-    cells, cols = {}, algebra.alpha._cols
-    bracket = _images(algebra._rows, [xs])[0]  # bracket[u] = [x, e_u]
-    for idx, v in t._cells.items():
-        skipped = 0
-        for slot, i in enumerate(idx):
-            row = bracket[i]
-            if row:
-                factors = [cols[j] for j in idx]
-                factors[slot] = row
-                _add_products(cells, -v if parity * skipped % 2 else v, factors)
-            skipped += p[i]
-    return t._wrap(algebra.ring, algebra.basis, cells, out_parity)
+    cells = {}
+    for (m,), c in xs:
+        _add_row(cells, c, images[m]._cells.items())
+    return t._wrap(algebra.ring, algebra.basis, cells,
+                   None if t.parity is None else (t.parity + parity) % 2)
 
 
 def ad_basis(algebra, m, t):
     """ad of the m-th basis element on a tensor."""
-    coeffs = [algebra.ring.zero()] * algebra.dim
-    coeffs[_basis_index(m, algebra.dim)] = algebra.ring.one()
-    return ad_action(algebra, (coeffs, algebra.basis.parity(m)), t)
+    m = _basis_index(m, algebra.dim)
+    return _ad_images(algebra, t)[m]
 
 
 def _compat_tables(algebra, deltas, twisted):
-    """The tables compatibility reads, each a lazy table built on first
-    read: the twisted-bracket table *twisted* = ``_images(rows, alpha)``
-    and, per k, the cells of (id (x) alpha) delta(e_k) and of
-    (alpha (x) id) delta(e_k)."""
+    """The tables compatibility reads: the twisted-bracket table *twisted*
+    = ``_images(rows, alpha)``; per k, the cells of (id (x) alpha)
+    delta(e_k) and of (alpha (x) id) delta(e_k), each a lazy table built on
+    first read; and per k, whether delta(e_k) is nonzero."""
     alpha = algebra.alpha
     return (twisted,
             _Lazy(lambda k: deltas[k].apply(alpha, 1)._cells),
-            _Lazy(lambda k: deltas[k].apply(alpha, 0)._cells))
+            _Lazy(lambda k: deltas[k].apply(alpha, 0)._cells),
+            [bool(d._cells) for d in deltas])
 
 
 def _compat_residual(algebra, deltas, i, j, tables):
@@ -590,13 +654,13 @@ def _compat_residual(algebra, deltas, i, j, tables):
     against (id (x) alpha) delta and (alpha (x) id) delta, whose cells keep
     the parity of e_u as alpha is even.  *tables* are ``_compat_tables``,
     of which only what this pair reads is built."""
-    twisted, id_alpha, alpha_id = tables
+    twisted, id_alpha, alpha_id, nonzero = tables
     p = algebra.basis.parities
     out = {}
     for (k,), c in algebra._rows[i][j]:
         _add_row(out, c, deltas[k]._cells.items())
     for x, t, negate in ((i, j, True), (j, i, p[i] * p[j] == 1)):
-        if not deltas[t]:
+        if not nonzero[t]:
             continue
         twisted_x = twisted[x]
         for (u, w), d in id_alpha[t].items():
@@ -623,14 +687,14 @@ def _compat_residuals(algebra, deltas, nonskew, tables):
     zero.  So is compat(i, j) when [e_i, e_j], delta(e_i) and delta(e_j)
     are all zero.  Every other pair, odd diagonal ones included, is
     evaluated by ``_compat_residual``."""
-    p, rows = algebra.basis.parities, algebra._rows
+    p, rows, nonzero = algebra.basis.parities, algebra._rows, tables[3]
     out = {}
     for i, j in product(range(algebra.dim), repeat=2):
         if i > j and (j, i) not in nonskew:
             if (j, i) in out:
                 out[i, j] = out[j, i].scale(-koszul_sign(p[i], p[j]))
         elif ((i != j or p[i] or (i, i) in nonskew)
-              and (rows[i][j] or deltas[i] or deltas[j])
+              and (rows[i][j] or nonzero[i] or nonzero[j])
               and (r := _compat_residual(algebra, deltas, i, j, tables))):
             out[i, j] = r
     return out
@@ -701,7 +765,7 @@ def delta0(algebra, r):
         raise TypeError("delta0 expects a Tensor2")
     if r.apply_all(algebra.alpha) != r:
         raise HypothesisError("r is not fixed by alpha (x) alpha")
-    return [ad_basis(algebra, i, r) for i in range(algebra.dim)]
+    return _ad_images(algebra, r)
 
 
 def _require_deltas(algebra, deltas):

@@ -20,9 +20,9 @@ from fractions import Fraction
 from .errors import HypothesisError, ScalarError
 from .structures import (
     CheckReport,
+    _ad_images,
     _odd_cells,
     _violations,
-    ad_basis,
     alpha_otimes_delta,
     bialgebra_from_deltas,
     delta_otimes_alpha,
@@ -83,12 +83,12 @@ def _tensor_hypotheses(algebra, r, defect, name, defect_name):
     image of the 3-tensor *defect* killed by the cube of the structure map.
     A zero defect has zero adjoint images, so none is computed."""
     p, alpha = algebra.basis.parities, algebra.alpha
+    images = _ad_images(algebra, defect) if defect else []
     return (_odd_cells(name + "-even", r._cells.items(), (p, p))[:1]  # the first odd cell only
             + _violations(name + "-alpha-fixed", [()], lambda: r.apply_all(alpha) - r)
             + _violations(name + "-skew", [()], lambda: r + tau(r))
-            + _violations(name + "-adjoint-" + defect_name,
-                          [(i,) for i in range(algebra.dim)] if defect else [],
-                          lambda i: ad_basis(algebra, i, defect).apply_all(alpha)))
+            + _violations(name + "-adjoint-" + defect_name, [(i,) for i in range(len(images))],
+                          lambda i: images[i].apply_all(alpha)))
 
 
 def coboundary_hypothesis_violations(algebra, r, name="r"):
@@ -107,16 +107,16 @@ def coboundary_from_r(algebra, r):
     violations = coboundary_hypothesis_violations(algebra, r)
     if violations:
         raise HypothesisError("coboundary hypotheses fail: %r" % (violations[0],))
-    return bialgebra_from_deltas(
-        algebra, [ad_basis(algebra, i, r) for i in range(algebra.dim)])
+    return bialgebra_from_deltas(algebra, _ad_images(algebra, r))
 
 
 def check_coboundary(bialgebra, r):
     """Is the bialgebra's cobracket exactly ad(r), hypotheses included?"""
     B = bialgebra
-    return CheckReport("coboundary-structure", coboundary_hypothesis_violations(B.algebra, r)
-                       + _violations("coboundary", [(i,) for i in range(B.dim)],
-                                     lambda i: B.delta(i) - ad_basis(B.algebra, i, r)))
+    violations = coboundary_hypothesis_violations(B.algebra, r)
+    images = _ad_images(B.algebra, r)
+    return CheckReport("coboundary-structure", violations + _violations(
+        "coboundary", [(i,) for i in range(B.dim)], lambda i: B.delta(i) - images[i]))
 
 
 class QuasiTriangularEquivalences:
@@ -194,8 +194,8 @@ def perturb_cobracket(bialgebra, t):
     if not report.passed:
         raise HypothesisError("perturbation hypotheses fail: %r"
                               % (report.violations[0],))
-    return bialgebra_from_deltas(
-        B.algebra, [B.delta(i) + ad_basis(B.algebra, i, t) for i in range(B.dim)])
+    images = _ad_images(B.algebra, t)
+    return bialgebra_from_deltas(B.algebra, [B.delta(i) + images[i] for i in range(B.dim)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hlsb import structures
 from hlsb.catalog import expand_variants, get_row
 from hlsb.cli import main
 from hlsb.constructions import Representation, adjoint_representation
@@ -374,16 +375,27 @@ def test_construct_semidirect_rejects_an_action_that_breaks_parity(tmp_path, cap
 def test_wide_check_evaluates_only_jacobi_triples_with_a_bracket(monkeypatch):
     data = wide_definition(MAX_DIMENSION)
     A = loads_definition(json.dumps(data)).bialgebra.algebra
-    calls = []
-    residual = HomSuperAlgebra._jacobi_cells
-    monkeypatch.setattr(HomSuperAlgebra, "_jacobi_cells",
-                        lambda self, *args: calls.append(args[:3]) or residual(self, *args))
+    calls, products = [], []
+    hops = HomSuperAlgebra._jacobi_hops
+    add = structures._add_product
+
+    def counted(self, *args):
+        before = len(products)
+        out = hops(self, *args)
+        calls.append(len(products) - before)
+        return out
+    monkeypatch.setattr(HomSuperAlgebra, "_jacobi_hops", counted)
+    monkeypatch.setattr(structures, "_add_product",
+                        lambda cells, idx, *args: products.append(idx) or add(cells, idx, *args))
     assert A.check(multiplicative=True).passed
-    bracketed = {(i, j) for i, j, _, _ in data["bracket"]}
-    n = A.dim
-    touching = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
-                if {(j, k), (i, j), (k, i)} & bracketed]
-    assert calls == touching and len(touching) < 300
+    # alpha = id and each [e_b, e_c] here is one term y e_m: the hop
+    # [e_a, [e_b, e_c]] is one product where [e_a, e_m] is nonzero, once
+    # per nondecreasing rotation of (a, b, c)
+    bracket = {(i, j): k for i, j, k, _ in data["bracket"]}
+    want = sum(sorted(t) == list(t) for (b, c), m in bracket.items()
+               for a in range(A.dim) if (a, m) in bracket
+               for t in ((a, b, c), (b, c, a), (c, a, b)))
+    assert calls == [want] and 0 < want < 300
 
 
 def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatch):

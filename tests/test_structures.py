@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -590,3 +591,78 @@ def test_substitute_refuses_what_the_scalar_map_refuses():
     # a parameter left in place must exist in the target
     with pytest.raises(ScalarError, match="not a parameter"):
         B.substitute({"a1": 1}, sring)
+
+
+def jordan_alpha(rng, ring, parities):
+    """alpha with one Jordan block per parity: on the basis vectors of
+    each parity, in order, alpha(e_j) = lam e_j + e_prev, with e_prev the
+    previous vector of that parity and lam drawn once per block."""
+    n = len(parities)
+    alpha = [[ring.zero()] * n for _ in range(n)]
+    for q in (0, 1):
+        block = [j for j in range(n) if parities[j] == q]
+        lam = draw_value(rng, ring, rng.choice([-2, -1, 1, 2, 3]))
+        for prev, j in zip([None] + block, block):
+            alpha[j][j] = lam
+            if prev is not None:
+                alpha[prev][j] = ring.one()
+    return alpha
+
+
+def random_algebra(rng, n, fill, laurent):
+    """A random sparse algebra on n >= 2 vectors, e0 odd: a bracket with
+    no skew symmetry imposed and a Jordan-block alpha, over QQ or
+    LAURENT; with its dense oracle."""
+    ring = LAURENT if laurent else QQ
+    parities = [1] + [rng.randint(0, 1) for _ in range(n - 1)]
+    cube = sparse_cube(rng, n, fill, set(), ring)
+    alpha = jordan_alpha(rng, ring, parities)
+    A = HomSuperAlgebra(ring, SuperBasis(parities), cube, alpha)
+    return A, DenseOracle(ring, parities, bracket=cube, alpha=alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.sampled_from([0.1, 0.25, 0.5]), laurent=st.booleans())
+@example(n=3, seed=1, fill=0.5, laurent=False)
+def test_jacobi_hops_match_the_dense_oracle(n, seed, fill, laurent):
+    """Every triple, repeated indices and both orientations of the
+    unsorted ones included, through ``jacobi_residual``; and check's
+    Jacobi violations, one per nondecreasing triple."""
+    A, oracle = random_algebra(random.Random(seed), n, fill, laurent)
+    for i, j, k in product(range(n), repeat=3):
+        assert vec_dict(A.jacobi_residual(i, j, k)) == oracle.jacobi(i, j, k)
+    got = [(v.indices, vec_dict(v.residual)) for v in A.check().by_axiom("jacobi")]
+    assert got == [(ijk, oracle.jacobi(*ijk))
+                   for ijk in combinations_with_replacement(range(n), 3) if oracle.jacobi(*ijk)]
+
+
+def test_jacobi_hops_example_has_violations():
+    # the explicit example above is not vacuous: it has a Jacobi violation
+    # at an unsorted triple and at repeated indices
+    A, oracle = random_algebra(random.Random(1), 3, 0.5, False)
+    assert A.check().by_axiom("jacobi")
+    assert oracle.jacobi(2, 1, 0) and oracle.jacobi(2, 0, 1) != oracle.jacobi(1, 0, 2)
+    assert any(oracle.jacobi(i, i, k) or oracle.jacobi(i, k, k)
+               for i in range(3) for k in range(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1), laurent=st.booleans(),
+       rank=st.sampled_from([2, 3]), parity=st.sampled_from([None, 0, 1]))
+def test_ad_images_match_the_dense_oracle(n, seed, laurent, rank, parity):
+    """ad_{e_m}(t) for every m, e0 odd, on a Tensor2 or Tensor3 that is
+    homogeneous of *parity* or, for None, of no declared parity."""
+    rng = random.Random(seed)
+    A, oracle = random_algebra(rng, n, 0.3, laurent)
+    p = A.basis.parities
+    cells = {idx: draw_value(rng, A.ring, v) for idx, v in sparse_tensor(rng, n, rank, 0.3).items()
+             if v and (parity is None or sum(p[i] for i in idx) % 2 == parity)}
+    t = (Tensor2 if rank == 2 else Tensor3).from_dict(A.ring, A.basis, cells, parity=parity)
+    images = structures._ad_images(A, t)
+    assert len(images) == n
+    for m, image in enumerate(images):
+        want = oracle.reduce(oracle.ad(oracle.basis_term(m), p[m],
+                                       [(row[-1], tuple(row[:-1])) for row in t.items()]))
+        assert type(image) is type(t) and residual_dict(image) == want
+        assert image.parity == (None if parity is None else (parity + p[m]) % 2)
