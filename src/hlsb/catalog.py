@@ -150,7 +150,7 @@ def _build_variant(row, stratum, signs, label):
         _add_at(bracket, (i, j, k), value)
         if i != j:
             sign = koszul_sign(row.parities[i], row.parities[j])
-            _add_at(bracket, (j, i, k), -value if sign == 1 else value)
+            _add_at(bracket, (j, i, k), value, sign == 1)
 
     cobracket = {}
     for ijk, expr in row.cobracket.items():

@@ -12,8 +12,9 @@ check (of f, of alpha over the action rows, of Id - alpha^2):
 ``_bracket_into`` adds [f(e_a), y] from it and ``_bracket_morphism``
 f([x, y]) - [f(x), f(y)].  ``_cobracket_morphism`` gives delta(f(x)) -
 (f (x) f) delta(x), for morphism checks and the cobracket of ``twist``.
-All of them add into sparse cell dicts; a vector or matrix is filled
-only for a reported violation or for ``act``.
+All of them add into one flat term accumulator per residual
+(``hlsb.scalar._Accumulator``), which gives sparse cells; a vector or
+matrix is filled only for a reported violation or for ``act``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import DimensionMismatchError, HypothesisError, MorphismError, RingMismatchError
-from .scalar import _add_at, _add_product
+from .scalar import _Accumulator, _add_at
 from .structures import (
     CheckReport,
     HomSuperAlgebra,
@@ -43,8 +44,8 @@ from .structures import (
     delta1,
 )
 from .superlinear import (
-    EvenMap, SuperBasis, Tensor2, _add_products, _basis_index, _filled, _frozen, _lift_cells,
-    _map_cells, _vector_cells, koszul_sign)
+    EvenMap, SuperBasis, Tensor2, _basis_index, _filled, _frozen, _lift_cells, _map_cells,
+    _mul_tensor, _vector_cells, koszul_sign)
 
 # ---------------------------------------------------------------------------
 # morphisms
@@ -57,11 +58,12 @@ def check_algebra_morphism(f, src, dst):
     cols, images = f._cols, _images(dst._rows, f._cols)
     violations = _densified(_violations(
         "bracket-morphism", _morphism_pairs(src, dst, f),
-        lambda i, j: _bracket_morphism({}, cols, src._rows, images, cols, i, j, False)),
+        lambda i, j: _bracket_morphism(_Accumulator(f.ring), cols, src._rows, images, cols,
+                                       i, j, False).cells()),
         dst._vector)
     diff = _map_cells(f.compose(src.alpha))
     for idx, v in _map_cells(dst.alpha.compose(f)).items():
-        _add_at(diff, idx, -v)
+        _add_at(diff, idx, v, True)
     if diff:
         residual = _filled(diff, (dst.dim, src.dim), f.ring.zero())
         violations.append(Violation("twist-intertwine", (), residual))
@@ -99,13 +101,12 @@ def twist(bialgebra, beta, verify=True):
             raise MorphismError(
                 "twisting map is not a bialgebra endomorphism; first failure: %r"
                 % (report.violations[0],))
-    bracket = {}
+    bracket = _Accumulator(B.ring)
     for (i, j, k), v in _bracket_cells(B.algebra).items():
-        for (m,), b in beta._cols[k]:
-            _add_product(bracket, (i, j, m), b, v)
+        bracket.mul(v, beta._cols[k], prefix=(i, j))
     cobracket = _delta_cells([_cobracket_morphism(B.coalgebra, col, None, ())
                               for col in beta._cols])
-    return HomSuperBialgebra(B.ring, B.basis, bracket, cobracket,
+    return HomSuperBialgebra(B.ring, B.basis, bracket.cells(), cobracket,
                              beta.compose(B.alpha))
 
 
@@ -127,11 +128,10 @@ def twist_power(bialgebra, n):
 
 
 def _dot(ring, x, y):
-    total = ring.zero()
+    acc = _Accumulator(ring)
     for a, b in zip(x, y):
-        if a and b:
-            total = total + a * b
-    return total
+        acc.mul(a, [((), b)])
+    return acc.cells().get((), ring.zero())
 
 
 def _charpoly(ring, m):
@@ -173,13 +173,12 @@ def invert_even_map(f):
         raise HypothesisError("determinant %s is not invertible" % (full,)) from exc
     adj = {(i, i): ring.one() for i in range(n)}
     for c in coeffs[1:n]:
-        prod = {}
+        prod = _Accumulator(ring)
         for (t, j), b in adj.items():
-            for (i,), a in f._cols[t]:
-                _add_product(prod, (i, j), a, b)
+            prod.mul(b, f._cols[t], suffix=(j,))
         for i in range(n):
-            _add_at(prod, (i, i), c)
-        adj = prod
+            prod.add((i, i), c)
+        adj = prod.cells()
     scale = inv_det if n % 2 else -inv_det
     return EvenMap(ring, f.dst, f.src, {idx: scale * v for idx, v in adj.items()})
 
@@ -193,13 +192,13 @@ def transport_structure(bialgebra, f):
     g = invert_even_map(f)
     basis = f.dst
     rows_of_g = g.transpose()._cols
-    bracket, cobracket = {}, {}
+    bracket, cobracket = _Accumulator(B.ring), _Accumulator(B.ring)
     for (a, b, k), v in _bracket_cells(B.algebra).items():
-        _add_products(bracket, v, [rows_of_g[a], rows_of_g[b], f._cols[k]])
+        _mul_tensor(bracket, v, [rows_of_g[a], rows_of_g[b], f._cols[k]])
     for (i, j, k), v in _cobracket_cells(B.coalgebra).items():
-        _add_products(cobracket, v, [rows_of_g[i], f._cols[j], f._cols[k]])
+        _mul_tensor(cobracket, v, [rows_of_g[i], f._cols[j], f._cols[k]])
     alpha = f.compose(B.alpha).compose(g)
-    return HomSuperBialgebra(B.ring, basis, bracket, cobracket, alpha)
+    return HomSuperBialgebra(B.ring, basis, bracket.cells(), cobracket.cells(), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +319,9 @@ class Representation:
     def act(self, m, vec):
         """Action of the m-th algebra basis vector on a module vector."""
         rows = self._rows[_basis_index(m, self.algebra.dim)]
-        out = _bracket_into({}, rows, _vector_cells(vec, self.module_basis.dim))
-        return _filled(out, (self.module_basis.dim,), self.ring.zero())
+        acc = _bracket_into(_Accumulator(self.ring), rows,
+                            _vector_cells(vec, self.module_basis.dim))
+        return _filled(acc.cells(), (self.module_basis.dim,), self.ring.zero())
 
     def grading_violations(self):
         pv = self.module_basis.parities
@@ -330,13 +330,13 @@ class Representation:
 
     def _columns(self, into, reach, *args):
         """The nonzero columns {c: {(i,): value}} of the residual matrix
-        whose column c ``into(col, c, *args)`` adds into an empty cell dict,
-        for c in *reach*, the columns that can be nonzero."""
+        whose column c ``into(acc, c, *args)`` adds into an empty
+        accumulator, for c in *reach*, the columns that can be nonzero."""
         cols = {}
         for c in reach:
-            col = {}
-            into(col, c, *args)
-            if col:
+            acc = _Accumulator(self.ring)
+            into(acc, c, *args)
+            if col := acc.cells():
                 cols[c] = col
         return cols
 
@@ -346,16 +346,16 @@ class Representation:
         return _filled({(i, j): v for j, col in cols.items() for (i,), v in col.items()},
                        (d, d), self.ring.zero())
 
-    def _intertwine_into(self, col, c, i, images):
+    def _intertwine_into(self, acc, c, i, images):
         beta = self.module_map._cols
-        _bracket_morphism(col, beta, self._rows, images, beta, i, c, True)
+        _bracket_morphism(acc, beta, self._rows, images, beta, i, c, True)
 
-    def _action_into(self, col, c, i, j, images):
+    def _action_into(self, acc, c, i, j, images):
         A, rows = self.algebra, self._rows
         s = koszul_sign(A.basis.parity(i), A.basis.parity(j))
-        _bracket_into(col, _images(rows, [A._rows[i][j]])[0], self.module_map._cols[c])
-        _bracket_into(col, images[i], rows[j][c], negate=True)
-        _bracket_into(col, images[j], rows[i][c], negate=s == -1)
+        _bracket_into(acc, _images(rows, [A._rows[i][j]])[0], self.module_map._cols[c])
+        _bracket_into(acc, images[i], rows[j][c], negate=True)
+        _bracket_into(acc, images[j], rows[i][c], negate=s == -1)
 
     def _intertwine_columns(self, i, images):
         """The intertwine residual's columns at i, evaluated only where
@@ -424,13 +424,14 @@ def check_admissible(algebra):
     n = A.dim
     defect = {(i, i): A.ring.one() for i in range(n)}
     for idx, v in _map_cells(A.alpha.power(2)).items():
-        _add_at(defect, idx, -v)
+        _add_at(defect, idx, v, True)
     defect = EvenMap(A.ring, A.basis, A.basis, defect)._cols
     images = _images(A._rows, defect)
     pairs = [(i, j) for i in range(n) if defect[i] for j in range(n)]
     return CheckReport("admissible", _densified(_violations(
         "admissible", pairs,
-        lambda i, j: _bracket_into({}, images[i], A.alpha._cols[j])), A._vector))
+        lambda i, j: _bracket_into(_Accumulator(A.ring), images[i],
+                                   A.alpha._cols[j]).cells()), A._vector))
 
 
 # ---------------------------------------------------------------------------
@@ -607,29 +608,25 @@ class BilinearForm:
     def self_adjoint_violations(self, alpha):
         """S(alpha(e_i), e_j) - S(e_i, alpha(e_j)), reported if nonzero."""
         rows_of_alpha = alpha.transpose()._cols
-        diff = {}
+        diff = _Accumulator(self.ring)
         for (k, j), s in self._cells.items():
-            for (i,), a in rows_of_alpha[k]:
-                _add_product(diff, (i, j), a, s)
+            diff.mul(s, rows_of_alpha[k], suffix=(j,))
         for (i, k), s in self._cells.items():
-            for (j,), a in rows_of_alpha[k]:
-                _add_product(diff, (i, j), s, a, True)
-        return [Violation("form-self-adjoint", idx, v) for idx, v in sorted(diff.items())]
+            diff.mul(s, rows_of_alpha[k], True, (i,))
+        return [Violation("form-self-adjoint", idx, v) for idx, v in sorted(diff.cells().items())]
 
     def invariance_violations(self, algebra):
         """S([e_i, e_j], e_k) - S(e_i, [e_j, e_k]), reported if nonzero."""
-        rows = [[] for _ in range(self.basis.dim)]  # rows[i] holds (j, S_ij)
-        cols = [[] for _ in range(self.basis.dim)]  # cols[j] holds (i, S_ij)
+        rows = [[] for _ in range(self.basis.dim)]  # rows[i] holds ((j,), S_ij)
+        cols = [[] for _ in range(self.basis.dim)]  # cols[j] holds ((i,), S_ij)
         for (i, j), s in self._cells.items():
-            rows[i].append((j, s))
-            cols[j].append((i, s))
-        diff = {}
+            rows[i].append(((j,), s))
+            cols[j].append(((i,), s))
+        diff = _Accumulator(self.ring)
         for (i, j, m), c in _bracket_cells(algebra).items():
-            for k, s in rows[m]:
-                _add_product(diff, (i, j, k), c, s)
-            for a, s in cols[m]:
-                _add_product(diff, (a, i, j), s, c, True)
-        return [Violation("form-invariant", idx, v) for idx, v in sorted(diff.items())]
+            diff.mul(c, rows[m], prefix=(i, j))
+            diff.mul(c, cols[m], True, suffix=(i, j))
+        return [Violation("form-invariant", idx, v) for idx, v in sorted(diff.cells().items())]
 
     def determinant(self):
         """det S.  A form with exactly one cell in each row and each column
@@ -728,19 +725,16 @@ def _pairing_cocycle_violations(g, gstar, convention, shifted, axiom):
     violations = []
     for i in range(n):
         for j in range(n):
-            # wedge[s, q] = <t, e^s (x) e^q> - (-1)^{|s||q|} <t, e^q (x) e^s>
-            wedge = {}
+            # wedge[s, q] = <t, e^s (x) e^q> - (-1)^{|s||q|} <t, e^q (x) e^s>,
+            # and totals[q, pp] = sum_s alpha[pp][s] wedge[s, q]
+            totals = _Accumulator(g.ring)
             for (s, q), v in defect[i][j]._cells.items():
                 shift = p[s] + p[q] if shifted else 0
-                v = v if _pair_sign(convention, p[s], p[q], shift) == 1 else -v
-                _add_at(wedge, (s, q), v)
-                _add_at(wedge, (q, s), -v if koszul_sign(p[s], p[q]) == 1 else v)
-            totals = {}
-            for (s, q), w in wedge.items():
-                for (pp,), a in g.alpha._cols[s]:
-                    _add_product(totals, (q, pp), a, w)
+                flip = _pair_sign(convention, p[s], p[q], shift) == -1
+                totals.mul(v, g.alpha._cols[s], flip, (q,))
+                totals.mul(v, g.alpha._cols[q], flip != (koszul_sign(p[s], p[q]) == 1), (s,))
             violations.extend(Violation(axiom, (i, j, pp, q), v)
-                              for (q, pp), v in sorted(totals.items()))
+                              for (q, pp), v in sorted(totals.cells().items()))
     return violations
 
 

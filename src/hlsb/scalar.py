@@ -26,10 +26,10 @@ read-only ``{exponent tuple: coeff}`` view, decoded on each read.  Rings
 are compared by identity before ``ParamRing.__eq__`` runs.
 
 Every contraction of the other modules is a sum of products of scalars,
-and each product goes through one fused multiply-accumulate kernel,
-``_add_product(cells, idx, x, y, negate)``: it adds the term products of
-x and y straight into a copy of the cell's terms, as sparse polynomial
-codes accumulate into one result, so the product x * y is never built.
+and each product goes through one kernel, ``_Accumulator.mul``: it adds
+each term product c1 * c2 into one flat dict under the key (cell, packed
+monomial), as sparse polynomial codes accumulate into one result, and
+``_Accumulator.cells`` then builds each nonzero cell once.
 
 Scalars print in a stable form like ``3/2*a1^2*b4 - c2`` and the same ring
 parses that form back, so text round-trips exactly.
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from types import MappingProxyType
 
 from .errors import ParseError, RingMismatchError, ScalarError
@@ -111,56 +111,83 @@ def _same_ring(a, b):
     return a is b or a == b
 
 
-def _add_at(cells, idx, value):
-    """cells[idx] += value in a sparse cell dict, which never keeps a zero."""
+def _add_at(cells, idx, value, negate=False):
+    """cells[idx] += value (-= if *negate*) in a sparse dict with no zeros."""
     if value:
-        value = cells[idx] + value if idx in cells else value
+        if idx in cells:
+            value = cells[idx] - value if negate else cells[idx] + value
+        elif negate:
+            value = -value
         if value:
             cells[idx] = value
         else:
             del cells[idx]
 
 
-def _add_product(cells, idx, x, y, negate=False):
-    """cells[idx] += x * y, or -= if *negate*, for scalars x and y, in a
-    sparse cell dict that never keeps a zero.
+class _Accumulator(dict):
+    """The running sum of one contraction over *ring* as a flat dict
+    {(cell index, packed key): coefficient}.  A coefficient that cancels
+    stays as 0, so the zero test (a Python call for a Fraction) runs once
+    per key in ``cells``, not once per product.  ``bound``, the largest
+    exponent bound of anything added, bounds every cell it builds."""
 
-    Each product of a term of x and a term of y is added straight into a
-    copy of the cell's terms, so neither x * y nor -x is built; the cell
-    gets one new Scalar, or is deleted when its terms cancel.  Where x, y
-    and the cell are not over one ring object, or the product may reach
-    ``MAX_EXPONENT``, it takes the generic path ``_add_at(cells, idx,
-    x * y)`` instead, which checks the rings and the exponents."""
-    xt, yt = x._terms, y._terms
-    if not (xt and yt):
-        return
-    ring, old = x.ring, cells.get(idx)
-    bound = x._bound + y._bound
-    if (y.ring is not ring or old is not None and old.ring is not ring
-            or bound >= MAX_EXPONENT):
-        value = x * y
-        _add_at(cells, idx, -value if negate else value)
-        return
-    if old is None:
-        terms = {}
-    else:
-        terms = dict(old._terms)
-        if old._bound > bound:
-            bound = old._bound
-    for k1, c1 in xt.items():
-        if negate:
-            c1 = -c1
-        for k2, c2 in yt.items():
-            key = k1 + k2
-            s = terms.get(key, 0) + c1 * c2
-            if s:
-                terms[key] = s if type(s) is int else _coeff(s)
-            else:
-                del terms[key]
-    if terms:
-        cells[idx] = Scalar(ring, terms, bound)
-    else:
-        cells.pop(idx, None)
+    __slots__ = ("ring", "bound")
+
+    def __init__(self, ring):
+        self.ring, self.bound = ring, 0
+
+    def mul(self, x, row, negate=False, prefix=(), suffix=()):
+        """cell += x * y, or -= if *negate*, for each (idx, y) of the sparse
+        row *row*, at cell = prefix + idx + suffix.  Where x or y is not
+        over this ring object, or the product may reach ``MAX_EXPONENT``,
+        it adds the exact product ``x * y``, which checks both first."""
+        xt = x._terms
+        if not xt:
+            return
+        ring, get = self.ring, self.get
+        own, xs = x.ring is ring, xt.items()
+        for idx, y in row:
+            yt = y._terms
+            if not yt:
+                continue
+            idx = prefix + idx + suffix
+            bound = x._bound + y._bound
+            if not own or y.ring is not ring or bound >= MAX_EXPONENT:
+                self.add(idx, x * y, negate)
+                continue
+            if bound > self.bound:
+                self.bound = bound
+            for k2, c2 in yt.items():
+                if negate:
+                    c2 = -c2
+                for k1, c1 in xs:
+                    key = idx, k1 + k2
+                    self[key] = get(key, 0) + c1 * c2
+
+    def add(self, idx, value, negate=False):
+        """cell idx += value, or -= if *negate*, for a built scalar."""
+        if value._terms:
+            if value.ring is not self.ring:
+                self.ring.lift(value)  # refuses another ring
+            if value._bound > self.bound:
+                self.bound = value._bound
+            get = self.get
+            for key, c in value._terms.items():
+                key = idx, key
+                self[key] = get(key, 0) - c if negate else get(key, 0) + c
+
+    def cells(self):
+        """The nonzero cells as a sparse {idx: Scalar} dict."""
+        out = {}
+        ring, bound, new = self.ring, self.bound, object.__new__
+        for (idx, key), c in self.items():
+            if c:
+                s = out.get(idx)
+                if s is None:  # Scalar(ring, {}, bound), without a call frame
+                    out[idx] = s = new(Scalar)
+                    s.ring, s._terms, s._bound = ring, {}, bound
+                s._terms[key] = c if type(c) is int else _coeff(c)
+        return out
 
 
 class ParamRing:
@@ -331,14 +358,15 @@ class Scalar:
             return self.ring.lift(other)
         return None
 
-    def __add__(self, other):
+    def _merged(self, other, op=add):
+        """self + other, or op(self, other) for op = sub, in one pass."""
         if type(other) is not Scalar or other.ring is not self.ring:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
         terms = dict(self._terms)
         for key, c in other._terms.items():
-            s = terms.get(key, 0) + c
+            s = op(terms.get(key, 0), c)
             if s:
                 terms[key] = s if type(s) is int else _coeff(s)
             else:
@@ -346,22 +374,17 @@ class Scalar:
         b1, b2 = self._bound, other._bound
         return Scalar(self.ring, terms, b1 if b1 >= b2 else b2)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _merged
 
     def __neg__(self):
         return Scalar(self.ring, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._merged(other, sub)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other._merged(self, sub)
 
     def __mul__(self, other):
         if type(other) is not Scalar or other.ring is not self.ring:
@@ -463,16 +486,20 @@ class Scalar:
             raise ScalarError(
                 "substitution names %r are not parameters of %r"
                 % (sorted(unknown), self.ring))
-        result = ring.zero()
-        for exps, coeff in self.terms.items():
-            term = ring.from_fraction(coeff)
-            for i, e in enumerate(exps):
+        exponents, powers, result = self.ring._exponents, {}, _Accumulator(ring)
+        for key, coeff in self._terms.items():
+            term = Scalar(ring, {0: coeff}, 0)
+            for i, e in enumerate(exponents(key) if key else ()):
                 if e:
-                    if values[i] is None:
-                        values[i] = ring.param(names[i])
-                    term = term * values[i] ** e
-            result = result + term
-        return result
+                    power = powers.get((i, e))
+                    if power is None:
+                        if values[i] is None:
+                            values[i] = ring.param(names[i])
+                        power = powers[i, e] = values[i] if e == 1 else values[i] ** e
+                    term = term * power
+            result.add((), term)
+        cells = result.cells()
+        return cells[()] if cells else ring.zero()
 
     def evaluate(self, assignment):
         """The value, as a Fraction, at the exact values *assignment* gives
@@ -533,32 +560,29 @@ class _Parser:
         self.ring = ring
         self.text = text
         self.bound = bound
-        self.tokens = []  # (kind, value, position)
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or m.end() == m.start():
-                if text[pos:].strip():
-                    raise ParseError("unexpected character", text, pos)
-                break
-            if m.group(1):
-                self.tokens.append(("num", int(m.group(1)), m.start(1)))
-            elif m.group(2):
-                self.tokens.append(("name", m.group(2), m.start(2)))
-            else:
-                self.tokens.append(("op", m.group(3), m.start(3)))
-            pos = m.end()
-        self.i = 0
+        self.pos = 0  # where the next token is scanned from
+        self.token = None  # the token _peek scanned and _next has not taken
         self.depth = 0
 
     def _peek(self):
-        if self.i < len(self.tokens):
-            return self.tokens[self.i]
-        return ("end", None, len(self.text))
+        """The next token as (kind, value, position), scanned on first
+        read, so input past a refusal is never tokenized."""
+        if self.token is None:
+            text, pos = self.text, self.pos
+            m = _TOKEN_RE.match(text, pos)
+            if m:
+                self.pos, g = m.end(), m.lastindex  # group 1, 2 or 3
+                value = int(m.group(g)) if g == 1 else m.group(g)
+                self.token = (("num", "name", "op")[g - 1], value, m.start(g))
+            elif text[pos:].strip():
+                raise ParseError("unexpected character", text, pos)
+            else:
+                self.token = ("end", None, len(text))
+        return self.token
 
     def _next(self):
         tok = self._peek()
-        self.i += 1
+        self.token = None
         return tok
 
     def _nest(self, pos):

@@ -19,7 +19,7 @@ multiplicativity pair that no nonzero bracket enters, and walks Jacobi
 by its nonzero hops, not its triples; the coalgebra check evaluates
 coskew and co-Jacobi only where delta(e_i) is nonzero), so its cost
 follows the nonzero constants.  The skew, Jacobi and multiplicativity
-residuals add into sparse ``{(k,): value}`` cell dicts, and only
+residuals come out as sparse ``{(k,): value}`` cell dicts, and only
 ``skew_residual``, ``jacobi_residual``, ``mult_residual`` and a reported
 violation fill a dense coefficient vector from them.  The ``bracket``,
 ``cobracket`` and ``alpha.matrix`` attributes are read-only nested-tuple
@@ -27,9 +27,9 @@ views, built on first use.
 
 Every bracket of an image runs on one kernel set.  ``_images(rows,
 cols)`` is the lazy table T[a][m] = [f(e_a), e_m] for bracket (or action)
-rows and a map's columns, built on first read for one check and never
-kept on a structure; ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
-T[a][b] into a cell dict; ``_bracket_morphism`` adds f([e_i, e_j]) -
+rows and a map's columns, each T[a] built on first read for one check
+and never kept on a structure; ``_bracket_into`` adds [f(e_a), y] =
+sum_b y_b T[a][b] into an accumulator; ``_bracket_morphism`` adds f([e_i, e_j]) -
 [f(e_i), f(e_j)] from T, for morphism checks, alpha's multiplicativity
 and a representation's intertwining columns.  One hop kernel,
 ``HomSuperAlgebra._jacobi_hops``, walks the nonzero hops [alpha(e_a),
@@ -37,13 +37,13 @@ and a representation's intertwining columns.  One hop kernel,
 it enters, so no check loops over the n^3 / 6 triples.  One adjoint
 kernel, ``_ad_images``, gives ad_{e_m}(t) for every m in one walk over
 t's cells.  ``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
-cell dict, each ad term an alpha-table row times a cell of
+accumulator, each ad term an alpha-table row times a cell of
 (id (x) alpha) delta(e_k) or (alpha (x) id) delta(e_k)
 (``_compat_tables``, which also hold whether each delta(e_k) is
-nonzero).  Every product in these kernels, a row times a
-coefficient or an alpha-table row times a cell, is added by the fused
-kernel ``hlsb.scalar._add_product``, which takes a ``negate`` flag in
-place of a negated factor.  ``HomSuperBialgebra.check`` shares alpha's table
+nonzero).  Every product in these kernels goes into one
+``hlsb.scalar._Accumulator`` per residual, with a ``negate`` flag in
+place of a negated factor, so a residual that cancels builds no scalar
+at all.  ``HomSuperBialgebra.check`` shares alpha's table
 between its algebra check and its compatibility pairs, which it
 evaluates once per unordered pair {i, j} where the bracket is skew
 (deriving (j, i) by the Koszul sign), directly where it is not, and not
@@ -72,15 +72,14 @@ parity, and ``_prefixed`` relabels the violations of a sub-report.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import product
 from operator import getitem, itemgetter
 
 from .errors import DimensionMismatchError, HypothesisError, ParityError, RingMismatchError
-from .scalar import _add_at, _add_product, _same_ring
+from .scalar import _Accumulator, _same_ring
 from .superlinear import (
-    EvenMap, Tensor2, Tensor3, _add_products, _basis_index, _check_same_basis, _filled, _frozen,
-    _grid, _lift_cells, _map_cells, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
+    EvenMap, Tensor2, Tensor3, _basis_index, _check_same_basis, _filled, _frozen, _grid,
+    _lift_cells, _map_cells, _mul_tensor, _TensorBase, _vector_cells, cyclic_sum, koszul_sign, tau)
 
 
 class Violation:
@@ -234,25 +233,17 @@ def zero_cobracket(ring, basis):
     return zero_bracket(ring, basis)
 
 
-def _add_row(out, c, row, negate=False):
-    """out += c * row, or -= if *negate*, for sparse (index tuple, value)
-    pairs *row*, such as a bracket row or a tensor's cells, into the
-    sparse cell dict *out*."""
-    for k, v in row:
-        _add_product(out, k, c, v, negate)
-
-
-def _bracket_into(out, table, ys, negate=False):
-    """out += sum_b y_b table[b], or -= if *negate*, for a sparse vector
-    *ys* of ((b,), y_b) pairs, into the sparse cell dict *out*.  With
+def _bracket_into(acc, table, ys, negate=False):
+    """acc += sum_b y_b table[b], or -= if *negate*, for a sparse vector
+    *ys* of ((b,), y_b) pairs, into the ``_Accumulator`` *acc*.  With
     table = ``_images(rows, cols)[a]`` it adds [f(e_a), y]; with table =
     rows[a], one plane of bracket (or action) rows, [e_a, y] (or
-    rho(e_a) y).  Returns out."""
+    rho(e_a) y).  Returns acc."""
     for (b,), y in ys:
         row = table[b]
         if row:
-            _add_row(out, y, row, negate)
-    return out
+            acc.mul(y, row, negate)
+    return acc
 
 
 class _Lazy(dict):
@@ -271,23 +262,23 @@ class _Lazy(dict):
 
 
 def _images(rows, cols):
-    """The bracket-of-images table T[a][m] = [f(e_a), e_m] as a lazy table,
-    for bracket (or action) rows *rows* and the sparse columns *cols* of a
-    map f, each row a tuple of nonzero ((k,), value) pairs like a bracket
-    row.  T[a] is built on first read, and is the rows of e_i itself where
-    f(e_a) = e_i; otherwise each of its rows is built on first read.  One
-    table serves one check: it is never kept on a structure."""
+    """The bracket-of-images table T[a][m] = [f(e_a), e_m], for bracket (or
+    action) rows *rows* and the sparse columns *cols* of a map f, each row
+    a sequence of nonzero ((k,), value) pairs like a bracket row.  T[a] is
+    built on first read, from one accumulator, and is the rows of e_i
+    itself where f(e_a) = e_i.  One table serves one check."""
     def table(a):
         col = cols[a]
         if len(col) == 1 and col[0][1].is_one():
             return rows[col[0][0][0]]
-
-        def row(m):
-            out = {}
-            for (i,), x in col:
-                _add_row(out, x, rows[i][m])
-            return tuple(out.items())
-        return _Lazy(row)
+        out, acc = [[] for _ in rows[0]], _Accumulator(col[0][1].ring if col else None)
+        for (i,), x in col:
+            for m, row in enumerate(rows[i]):
+                if row:
+                    acc.mul(x, row, False, (m,))
+        for (m, k), value in acc.cells().items():
+            out[m].append(((k,), value))
+        return out
     return _Lazy(table)
 
 
@@ -299,18 +290,17 @@ def _morphism_pairs(src, dst, f):
             if row or any(rows[a][b] for (a,), _ in cols[i] for (b,), _ in cols[j])]
 
 
-def _bracket_morphism(out, image, src_rows, images, right, i, j, negate):
-    """out += image([e_i, e_j]) - [left(e_i), right(e_j)], or -= if
-    *negate*, into the sparse cell dict *out*, for bracket (or action) rows
+def _bracket_morphism(acc, image, src_rows, images, right, i, j, negate):
+    """acc += image([e_i, e_j]) - [left(e_i), right(e_j)], or -= if
+    *negate*, into the ``_Accumulator`` *acc*, for bracket (or action) rows
     *src_rows*, sparse map columns *image* and *right*, and the table
     *images* = ``_images(dst_rows, left)``.  With image = left = right = f
     it is f's bracket-morphism residual at (i, j), with f = alpha the
     multiplicativity residual; with action rows, left = alpha and image =
-    right = the module map it is an intertwining column.  Returns out."""
+    right = the module map it is an intertwining column.  Returns acc."""
     for (k,), v in src_rows[i][j]:
-        for m, a in image[k]:
-            _add_product(out, m, a, v, negate)
-    return _bracket_into(out, images[i], right[j], not negate)
+        acc.mul(v, image[k], negate)
+    return _bracket_into(acc, images[i], right[j], not negate)
 
 
 def _cobracket_morphism(dst, x, f, plane):
@@ -319,12 +309,12 @@ def _cobracket_morphism(dst, x, f, plane):
     value) pairs.  With x = f(e_i), f's sparse column, and plane =
     delta_src(e_i) it is f's cobracket-morphism residual at e_i; with an
     empty plane it is delta_dst(x) alone."""
-    cells = {}
+    acc = _Accumulator(dst.ring)
     for (m,), c in x:
-        _add_products(cells, c, [dst._planes[m]])
+        acc.mul(c, dst._planes[m])
     for (a, b), v in plane:
-        _add_products(cells, -v, [f._cols[a], f._cols[b]])
-    return Tensor2._wrap(dst.ring, dst.basis, cells)
+        _mul_tensor(acc, v, [f._cols[a], f._cols[b]], True)
+    return Tensor2._wrap(dst.ring, dst.basis, acc.cells())
 
 
 def _bracket_cells(algebra):
@@ -408,16 +398,17 @@ class HomSuperAlgebra:
 
     def _skew_cells(self, i, j):
         """skew_residual(i, j) as sparse ``{(k,): value}`` cells."""
-        out = dict(self._rows[i][j])
-        s = koszul_sign(self.basis.parity(i), self.basis.parity(j))
+        acc, p = _Accumulator(self.ring), self.basis.parities
+        for k, v in self._rows[i][j]:
+            acc.add(k, v)
         for k, v in self._rows[j][i]:
-            _add_at(out, k, v if s == 1 else -v)
-        return out
+            acc.add(k, v, p[i] & p[j])
+        return acc.cells()
 
     def _jacobi_hops(self, pairs, targets, twisted):
-        """The Jacobi residual cells of the triples a hop is added into, as
-        {(i, j, k): {(m,): value}}, read from the twisted-bracket table
-        *twisted* = ``_images(rows, alpha)``.
+        """The nonzero Jacobi residual cells of the triples a hop is added
+        into, as {(i, j, k): {(m,): value}}, read from the twisted-bracket
+        table *twisted* = ``_images(rows, alpha)``.
 
         The cyclic sum of (i, j, k) has the hops [alpha(e_a), [e_b, e_c]]
         for (a, b, c) = (i, j, k), (k, i, j) and (j, k, i), each with the
@@ -426,9 +417,9 @@ class HomSuperAlgebra:
         those the caller asks for, with repeats.  For each (b, c) in
         *pairs* and each term y_m e_m of [e_b, e_c], the kernel walks the a
         with T[a][m] nonzero, indexed once per call, and adds y_m T[a][m]
-        into each of those triples, one fused product per term of T[a][m].
-        Its cost follows these nonzero products, not the number of
-        triples."""
+        into each of those triples, one product per term of T[a][m], all
+        into one accumulator keyed by (i, j, k, m).  Its cost follows these
+        nonzero products, not the number of triples."""
         p, rows = self.basis.parities, self._rows
         hit = {}  # e_i -> the a whose alpha(e_a) has an e_i term
         for a, col in enumerate(self.alpha._cols):
@@ -437,15 +428,16 @@ class HomSuperAlgebra:
         # index[m]: the a with T[a][m] = [alpha(e_a), e_m] nonzero
         index = _Lazy(lambda m: [a for a in {a for i, plane in enumerate(rows) if plane[m]
                                              for a in hit.get(i, ())} if twisted[a][m]])
-        out = defaultdict(dict)
+        acc = _Accumulator(self.ring)  # cells (i, j, k, m) of every triple
         for b, c in pairs:
             for (m,), y in rows[b][c]:
                 for a in index[m]:
-                    row, negate = twisted[a][m], p[a] * p[c]
+                    row, negate = twisted[a][m], p[a] & p[c]
                     for t in targets(a, b, c):
-                        cells = out[t]
-                        for idx, v in row:
-                            _add_product(cells, idx, y, v, negate)
+                        acc.mul(y, row, negate, t)
+        out = {}
+        for idx, v in acc.cells().items():
+            out.setdefault(idx[:3], {})[idx[3:]] = v
         return out
 
     def _mult_cells(self, i, j, twisted):
@@ -453,7 +445,8 @@ class HomSuperAlgebra:
         bracket-morphism residual, read from *twisted* as in
         ``_jacobi_hops``."""
         cols = self.alpha._cols
-        return _bracket_morphism({}, cols, self._rows, twisted, cols, i, j, False)
+        return _bracket_morphism(_Accumulator(self.ring), cols, self._rows, twisted, cols,
+                                 i, j, False).cells()
 
     # -- checks ----------------------------------------------------------
 
@@ -556,13 +549,10 @@ def _alpha_beside_delta(coalgebra, pairs, delta_first):
     last if *delta_first*.  *coalgebra* may also be a bialgebra."""
     C = getattr(coalgebra, "coalgebra", coalgebra)
     cols, planes = C.alpha._cols, C._planes
-    cells = {}
+    acc = _Accumulator(C.ring)
     for (a, b), va in pairs:
-        if delta_first:
-            _add_products(cells, va, [planes[a], cols[b]])
-        else:
-            _add_products(cells, va, [cols[a], planes[b]])
-    return Tensor3._wrap(C.ring, C.basis, cells)
+        _mul_tensor(acc, va, [planes[a], cols[b]] if delta_first else [cols[a], planes[b]])
+    return Tensor3._wrap(C.ring, C.basis, acc.cells())
 
 
 def alpha_otimes_delta(coalgebra, r):
@@ -592,7 +582,7 @@ def _ad_images(algebra, t):
     n, p = algebra.dim, algebra.basis.parities
     rows, cols = algebra._rows, algebra.alpha._cols
     acting = _Lazy(lambda u: [m for m in range(n) if rows[m][u]])  # [e_m, e_u] != 0
-    images = [{} for _ in range(n)]
+    images = [_Accumulator(algebra.ring) for _ in range(n)]
     for idx, v in t._cells.items():
         base = [cols[j] for j in idx]
         skipped = 0
@@ -601,11 +591,11 @@ def _ad_images(algebra, t):
                 factors = list(base)
                 for m in acting[u]:
                     factors[slot] = rows[m][u]
-                    _add_products(images[m], -v if p[m] * skipped % 2 else v, factors)
-            skipped += p[u]
-    return [t._wrap(algebra.ring, algebra.basis, cells,
+                    _mul_tensor(images[m], v, factors, p[m] & skipped)
+            skipped ^= p[u]
+    return [t._wrap(algebra.ring, algebra.basis, acc.cells(),
                     None if t.parity is None else (t.parity + p[m]) % 2)
-            for m, cells in enumerate(images)]
+            for m, acc in enumerate(images)]
 
 
 def ad_action(algebra, x, t):
@@ -620,10 +610,10 @@ def ad_action(algebra, x, t):
     p = algebra.basis.parities
     if parity not in (0, 1) or any(p[m] != parity for (m,), _ in xs):
         raise ParityError("x is not homogeneous of parity %r" % (parity,))
-    cells = {}
+    acc = _Accumulator(algebra.ring)
     for (m,), c in xs:
-        _add_row(cells, c, images[m]._cells.items())
-    return t._wrap(algebra.ring, algebra.basis, cells,
+        acc.mul(c, images[m]._cells.items())
+    return t._wrap(algebra.ring, algebra.basis, acc.cells(),
                    None if t.parity is None else (t.parity + parity) % 2)
 
 
@@ -647,7 +637,7 @@ def _compat_tables(algebra, deltas, twisted):
 
 def _compat_residual(algebra, deltas, i, j, tables):
     """delta([e_i,e_j]) - ad_{alpha(e_i)} delta(e_j)
-    + (-1)^{|e_i||e_j|} ad_{alpha(e_j)} delta(e_i), added into one cell dict.
+    + (-1)^{|e_i||e_j|} ad_{alpha(e_j)} delta(e_i), added into one accumulator.
 
     ad_{alpha(e_x)} sends e_u (x) e_v to T[x][u] (x) alpha(e_v)
     + (-1)^{|e_x||e_u|} alpha(e_u) (x) T[x][v], so each ad term reads T
@@ -656,25 +646,22 @@ def _compat_residual(algebra, deltas, i, j, tables):
     of which only what this pair reads is built."""
     twisted, id_alpha, alpha_id, nonzero = tables
     p = algebra.basis.parities
-    out = {}
+    acc = _Accumulator(algebra.ring)
     for (k,), c in algebra._rows[i][j]:
-        _add_row(out, c, deltas[k]._cells.items())
-    for x, t, negate in ((i, j, True), (j, i, p[i] * p[j] == 1)):
+        acc.mul(c, deltas[k]._cells.items())
+    for x, t, negate in ((i, j, 1), (j, i, p[i] & p[j])):
         if not nonzero[t]:
             continue
         twisted_x = twisted[x]
         for (u, w), d in id_alpha[t].items():
             row = twisted_x[u]
             if row:
-                for (k,), y in row:
-                    _add_product(out, (k, w), d, y, negate)
+                acc.mul(d, row, negate, (), (w,))
         for (w, v), d in alpha_id[t].items():
             row = twisted_x[v]
             if row:
-                flip = negate != (p[x] * p[w] == 1)
-                for (k,), y in row:
-                    _add_product(out, (w, k), d, y, flip)
-    return Tensor2._wrap(algebra.ring, algebra.basis, out)
+                acc.mul(d, row, negate ^ p[x] & p[w], (w,))
+    return Tensor2._wrap(algebra.ring, algebra.basis, acc.cells())
 
 
 def _compat_residuals(algebra, deltas, nonskew, tables):

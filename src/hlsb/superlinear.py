@@ -15,12 +15,11 @@ grid or such a dict of cells (``_lift_cells``): a cell key must be a
 tuple of in-range ints, and a cell value that is already a Scalar over
 the ring object itself is adopted without a lift, so what the library
 builds from its own cells is not lifted again.  The contractions of the
-other modules add sparse slot products into cell dicts through
-``_add_products``, so their cost follows the nonzero entries.  Every
-product of two scalars added into a cell, there and in ``EvenMap.apply``,
-``EvenMap.compose`` and ``_TensorBase.apply``, goes through the fused kernel
-``hlsb.scalar._add_product``; ``hlsb.scalar._add_at`` adds a scalar that
-is already built.
+other modules add sparse slot products through ``_mul_tensor``, so their
+cost follows the nonzero entries.  Every product of two scalars, there
+and in ``EvenMap.apply``, ``EvenMap.compose`` and ``_TensorBase.apply``,
+goes into a ``hlsb.scalar._Accumulator``; ``hlsb.scalar._add_at`` adds
+a scalar that is already built, as a tensor sum does.
 
 The graded flip ``tau`` and the graded cyclic rotation ``xi`` are signed
 slot permutations, each computing its fixed Koszul sign inline per cell:
@@ -29,13 +28,13 @@ slot permutations, each computing its fixed Koszul sign inline per cell:
     xi(x (x) y (x) z)  = (-1)^{|x|(|y|+|z|)} y (x) z (x) x
 
 so that ``xi`` is (1 (x) tau) o (tau (x) 1) and ``xi^3`` is the identity.
-``cyclic_sum`` adds t, xi(t) and xi(xi(t)) into one cell dict.
+``cyclic_sum`` adds t, xi(t) and xi(xi(t)) into one accumulator.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, ParityError
-from .scalar import ParamRing, Scalar, _add_at, _add_product, _same_ring
+from .scalar import ParamRing, Scalar, _Accumulator, _add_at, _same_ring
 
 EVEN = 0
 ODD = 1
@@ -139,23 +138,20 @@ class EvenMap:
         return _filled(dict(col), (self.dst.dim,), self.ring.zero())
 
     def apply(self, vec):
-        cells = {}
+        acc = _Accumulator(self.ring)
         for (j,), v in _vector_cells(vec, self.src.dim):
-            v = self.ring.lift(v)
-            for u, a in self._cols[j]:
-                _add_product(cells, u, a, v)
-        return _filled(cells, (self.dst.dim,), self.ring.zero())
+            acc.mul(self.ring.lift(v), self._cols[j])
+        return _filled(acc.cells(), (self.dst.dim,), self.ring.zero())
 
     def compose(self, other):
         """self after other."""
         if other.dst != self.src:
             raise DimensionMismatchError("composition bases do not match")
-        cells = {}
+        acc = _Accumulator(self.ring)
         for j, col in enumerate(other._cols):
             for (t,), b in col:
-                for (i,), a in self._cols[t]:
-                    _add_product(cells, (i, j), a, b)
-        return EvenMap(self.ring, other.src, self.dst, cells)
+                acc.mul(b, self._cols[t], suffix=(j,))
+        return EvenMap(self.ring, other.src, self.dst, acc.cells())
 
     def power(self, n):
         if self.src != self.dst:
@@ -282,21 +278,21 @@ def _frozen(cells, shape, zero):
     return freeze(_filled(cells, shape, zero))
 
 
-def _add_products(cells, coeff, factors):
-    """Add coeff * (f_1 (x) f_2 (x) ...) into a sparse cell dict.
+def _mul_tensor(acc, coeff, factors, negate=False):
+    """Add coeff * (f_1 (x) f_2 (x) ...), or subtract it if *negate*, into
+    the accumulator *acc*.
 
     Each factor is a sparse list of (index tuple, scalar) pairs over one or
     more consecutive slots: an alpha column, a bracket row, a delta plane.
     There is at least one factor, and the last one is multiplied straight
-    into the cells by ``_add_product``.
+    into the accumulator by ``_Accumulator.mul``.
     """
     *head, last = factors
     terms = [((), coeff)]
     for factor in head:
         terms = [(idx + i, c * v) for idx, c in terms for i, v in factor]
     for idx, c in terms:
-        for i, v in last:
-            _add_product(cells, idx + i, c, v)
+        acc.mul(c, last, negate, idx)
 
 
 class _Row(list):
@@ -390,16 +386,17 @@ class _TensorBase:
         if not _same_ring(self.ring, other.ring):
             raise DimensionMismatchError("tensors over different rings")
 
-    def __add__(self, other):
+    def __add__(self, other, negate=False):
+        """self + other, or self - other if *negate*, in one pass."""
         self._check_compat(other)
         parity = self.parity if self.parity == other.parity else None
         cells = dict(self._cells)
         for idx, v in other._cells.items():
-            _add_at(cells, idx, v)
+            _add_at(cells, idx, v, negate)
         return self._wrap(self.ring, self.basis, cells, parity)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __neg__(self):
         return self.scale(-1)
@@ -416,13 +413,10 @@ class _TensorBase:
         _check_same_basis(f.dst, self.basis)
         if not 0 <= slot < self.rank:
             raise ValueError("%s slots are 0 to %d" % (type(self).__name__, self.rank - 1))
-        cols = f._cols
-        cells = {}
+        cols, acc = f._cols, _Accumulator(f.ring)
         for idx, v in self._cells.items():
-            head, tail = idx[:slot], idx[slot + 1:]
-            for u, a in cols[idx[slot]]:
-                _add_product(cells, head + u + tail, a, v)
-        return self._wrap(f.ring, self.basis, cells, self.parity)
+            acc.mul(v, cols[idx[slot]], False, idx[:slot], idx[slot + 1:])
+        return self._wrap(f.ring, self.basis, acc.cells(), self.parity)
 
     def apply_all(self, f):
         out = self
@@ -499,12 +493,12 @@ def xi(t):
 
 
 def cyclic_sum(t):
-    """t + xi(t) + xi(xi(t)) for a Tensor3, added into one cell dict;
+    """t + xi(t) + xi(xi(t)) for a Tensor3, added into one accumulator;
     xi(xi(t)) is the rotation that moves the last slot to the front."""
     _require_rank(t, 3)
-    p = t.basis.parities
-    cells = dict(t._cells)
+    p, acc = t.basis.parities, _Accumulator(t.ring)
     for (i, j, k), v in t._cells.items():
-        _add_at(cells, (j, k, i), -v if p[i] & (p[j] ^ p[k]) else v)
-        _add_at(cells, (k, i, j), -v if p[k] & (p[i] ^ p[j]) else v)
-    return t._wrap(t.ring, t.basis, cells, t.parity)
+        acc.add((i, j, k), v)
+        acc.add((j, k, i), v, p[i] & (p[j] ^ p[k]))
+        acc.add((k, i, j), v, p[k] & (p[i] ^ p[j]))
+    return t._wrap(t.ring, t.basis, acc.cells(), t.parity)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import HypothesisError, ScalarError
+from .scalar import _Accumulator
 from .structures import (
     CheckReport,
     _ad_images,
@@ -28,7 +29,7 @@ from .structures import (
     delta_otimes_alpha,
 )
 from .superlinear import (
-    Tensor2, Tensor3, _add_products, cyclic_sum, koszul_sign, tau)
+    Tensor2, Tensor3, _mul_tensor, cyclic_sum, koszul_sign, tau)
 
 # ---------------------------------------------------------------------------
 # partial brackets and the Yang-Baxter residual
@@ -39,21 +40,18 @@ def _partial_bracket(algebra, r, rp, slot):
     2) and the structure map covering the other two slots."""
     p = algebra.basis.parities
     rows, cols = algebra._rows, algebra.alpha._cols
-    cells = {}
+    acc = _Accumulator(algebra.ring)
     pairs = rp._cells.items()
     for (a, b), va in r._cells.items():
         for (cc, d), vb in pairs:
             x, y, first, second = ((a, cc, b, d), (b, cc, a, d), (b, d, a, cc))[slot]
             row = rows[x][y]
             if row:
-                coeff = va * vb
-                # slot 1 brackets b with c directly; the other two move c past b
-                if slot != 1 and koszul_sign(p[b], p[cc]) == -1:
-                    coeff = -coeff
                 factors = [cols[first], cols[second]]
                 factors.insert(slot, row)
-                _add_products(cells, coeff, factors)
-    return Tensor3._wrap(algebra.ring, algebra.basis, cells)
+                # slot 1 brackets b with c directly; the other two move c past b
+                _mul_tensor(acc, va * vb, factors, slot != 1 and p[b] & p[cc])
+    return Tensor3._wrap(algebra.ring, algebra.basis, acc.cells())
 
 
 def bracket_12_13(algebra, r, rp):

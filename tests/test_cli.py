@@ -17,6 +17,7 @@ from hlsb.fileformat import (
     load_definition,
     loads_definition,
 )
+from hlsb.scalar import _Accumulator
 from hlsb.structures import HomSuperAlgebra
 from hlsb.superlinear import EvenMap, Tensor2
 
@@ -376,17 +377,20 @@ def test_wide_check_evaluates_only_jacobi_triples_with_a_bracket(monkeypatch):
     data = wide_definition(MAX_DIMENSION)
     A = loads_definition(json.dumps(data)).bialgebra.algebra
     calls, products = [], []
-    hops = HomSuperAlgebra._jacobi_hops
-    add = structures._add_product
+    hops, kernel = HomSuperAlgebra._jacobi_hops, _Accumulator.mul
 
     def counted(self, *args):
         before = len(products)
         out = hops(self, *args)
         calls.append(len(products) - before)
         return out
+
+    def counted_kernel(acc, x, row, *args, **kwargs):
+        row = list(row)
+        products.extend(idx for idx, _ in row)  # one product per row entry
+        return kernel(acc, x, row, *args, **kwargs)
     monkeypatch.setattr(HomSuperAlgebra, "_jacobi_hops", counted)
-    monkeypatch.setattr(structures, "_add_product",
-                        lambda cells, idx, *args: products.append(idx) or add(cells, idx, *args))
+    monkeypatch.setattr(_Accumulator, "mul", counted_kernel)
     assert A.check(multiplicative=True).passed
     # alpha = id and each [e_b, e_c] here is one term y e_m: the hop
     # [e_a, [e_b, e_c]] is one product where [e_a, e_m] is nonzero, once

@@ -1,9 +1,10 @@
-"""``scalar._add_product`` adds x * y into a cell dict without building the
-product.  It must leave the cells exactly as the generic path
-``_add_at(cells, idx, +-(x * y))`` does, keep every scalar it reads
-unchanged, and take the generic path where the rings differ or the
-exponents may overflow.  A check or construction built on it must leave
-the structure constants it reads untouched."""
+"""``scalar._Accumulator`` adds term products into one flat dict and builds
+each nonzero cell once.  Its cells must be exactly what the generic path
+``_add_at(cells, idx, +-(x * y))`` gives, product after product, each of
+them canonical; it must keep every scalar it reads unchanged, and take
+the exact product where the rings differ or the exponents may overflow.
+A check or construction built on it must leave the structure constants
+it reads untouched."""
 
 import random
 import sys
@@ -25,12 +26,12 @@ from test_structures import LAURENT  # noqa: E402
 from hlsb.catalog import expand_variants, get_row  # noqa: E402
 from hlsb.constructions import dualize, manin_supertriple, twist_power  # noqa: E402
 from hlsb.errors import RingMismatchError, ScalarError  # noqa: E402
-from hlsb.scalar import MAX_EXPONENT, ParamRing, _add_at, _add_product  # noqa: E402
+from hlsb.scalar import MAX_EXPONENT, ParamRing, _Accumulator, _add_at  # noqa: E402
 from hlsb.structures import delta0, delta1  # noqa: E402
 from hlsb.superlinear import Tensor2  # noqa: E402
 from hlsb.yangbaxter import alpha_fixed_tensors, coboundary_from_r  # noqa: E402
 
-IDX = (0, 1)
+IDX, OTHER = (0, 1), (1, 0)
 
 
 def state(s):
@@ -38,16 +39,28 @@ def state(s):
     return list(s._terms.items()), s._bound
 
 
-def generic(cells, x, y, negate):
-    """The cells after the generic path ``_add_at(cells, IDX, +-(x * y))``."""
+def generic(cells, x, y, negate, idx=IDX):
+    """The cells after the generic path ``_add_at(cells, idx, +-(x * y))``."""
     want = dict(cells)
-    _add_at(want, IDX, -(x * y) if negate else x * y)
+    _add_at(want, idx, -(x * y) if negate else x * y)
     return want
+
+
+def accumulated(cells, x, y, negate, ring=LAURENT):
+    """The cells after adding *cells* and then +-(x * y) at IDX into one
+    accumulator over *ring*."""
+    acc = _Accumulator(ring)
+    for idx, v in cells.items():
+        acc.add(idx, v)
+    acc.mul(x, [(IDX, y)], negate)
+    return acc.cells()
 
 
 def assert_canonical(cells):
     for v in cells.values():
         assert v._terms
+        assert v._bound < MAX_EXPONENT
+        assert all(abs(e) <= v._bound for exps in v.terms for e in exps)
         for c in v._terms.values():
             assert c != 0
             assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
@@ -62,30 +75,58 @@ def test_add_product_matches_the_generic_path(x, y, prior, has_prior, cancel, ne
     cells = {IDX: prior} if has_prior and prior else {}
     before = [state(s) for s in (x, y, prior)]
     want = generic(cells, x, y, negate)
-    _add_product(cells, IDX, x, y, negate)
-    assert cells == want
-    assert [v._bound for v in cells.values()] == [v._bound for v in want.values()]
-    assert_canonical(cells)
+    got = accumulated(cells, x, y, negate)
+    assert got == want
+    assert [v._bound for v in got.values()] == [v._bound for v in want.values()]
+    assert_canonical(got)
     if cancel and has_prior and prior:
-        assert IDX not in cells
+        assert IDX not in got
     assert [state(s) for s in (x, y, prior)] == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=st.lists(st.tuples(scalars(LAURENT), scalars(LAURENT), st.booleans(),
+                                st.booleans()), min_size=1, max_size=4),
+       then=st.lists(st.tuples(scalars(LAURENT), scalars(LAURENT), st.booleans(),
+                               st.booleans()), max_size=4))
+def test_add_products_cancel_a_cell_part_way_and_fill_it_again(first, then):
+    """Products into one cell (and a few into another), then the negated
+    sum of that cell so far, which cancels it, then more products: the
+    cells match the generic path applied in sequence, at the cancelling
+    point and at the end."""
+    acc, want = _Accumulator(LAURENT), {}
+    for x, y, negate, other in first:
+        idx = OTHER if other else IDX
+        acc.mul(x, [(idx, y)], negate)
+        want = generic(want, x, y, negate, idx)
+    assert acc.cells() == want
+    if IDX in want:
+        acc.mul(want[IDX], [(IDX, LAURENT.one())], True)
+        want = generic(want, want[IDX], LAURENT.one(), True)
+    assert IDX not in acc.cells() and acc.cells() == want
+    for x, y, negate, other in then:
+        idx = OTHER if other else IDX
+        acc.mul(x, [(idx, y)], negate)
+        want = generic(want, x, y, negate, idx)
+    got = acc.cells()
+    assert got == want
+    assert_canonical(got)
+    # one bound for the whole accumulator: never below a cell's own
+    assert all(want[idx]._bound <= v._bound for idx, v in got.items())
 
 
 def test_add_product_deletes_a_cell_that_cancels():
     s, t = LAURENT.param("s"), LAURENT.param("t")
     x, y = 1 + s, t.inverse() - 2 * s
-    cells = {IDX: x * y}
-    _add_product(cells, IDX, x, y, negate=True)
-    assert cells == {}
+    assert accumulated({IDX: x * y}, x, y, True) == {}
 
 
 def test_add_product_stores_an_integral_fraction_sum_as_int():
     s, t = LAURENT.param("s"), LAURENT.param("t")
     half = LAURENT.from_fraction(Fraction(1, 2))
-    cells = {IDX: half * s * t}
-    _add_product(cells, IDX, half * s, t)
-    assert cells[IDX]._terms == (s * t)._terms
-    (coeff,) = cells[IDX]._terms.values()
+    got = accumulated({IDX: half * s * t}, half * s, t, False)
+    assert got[IDX]._terms == (s * t)._terms
+    (coeff,) = got[IDX]._terms.values()
     assert type(coeff) is int and coeff == 1
 
 
@@ -93,25 +134,30 @@ def test_add_product_refuses_a_mismatched_ring():
     other = ParamRing(["u"])
     s, u = LAURENT.param("s"), other.param("u")
     with pytest.raises(RingMismatchError):
-        _add_product({}, IDX, s, u)
+        accumulated({}, s, u, False)
     with pytest.raises(RingMismatchError):
-        _add_product({IDX: u}, IDX, s, s)
-    # an equal ring that is another object takes the generic path
+        accumulated({}, u, u, False)
+    with pytest.raises(RingMismatchError):
+        accumulated({IDX: u}, s, s, False)
+    # an equal ring that is another object takes the exact path
     twin = ParamRing(["s", "t"], invertible=["t"])
-    cells = {IDX: twin.param("s")}
-    _add_product(cells, IDX, s, s)
-    assert cells == generic({IDX: twin.param("s")}, s, s, False)
+    assert accumulated({IDX: twin.param("s")}, s, s, False, ring=twin) == generic(
+        {IDX: twin.param("s")}, s, s, False)
+    assert accumulated({IDX: s}, twin.param("s"), s, True) == generic(
+        {IDX: s}, twin.param("s"), s, True)
 
 
 def test_add_product_takes_the_exact_path_near_max_exponent():
     half = MAX_EXPONENT // 2
     x, y = LAURENT.parse("s^%d" % half), LAURENT.parse("t^%d" % half)
     assert x._bound + y._bound >= MAX_EXPONENT
-    cells = {IDX: LAURENT.one()}
-    _add_product(cells, IDX, x, y, negate=True)
-    assert cells == generic({IDX: LAURENT.one()}, x, y, True)
+    got = accumulated({IDX: LAURENT.one()}, x, y, True)
+    assert got == generic({IDX: LAURENT.one()}, x, y, True)
+    assert_canonical(got)
+    acc = _Accumulator(LAURENT)
     with pytest.raises(ScalarError, match="MAX_EXPONENT"):
-        _add_product({}, IDX, x, x)
+        acc.mul(x, [(IDX, x)])
+    assert acc == {}  # refused before any packed key was added
 
 
 def gl21():

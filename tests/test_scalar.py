@@ -111,6 +111,20 @@ def test_parse_nesting_limit():
             RING.parse(text)
 
 
+def test_parse_refuses_deep_nesting_before_reading_the_rest():
+    """Tokens are scanned on demand, so the nesting refusal comes at the
+    first parenthesis past MAX_NESTING, and a bad character after it is
+    never read."""
+    with pytest.raises(ParseError, match="nested deeper") as info:
+        ParamRing(["a"]).parse("(" * 5000 + "1" + ")" * 5000)
+    assert info.value.pos == MAX_NESTING
+    with pytest.raises(ParseError, match="nested deeper"):
+        RING.parse("(" * (MAX_NESTING + 1) + "a $")
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        RING.parse("(" * MAX_NESTING + " $")
+    assert info.value.pos == MAX_NESTING
+
+
 @pytest.mark.parametrize("text", ["(1+a)^100000", "2^1234567890"])
 def test_parse_refuses_a_huge_power_quickly(text):
     start = time.perf_counter()

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hlsb import structures, superlinear
+from hlsb import structures
 from hlsb.constructions import Representation, adjoint_representation, check_admissible
 from hlsb.errors import (
     DimensionMismatchError, HypothesisError, ParityError, RingMismatchError, ScalarError)
-from hlsb.scalar import ParamRing, Scalar, _add_product
+from hlsb.scalar import ParamRing, Scalar, _Accumulator
 from hlsb.structures import (
     HomSuperAlgebra,
     HomSuperBialgebra,
@@ -418,22 +418,26 @@ def test_check_on_zero_constants_multiplies_nothing(monkeypatch):
     basis = SuperBasis([i % 2 for i in range(n)])
     B = HomSuperBialgebra(QQ, basis, zero_bracket(QQ, basis), {},
                           EvenMap.identity(QQ, basis))
+    # the control has one bracket [e0, e0] = e0, so its check multiplies
+    control = HomSuperBialgebra(QQ, basis, {(0, 0, 0): 1}, {}, EvenMap.identity(QQ, basis))
     calls = []
-    mul = Scalar.__mul__
+    mul, kernel = Scalar.__mul__, _Accumulator.mul
 
     def counted(a, b):
         calls.append(1)
         return mul(a, b)
 
-    def counted_product(cells, idx, x, y, negate=False):
-        calls.append(1)
-        return _add_product(cells, idx, x, y, negate)
+    def counted_kernel(acc, x, row, *args, **kwargs):
+        row = list(row)
+        calls.extend([1] * len(row))
+        return kernel(acc, x, row, *args, **kwargs)
     monkeypatch.setattr(Scalar, "__mul__", counted)
     monkeypatch.setattr(Scalar, "__rmul__", counted)
-    for module in (structures, superlinear):
-        monkeypatch.setattr(module, "_add_product", counted_product)
+    monkeypatch.setattr(_Accumulator, "mul", counted_kernel)
     assert B.check(multiplicative=True).passed
     assert calls == []
+    assert not control.check(multiplicative=True).passed
+    assert calls
 
 
 @pytest.mark.parametrize("call, idx", [
