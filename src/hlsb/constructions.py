@@ -10,11 +10,13 @@ Morphism, representation and admissibility checks run on the bracket
 kernels of :mod:`hlsb.structures`, reading one ``_images`` table per
 check (of f, of alpha over the action rows, of Id - alpha^2):
 ``_bracket_into`` adds [f(e_a), y] from it and ``_bracket_morphism``
-f([x, y]) - [f(x), f(y)].  ``_cobracket_morphism`` gives delta(f(x)) -
+f([x, y]) - [f(x), f(y)].  Each check walks its nonzero bracket rows,
+action columns and map columns once and adds every instance into one
+flat term accumulator (``hlsb.scalar._Accumulator``) keyed by
+(instance, cell); ``_grouped`` reads the nonzero instances back in
+sorted order, and a vector or matrix is filled only for a reported
+violation or for ``act``.  ``_cobracket_morphism`` gives delta(f(x)) -
 (f (x) f) delta(x), for morphism checks and the cobracket of ``twist``.
-All of them add into one flat term accumulator per residual
-(``hlsb.scalar._Accumulator``), which gives sparse cells; a vector or
-matrix is filled only for a reported violation or for ``act``.
 """
 
 from __future__ import annotations
@@ -34,10 +36,11 @@ from .structures import (
     _cobracket_cells,
     _cobracket_morphism,
     _delta_cells,
-    _densified,
     _group,
+    _grouped,
     _images,
-    _morphism_pairs,
+    _live_images,
+    _morphism_table,
     _odd_cells,
     _prefixed,
     _violations,
@@ -55,12 +58,8 @@ def check_algebra_morphism(f, src, dst):
     """Is f a morphism of bracket structures (bracket- and twist-compatible)?"""
     if f.src != src.basis or f.dst != dst.basis:
         raise DimensionMismatchError("map bases do not match the structures")
-    cols, images = f._cols, _images(dst._rows, f._cols)
-    violations = _densified(_violations(
-        "bracket-morphism", _morphism_pairs(src, dst, f),
-        lambda i, j: _bracket_morphism(_Accumulator(f.ring), cols, src._rows, images, cols,
-                                       i, j, False).cells()),
-        dst._vector)
+    violations = [Violation("bracket-morphism", ij, dst._vector(cells)) for ij, cells
+                  in _morphism_table(src, dst, f, _images(dst._rows, f._cols)).items()]
     diff = _map_cells(f.compose(src.alpha))
     for idx, v in _map_cells(dst.alpha.compose(f)).items():
         _add_at(diff, idx, v, True)
@@ -317,10 +316,12 @@ class Representation:
         return self._view
 
     def act(self, m, vec):
-        """Action of the m-th algebra basis vector on a module vector."""
+        """Action of the m-th algebra basis vector on a module vector,
+        whose coefficients are lifted into the ring as in
+        ``EvenMap.apply``."""
         rows = self._rows[_basis_index(m, self.algebra.dim)]
         acc = _bracket_into(_Accumulator(self.ring), rows,
-                            _vector_cells(vec, self.module_basis.dim))
+                            _vector_cells(vec, self.module_basis.dim, self.ring))
         return _filled(acc.cells(), (self.module_basis.dim,), self.ring.zero())
 
     def grading_violations(self):
@@ -328,73 +329,43 @@ class Representation:
         return _odd_cells("action-grading", self._cells().items(),
                           (self.algebra.basis.parities, pv, pv))
 
-    def _columns(self, into, reach, *args):
-        """The nonzero columns {c: {(i,): value}} of the residual matrix
-        whose column c ``into(acc, c, *args)`` adds into an empty
-        accumulator, for c in *reach*, the columns that can be nonzero."""
-        cols = {}
-        for c in reach:
-            acc = _Accumulator(self.ring)
-            into(acc, c, *args)
-            if col := acc.cells():
-                cols[c] = col
-        return cols
-
-    def _matrix(self, cols):
-        """The residual matrix with the given nonzero columns, as nested lists."""
-        d = self.module_basis.dim
-        return _filled({(i, j): v for j, col in cols.items() for (i,), v in col.items()},
-                       (d, d), self.ring.zero())
-
-    def _intertwine_into(self, acc, c, i, images):
-        beta = self.module_map._cols
-        _bracket_morphism(acc, beta, self._rows, images, beta, i, c, True)
-
-    def _action_into(self, acc, c, i, j, images):
-        A, rows = self.algebra, self._rows
-        s = koszul_sign(A.basis.parity(i), A.basis.parity(j))
-        _bracket_into(acc, _images(rows, [A._rows[i][j]])[0], self.module_map._cols[c])
-        _bracket_into(acc, images[i], rows[j][c], negate=True)
-        _bracket_into(acc, images[j], rows[i][c], negate=s == -1)
-
-    def _intertwine_columns(self, i, images):
-        """The intertwine residual's columns at i, evaluated only where
-        rho(e_i) e_c or rho(alpha(e_i)) beta(e_c) can be nonzero."""
-        rows, beta = self._rows, self.module_map._cols
-        hit = {k for (m,), _ in self.algebra.alpha._cols[i]
-               for k, col in enumerate(rows[m]) if col}
-        reach = [c for c in range(self.module_basis.dim)
-                 if rows[i][c] or any(k in hit for (k,), _ in beta[c])]
-        return self._columns(self._intertwine_into, reach, i, images)
-
-    def _action_columns(self, i, j, images):
-        """The action residual's columns at (i, j), evaluated only where
-        rho(e_i) e_c or rho(e_j) e_c is nonzero, or both [e_i, e_j] and
-        beta(e_c) are."""
-        rows, beta = self._rows, self.module_map._cols
-        bracket = bool(self.algebra._rows[i][j])
-        reach = [c for c in range(self.module_basis.dim)
-                 if rows[i][c] or rows[j][c] or (bracket and beta[c])]
-        return self._columns(self._action_into, reach, i, j, images)
-
     def check(self):
-        A = self.algebra
-        n = A.dim
-        # the intertwine residual at i needs rho(e_i) or rho(alpha(e_i)) nonzero,
-        # the action residual at (i, j) rho(e_i), rho(e_j) or [e_i, e_j]
-        acts = [any(plane) for plane in self._rows]
-        each = [(i,) for i in range(n)
-                if acts[i] or any(acts[m] for (m,), _ in A.alpha._cols[i])]
-        pairs = [(i, j) for i in range(n) for j in range(n)
-                 if A._rows[i][j] or acts[i] or acts[j]]
+        A, rows, beta = self.algebra, self._rows, self.module_map._cols
+        p, d = A.basis.parities, self.module_basis.dim
         # rho(alpha(e_a)) v_m, read by both residuals
-        images = _images(self._rows, A.alpha._cols)
-        found = (_violations("action-intertwine", each,
-                             lambda i: self._intertwine_columns(i, images))
-                 + _violations("action-bracket", pairs,
-                               lambda i, j: self._action_columns(i, j, images)))
-        return CheckReport("representation",
-                           self.grading_violations() + _densified(found, self._matrix))
+        images = _images(rows, A.alpha._cols)
+        live = _live_images(rows, A.alpha._cols)
+        # column c of the intertwine residual at i, at cells (i, k, c)
+        intertwine = _Accumulator(self.ring)
+        for i, plane in enumerate(rows):
+            for c, col in enumerate(plane):
+                if col or i in live:
+                    _bracket_morphism(intertwine, beta, rows, images, beta, i, c, True,
+                                      (i,), (c,))
+        # column c of the action residual at (i, j), at cells (i, j, k, c):
+        # rho([e_i, e_j]) beta(e_c) - rho(alpha(e_i)) rho(e_j) v_c
+        # + (-1)^{|e_i||e_j|} rho(alpha(e_j)) rho(e_i) v_c
+        action = _Accumulator(self.ring)
+        for i, plane in enumerate(A._rows):
+            table = _images(rows, plane)  # rho([e_i, e_j]) v_b at [j][b]
+            for j, row in enumerate(plane):
+                if row:
+                    for c, ys in enumerate(beta):
+                        _bracket_into(action, table[j], ys, False, (i, j), (c,))
+        for j, plane in enumerate(rows):
+            for c, col in enumerate(plane):
+                if col:
+                    for i in live:
+                        _bracket_into(action, images[i], col, True, (i, j), (c,))
+                        _bracket_into(action, images[i], col, p[i] & p[j], (j, i), (c,))
+
+        def matrix(cells):
+            return _filled(cells, (d, d), self.ring.zero())
+        found = ([Violation("action-intertwine", i, matrix(cells))
+                  for i, cells in _grouped(intertwine.cells(), 1).items()]
+                 + [Violation("action-bracket", ij, matrix(cells))
+                    for ij, cells in _grouped(action.cells(), 2).items()])
+        return CheckReport("representation", self.grading_violations() + found)
 
 
 def adjoint_representation(algebra):
@@ -426,12 +397,12 @@ def check_admissible(algebra):
     for idx, v in _map_cells(A.alpha.power(2)).items():
         _add_at(defect, idx, v, True)
     defect = EvenMap(A.ring, A.basis, A.basis, defect)._cols
-    images = _images(A._rows, defect)
-    pairs = [(i, j) for i in range(n) if defect[i] for j in range(n)]
-    return CheckReport("admissible", _densified(_violations(
-        "admissible", pairs,
-        lambda i, j: _bracket_into(_Accumulator(A.ring), images[i],
-                                   A.alpha._cols[j]).cells()), A._vector))
+    images, acc = _images(A._rows, defect), _Accumulator(A.ring)
+    for i in _live_images(A._rows, defect):
+        for j, col in enumerate(A.alpha._cols):
+            _bracket_into(acc, images[i], col, False, (i, j))
+    return CheckReport("admissible", [Violation("admissible", ij, A._vector(cells))
+                                      for ij, cells in _grouped(acc.cells(), 2).items()])
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +556,7 @@ class BilinearForm:
 
     def value(self, x, y):
         n = self.basis.dim
-        xs, ys = dict(_vector_cells(x, n)), dict(_vector_cells(y, n))
+        xs, ys = dict(_vector_cells(x, n, self.ring)), dict(_vector_cells(y, n, self.ring))
         total = self.ring.zero()
         for (i, j), s in self._cells.items():
             if (i,) in xs and (j,) in ys:

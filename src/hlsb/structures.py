@@ -14,60 +14,61 @@ Constructors take the constants as a dense n^3 grid or as a dict
 sparsely: the bracket as rows ``_rows[i][j]`` of nonzero ``((k,), value)``
 pairs, delta(e_i) as planes ``_planes[i]`` of nonzero ``((j, k), value)``
 pairs, and alpha as the sparse columns of its :class:`EvenMap`.  Every
-residual loops over these lists only (``check`` skips each skew and
-multiplicativity pair that no nonzero bracket enters, and walks Jacobi
-by its nonzero hops, not its triples; the coalgebra check evaluates
-coskew and co-Jacobi only where delta(e_i) is nonzero), so its cost
-follows the nonzero constants.  The skew, Jacobi and multiplicativity
-residuals come out as sparse ``{(k,): value}`` cell dicts, and only
-``skew_residual``, ``jacobi_residual``, ``mult_residual`` and a reported
-violation fill a dense coefficient vector from them.  The ``bracket``,
-``cobracket`` and ``alpha.matrix`` attributes are read-only nested-tuple
-views, built on first use.
+residual loops over these lists only (``check`` skips each skew pair
+that no nonzero bracket enters, and walks Jacobi by its nonzero hops and
+multiplicativity by its nonzero bracket rows and images, not by their
+index tuples; the coalgebra check evaluates coskew and co-Jacobi only
+where delta(e_i) is nonzero), so its cost follows the nonzero constants.
+The skew, Jacobi and multiplicativity residuals come out as sparse
+``{(k,): value}`` cell dicts, and only ``skew_residual``,
+``jacobi_residual``, ``mult_residual`` and a reported violation fill a
+dense coefficient vector from them.  The ``bracket``, ``cobracket`` and
+``alpha.matrix`` attributes are read-only nested-tuple views, built on
+first use.
 
 Every bracket of an image runs on one kernel set.  ``_images(rows,
 cols)`` is the lazy table T[a][m] = [f(e_a), e_m] for bracket (or action)
 rows and a map's columns, each T[a] built on first read for one check
-and never kept on a structure; ``_bracket_into`` adds [f(e_a), y] =
-sum_b y_b T[a][b] into an accumulator; ``_bracket_morphism`` adds f([e_i, e_j]) -
-[f(e_i), f(e_j)] from T, for morphism checks, alpha's multiplicativity
-and a representation's intertwining columns.  One hop kernel,
-``HomSuperAlgebra._jacobi_hops``, walks the nonzero hops [alpha(e_a),
-[e_b, e_c]] through T and adds each into the cyclic sums of the triples
-it enters, so no check loops over the n^3 / 6 triples.  One adjoint
-kernel, ``_ad_images``, gives ad_{e_m}(t) for every m in one walk over
-t's cells.  ``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
+and never kept on a structure; ``_live_images`` gives the a for which
+T[a] can be nonzero.  ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
+T[a][b] and ``_bracket_morphism`` f([e_i, e_j]) - [f(e_i), f(e_j)] into
+an accumulator, at the cells a prefix and a suffix place them in.  Each
+bilinear check adds every instance it walks into one
+``hlsb.scalar._Accumulator`` keyed by (instance, cell), and ``_grouped``
+reads the nonzero instances back in sorted order: ``_morphism_table``
+for multiplicativity and morphisms, and the hop kernel
+``HomSuperAlgebra._jacobi_hops``, which walks the nonzero hops
+[alpha(e_a), [e_b, e_c]] through T into the cyclic sums of the triples
+they enter, never the n^3 / 6 triples.  ``_ad_images`` gives
+ad_{e_m}(t) for every m in one walk over t's cells.
+``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
 accumulator, each ad term an alpha-table row times a cell of
 (id (x) alpha) delta(e_k) or (alpha (x) id) delta(e_k)
 (``_compat_tables``, which also hold whether each delta(e_k) is
-nonzero).  Every product in these kernels goes into one
-``hlsb.scalar._Accumulator`` per residual, with a ``negate`` flag in
-place of a negated factor, so a residual that cancels builds no scalar
-at all.  ``HomSuperBialgebra.check`` shares alpha's table
-between its algebra check and its compatibility pairs, which it
-evaluates once per unordered pair {i, j} where the bracket is skew
-(deriving (j, i) by the Koszul sign), directly where it is not, and not
-at all where [e_i, e_j], delta(e_i) and delta(e_j) are all zero, and
-keeps only the nonzero residuals; each pair of ``delta1`` builds its
-own.  ``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f)
-delta(e_i): comultiplicativity, the cobracket half of a morphism check,
+nonzero).  Products take a ``negate`` flag in place of a negated factor,
+so a residual that cancels builds no scalar at all.
+``HomSuperBialgebra.check`` shares alpha's table between its algebra
+check and its compatibility pairs, which it evaluates once per unordered
+pair {i, j} where the bracket is skew (deriving (j, i) by the Koszul
+sign), directly where it is not, and not at all where [e_i, e_j],
+delta(e_i) and delta(e_j) are all zero, and keeps only the nonzero
+residuals; each pair of ``delta1`` builds its own.
+``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f) delta(e_i):
+comultiplicativity, the cobracket half of a morphism check,
 ``delta_vector`` and the twisted cobrackets of :mod:`hlsb.constructions`.
 
 Nothing is validated eagerly beyond shapes and ring membership: the point
 of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
-listing every violated axiom with the exact symbolic residual.  The
-bracket and cobracket grading checks walk their sorted rows and planes
-for odd cells, Jacobi reports the nonzero cyclic sums of its hop kernel
-and compatibility the residuals ``_compat_residuals`` kept; every other
-check builds that list through
-four helpers: ``_violations`` calls a residual kernel directly at each
-index tuple, with any extra arguments such as a table, and keeps the
-nonzero ones (a residual is a tensor, a scalar or a sparse cell dict,
-and each of those is falsy exactly when it is zero), ``_densified``
-replaces the cell dicts of the kept ones by their dense vectors or
-matrices, ``_odd_cells`` reports the cells whose indices have odd total
-parity, and ``_prefixed`` relabels the violations of a sub-report.
+listing every violated axiom with the exact symbolic residual.  Grading
+checks walk the sorted rows and planes for odd cells (``_odd_cells``
+for other cell lists), the bilinear checks report their table's
+nonzero instances and compatibility those ``_compat_residuals`` kept.
+The skew and coalgebra checks call their residual kernel at each index
+tuple through ``_violations``, which keeps the nonzero residuals (a
+tensor, a scalar or a sparse cell dict, each falsy exactly when zero).
+``_densified`` fills the dense vectors of kept cell dicts and
+``_prefixed`` relabels the violations of a sub-report.
 """
 
 from __future__ import annotations
@@ -233,17 +234,27 @@ def zero_cobracket(ring, basis):
     return zero_bracket(ring, basis)
 
 
-def _bracket_into(acc, table, ys, negate=False):
+def _bracket_into(acc, table, ys, negate=False, prefix=(), suffix=()):
     """acc += sum_b y_b table[b], or -= if *negate*, for a sparse vector
-    *ys* of ((b,), y_b) pairs, into the ``_Accumulator`` *acc*.  With
-    table = ``_images(rows, cols)[a]`` it adds [f(e_a), y]; with table =
-    rows[a], one plane of bracket (or action) rows, [e_a, y] (or
-    rho(e_a) y).  Returns acc."""
+    *ys* of ((b,), y_b) pairs, into the ``_Accumulator`` *acc*, each cell
+    k placed at prefix + (k,) + suffix.  With table = ``_images(rows,
+    cols)[a]`` it adds [f(e_a), y]; with table = rows[a], one plane of
+    bracket (or action) rows, [e_a, y] (or rho(e_a) y).  Returns acc."""
     for (b,), y in ys:
         row = table[b]
         if row:
-            acc.mul(y, row, negate)
+            acc.mul(y, row, negate, prefix, suffix)
     return acc
+
+
+def _grouped(cells, split):
+    """The nonzero cells {idx: value} of one check's table as
+    {idx[:split]: {idx[split:]: value}}: the nonzero instances, in sorted
+    order, each with its residual cells."""
+    out = {}
+    for idx, v in sorted(cells.items()):
+        out.setdefault(idx[:split], {})[idx[split:]] = v
+    return out
 
 
 class _Lazy(dict):
@@ -282,25 +293,41 @@ def _images(rows, cols):
     return _Lazy(table)
 
 
-def _morphism_pairs(src, dst, f):
-    """The ordered pairs (i, j) whose bracket-morphism residual for f from
-    src to dst can be nonzero: [e_i, e_j] or [f(e_i), f(e_j)] is."""
-    rows, cols = dst._rows, f._cols
-    return [(i, j) for i, plane in enumerate(src._rows) for j, row in enumerate(plane)
-            if row or any(rows[a][b] for (a,), _ in cols[i] for (b,), _ in cols[j])]
+def _live_images(rows, cols):
+    """The a for which ``_images(rows, cols)[a]`` can be nonzero: f(e_a)
+    has a term e_m whose bracket (or action) plane rows[m] is nonzero."""
+    planted = {m for m, plane in enumerate(rows) if any(plane)}
+    return {a for a, col in enumerate(cols) if any(m in planted for (m,), _ in col)}
 
 
-def _bracket_morphism(acc, image, src_rows, images, right, i, j, negate):
+def _bracket_morphism(acc, image, src_rows, images, right, i, j, negate,
+                      prefix=(), suffix=()):
     """acc += image([e_i, e_j]) - [left(e_i), right(e_j)], or -= if
-    *negate*, into the ``_Accumulator`` *acc*, for bracket (or action) rows
-    *src_rows*, sparse map columns *image* and *right*, and the table
-    *images* = ``_images(dst_rows, left)``.  With image = left = right = f
-    it is f's bracket-morphism residual at (i, j), with f = alpha the
+    *negate*, into the ``_Accumulator`` *acc*, each cell k placed at
+    prefix + (k,) + suffix, for bracket (or action) rows *src_rows*,
+    sparse map columns *image* and *right*, and the table *images* =
+    ``_images(dst_rows, left)``.  With image = left = right = f it is f's
+    bracket-morphism residual at (i, j), with f = alpha the
     multiplicativity residual; with action rows, left = alpha and image =
     right = the module map it is an intertwining column.  Returns acc."""
     for (k,), v in src_rows[i][j]:
-        acc.mul(v, image[k], negate)
-    return _bracket_into(acc, images[i], right[j], not negate)
+        acc.mul(v, image[k], negate, prefix, suffix)
+    return _bracket_into(acc, images[i], right[j], not negate, prefix, suffix)
+
+
+def _morphism_table(src, dst, f, images):
+    """f's nonzero bracket-morphism residuals from src to dst as {(i, j):
+    {(k,): value}} in sorted order, read from *images* = ``_images(dst
+    rows, f)``.  One walk adds every (i, j) with [e_i, e_j] nonzero, or
+    with [f(e_i), -] possibly nonzero (``_live_images``), into one
+    accumulator keyed by (i, j, k)."""
+    cols, acc = f._cols, _Accumulator(dst.ring)
+    live = _live_images(dst._rows, cols)
+    for i, plane in enumerate(src._rows):
+        for j, row in enumerate(plane):
+            if row or i in live:
+                _bracket_morphism(acc, cols, src._rows, images, cols, i, j, False, (i, j))
+    return _grouped(acc.cells(), 2)
 
 
 def _cobracket_morphism(dst, x, f, plane):
@@ -393,8 +420,11 @@ class HomSuperAlgebra:
 
     def mult_residual(self, i, j):
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
-        return self._vector(self._mult_cells(*self._indices(i, j),
-                                             _images(self._rows, self.alpha._cols)))
+        i, j = self._indices(i, j)
+        cols = self.alpha._cols
+        return self._vector(_bracket_morphism(_Accumulator(self.ring), cols, self._rows,
+                                              _images(self._rows, cols), cols, i, j,
+                                              False).cells())
 
     def _skew_cells(self, i, j):
         """skew_residual(i, j) as sparse ``{(k,): value}`` cells."""
@@ -407,8 +437,9 @@ class HomSuperAlgebra:
 
     def _jacobi_hops(self, pairs, targets, twisted):
         """The nonzero Jacobi residual cells of the triples a hop is added
-        into, as {(i, j, k): {(m,): value}}, read from the twisted-bracket
-        table *twisted* = ``_images(rows, alpha)``.
+        into, as {(i, j, k): {(m,): value}} in sorted order (``_grouped``),
+        read from the twisted-bracket table *twisted* = ``_images(rows,
+        alpha)``.
 
         The cyclic sum of (i, j, k) has the hops [alpha(e_a), [e_b, e_c]]
         for (a, b, c) = (i, j, k), (k, i, j) and (j, k, i), each with the
@@ -435,18 +466,7 @@ class HomSuperAlgebra:
                     row, negate = twisted[a][m], p[a] & p[c]
                     for t in targets(a, b, c):
                         acc.mul(y, row, negate, t)
-        out = {}
-        for idx, v in acc.cells().items():
-            out.setdefault(idx[:3], {})[idx[3:]] = v
-        return out
-
-    def _mult_cells(self, i, j, twisted):
-        """mult_residual(i, j) as sparse ``{(k,): value}`` cells: alpha's
-        bracket-morphism residual, read from *twisted* as in
-        ``_jacobi_hops``."""
-        cols = self.alpha._cols
-        return _bracket_morphism(_Accumulator(self.ring), cols, self._rows, twisted, cols,
-                                 i, j, False).cells()
+        return _grouped(acc.cells(), 3)
 
     # -- checks ----------------------------------------------------------
 
@@ -463,16 +483,14 @@ class HomSuperAlgebra:
                                   for c, row in enumerate(plane) if row],
                                  _sorted_rotations, twisted)
         found = (_violations("skew", pairs, self._skew_cells)
-                 + [Violation("jacobi", t, cells) for t, cells in sorted(hops.items()) if cells])
+                 + [Violation("jacobi", t, cells) for t, cells in hops.items()])
         if multiplicative:
-            found += _violations("multiplicative", _morphism_pairs(self, self, self.alpha),
-                                 self._mult_cells, twisted)
+            found += [Violation("multiplicative", ij, cells) for ij, cells
+                      in _morphism_table(self, self, self.alpha, twisted).items()]
         return self.grading_violations() + _densified(found, self._vector)
 
     def is_multiplicative(self):
-        twisted = _images(self._rows, self.alpha._cols)
-        return not any(self._mult_cells(i, j, twisted)
-                       for i, j in _morphism_pairs(self, self, self.alpha))
+        return not _morphism_table(self, self, self.alpha, _images(self._rows, self.alpha._cols))
 
 
 class HomSuperCoalgebra:
@@ -513,8 +531,9 @@ class HomSuperCoalgebra:
         return d + tau(d)
 
     def delta_vector(self, x):
-        """delta of a coefficient vector (linear extension), as a Tensor2."""
-        return _cobracket_morphism(self, _vector_cells(x, self.dim), None, ())
+        """delta of a coefficient vector (linear extension), as a Tensor2;
+        the coefficients are lifted into the ring as in ``EvenMap.apply``."""
+        return _cobracket_morphism(self, _vector_cells(x, self.dim, self.ring), None, ())
 
     def cojacobi_residual(self, i):
         """The graded cyclic sum of (alpha (x) delta) delta at e_i."""
@@ -602,11 +621,12 @@ def ad_action(algebra, x, t):
     """The twisted adjoint action of a homogeneous element on a tensor,
     sum_m x_m ad_{e_m}(t) (``_ad_images``).
 
-    *x* is a pair ``(coeffs, parity)``, whose coefficients must all lie on
-    basis vectors of that parity."""
+    *x* is a pair ``(coeffs, parity)``, whose coefficients, lifted into
+    the ring as in ``EvenMap.apply``, must all lie on basis vectors of
+    that parity."""
     images = _ad_images(algebra, t)
     coeffs, parity = x
-    xs = _vector_cells(coeffs, algebra.dim)
+    xs = _vector_cells(coeffs, algebra.dim, algebra.ring)
     p = algebra.basis.parities
     if parity not in (0, 1) or any(p[m] != parity for (m,), _ in xs):
         raise ParityError("x is not homogeneous of parity %r" % (parity,))

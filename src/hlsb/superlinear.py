@@ -138,9 +138,11 @@ class EvenMap:
         return _filled(dict(col), (self.dst.dim,), self.ring.zero())
 
     def apply(self, vec):
+        """f of a coefficient vector, each entry lifted by ``ring.lift``:
+        a Scalar of this ring, an int, a Fraction or a str."""
         acc = _Accumulator(self.ring)
-        for (j,), v in _vector_cells(vec, self.src.dim):
-            acc.mul(self.ring.lift(v), self._cols[j])
+        for (j,), v in _vector_cells(vec, self.src.dim, self.ring):
+            acc.mul(v, self._cols[j])
         return _filled(acc.cells(), (self.dst.dim,), self.ring.zero())
 
     def compose(self, other):
@@ -214,12 +216,13 @@ def _sparse(grid, depth, lift=None):
             for i, v in enumerate(row if lift is None else map(lift, row)) if v]
 
 
-def _vector_cells(vec, dim):
+def _vector_cells(vec, dim, ring):
     """The nonzero cells of a coefficient vector, which must have length
-    *dim*."""
+    *dim*, each entry lifted by ``ring.lift``: a Scalar of *ring*, an int,
+    a Fraction or a str."""
     if len(vec) != dim:
         raise DimensionMismatchError("vector length %d, expected %d" % (len(vec), dim))
-    return _sparse(vec, 1)
+    return _sparse(vec, 1, ring.lift)
 
 
 def _basis_index(i, dim):

@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 import tracemalloc
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hlsb import structures
 from hlsb.catalog import expand_variants, get_row
 from hlsb.cli import main
-from hlsb.constructions import Representation, adjoint_representation
+from hlsb.constructions import adjoint_representation
 from hlsb.fileformat import (
     MAX_DIMENSION,
     definition_from_bialgebra,
@@ -373,24 +374,31 @@ def test_construct_semidirect_rejects_an_action_that_breaks_parity(tmp_path, cap
     assert not out.exists()
 
 
+def count_products(monkeypatch):
+    """Patch ``_Accumulator.mul`` to record, for each row entry it is
+    passed (one product each), the (prefix, suffix) cell placement."""
+    products, kernel = [], _Accumulator.mul
+
+    def counted_kernel(acc, x, row, negate=False, prefix=(), suffix=()):
+        row = list(row)
+        products.extend((prefix, suffix) for _ in row)
+        return kernel(acc, x, row, negate, prefix, suffix)
+    monkeypatch.setattr(_Accumulator, "mul", counted_kernel)
+    return products
+
+
 def test_wide_check_evaluates_only_jacobi_triples_with_a_bracket(monkeypatch):
     data = wide_definition(MAX_DIMENSION)
     A = loads_definition(json.dumps(data)).bialgebra.algebra
-    calls, products = [], []
-    hops, kernel = HomSuperAlgebra._jacobi_hops, _Accumulator.mul
+    calls, hops = [], HomSuperAlgebra._jacobi_hops
+    products = count_products(monkeypatch)
 
     def counted(self, *args):
         before = len(products)
         out = hops(self, *args)
         calls.append(len(products) - before)
         return out
-
-    def counted_kernel(acc, x, row, *args, **kwargs):
-        row = list(row)
-        products.extend(idx for idx, _ in row)  # one product per row entry
-        return kernel(acc, x, row, *args, **kwargs)
     monkeypatch.setattr(HomSuperAlgebra, "_jacobi_hops", counted)
-    monkeypatch.setattr(_Accumulator, "mul", counted_kernel)
     assert A.check(multiplicative=True).passed
     # alpha = id and each [e_b, e_c] here is one term y e_m: the hop
     # [e_a, [e_b, e_c]] is one product where [e_a, e_m] is nonzero, once
@@ -405,56 +413,69 @@ def test_wide_check_evaluates_only_jacobi_triples_with_a_bracket(monkeypatch):
 def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatch):
     data = wide_definition(MAX_DIMENSION)
     A = loads_definition(json.dumps(data)).bialgebra.algebra
-    calls = {"_skew_cells": [], "_mult_cells": []}
-    for name, seen in calls.items():
-        residual = getattr(HomSuperAlgebra, name)
-        monkeypatch.setattr(HomSuperAlgebra, name,
-                            lambda self, *args, seen=seen, residual=residual:
-                            seen.append(args[:2]) or residual(self, *args))
+    skew, mult = [], []
+    skew_cells, table = HomSuperAlgebra._skew_cells, structures._morphism_table
+    monkeypatch.setattr(HomSuperAlgebra, "_skew_cells",
+                        lambda self, *args: skew.append(args) or skew_cells(self, *args))
+    products = count_products(monkeypatch)
+
+    def counted(*args):
+        before = len(products)
+        out = table(*args)
+        mult.append(len(products) - before)
+        return out
+    monkeypatch.setattr(structures, "_morphism_table", counted)
     assert A.check(multiplicative=True).passed
     assert A.is_multiplicative()
-    # alpha = id, so a pair's alpha images bracket only where the pair does
-    assert calls["_skew_cells"] == [(0, 1), (0, 3)]
-    assert calls["_mult_cells"] == [(0, 1), (0, 3), (1, 0), (3, 0)] * 2
+    assert skew == [(0, 1), (0, 3)]
+    # alpha = id and each [e_i, e_j] here is one term: its residual
+    # alpha([e_i, e_j]) - [alpha(e_i), alpha(e_j)] is one product for each
+    # half, and a pair with no bracket gets none
+    assert mult == [2 * len(data["bracket"])] * 2 == [8, 8]
+
+
+def adjoint_products(data):
+    """The products the adjoint representation check of *data*, with
+    alpha = id and one term per bracket cell, adds at each (instance,
+    column): the intertwine residual at i, column c, one per half of
+    beta(rho(e_i) v_c) - rho(alpha(e_i)) beta(v_c); the action residual at
+    (i, j), column c, one for rho([e_i, e_j]) v_c and one for each of
+    rho(alpha(e_i)) rho(e_j) v_c and rho(alpha(e_j)) rho(e_i) v_c."""
+    bracket = {(i, j): k for i, j, k, _ in data["bracket"]}
+    want = Counter()
+    for (i, c), k in bracket.items():
+        want[(i,), (c,)] += 2
+        for a in range(len(data["basis"])):
+            if (a, k) in bracket:  # [e_a, [e_i, e_c]] is nonzero
+                want[(a, i), (c,)] += 1
+                want[(i, a), (c,)] += 1
+    for (i, j), k in bracket.items():
+        for c in range(len(data["basis"])):
+            if (k, c) in bracket:  # rho([e_i, e_j]) v_c is nonzero
+                want[(i, j), (c,)] += 1
+    return want
 
 
 def test_wide_representation_check_evaluates_only_pairs_an_action_enters(monkeypatch):
-    rep = adjoint_representation(
-        loads_definition(json.dumps(wide_definition(32))).bialgebra.algebra)
-    calls = {"_intertwine_into": set(), "_action_into": set()}
-    for name, seen in calls.items():
-        into = getattr(Representation, name)
-        monkeypatch.setattr(Representation, name,
-                            lambda self, col, c, *args, seen=seen, into=into:
-                            seen.add(args[:-1]) or into(self, col, c, *args))
+    data = wide_definition(32)
+    rep = adjoint_representation(loads_definition(json.dumps(data)).bialgebra.algebra)
+    products = count_products(monkeypatch)
     assert rep.check().passed
-    acting = {0, 1, 3}  # the basis vectors with a nonzero bracket row
-    n = rep.algebra.dim
-    assert sorted(i for i, in calls["_intertwine_into"]) == [0, 1, 3]
-    pairs = {(i, j) for i in range(n) for j in range(n) if {i, j} & acting}
-    assert calls["_action_into"] == pairs and len(pairs) == 183
+    # besides the residuals' products, each table row rho([e_i, e_j]) =
+    # y rho(e_k) is built with one product per cell of rho(e_k)
+    bracket = {(i, j): k for i, j, k, _ in data["bracket"]}
+    rows = sum(a == k for k in bracket.values() for a, _ in bracket)
+    assert len(products) == sum(adjoint_products(data).values()) + rows == 24
 
 
 def test_wide_representation_check_evaluates_only_columns_an_action_reaches(monkeypatch):
-    rep = adjoint_representation(
-        loads_definition(json.dumps(wide_definition(32))).bialgebra.algebra)
-    calls = {"_intertwine_into": set(), "_action_into": set()}
-    for name, seen in calls.items():
-        into = getattr(Representation, name)
-        monkeypatch.setattr(Representation, name,
-                            lambda self, col, c, *args, seen=seen, into=into:
-                            seen.add((args[:-1], c)) or into(self, col, c, *args))
+    data = wide_definition(32)
+    rep = adjoint_representation(loads_definition(json.dumps(data)).bialgebra.algebra)
+    products = count_products(monkeypatch)
     assert rep.check().passed
-    # alpha = beta = id and the bracket cells [e0, e1], [e1, e0] (into e1)
-    # and [e0, e3], [e3, e0] (into e3): rho(e_i) e_c is nonzero exactly
-    # at these (i, c)
-    reach = {0: {1, 3}, 1: {0}, 3: {0}}
-    assert calls["_intertwine_into"] == {((i,), c) for i, cs in reach.items() for c in cs}
-    n = rep.algebra.dim
-    want = {((i, j), c) for i in range(n) for j in range(n) for c in range(n)
-            if c in reach.get(i, ()) or c in reach.get(j, ())
-            or {i, j} in ({0, 1}, {0, 3})}
-    assert calls["_action_into"] == want and len(want) == 366
+    # the residuals' products, by the (instance, column) they enter
+    placed = Counter(placement for placement in products if placement[1])
+    assert placed == adjoint_products(data) and sum(placed.values()) == 20
 
 
 def test_input_path_that_is_a_directory_exits_2(tmp_path, capsys):

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hlsb import structures
-from hlsb.constructions import Representation, adjoint_representation, check_admissible
+from hlsb.catalog import expand_variants, get_row
+from hlsb.constructions import (
+    BilinearForm, Representation, adjoint_representation, check_admissible)
 from hlsb.errors import (
     DimensionMismatchError, HypothesisError, ParityError, RingMismatchError, ScalarError)
 from hlsb.scalar import ParamRing, Scalar, _Accumulator
@@ -327,6 +329,9 @@ def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict, laurent
             assert t2_dict(B.compat_residual(i, j)) == oracle.compat(i, j)
             for k in range(n):
                 assert vec_dict(alg.jacobi_residual(i, j, k)) == oracle.jacobi(i, j, k)
+    assert alg.is_multiplicative() == (not any(oracle.mult(i, j)
+                                               for i in range(n) for j in range(n)))
+    assert B.coalgebra.is_comultiplicative() == (not any(oracle.comult(i) for i in range(n)))
     admissible = [(i, j) for i in range(n) for j in range(n) if oracle.admissible(i, j)]
     assert [(v.indices, vec_dict(v.residual)) for v in check_admissible(alg).violations] \
         == [(ij, oracle.admissible(*ij)) for ij in admissible]
@@ -338,6 +343,31 @@ def test_sparse_constants_match_the_dense_oracle(n, seed, fill, as_dict, laurent
         want = oracle.reduce(oracle.ad([(v, (m,)) for m, v in enumerate(x) if v], q,
                                        [(row[-1], tuple(row[:-1])) for row in t.items()]))
         assert residual_dict(ad_action(alg, (x, q), t)) == want
+
+
+VECTOR_ENTRY_POINTS = {
+    "act": lambda B, x: adjoint_representation(B.algebra).act(0, x),
+    "ad_action": lambda B, x: ad_action(B.algebra, (x, 0), B.delta(0)),
+    "delta_vector": lambda B, x: B.coalgebra.delta_vector(x),
+    "apply": lambda B, x: B.alpha.apply(x),
+    "form": lambda B, x: BilinearForm(B.ring, B.basis, {(0, 0): 1, (1, 1): 1}).value(x, x),
+}
+
+
+@pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS)
+def test_vector_coefficients_are_lifted_into_the_ring(entry):
+    """Each entry point taking a coefficient vector, a bilinear form's
+    value among them, reads int, Fraction and str coefficients as their
+    lifts, and refuses a float or a scalar of another ring."""
+    B = expand_variants(get_row("diagonal-1"))[0].bialgebra
+    run, ring = VECTOR_ENTRY_POINTS[entry], B.ring
+    for x in ([1, 1, 0], [Fraction(1), Fraction(2, 3), 0], ["1", "b4", "0"]):
+        want = run(B, [ring.lift(v) for v in x])
+        assert run(B, x) == want
+    with pytest.raises(ScalarError):
+        run(B, [1.5, 0, 0])
+    with pytest.raises(RingMismatchError):
+        run(B, [ParamRing(["x"]).param("x"), 0, 0])
 
 
 @pytest.mark.parametrize("key", [(0, 1.5, 0), (0, True, 1), 5, (0, "1", 1), (0, 1)],
