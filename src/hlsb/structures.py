@@ -39,14 +39,15 @@ reads the nonzero instances back in sorted order: ``_morphism_table``
 for multiplicativity and morphisms, and the hop kernel
 ``HomSuperAlgebra._jacobi_hops``, which walks the nonzero hops
 [alpha(e_a), [e_b, e_c]] through T into the cyclic sums of the triples
-they enter, never the n^3 / 6 triples.  ``_ad_images`` gives
-ad_{e_m}(t) for every m in one walk over t's cells.
-``_compat_residual`` adds delta([e_i, e_j]) and both ad terms into one
-accumulator, each ad term an alpha-table row times a cell of
-(id (x) alpha) delta(e_k) or (alpha (x) id) delta(e_k)
-(``_compat_tables``, which also hold whether each delta(e_k) is
-nonzero).  Products take a ``negate`` flag in place of a negated factor,
-so a residual that cancels builds no scalar at all.
+they enter, never the n^3 / 6 triples.  alpha reaches the slots a
+bracket walk leaves untouched once, through ``_beside(t, alpha)``: per
+slot s, t's cells with alpha on every other slot.  ``_ad_images`` gives
+ad_{e_m}(t) for every m in one walk over ``_beside(t)``, the partial
+brackets of :mod:`hlsb.yangbaxter` read it, and ``_compat_residual``
+adds delta([e_i, e_j]) and both ad terms into one accumulator, each an
+alpha-table row times a cell of ``_beside(delta(e_k))``
+(``_compat_tables``).  Products take a ``negate`` flag in place of a
+negated factor, so a residual that cancels builds no scalar at all.
 ``HomSuperBialgebra.check`` shares alpha's table between its algebra
 check and its compatibility pairs, which it evaluates once per unordered
 pair {i, j} where the bracket is skew (deriving (j, i) by the Koszul
@@ -576,17 +577,33 @@ def _alpha_beside_delta(coalgebra, pairs, delta_first):
 
 def alpha_otimes_delta(coalgebra, r):
     """(alpha (x) delta)(r) as a Tensor3."""
+    _check_same_basis(r.basis, coalgebra.basis)
     return _alpha_beside_delta(coalgebra, r._cells.items(), False)
 
 
 def delta_otimes_alpha(coalgebra, r):
     """(delta (x) alpha)(r) as a Tensor3."""
+    _check_same_basis(r.basis, coalgebra.basis)
     return _alpha_beside_delta(coalgebra, r._cells.items(), True)
+
+
+def _beside(t, alpha):
+    """For each slot s of the tensor t, the cells of t with alpha applied to
+    every other slot: the one place where alpha reaches the slots a bracket
+    walk leaves untouched.  ``Tensor.apply`` checks t's basis, and as alpha
+    is even, every slot of a cell keeps its parity."""
+    out = []
+    for s in range(t.rank):
+        u = t
+        for other in (o for o in range(t.rank) if o != s):
+            u = u.apply(alpha, other)
+        out.append(u._cells)
+    return out
 
 
 def _ad_images(algebra, t):
     """The twisted adjoint images ad_{e_m}(t) of a tensor, for every basis
-    vector e_m, as a list indexed by m, in one walk over t's cells.
+    vector e_m, as a list indexed by m, in one walk over ``_beside(t)``.
 
     On each summand the bracket hits one slot while ``alpha`` hits all the
     others, with the Koszul sign for moving e_m past the slots it skips:
@@ -594,24 +611,21 @@ def _ad_images(algebra, t):
         e_m . (y1 (x) ... (x) yn)
           = sum_i (+-) alpha(y1) (x) ... (x) [e_m, y_i] (x) ... (x) alpha(yn)
 
-    A slot holding e_u feeds only the images of the m with [e_m, e_u]
-    nonzero."""
+    so a cell of ``_beside(t)[i]`` with e_u in slot i takes one
+    ``_Accumulator.mul`` by each nonzero bracket row [e_m, e_u]."""
     if not isinstance(t, _TensorBase):
         raise TypeError("ad_action expects a Tensor2 or Tensor3")
-    n, p = algebra.dim, algebra.basis.parities
-    rows, cols = algebra._rows, algebra.alpha._cols
+    n, p, rows = algebra.dim, algebra.basis.parities, algebra._rows
     acting = _Lazy(lambda u: [m for m in range(n) if rows[m][u]])  # [e_m, e_u] != 0
     images = [_Accumulator(algebra.ring) for _ in range(n)]
-    for idx, v in t._cells.items():
-        base = [cols[j] for j in idx]
-        skipped = 0
-        for slot, u in enumerate(idx):
+    for slot, cells in enumerate(_beside(t, algebra.alpha)):
+        for idx, v in cells.items():
+            u = idx[slot]
             if acting[u]:
-                factors = list(base)
+                before, after = idx[:slot], idx[slot + 1:]
+                skipped = sum(p[j] for j in before) & 1
                 for m in acting[u]:
-                    factors[slot] = rows[m][u]
-                    _mul_tensor(images[m], v, factors, p[m] & skipped)
-            skipped ^= p[u]
+                    images[m].mul(v, rows[m][u], p[m] & skipped, before, after)
     return [t._wrap(algebra.ring, algebra.basis, acc.cells(),
                     None if t.parity is None else (t.parity + p[m]) % 2)
             for m, acc in enumerate(images)]
@@ -644,15 +658,9 @@ def ad_basis(algebra, m, t):
 
 
 def _compat_tables(algebra, deltas, twisted):
-    """The tables compatibility reads: the twisted-bracket table *twisted*
-    = ``_images(rows, alpha)``; per k, the cells of (id (x) alpha)
-    delta(e_k) and of (alpha (x) id) delta(e_k), each a lazy table built on
-    first read; and per k, whether delta(e_k) is nonzero."""
-    alpha = algebra.alpha
-    return (twisted,
-            _Lazy(lambda k: deltas[k].apply(alpha, 1)._cells),
-            _Lazy(lambda k: deltas[k].apply(alpha, 0)._cells),
-            [bool(d._cells) for d in deltas])
+    """The tables compatibility reads: the twisted-bracket table *twisted* =
+    ``_images(rows, alpha)``, and per k ``_beside(delta(e_k))``, built lazily."""
+    return twisted, _Lazy(lambda k: _beside(deltas[k], algebra.alpha))
 
 
 def _compat_residual(algebra, deltas, i, j, tables):
@@ -661,23 +669,23 @@ def _compat_residual(algebra, deltas, i, j, tables):
 
     ad_{alpha(e_x)} sends e_u (x) e_v to T[x][u] (x) alpha(e_v)
     + (-1)^{|e_x||e_u|} alpha(e_u) (x) T[x][v], so each ad term reads T
-    against (id (x) alpha) delta and (alpha (x) id) delta, whose cells keep
-    the parity of e_u as alpha is even.  *tables* are ``_compat_tables``,
-    of which only what this pair reads is built."""
-    twisted, id_alpha, alpha_id, nonzero = tables
+    against the two slots of ``_beside(delta(e_t))``, whose cells keep the
+    parity of e_u as alpha is even.  *tables* are ``_compat_tables``, of
+    which only what this pair reads is built."""
+    twisted, beside = tables
     p = algebra.basis.parities
     acc = _Accumulator(algebra.ring)
     for (k,), c in algebra._rows[i][j]:
         acc.mul(c, deltas[k]._cells.items())
     for x, t, negate in ((i, j, 1), (j, i, p[i] & p[j])):
-        if not nonzero[t]:
+        if not deltas[t]._cells:
             continue
-        twisted_x = twisted[x]
-        for (u, w), d in id_alpha[t].items():
+        twisted_x, (id_alpha, alpha_id) = twisted[x], beside[t]
+        for (u, w), d in id_alpha.items():
             row = twisted_x[u]
             if row:
                 acc.mul(d, row, negate, (), (w,))
-        for (w, v), d in alpha_id[t].items():
+        for (w, v), d in alpha_id.items():
             row = twisted_x[v]
             if row:
                 acc.mul(d, row, negate ^ p[x] & p[w], (w,))
@@ -694,14 +702,14 @@ def _compat_residuals(algebra, deltas, nonskew, tables):
     zero.  So is compat(i, j) when [e_i, e_j], delta(e_i) and delta(e_j)
     are all zero.  Every other pair, odd diagonal ones included, is
     evaluated by ``_compat_residual``."""
-    p, rows, nonzero = algebra.basis.parities, algebra._rows, tables[3]
+    p, rows = algebra.basis.parities, algebra._rows
     out = {}
     for i, j in product(range(algebra.dim), repeat=2):
         if i > j and (j, i) not in nonskew:
             if (j, i) in out:
                 out[i, j] = out[j, i].scale(-koszul_sign(p[i], p[j]))
         elif ((i != j or p[i] or (i, i) in nonskew)
-              and (rows[i][j] or nonzero[i] or nonzero[j])
+              and (rows[i][j] or deltas[i]._cells or deltas[j]._cells)
               and (r := _compat_residual(algebra, deltas, i, j, tables))):
             out[i, j] = r
     return out

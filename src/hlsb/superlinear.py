@@ -14,12 +14,13 @@ the structure constants of :mod:`hlsb.structures` accept either a dense
 grid or such a dict of cells (``_lift_cells``): a cell key must be a
 tuple of in-range ints, and a cell value that is already a Scalar over
 the ring object itself is adopted without a lift, so what the library
-builds from its own cells is not lifted again.  The contractions of the
-other modules add sparse slot products through ``_mul_tensor``, so their
-cost follows the nonzero entries.  Every product of two scalars, there
-and in ``EvenMap.apply``, ``EvenMap.compose`` and ``_TensorBase.apply``,
-goes into a ``hlsb.scalar._Accumulator``; ``hlsb.scalar._add_at`` adds
-a scalar that is already built, as a tensor sum does.
+builds from its own cells is not lifted again.  A contraction adds its
+products into a ``hlsb.scalar._Accumulator``, so its cost follows the
+nonzero entries: ``EvenMap.apply``, ``EvenMap.compose``,
+``_TensorBase.apply`` (through which the bracket walks of the other
+modules apply alpha to their untouched slots once, in ``_beside``) and
+``_mul_tensor``, for maps that act on every slot.  ``hlsb.scalar._add_at``
+adds a scalar that is already built, as a tensor sum does.
 
 The graded flip ``tau`` and the graded cyclic rotation ``xi`` are signed
 slot permutations, each computing its fixed Koszul sign inline per cell:
@@ -283,13 +284,10 @@ def _frozen(cells, shape, zero):
 
 def _mul_tensor(acc, coeff, factors, negate=False):
     """Add coeff * (f_1 (x) f_2 (x) ...), or subtract it if *negate*, into
-    the accumulator *acc*.
-
-    Each factor is a sparse list of (index tuple, scalar) pairs over one or
-    more consecutive slots: an alpha column, a bracket row, a delta plane.
-    There is at least one factor, and the last one is multiplied straight
-    into the accumulator by ``_Accumulator.mul``.
-    """
+    the accumulator *acc*, where maps act on every slot.  Each factor is a
+    sparse list of (index tuple, scalar) pairs over one or more consecutive
+    slots, a map's column or row or a delta plane; the last, of at least
+    one, is multiplied straight into *acc* by ``_Accumulator.mul``."""
     *head, last = factors
     terms = [((), coeff)]
     for factor in head:

@@ -16,60 +16,64 @@ for moving b past c.  Their sum (with r' = r) is the Yang-Baxter residual.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import HypothesisError, ScalarError
 from .scalar import _Accumulator
 from .structures import (
     CheckReport,
     _ad_images,
+    _beside,
     _odd_cells,
     _violations,
     alpha_otimes_delta,
     bialgebra_from_deltas,
     delta_otimes_alpha,
 )
-from .superlinear import (
-    Tensor2, Tensor3, _mul_tensor, cyclic_sum, koszul_sign, tau)
+from .superlinear import Tensor2, Tensor3, cyclic_sum, koszul_sign, tau
 
 # ---------------------------------------------------------------------------
 # partial brackets and the Yang-Baxter residual
 
 
-def _partial_bracket(algebra, r, rp, slot):
-    """Insert r and rp with the bracket landing in tensor *slot* (0, 1 or
-    2) and the structure map covering the other two slots."""
-    p = algebra.basis.parities
-    rows, cols = algebra._rows, algebra.alpha._cols
+def _partial_bracket(algebra, r, rp, slots):
+    """The partial brackets of r and rp whose bracket lands in the tensor
+    slots *slots* (each 0, 1 or 2), summed in one accumulator.  alpha
+    covers the other two slots through ``_beside(r)`` and ``_beside(rp)``
+    (one table when rp is r): slot 0 reads a (x) alpha(b) of r and c (x)
+    alpha(d) of rp, slot 1 alpha(a) (x) b and c (x) alpha(d), slot 2
+    alpha(a) (x) b and alpha(c) (x) d."""
+    p, rows = algebra.basis.parities, algebra._rows
+    beside = _beside(r, algebra.alpha)
+    beside_p = beside if rp is r else _beside(rp, algebra.alpha)
     acc = _Accumulator(algebra.ring)
-    pairs = rp._cells.items()
-    for (a, b), va in r._cells.items():
-        for (cc, d), vb in pairs:
-            x, y, first, second = ((a, cc, b, d), (b, cc, a, d), (b, d, a, cc))[slot]
-            row = rows[x][y]
-            if row:
-                factors = [cols[first], cols[second]]
-                factors.insert(slot, row)
-                # slot 1 brackets b with c directly; the other two move c past b
-                _mul_tensor(acc, va * vb, factors, slot != 1 and p[b] & p[cc])
+    for slot in slots:
+        pairs = beside_p[slot > 1].items()
+        for (a, b), va in beside[slot > 0].items():
+            for (c, d), vb in pairs:
+                x, y, outer = ((a, c, (b, d)), (b, c, (a, d)), (b, d, (a, c)))[slot]
+                row = rows[x][y]
+                if row:
+                    # slot 1 brackets b with c directly; the other two move c past b
+                    acc.mul(va * vb, row, slot != 1 and p[b] & p[c], outer[:slot], outer[slot:])
     return Tensor3._wrap(algebra.ring, algebra.basis, acc.cells())
 
 
 def bracket_12_13(algebra, r, rp):
-    return _partial_bracket(algebra, r, rp, 0)
+    return _partial_bracket(algebra, r, rp, (0,))
 
 
 def bracket_12_23(algebra, r, rp):
-    return _partial_bracket(algebra, r, rp, 1)
+    return _partial_bracket(algebra, r, rp, (1,))
 
 
 def bracket_13_23(algebra, r, rp):
-    return _partial_bracket(algebra, r, rp, 2)
+    return _partial_bracket(algebra, r, rp, (2,))
 
 
 def yang_baxter_residual(algebra, r):
     """[r12,r13] + [r12,r23] + [r13,r23]."""
-    return (bracket_12_13(algebra, r, r) + bracket_12_23(algebra, r, r)
-            + bracket_13_23(algebra, r, r))
+    return _partial_bracket(algebra, r, r, (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -117,23 +121,18 @@ def check_coboundary(bialgebra, r):
         "coboundary", [(i,) for i in range(B.dim)], lambda i: B.delta(i) - images[i]))
 
 
-class QuasiTriangularEquivalences:
+class QuasiTriangularEquivalences(NamedTuple):
     """Truth values of the three quasi-triangularity statements."""
 
-    def __init__(self, yang_baxter, left_form, right_form):
-        self.yang_baxter = yang_baxter
-        self.left_form = left_form
-        self.right_form = right_form
+    yang_baxter: bool
+    left_form: bool
+    right_form: bool
 
     def all_agree(self):
         return self.yang_baxter == self.left_form == self.right_form
 
     def as_tuple(self):
-        return (self.yang_baxter, self.left_form, self.right_form)
-
-    def __repr__(self):
-        return ("QuasiTriangularEquivalences(yang_baxter=%r, left_form=%r, "
-                "right_form=%r)" % self.as_tuple())
+        return tuple(self)
 
 
 def quasi_triangular_equivalences(bialgebra, r):

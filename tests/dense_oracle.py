@@ -131,6 +131,32 @@ class DenseOracle:
                     out.extend(pieces)
         return out
 
+    def bracket_at(self, terms, pos):
+        """The bracket of slots pos and pos + 1 of each term, landing in pos."""
+        out = []
+        for coeff, idx in terms:
+            for k in range(self.n):
+                if self.c[idx[pos]][idx[pos + 1]][k]:
+                    out.append((coeff * self.c[idx[pos]][idx[pos + 1]][k],
+                                idx[:pos] + (k,) + idx[pos + 2:]))
+        return out
+
+    def partial_bracket(self, r, rp, slot):
+        """[r12, r13], [r12, r23] or [r13, r23] for slot 0, 1 or 2, of two
+        2-tensors given as {(i, j): coeff} dicts.  For r = a (x) b and
+        rp = c (x) d the four factors are laid out as a (x) b (x) c (x) d,
+        c is moved past b (with its Koszul sign) unless the bracket pairs b
+        with c, the two bracketed factors are bracketed where they meet,
+        and alpha is applied to each of the other two slots."""
+        terms = [(u * w, ab + cd) for ab, u in r.items() for cd, w in rp.items()]
+        if slot != 1:
+            terms = self.swap(terms, 1)  # a (x) c (x) b (x) d
+        terms = self.bracket_at(terms, slot)
+        for s in range(3):
+            if s != slot:
+                terms = self.apply_alpha(terms, s)
+        return self.reduce(terms)
+
     # -- axiom residuals -------------------------------------------------
 
     def skew(self, i, j):

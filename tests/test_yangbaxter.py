@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hlsb.errors import HypothesisError
+from hlsb.errors import DimensionMismatchError, HypothesisError
 from hlsb.scalar import ParamRing
 from hlsb.structures import (
     HomSuperAlgebra,
     HomSuperBialgebra,
+    ad_action,
     ad_basis,
     bialgebra_from_deltas,
     delta0,
@@ -17,12 +21,17 @@ from hlsb import yangbaxter
 from hlsb.yangbaxter import (
     alpha_fixed_tensors,
     alpha_otimes_delta,
+    bracket_12_13,
+    bracket_12_23,
+    bracket_13_23,
     check_coboundary,
     check_perturbation_hypotheses,
     check_quasi_triangular,
     coboundary_from_r,
     coboundary_hypothesis_violations,
+    delta_otimes_alpha,
     perturb_cobracket,
+    perturbation_defect,
     quasi_triangular_equivalences,
     random_fixed_tensor,
     rational_nullspace,
@@ -30,6 +39,7 @@ from hlsb.yangbaxter import (
 )
 
 from dense_oracle import t2_dict, t3_dict
+from test_structures import draw_value, random_algebra, sparse_tensor
 
 QQ = ParamRing()
 
@@ -236,3 +246,63 @@ def test_alpha_otimes_delta_hand_value():
     r2 = Tensor2.from_dict(ring, B.basis, {(0, 0): 1})
     out2 = alpha_otimes_delta(B, r2)
     assert t3_dict(out2) == {(0, 2, 2): ring.param("c5")}
+
+
+def off_basis_tensor(B, kind):
+    """A tensor on a basis other than B's: one vector longer, its cells
+    reaching the extra vector, or relabelled with the same parities."""
+    if kind == "larger":
+        basis = SuperBasis(B.basis.parities + (1,))
+        return Tensor2.from_dict(B.ring, basis, {(0, 0): 1, (0, 3): 1, (3, 3): 1})
+    basis = SuperBasis(B.basis.parities, ["x%d" % i for i in range(B.dim)])
+    return Tensor2.from_dict(B.ring, basis, {(0, 0): 1, (2, 2): 1})
+
+
+TENSOR_ENTRY_POINTS = {
+    "yang_baxter_residual": lambda B, t: yang_baxter_residual(B.algebra, t),
+    "bracket_12_13": lambda B, t: bracket_12_13(B.algebra, t, t),
+    # the off-basis tensor alone as rp, then alone as r, beside a zero one
+    "bracket_12_23": lambda B, t: bracket_12_23(B.algebra, Tensor2(B.ring, B.basis), t),
+    "bracket_13_23": lambda B, t: bracket_13_23(B.algebra, t, Tensor2(B.ring, B.basis)),
+    "coboundary_hypothesis_violations":
+        lambda B, t: coboundary_hypothesis_violations(B.algebra, t),
+    "check_coboundary": check_coboundary,
+    "perturbation_defect": perturbation_defect,
+    "ad_action": lambda B, t: ad_action(B.algebra, ([1, 0, 0], 0), t),
+    "ad_basis": lambda B, t: ad_basis(B.algebra, 0, t),
+    "alpha_otimes_delta": alpha_otimes_delta,
+    "delta_otimes_alpha": delta_otimes_alpha,
+}
+
+
+@pytest.mark.parametrize("kind", ["larger", "relabelled"])
+@pytest.mark.parametrize("entry", sorted(TENSOR_ENTRY_POINTS))
+def test_tensor_entry_points_refuse_another_basis(entry, kind):
+    _, B = symbolic_family()
+    with pytest.raises(DimensionMismatchError, match="bases differ"):
+        TENSOR_ENTRY_POINTS[entry](B, off_basis_tensor(B, kind))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.sampled_from([0.1, 0.3, 0.5]), laurent=st.booleans())
+@example(n=3, seed=1, fill=0.5, laurent=False)
+def test_partial_brackets_match_the_dense_oracle(n, seed, fill, laurent):
+    """The three partial brackets of r and an independent rp, and the
+    Yang-Baxter residual of r, against the oracle's term-dict partial
+    bracket, on a random sparse algebra with e0 odd and a Jordan-block
+    alpha, over QQ or a Laurent ring; r and rp have odd cells."""
+    rng = random.Random(seed)
+    A, oracle = random_algebra(rng, n, fill, laurent)
+
+    def tensor():
+        cells = sparse_tensor(rng, n, 2, fill)
+        return Tensor2.from_dict(A.ring, A.basis, {ij: draw_value(rng, A.ring, v)
+                                                   for ij, v in cells.items() if v})
+    r, rp = tensor(), tensor()
+    for slot, bracket in enumerate((bracket_12_13, bracket_12_23, bracket_13_23)):
+        want = oracle.partial_bracket(t2_dict(r), t2_dict(rp), slot)
+        assert t3_dict(bracket(A, r, rp)) == want
+    want = oracle.reduce([(v, idx) for slot in range(3)
+                          for idx, v in oracle.partial_bracket(t2_dict(r), t2_dict(r), slot).items()])
+    assert t3_dict(yang_baxter_residual(A, r)) == want
