@@ -6,6 +6,18 @@ ring they produce structure constants over the same ring (or its dual
 basis), and every hypothesis a construction needs is either verified on
 the spot or surfaced through :class:`~hlsb.errors.HypothesisError`.
 
+Outside input is validated and what the library derives is wrapped.  A
+construction reads structures that their constructors have already
+validated, so it builds its result from their sparse rows, planes and
+columns through the private ``_wrap`` of each class, which checks
+nothing again: ``dualize``, ``twist`` and ``transport_structure``
+(through ``_bialgebra``), ``MatchedPair.double``, the coadjoint actions
+of ``dual_matched_pair``, ``dual_representation`` and the pairing form of
+``manin_supertriple``.  ``dual_matched_pair`` checks the dual shape of
+its halves once.  The public constructors (``Representation``,
+``BilinearForm``, ``MatchedPair`` and those of :mod:`hlsb.structures`)
+still validate what a caller passes.
+
 Morphism, representation and admissibility checks run on the bracket
 kernels of :mod:`hlsb.structures`, reading one ``_images`` table per
 check (of f, of alpha over the action rows, of Id - alpha^2):
@@ -34,8 +46,8 @@ from .structures import (
     _bracket_into,
     _bracket_morphism,
     _cobracket_cells,
+    _cobracket_into,
     _cobracket_morphism,
-    _delta_cells,
     _group,
     _grouped,
     _images,
@@ -47,8 +59,8 @@ from .structures import (
     delta1,
 )
 from .superlinear import (
-    EvenMap, SuperBasis, Tensor2, _basis_index, _filled, _frozen, _lift_cells, _map_cells,
-    _mul_tensor, _vector_cells, koszul_sign)
+    EvenMap, SuperBasis, Tensor2, _basis_index, _columns, _filled, _frozen, _lift_cells,
+    _map_cells, _mul_tensor, _vector_cells, koszul_sign)
 
 # ---------------------------------------------------------------------------
 # morphisms
@@ -82,6 +94,17 @@ def check_bialgebra_morphism(f, src, dst):
 # twisting
 
 
+def _bialgebra(ring, basis, bracket, cobracket, alpha):
+    """A bialgebra over bracket and cobracket cells {(i, j, k): value} that
+    are already lifted, in range and free of zeros, and an EvenMap alpha on
+    *basis*: what a construction derives from a structure that its
+    constructor has validated, so nothing is checked again."""
+    shape = (basis.dim,) * 3
+    return HomSuperBialgebra._wrap(
+        HomSuperAlgebra._wrap(ring, basis, _group(bracket, shape, 2), alpha),
+        _group(cobracket, shape, 1))
+
+
 def twist(bialgebra, beta, verify=True):
     """Twist a bialgebra along an endomorphism beta of itself.
 
@@ -100,13 +123,13 @@ def twist(bialgebra, beta, verify=True):
             raise MorphismError(
                 "twisting map is not a bialgebra endomorphism; first failure: %r"
                 % (report.violations[0],))
-    bracket = _Accumulator(B.ring)
+    bracket, cobracket = _Accumulator(B.ring), _Accumulator(B.ring)
     for (i, j, k), v in _bracket_cells(B.algebra).items():
         bracket.mul(v, beta._cols[k], prefix=(i, j))
-    cobracket = _delta_cells([_cobracket_morphism(B.coalgebra, col, None, ())
-                              for col in beta._cols])
-    return HomSuperBialgebra(B.ring, B.basis, bracket.cells(), cobracket,
-                             beta.compose(B.alpha))
+    for i, col in enumerate(beta._cols):
+        _cobracket_into(cobracket, B.coalgebra, col, None, (), (i,))
+    return _bialgebra(B.ring, B.basis, bracket.cells(), cobracket.cells(),
+                      beta.compose(B.alpha))
 
 
 def twist_power(bialgebra, n):
@@ -197,7 +220,7 @@ def transport_structure(bialgebra, f):
     for (i, j, k), v in _cobracket_cells(B.coalgebra).items():
         _mul_tensor(cobracket, v, [rows_of_g[i], f._cols[j], f._cols[k]])
     alpha = f.compose(B.alpha).compose(g)
-    return HomSuperBialgebra(B.ring, basis, bracket.cells(), cobracket.cells(), alpha)
+    return _bialgebra(B.ring, basis, bracket.cells(), cobracket.cells(), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +278,8 @@ def dualize(bialgebra, convention="koszul"):
                for (k, i, j), v in _cobracket_cells(B.coalgebra).items()}
     cobracket = {(k, i, j): signed(i, j, v)
                  for (i, j, k), v in _bracket_cells(B.algebra).items()}
-    alpha = EvenMap(ring, basis, basis, {(j, i): v for (i, j), v in _map_cells(B.alpha).items()})
-    return HomSuperBialgebra(ring, basis, bracket, cobracket, alpha)
+    alpha = EvenMap._wrap(ring, basis, basis, B.alpha.transpose()._cols)
+    return _bialgebra(ring, basis, bracket, cobracket, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +401,11 @@ def dual_representation(rep):
     basis = dual_basis(rep.module_basis)
     pm = rep.algebra.basis.parities
     pv = basis.parities
-    cells = {(m, k, j): -v if koszul_sign(pm[m], pv[j]) == 1 else v
+    cells = {(m, j, k): -v if koszul_sign(pm[m], pv[j]) == 1 else v
              for (m, j, k), v in rep._cells().items()}
-    module_map = EvenMap(rep.ring, basis, basis,
-                         {(j, i): v for (i, j), v in _map_cells(rep.module_map).items()})
-    return Representation(rep.algebra, basis, module_map, cells)
+    module_map = EvenMap._wrap(rep.ring, basis, basis, rep.module_map.transpose()._cols)
+    n, d = rep.algebra.dim, basis.dim
+    return Representation._wrap(rep.algebra, basis, module_map, _group(cells, (n, d, d), 2))
 
 
 def check_admissible(algebra):
@@ -396,7 +419,7 @@ def check_admissible(algebra):
     defect = {(i, i): A.ring.one() for i in range(n)}
     for idx, v in _map_cells(A.alpha.power(2)).items():
         _add_at(defect, idx, v, True)
-    defect = EvenMap(A.ring, A.basis, A.basis, defect)._cols
+    defect = _columns(defect, n)
     images, acc = _images(A._rows, defect), _Accumulator(A.ring)
     for i in _live_images(A._rows, defect):
         for j, col in enumerate(A.alpha._cols):
@@ -476,10 +499,9 @@ class MatchedPair:
                     for (q,), v in col:
                         bracket[a0 + a, b0 + b, b0 + q] = v
                         bracket[b0 + b, a0 + a, b0 + q] = -v if s == 1 else v
-        alpha = _map_cells(g.alpha)
-        for (i, j), v in _map_cells(h.alpha).items():
-            alpha[n + i, n + j] = v
-        return HomSuperAlgebra(ring, basis, bracket, alpha)
+        alpha = EvenMap._wrap(ring, basis, basis, g.alpha._cols + tuple(
+            tuple(((n + i,), v) for (i,), v in col) for col in h.alpha._cols))
+        return HomSuperAlgebra._wrap(ring, basis, _group(bracket, (basis.dim,) * 3, 2), alpha)
 
     def check(self, multiplicative=False):
         return CheckReport("matched-pair", (
@@ -502,12 +524,12 @@ def _coadjoint(acting, partner, sign_on_target):
     """Negated graded transpose of *acting*'s own adjoint action, acting on
     *partner*'s space.  The Koszul sign pairs the acting index with the
     output index if *sign_on_target*, else with the input index."""
-    p = acting.basis.parities
-    cells = {}
+    p, n = acting.basis.parities, acting.dim
+    cells = {}  # at (m, j, out): rho(e_m)[out][j], in column j of rho(e_m)
     for (m, out, j), v in _bracket_cells(acting).items():
         q = p[out] if sign_on_target else p[j]
-        cells[m, out, j] = -v if koszul_sign(p[m], q) == 1 else v
-    return Representation(acting, partner.basis, partner.alpha, cells)
+        cells[m, j, out] = -v if koszul_sign(p[m], q) == 1 else v
+    return Representation._wrap(acting, partner.basis, partner.alpha, _group(cells, (n,) * 3, 2))
 
 
 def coadjoint_action(g, gstar):
@@ -527,8 +549,8 @@ def dual_coadjoint_action(g, gstar):
 def dual_matched_pair(g, gstar):
     """The matched pair carried by a structure and its dual-space partner,
     with both halves acting by coadjoint-type actions."""
-    return MatchedPair(g, gstar, coadjoint_action(g, gstar),
-                       dual_coadjoint_action(g, gstar))
+    _require_dual_shape(g, gstar)
+    return MatchedPair(g, gstar, _coadjoint(g, gstar, False), _coadjoint(gstar, g, True))
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +568,14 @@ class BilinearForm:
         self.basis = basis
         self._cells = _lift_cells(ring, matrix, (basis.dim, basis.dim), "form matrix")
         self._view = None
+
+    @classmethod
+    def _wrap(cls, ring, basis, cells):
+        """A form over a cell dict that is already lifted, in range and
+        free of zeros; unlike the constructor it checks nothing."""
+        S = object.__new__(cls)
+        S.ring, S.basis, S._cells, S._view = ring, basis, cells, None
+        return S
 
     @property
     def matrix(self):
@@ -576,27 +606,35 @@ class BilinearForm:
         return _violations("form-supersymmetric",
                            sorted({(min(idx), max(idx)) for idx in cells}), residual)
 
+    def _lines(self):
+        """The form's rows and columns: rows[i] holds the ((j,), S_ij) and
+        cols[j] the ((i,), S_ij) of its nonzero cells."""
+        rows = [[] for _ in range(self.basis.dim)]
+        cols = [[] for _ in range(self.basis.dim)]
+        for (i, j), s in self._cells.items():
+            rows[i].append(((j,), s))
+            cols[j].append(((i,), s))
+        return rows, cols
+
     def self_adjoint_violations(self, alpha):
         """S(alpha(e_i), e_j) - S(e_i, alpha(e_j)), reported if nonzero."""
-        rows_of_alpha = alpha.transpose()._cols
+        rows, cols = self._lines()
         diff = _Accumulator(self.ring)
-        for (k, j), s in self._cells.items():
-            diff.mul(s, rows_of_alpha[k], suffix=(j,))
-        for (i, k), s in self._cells.items():
-            diff.mul(s, rows_of_alpha[k], True, (i,))
+        for i, col in enumerate(alpha._cols):
+            for (k,), a in col:
+                diff.mul(a, rows[k], prefix=(i,))  # alpha_ki S_kj at (i, j)
+                diff.mul(a, cols[k], True, suffix=(i,))  # S_jk alpha_ki at (j, i)
         return [Violation("form-self-adjoint", idx, v) for idx, v in sorted(diff.cells().items())]
 
     def invariance_violations(self, algebra):
         """S([e_i, e_j], e_k) - S(e_i, [e_j, e_k]), reported if nonzero."""
-        rows = [[] for _ in range(self.basis.dim)]  # rows[i] holds ((j,), S_ij)
-        cols = [[] for _ in range(self.basis.dim)]  # cols[j] holds ((i,), S_ij)
-        for (i, j), s in self._cells.items():
-            rows[i].append(((j,), s))
-            cols[j].append(((i,), s))
+        rows, cols = self._lines()
         diff = _Accumulator(self.ring)
-        for (i, j, m), c in _bracket_cells(algebra).items():
-            diff.mul(c, rows[m], prefix=(i, j))
-            diff.mul(c, cols[m], True, suffix=(i, j))
+        for i, plane in enumerate(algebra._rows):
+            for j, row in enumerate(plane):
+                for (m,), c in row:
+                    diff.mul(c, rows[m], prefix=(i, j))
+                    diff.mul(c, cols[m], True, suffix=(i, j))
         return [Violation("form-invariant", idx, v) for idx, v in sorted(diff.cells().items())]
 
     def determinant(self):
@@ -642,7 +680,7 @@ def manin_supertriple(g, gstar, multiplicative=False):
     for i in range(n):
         cells[i, n + i] = -one if g.basis.parity(i) else one
         cells[n + i, i] = one
-    form = BilinearForm(g.ring, double.basis, cells)
+    form = BilinearForm._wrap(g.ring, double.basis, cells)
     violations = (_prefixed("double:", double.check(multiplicative=multiplicative).violations)
                   + form.evenness_violations() + form.supersymmetry_violations()
                   + form.self_adjoint_violations(double.alpha)

@@ -9,12 +9,18 @@ is stored sparsely, as a dict ``{index tuple: scalar}`` of its nonzero
 coefficients, optionally constrained to a fixed total parity;
 :class:`Tensor2` and :class:`Tensor3` only fix the rank, and ``entries``
 is a dense nested-list view kept for compatibility, built afresh on each
-read, whose cell writes go through to the dict.  Maps, tensors and
-the structure constants of :mod:`hlsb.structures` accept either a dense
-grid or such a dict of cells (``_lift_cells``): a cell key must be a
-tuple of in-range ints, and a cell value that is already a Scalar over
-the ring object itself is adopted without a lift, so what the library
-builds from its own cells is not lifted again.  A contraction adds its
+read, whose cell writes go through to the dict.  Outside input is
+validated and what the library derives is wrapped.  The constructors of
+maps, tensors and the structures of :mod:`hlsb.structures` take outside
+input, a dense grid or such a dict of cells (``_lift_cells``): a cell
+key must be a tuple of in-range ints, a value is lifted into the ring
+(one that is already a Scalar over the ring object itself is adopted as
+it is), and zeros are dropped.  What the library builds from a
+structure it already holds goes through a private ``_wrap`` instead,
+from cells or sparse rows that are lifted, in range, sorted and free of
+zeros, and nothing is checked again: ``EvenMap.transpose``, ``compose``,
+``power`` and ``identity`` here, and every tensor a contraction
+returns.  A contraction adds its
 products into a ``hlsb.scalar._Accumulator``, so its cost follows the
 nonzero entries: ``EvenMap.apply``, ``EvenMap.compose``,
 ``_TensorBase.apply`` (through which the bracket walks of the other
@@ -84,7 +90,7 @@ class SuperBasis:
 
 
 def _check_same_basis(a, b):
-    if a != b:
+    if a is not b and a != b:
         raise DimensionMismatchError("bases differ: %r vs %r" % (a, b))
 
 
@@ -102,20 +108,28 @@ class EvenMap:
         self.src = src
         self.dst = dst
         cells = _lift_cells(ring, matrix, (dst.dim, src.dim), "matrix")
-        cols = [[] for _ in range(src.dim)]
         dp, sp = dst.parities, src.parities
-        for (i, j), v in sorted(cells.items()):
+        for i, j in sorted(cells):
             if dp[i] != sp[j]:
                 raise ParityError(
                     "entry (%s <- %s) of an even map is nonzero but "
                     "changes parity" % (dst.labels[i], src.labels[j]))
-            cols[j].append(((i,), v))
-        self._cols = tuple(map(tuple, cols))
+        self._cols = _columns(cells, src.dim)
         self._view = None
 
     @classmethod
+    def _wrap(cls, ring, src, dst, cols):
+        """A map over sparse columns that are already lifted, in range,
+        parity-preserving, sorted and free of zeros, in the form of
+        ``_cols``; unlike the constructor it checks nothing."""
+        f = object.__new__(cls)
+        f.ring, f.src, f.dst, f._cols, f._view = ring, src, dst, cols, None
+        return f
+
+    @classmethod
     def identity(cls, ring, basis):
-        return cls.diagonal(ring, basis, [ring.one()] * basis.dim)
+        one = ring.one()
+        return cls._wrap(ring, basis, basis, tuple((((j,), one),) for j in range(basis.dim)))
 
     @classmethod
     def diagonal(cls, ring, basis, values):
@@ -154,7 +168,7 @@ class EvenMap:
         for j, col in enumerate(other._cols):
             for (t,), b in col:
                 acc.mul(b, self._cols[t], suffix=(j,))
-        return EvenMap(self.ring, other.src, self.dst, acc.cells())
+        return EvenMap._wrap(self.ring, other.src, self.dst, _columns(acc.cells(), other.src.dim))
 
     def power(self, n):
         if self.src != self.dst:
@@ -172,8 +186,11 @@ class EvenMap:
         return result
 
     def transpose(self):
-        cells = {(j, i): v for (i, j), v in _map_cells(self).items()}
-        return EvenMap(self.ring, self.dst, self.src, cells)
+        rows = [[] for _ in range(self.dst.dim)]  # rows[i] holds ((j,), A[i][j]) by j
+        for j, col in enumerate(self._cols):
+            for (i,), v in col:
+                rows[i].append(((j,), v))
+        return EvenMap._wrap(self.ring, self.dst, self.src, tuple(map(tuple, rows)))
 
     def is_identity(self):
         return self.src == self.dst and self._cols == EvenMap.identity(self.ring, self.src)._cols
@@ -193,6 +210,15 @@ class EvenMap:
 def _map_cells(f):
     """The nonzero entries of an even map as {(i, j): value}."""
     return {(i, j): v for j, col in enumerate(f._cols) for (i,), v in col}
+
+
+def _columns(cells, ncols):
+    """The nonzero cells {(i, j): value} of a map with *ncols* columns as
+    its sparse columns ``((i,), value)``, each sorted by i."""
+    cols = [[] for _ in range(ncols)]
+    for (i, j), v in sorted(cells.items()):
+        cols[j].append(((i,), v))
+    return tuple(map(tuple, cols))
 
 
 def _grid(shape, fill):
@@ -282,14 +308,15 @@ def _frozen(cells, shape, zero):
     return freeze(_filled(cells, shape, zero))
 
 
-def _mul_tensor(acc, coeff, factors, negate=False):
+def _mul_tensor(acc, coeff, factors, negate=False, prefix=()):
     """Add coeff * (f_1 (x) f_2 (x) ...), or subtract it if *negate*, into
-    the accumulator *acc*, where maps act on every slot.  Each factor is a
-    sparse list of (index tuple, scalar) pairs over one or more consecutive
-    slots, a map's column or row or a delta plane; the last, of at least
-    one, is multiplied straight into *acc* by ``_Accumulator.mul``."""
+    the accumulator *acc*, where maps act on every slot, each cell placed
+    after *prefix*.  Each factor is a sparse list of (index tuple, scalar)
+    pairs over one or more consecutive slots, a map's column or row or a
+    delta plane; the last, of at least one, is multiplied straight into
+    *acc* by ``_Accumulator.mul``."""
     *head, last = factors
-    terms = [((), coeff)]
+    terms = [(prefix, coeff)]
     for factor in head:
         terms = [(idx + i, c * v) for idx, c in terms for i, v in factor]
     for idx, c in terms:

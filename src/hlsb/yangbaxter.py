@@ -36,15 +36,16 @@ from .superlinear import Tensor2, Tensor3, cyclic_sum, koszul_sign, tau
 # partial brackets and the Yang-Baxter residual
 
 
-def _partial_bracket(algebra, r, rp, slots):
+def _partial_bracket(algebra, r, rp, slots, beside=None):
     """The partial brackets of r and rp whose bracket lands in the tensor
     slots *slots* (each 0, 1 or 2), summed in one accumulator.  alpha
     covers the other two slots through ``_beside(r)`` and ``_beside(rp)``
-    (one table when rp is r): slot 0 reads a (x) alpha(b) of r and c (x)
-    alpha(d) of rp, slot 1 alpha(a) (x) b and c (x) alpha(d), slot 2
-    alpha(a) (x) b and alpha(c) (x) d."""
+    (one table when rp is r, which the caller may pass as *beside*): slot
+    0 reads a (x) alpha(b) of r and c (x) alpha(d) of rp, slot 1 alpha(a)
+    (x) b and c (x) alpha(d), slot 2 alpha(a) (x) b and alpha(c) (x) d."""
     p, rows = algebra.basis.parities, algebra._rows
-    beside = _beside(r, algebra.alpha)
+    if beside is None:
+        beside = _beside(r, algebra.alpha)
     beside_p = beside if rp is r else _beside(rp, algebra.alpha)
     acc = _Accumulator(algebra.ring)
     for slot in slots:
@@ -144,9 +145,12 @@ def quasi_triangular_equivalences(bialgebra, r):
     3. (delta (x) alpha)(r) = [r13, r23].
     """
     B = bialgebra
-    s1 = yang_baxter_residual(B.algebra, r).is_zero()
-    s2 = (alpha_otimes_delta(B, r) + bracket_12_13(B.algebra, r, r)).is_zero()
-    s3 = (delta_otimes_alpha(B, r) - bracket_13_23(B.algebra, r, r)).is_zero()
+    beside = _beside(r, B.alpha)
+    b12_13, b12_23, b13_23 = (_partial_bracket(B.algebra, r, r, (slot,), beside)
+                              for slot in range(3))
+    s1 = (b12_13 + b12_23 + b13_23).is_zero()
+    s2 = (alpha_otimes_delta(B, r) + b12_13).is_zero()
+    s3 = (delta_otimes_alpha(B, r) - b13_23).is_zero()
     return QuasiTriangularEquivalences(s1, s2, s3)
 
 

@@ -37,8 +37,9 @@ from hlsb.constructions import (
 )
 from hlsb.errors import DimensionMismatchError, HypothesisError, MorphismError
 from hlsb.scalar import ParamRing
-from hlsb.structures import HomSuperAlgebra, HomSuperBialgebra, zero_bracket
-from hlsb.superlinear import EvenMap, SuperBasis
+from hlsb.structures import (
+    HomSuperAlgebra, HomSuperBialgebra, _bracket_cells, _cobracket_cells, zero_bracket)
+from hlsb.superlinear import EvenMap, SuperBasis, _map_cells
 
 QQ = ParamRing()
 
@@ -522,3 +523,91 @@ def test_morphism_residuals_match_the_dense_oracle(data):
     assert _morphism_found(check_bialgebra_morphism(f, src, dst).violations) == expected
     assert (_morphism_found(check_algebra_morphism(f, src.algebra, dst.algebra).violations)
             == [v for v in expected if v[0] != "cobracket-morphism"])
+
+
+LAURENT = ParamRing(["a", "b"], invertible=["a"])
+LAURENT_VALUES = ["a", "-a^-1", "2*b", "a*b - 1", "a^-2*b^2", "3", "-1"]
+
+
+@st.composite
+def structures_to_derive_from(draw):
+    """A bialgebra, two even maps on its basis, an exponent and an action of
+    its algebra on a module, each a few random cells over QQ or a Laurent
+    ring; bracket, cobracket and action cells may break parity."""
+    ring = draw(st.sampled_from([QQ, LAURENT]))
+    value = (st.integers(-2, 2) if ring is QQ
+             else st.sampled_from(LAURENT_VALUES).map(ring.parse))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    p = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    pv = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+
+    def cells(*dims, size):
+        return draw(st.dictionaries(st.tuples(*(st.integers(0, k - 1) for k in dims)),
+                                    value, max_size=size))
+
+    def even_map(parities):
+        m = len(parities)
+        return {(i, j): v for (i, j), v in cells(m, m, size=m * m).items()
+                if parities[i] == parities[j]}
+    basis = SuperBasis(p)
+    B = HomSuperBialgebra(ring, basis, cells(n, n, n, size=10), cells(n, n, n, size=10),
+                          even_map(p))
+    f, g = (EvenMap(ring, basis, basis, even_map(p)) for _ in range(2))
+    module = SuperBasis(pv, ["v%d" % i for i in range(d)])
+    rep = Representation(B.algebra, module, even_map(pv), cells(n, d, d, size=8))
+    return B, f, g, draw(st.integers(0, 3)), rep
+
+
+def _assert_canonical_map(f):
+    rebuilt = EvenMap(f.ring, f.src, f.dst, _map_cells(f))
+    assert f._cols == rebuilt._cols and f.matrix == rebuilt.matrix
+
+
+def _assert_canonical_algebra(A):
+    rebuilt = HomSuperAlgebra(A.ring, A.basis, _bracket_cells(A), A.alpha)
+    assert A._rows == rebuilt._rows and A.bracket == rebuilt.bracket
+    _assert_canonical_map(A.alpha)
+
+
+def _assert_canonical_bialgebra(B):
+    rebuilt = HomSuperBialgebra(B.ring, B.basis, _bracket_cells(B.algebra),
+                                _cobracket_cells(B.coalgebra), B.alpha)
+    assert B.coalgebra._planes == rebuilt.coalgebra._planes
+    assert B.cobracket == rebuilt.cobracket
+    assert B.coalgebra.alpha is B.alpha is B.algebra.alpha
+    _assert_canonical_algebra(B.algebra)
+
+
+def _assert_canonical_action(rep):
+    rebuilt = Representation(rep.algebra, rep.module_basis, rep.module_map, rep._cells())
+    assert rep._rows == rebuilt._rows and rep.matrices == rebuilt.matrices
+    _assert_canonical_map(rep.module_map)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(structures_to_derive_from())
+# full 2 x 2 blocks: every column of f, its transpose and its powers has two cells
+@example((HomSuperBialgebra(QQ, SuperBasis([0, 0]), {(0, 1, 1): 1, (0, 1, 0): 2},
+                            {(1, 0, 1): 1, (1, 1, 0): -1, (0, 1, 1): 3},
+                            {(0, 0): 1, (0, 1): 2, (1, 0): -1, (1, 1): 1}),
+          EvenMap(QQ, SuperBasis([0, 0]), SuperBasis([0, 0]), [[1, 2], [3, 4]]),
+          EvenMap(QQ, SuperBasis([0, 0]), SuperBasis([0, 0]), [[0, 1], [1, 1]]), 3,
+          Representation(HomSuperAlgebra(QQ, SuperBasis([0, 0]), {}, [[1, 0], [0, 1]]),
+                         SuperBasis([0, 0], ["v0", "v1"]), [[1, 1], [1, 0]],
+                         {(0, 0, 1): 1, (0, 1, 1): 2, (1, 1, 0): 1})))
+def test_derived_structures_are_built_in_canonical_form(data):
+    """Each construction that wraps what it derives holds exactly the
+    sparse rows, planes and columns, sorted and free of zeros, that the
+    validating constructor builds from the same cells, and the same dense
+    views."""
+    B, f, g, k, rep = data
+    for m in (f.transpose(), f.compose(g), f.power(k)):
+        _assert_canonical_map(m)
+    for convention in ("koszul", "plain"):
+        _assert_canonical_bialgebra(dualize(B, convention))
+    _assert_canonical_bialgebra(twist(B, f, verify=False))
+    gstar = dualize(B).algebra
+    _assert_canonical_algebra(dual_matched_pair(B.algebra, gstar).double())
+    for action in (coadjoint_action(B.algebra, gstar), dual_coadjoint_action(B.algebra, gstar),
+                   dual_representation(rep)):
+        _assert_canonical_action(action)

@@ -161,6 +161,22 @@ def test_quasi_triangular_statements_all_true_together():
     assert check_quasi_triangular(B, r).passed
 
 
+def test_quasi_triangular_equivalences_build_one_beside_table(monkeypatch):
+    """One _beside(r) table serves the Yang-Baxter residual and both
+    partial-bracket forms, on the all-false and all-true cases above."""
+    calls = []
+    beside = yangbaxter._beside
+    monkeypatch.setattr(yangbaxter, "_beside",
+                        lambda t, alpha: calls.append(t) or beside(t, alpha))
+    for A, cells, want in ((odd_heisenberg(), {(1, 1): 1}, (False, False, False)),
+                           (scaling_family(2), {(2, 2): 7}, (True, True, True))):
+        r = Tensor2.from_dict(QQ, A.basis, cells)
+        B = coboundary_from_r(A, r)
+        calls.clear()
+        assert quasi_triangular_equivalences(B, r).as_tuple() == want
+        assert calls == [r]
+
+
 def test_cojacobi_defect_is_alpha_cube_of_adjoint_yang_baxter(rng):
     # the co-Jacobi defect of ad(r) equals the alpha-cube of the adjoint
     # image of the Yang-Baxter residual, computed along independent paths
