@@ -28,7 +28,8 @@ flat term accumulator (``hlsb.scalar._Accumulator``) keyed by
 (instance, cell); ``_grouped`` reads the nonzero instances back in
 sorted order, and a vector or matrix is filled only for a reported
 violation or for ``act``.  ``_cobracket_morphism`` gives delta(f(x)) -
-(f (x) f) delta(x), for morphism checks and the cobracket of ``twist``.
+(f (x) f) delta(x) for morphism checks; ``twist`` multiplies beta's
+columns straight into the delta planes.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .structures import (
     _bracket_into,
     _bracket_morphism,
     _cobracket_cells,
-    _cobracket_into,
     _cobracket_morphism,
     _group,
     _grouped,
@@ -126,8 +126,10 @@ def twist(bialgebra, beta, verify=True):
     bracket, cobracket = _Accumulator(B.ring), _Accumulator(B.ring)
     for (i, j, k), v in _bracket_cells(B.algebra).items():
         bracket.mul(v, beta._cols[k], prefix=(i, j))
-    for i, col in enumerate(beta._cols):
-        _cobracket_into(cobracket, B.coalgebra, col, None, (), (i,))
+    planes = B.coalgebra._planes
+    for i, col in enumerate(beta._cols):  # delta(beta(e_i)) at (i, j, k)
+        for (m,), c in col:
+            cobracket.mul(c, planes[m], prefix=(i,))
     return _bialgebra(B.ring, B.basis, bracket.cells(), cobracket.cells(),
                       beta.compose(B.alpha))
 

@@ -20,8 +20,8 @@ the form ``_group`` gives, and nothing is checked again.  Every
 residual loops over these lists only (``check`` skips each skew pair
 that no nonzero bracket enters, and walks Jacobi by its nonzero hops and
 multiplicativity by its nonzero bracket rows and images, not by their
-index tuples; the coalgebra check walks coskew and co-Jacobi only where
-delta(e_i) is nonzero), so its cost follows the nonzero constants.
+index tuples; the coalgebra check evaluates coskew and co-Jacobi only
+where delta(e_i) is nonzero), so its cost follows the nonzero constants.
 The skew, Jacobi and multiplicativity residuals come out as sparse
 ``{(k,): value}`` cell dicts, and only ``skew_residual``,
 ``jacobi_residual``, ``mult_residual`` and a reported violation fill a
@@ -57,26 +57,18 @@ pair {i, j} where the bracket is skew (deriving (j, i) by the Koszul
 sign), directly where it is not, and not at all where [e_i, e_j],
 delta(e_i) and delta(e_j) are all zero, and keeps only the nonzero
 residuals; each pair of ``delta1`` builds its own.
-``_cobracket_into`` adds delta(f(e_i)) - (f (x) f) delta(e_i):
-comultiplicativity, the cobracket half of a morphism check,
-``delta_vector`` and the twisted cobrackets of :mod:`hlsb.constructions`.
-The coalgebra check mirrors the bilinear ones with one table per
-cobracket axiom: ``_cojacobi_table`` adds (alpha (x) delta) delta(e_i)
-for every i into one accumulator keyed by (i, cell), and each nonzero
-one goes through ``cyclic_sum``; ``_comult_table`` does the same for the
-comultiplicativity residuals, and ``is_comultiplicative`` reads it.  The
-public per-instance residuals (``cojacobi_residual``, ``comult_residual``)
-evaluate one e_i each.
+``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f) delta(e_i):
+comultiplicativity, the cobracket half of a morphism check and
+``delta_vector``.
 
 Nothing is validated eagerly beyond shapes and ring membership: the point
 of the package is to *report* which axioms hold, so malformed structures
 are representable and ``check`` methods return a :class:`CheckReport`
 listing every violated axiom with the exact symbolic residual.  Grading
 checks walk the sorted rows and planes for odd cells (``_odd_cells``
-for other cell lists), the bilinear and cobracket checks report their
-tables' nonzero instances and compatibility those ``_compat_residuals``
-kept.
-The skew and coskew checks call their residual kernel at each index
+for other cell lists), the bilinear checks report their table's
+nonzero instances and compatibility those ``_compat_residuals`` kept.
+The skew and coalgebra checks call their residual kernel at each index
 tuple through ``_violations``, which keeps the nonzero residuals (a
 tensor, a scalar or a sparse cell dict, each falsy exactly when zero).
 ``_densified`` fills the dense vectors of kept cell dicts and
@@ -342,22 +334,17 @@ def _morphism_table(src, dst, f, images):
     return _grouped(acc.cells(), 2)
 
 
-def _cobracket_into(acc, dst, x, f, plane, prefix=()):
-    """acc += delta_dst(x) - (f (x) f)(plane), each cell placed after
-    *prefix*, for a sparse vector x of ((m,), value) pairs and a delta
-    plane of ((j, k), value) pairs.  With x = f(e_i), f's sparse column,
-    and plane = delta_src(e_i) it is f's cobracket-morphism residual at
-    e_i; with an empty plane it is delta_dst(x) alone.  Returns acc."""
-    for (m,), c in x:
-        acc.mul(c, dst._planes[m], False, prefix)
-    for (a, b), v in plane:
-        _mul_tensor(acc, v, [f._cols[a], f._cols[b]], True, prefix)
-    return acc
-
-
 def _cobracket_morphism(dst, x, f, plane):
-    """``_cobracket_into`` as a Tensor2 on dst's basis."""
-    acc = _cobracket_into(_Accumulator(dst.ring), dst, x, f, plane)
+    """delta_dst(x) - (f (x) f)(plane) as a Tensor2 on dst's basis, for a
+    sparse vector x of ((m,), value) pairs and a delta plane of ((j, k),
+    value) pairs.  With x = f(e_i), f's sparse column, and plane =
+    delta_src(e_i) it is f's cobracket-morphism residual at e_i; with an
+    empty plane it is delta_dst(x) alone."""
+    acc = _Accumulator(dst.ring)
+    for (m,), c in x:
+        acc.mul(c, dst._planes[m])
+    for (a, b), v in plane:
+        _mul_tensor(acc, v, [f._cols[a], f._cols[b]], True)
     return Tensor2._wrap(dst.ring, dst.basis, acc.cells())
 
 
@@ -581,72 +568,33 @@ class HomSuperCoalgebra:
         i = _basis_index(i, self.dim)
         return _cobracket_morphism(self, self.alpha._cols[i], self.alpha, self._planes[i])
 
-    def _instances(self, acc, tensor):
-        """The nonzero instances a cobracket check added into *acc*, keyed
-        by (i, cell), as {(i,): tensor} in sorted order.  The check adds
-        one e_i after another, so the cells of each instance arrive
-        together and in order of i, and need no sort."""
-        out, i = {}, None
-        for idx, v in acc.cells().items():
-            if idx[0] != i:
-                i = idx[0]
-                out[i,] = cells = {}
-            cells[idx[1:]] = v
-        return {i: tensor._wrap(self.ring, self.basis, cells) for i, cells in out.items()}
-
-    def _cojacobi_table(self):
-        """(alpha (x) delta) delta(e_i) for every i, from one accumulator;
-        each nonzero one is a co-Jacobi instance whose cyclic sum
-        ``check`` takes.  It is zero where delta(e_i) is."""
-        acc = _Accumulator(self.ring)
-        for i, plane in enumerate(self._planes):
-            if plane:
-                _alpha_delta_into(acc, self, plane, False, (i,))
-        return self._instances(acc, Tensor3)
-
-    def _comult_table(self):
-        """The nonzero comultiplicativity residuals, ``comult_residual(i)``
-        for every i, from one accumulator.  Unlike co-Jacobi they need not
-        vanish where delta(e_i) does, as delta(alpha(e_i)) need not."""
-        acc, alpha = _Accumulator(self.ring), self.alpha
-        for i, plane in enumerate(self._planes):
-            _cobracket_into(acc, self, alpha._cols[i], alpha, plane, (i,))
-        return self._instances(acc, Tensor2)
-
     def check(self, comultiplicative=False):
-        # coskew is zero where delta(e_i) is
+        # coskew and co-Jacobi are zero where delta(e_i) is; comultiplicativity
+        # is not, as delta(alpha(e_i)) need not be
         planted = [(i,) for i, plane in enumerate(self._planes) if plane]
         violations = (self.grading_violations()
                       + _violations("coskew", planted, self.coskew_residual)
-                      + [Violation("cojacobi", i, r) for i, t in self._cojacobi_table().items()
-                         if (r := cyclic_sum(t))])
+                      + _violations("cojacobi", planted, self.cojacobi_residual))
         if comultiplicative:
-            violations += [Violation("comultiplicative", i, r)
-                           for i, r in self._comult_table().items()]
+            violations += _violations("comultiplicative", [(i,) for i in range(self.dim)],
+                                      self.comult_residual)
         return CheckReport("hom-super-coalgebra", violations)
 
     def is_comultiplicative(self):
-        return not self._comult_table()
-
-
-def _alpha_delta_into(acc, coalgebra, pairs, delta_first, prefix=()):
-    """acc += alpha on one factor and delta on the other of the tensor with
-    the ((a, b), value) pairs *pairs*, such as a Tensor2's cells or a delta
-    plane, with the alpha image in the first slot, or in the last if
-    *delta_first*, each cell placed after *prefix*.  Returns acc."""
-    cols, planes = coalgebra.alpha._cols, coalgebra._planes
-    for (a, b), va in pairs:
-        _mul_tensor(acc, va, [planes[a], cols[b]] if delta_first else [cols[a], planes[b]],
-                    False, prefix)
-    return acc
+        return not any(self.comult_residual(i) for i in range(self.dim))
 
 
 def _alpha_beside_delta(coalgebra, pairs, delta_first):
-    """``_alpha_delta_into`` as a Tensor3.  *coalgebra* may also be a
-    bialgebra."""
+    """alpha on one factor and delta on the other of the tensor with the
+    ((a, b), value) pairs *pairs*, such as a Tensor2's cells or a delta
+    plane, as a Tensor3 with the alpha image in the first slot, or in the
+    last if *delta_first*.  *coalgebra* may also be a bialgebra."""
     C = getattr(coalgebra, "coalgebra", coalgebra)
-    return Tensor3._wrap(C.ring, C.basis,
-                         _alpha_delta_into(_Accumulator(C.ring), C, pairs, delta_first).cells())
+    cols, planes = C.alpha._cols, C._planes
+    acc = _Accumulator(C.ring)
+    for (a, b), va in pairs:
+        _mul_tensor(acc, va, [planes[a], cols[b]] if delta_first else [cols[a], planes[b]])
+    return Tensor3._wrap(C.ring, C.basis, acc.cells())
 
 
 def alpha_otimes_delta(coalgebra, r):

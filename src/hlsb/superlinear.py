@@ -109,11 +109,12 @@ class EvenMap:
         self.dst = dst
         cells = _lift_cells(ring, matrix, (dst.dim, src.dim), "matrix")
         dp, sp = dst.parities, src.parities
-        for i, j in sorted(cells):
-            if dp[i] != sp[j]:
-                raise ParityError(
-                    "entry (%s <- %s) of an even map is nonzero but "
-                    "changes parity" % (dst.labels[i], src.labels[j]))
+        odd = [(i, j) for i, j in cells if dp[i] != sp[j]]
+        if odd:
+            i, j = min(odd)
+            raise ParityError(
+                "entry (%s <- %s) of an even map is nonzero but "
+                "changes parity" % (dst.labels[i], src.labels[j]))
         self._cols = _columns(cells, src.dim)
         self._view = None
 
@@ -308,15 +309,14 @@ def _frozen(cells, shape, zero):
     return freeze(_filled(cells, shape, zero))
 
 
-def _mul_tensor(acc, coeff, factors, negate=False, prefix=()):
+def _mul_tensor(acc, coeff, factors, negate=False):
     """Add coeff * (f_1 (x) f_2 (x) ...), or subtract it if *negate*, into
-    the accumulator *acc*, where maps act on every slot, each cell placed
-    after *prefix*.  Each factor is a sparse list of (index tuple, scalar)
-    pairs over one or more consecutive slots, a map's column or row or a
-    delta plane; the last, of at least one, is multiplied straight into
-    *acc* by ``_Accumulator.mul``."""
+    the accumulator *acc*, where maps act on every slot.  Each factor is a
+    sparse list of (index tuple, scalar) pairs over one or more consecutive
+    slots, a map's column or row or a delta plane; the last, of at least
+    one, is multiplied straight into *acc* by ``_Accumulator.mul``."""
     *head, last = factors
-    terms = [(prefix, coeff)]
+    terms = [((), coeff)]
     for factor in head:
         terms = [(idx + i, c * v) for idx, c in terms for i, v in factor]
     for idx, c in terms:
