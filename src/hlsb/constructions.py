@@ -51,6 +51,7 @@ from .structures import (
     _group,
     _grouped,
     _images,
+    _Kernel,
     _live_images,
     _morphism_table,
     _odd_cells,
@@ -71,7 +72,7 @@ def check_algebra_morphism(f, src, dst):
     if f.src != src.basis or f.dst != dst.basis:
         raise DimensionMismatchError("map bases do not match the structures")
     violations = [Violation("bracket-morphism", ij, dst._vector(cells)) for ij, cells
-                  in _morphism_table(src, dst, f, _images(dst._rows, f._cols)).items()]
+                  in _morphism_table(src, dst, _Kernel(dst._rows, f)).items()]
     diff = _map_cells(f.compose(src.alpha))
     for idx, v in _map_cells(dst.alpha.compose(f)).items():
         _add_at(diff, idx, v, True)

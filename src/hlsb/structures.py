@@ -31,9 +31,16 @@ first use.
 
 Every bracket of an image runs on one kernel set.  ``_images(rows,
 cols)`` is the lazy table T[a][m] = [f(e_a), e_m] for bracket (or action)
-rows and a map's columns, each T[a] built on first read for one check
-and never kept on a structure; ``_live_images`` gives the a for which
-T[a] can be nonzero.  ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
+rows and a map's columns, each T[a] built on first read;
+``_live_images`` gives the a for which T[a] can be nonzero.  A
+``_Kernel`` holds these two for rows under a map, with the Jacobi hop
+index and the ``acting`` lists of the adjoint walk, each built on first
+read.  Each algebra keeps one for its alpha (``HomSuperAlgebra._tables``),
+keyed on the alpha object and built again once alpha is rebound, so
+every check, ``delta1`` pair and adjoint walk over one algebra reads the
+same tables; the residuals themselves are never kept.  A morphism check
+builds one for its map, and a representation or admissibility check its
+own ``_images``.  ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
 T[a][b] and ``_bracket_morphism`` f([e_i, e_j]) - [f(e_i), f(e_j)] into
 an accumulator, at the cells a prefix and a suffix place them in.  Each
 bilinear check adds every instance it walks into one
@@ -45,18 +52,19 @@ for multiplicativity and morphisms, and the hop kernel
 they enter, never the n^3 / 6 triples.  alpha reaches the slots a
 bracket walk leaves untouched once, through ``_beside(t, alpha)``: per
 slot s, t's cells with alpha on every other slot.  ``_ad_images`` gives
-ad_{e_m}(t) for every m in one walk over ``_beside(t)``, the partial
-brackets of :mod:`hlsb.yangbaxter` read it, and ``_compat_residual``
+ad_{e_m}(t) for every m in one walk over ``_beside(t)``, less the cells
+on which no bracket row acts (``acting``), the partial brackets of
+:mod:`hlsb.yangbaxter` read it, and ``_compat_residual``
 adds delta([e_i, e_j]) and both ad terms into one accumulator, each an
 alpha-table row times a cell of ``_beside(delta(e_k))``
 (``_compat_tables``).  Products take a ``negate`` flag in place of a
 negated factor, so a residual that cancels builds no scalar at all.
-``HomSuperBialgebra.check`` shares alpha's table between its algebra
-check and its compatibility pairs, which it evaluates once per unordered
-pair {i, j} where the bracket is skew (deriving (j, i) by the Koszul
-sign), directly where it is not, and not at all where [e_i, e_j],
+``HomSuperBialgebra.check`` evaluates its compatibility pairs once per
+unordered pair {i, j} where the bracket is skew (deriving (j, i) by the
+Koszul sign), directly where it is not, and not at all where [e_i, e_j],
 delta(e_i) and delta(e_j) are all zero, and keeps only the nonzero
-residuals; each pair of ``delta1`` builds its own.
+residuals; each pair of ``delta1`` builds its own ``_beside(delta(e_k))``
+tables.
 ``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f) delta(e_i):
 comultiplicativity, the cobracket half of a morphism check and
 ``delta_vector``.
@@ -208,14 +216,16 @@ def _constants(ring, basis, constants, name, split):
 def _group(cells, shape, split):
     """Nonzero cells of the given shape grouped by their first *split*
     indices: a nested list (depth *split*) of tuples of ``(rest, value)``
-    pairs in row-major order, the empty tuple where there are none."""
-    groups = _grid(shape[:split], ())
+    pairs in row-major order, the empty tuple where there are none.  Each
+    row is gathered in a list and frozen once."""
+    groups, rows = _grid(shape[:split], ()), {}
     for idx, v in sorted(cells.items()):
-        *path, last = idx[:split]
-        row = groups
-        for i in path:
-            row = row[i]
-        row[last] = row[last] + ((idx[split:], v),)
+        rows.setdefault(idx[:split], []).append((idx[split:], v))
+    for key, row in rows.items():
+        group = groups
+        for i in key[:-1]:
+            group = group[i]
+        group[key[-1]] = tuple(row)
     return groups
 
 
@@ -281,7 +291,7 @@ def _images(rows, cols):
     action) rows *rows* and the sparse columns *cols* of a map f, each row
     a sequence of nonzero ((k,), value) pairs like a bracket row.  T[a] is
     built on first read, from one accumulator, and is the rows of e_i
-    itself where f(e_a) = e_i.  One table serves one check."""
+    itself where f(e_a) = e_i."""
     def table(a):
         col = cols[a]
         if len(col) == 1 and col[0][1].is_one():
@@ -304,6 +314,33 @@ def _live_images(rows, cols):
     return {a for a, col in enumerate(cols) if any(m in planted for (m,), _ in col)}
 
 
+class _Kernel:
+    """The kernel tables of bracket (or action) rows *rows* under a map f:
+    ``twisted`` is T = ``_images(rows, f)``, ``index[m]`` the a with
+    T[a][m] nonzero (the Jacobi hops through e_m), ``acting[u]`` the m
+    with rows[m][u] nonzero and ``live`` the ``_live_images`` of T, each
+    entry built on first read and then kept.  ``HomSuperAlgebra._tables``
+    keeps one per algebra, for its alpha; a morphism check builds one for
+    f."""
+
+    def __init__(self, rows, f):
+        self.rows, self.f, self._live = rows, f, None
+        self.twisted = twisted = _images(rows, f._cols)
+        hit = {}  # e_i -> the a whose f(e_a) has an e_i term
+        for a, col in enumerate(f._cols):
+            for (i,), _ in col:
+                hit.setdefault(i, []).append(a)
+        self.index = _Lazy(lambda m: [a for a in {a for i, plane in enumerate(rows) if plane[m]
+                                                  for a in hit.get(i, ())} if twisted[a][m]])
+        self.acting = _Lazy(lambda u: [m for m, plane in enumerate(rows) if plane[u]])
+
+    @property
+    def live(self):
+        if self._live is None:
+            self._live = _live_images(self.rows, self.f._cols)
+        return self._live
+
+
 def _bracket_morphism(acc, image, src_rows, images, right, i, j, negate,
                       prefix=(), suffix=()):
     """acc += image([e_i, e_j]) - [left(e_i), right(e_j)], or -= if
@@ -319,14 +356,14 @@ def _bracket_morphism(acc, image, src_rows, images, right, i, j, negate,
     return _bracket_into(acc, images[i], right[j], not negate, prefix, suffix)
 
 
-def _morphism_table(src, dst, f, images):
-    """f's nonzero bracket-morphism residuals from src to dst as {(i, j):
-    {(k,): value}} in sorted order, read from *images* = ``_images(dst
-    rows, f)``.  One walk adds every (i, j) with [e_i, e_j] nonzero, or
-    with [f(e_i), -] possibly nonzero (``_live_images``), into one
-    accumulator keyed by (i, j, k)."""
-    cols, acc = f._cols, _Accumulator(dst.ring)
-    live = _live_images(dst._rows, cols)
+def _morphism_table(src, dst, kernel):
+    """The nonzero bracket-morphism residuals from src to dst of the map f
+    that *kernel*, the ``_Kernel`` of dst's rows under f, was built for,
+    as {(i, j): {(k,): value}} in sorted order.  One walk adds every (i,
+    j) with [e_i, e_j] nonzero, or with [f(e_i), -] possibly nonzero
+    (``kernel.live``), into one accumulator keyed by (i, j, k)."""
+    cols, images, live = kernel.f._cols, kernel.twisted, kernel.live
+    acc = _Accumulator(dst.ring)
     for i, plane in enumerate(src._rows):
         for j, row in enumerate(plane):
             if row or i in live:
@@ -371,7 +408,7 @@ class HomSuperAlgebra:
         self.ring = ring
         self.basis = basis
         self._rows = _constants(ring, basis, bracket, "bracket", 2)
-        self._view = None
+        self._view = self._kernel = None
         self.alpha = _lift_alpha(ring, basis, alpha)
 
     @classmethod
@@ -380,7 +417,8 @@ class HomSuperAlgebra:
         of lifted, in-range, zero-free cells) and an EvenMap alpha on
         *basis* over *ring*; unlike the constructor it checks nothing."""
         A = object.__new__(cls)
-        A.ring, A.basis, A._rows, A._view, A.alpha = ring, basis, rows, None, alpha
+        A.ring, A.basis, A._rows, A.alpha = ring, basis, rows, alpha
+        A._view = A._kernel = None
         return A
 
     @property
@@ -402,6 +440,16 @@ class HomSuperAlgebra:
     def _vector(self, cells):
         """The coefficient vector holding sparse ``{(k,): value}`` cells."""
         return _filled(cells, (self.dim,), self.ring.zero())
+
+    def _tables(self):
+        """The ``_Kernel`` of this algebra's rows under alpha, kept across
+        checks and walks until alpha is rebound to another map: alpha is a
+        public attribute, while ``_rows`` is never written after
+        construction or ``_wrap``."""
+        kernel = self._kernel
+        if kernel is None or kernel.f is not self.alpha:
+            kernel = self._kernel = _Kernel(self._rows, self.alpha)
+        return kernel
 
     # -- residuals -------------------------------------------------------
 
@@ -427,8 +475,7 @@ class HomSuperAlgebra:
         def targets(a, b, c):
             return [t for t in ((a, b, c), (b, c, a), (c, a, b)) if t == ijk]
         # the hops of (i, j, k) bracket these pairs, each walked once
-        hops = self._jacobi_hops(dict.fromkeys([(j, k), (k, i), (i, j)]), targets,
-                                 _images(self._rows, self.alpha._cols))
+        hops = self._jacobi_hops(dict.fromkeys([(j, k), (k, i), (i, j)]), targets)
         return self._vector(hops.get(ijk, {}))
 
     def mult_residual(self, i, j):
@@ -436,7 +483,7 @@ class HomSuperAlgebra:
         i, j = self._indices(i, j)
         cols = self.alpha._cols
         return self._vector(_bracket_morphism(_Accumulator(self.ring), cols, self._rows,
-                                              _images(self._rows, cols), cols, i, j,
+                                              self._tables().twisted, cols, i, j,
                                               False).cells())
 
     def _skew_cells(self, i, j):
@@ -448,11 +495,11 @@ class HomSuperAlgebra:
             acc.add(k, v, p[i] & p[j])
         return acc.cells()
 
-    def _jacobi_hops(self, pairs, targets, twisted):
+    def _jacobi_hops(self, pairs, targets):
         """The nonzero Jacobi residual cells of the triples a hop is added
         into, as {(i, j, k): {(m,): value}} in sorted order (``_grouped``),
-        read from the twisted-bracket table *twisted* = ``_images(rows,
-        alpha)``.
+        read from the twisted-bracket table T and its hop index
+        (``_tables``).
 
         The cyclic sum of (i, j, k) has the hops [alpha(e_a), [e_b, e_c]]
         for (a, b, c) = (i, j, k), (k, i, j) and (j, k, i), each with the
@@ -460,18 +507,12 @@ class HomSuperAlgebra:
         (b, c, a) and (c, a, b), and ``targets(a, b, c)`` says which of
         those the caller asks for, with repeats.  For each (b, c) in
         *pairs* and each term y_m e_m of [e_b, e_c], the kernel walks the a
-        with T[a][m] nonzero, indexed once per call, and adds y_m T[a][m]
+        with T[a][m] nonzero, indexed once per alpha, and adds y_m T[a][m]
         into each of those triples, one product per term of T[a][m], all
         into one accumulator keyed by (i, j, k, m).  Its cost follows these
         nonzero products, not the number of triples."""
-        p, rows = self.basis.parities, self._rows
-        hit = {}  # e_i -> the a whose alpha(e_a) has an e_i term
-        for a, col in enumerate(self.alpha._cols):
-            for (i,), _ in col:
-                hit.setdefault(i, []).append(a)
-        # index[m]: the a with T[a][m] = [alpha(e_a), e_m] nonzero
-        index = _Lazy(lambda m: [a for a in {a for i, plane in enumerate(rows) if plane[m]
-                                             for a in hit.get(i, ())} if twisted[a][m]])
+        p, rows, kernel = self.basis.parities, self._rows, self._tables()
+        twisted, index = kernel.twisted, kernel.index
         acc = _Accumulator(self.ring)  # cells (i, j, k, m) of every triple
         for b, c in pairs:
             for (m,), y in rows[b][c]:
@@ -484,26 +525,25 @@ class HomSuperAlgebra:
     # -- checks ----------------------------------------------------------
 
     def check(self, multiplicative=False):
-        return CheckReport("hom-super-algebra", self._found(
-            multiplicative, _images(self._rows, self.alpha._cols)))
+        return CheckReport("hom-super-algebra", self._found(multiplicative))
 
-    def _found(self, multiplicative, twisted):
-        """check's violations, reading the twisted-bracket table *twisted*."""
+    def _found(self, multiplicative):
+        """check's violations."""
         n = self.dim
         rows = self._rows
         pairs = [(i, j) for i in range(n) for j in range(i, n) if rows[i][j] or rows[j][i]]
         hops = self._jacobi_hops([(b, c) for b, plane in enumerate(rows)
                                   for c, row in enumerate(plane) if row],
-                                 _sorted_rotations, twisted)
+                                 _sorted_rotations)
         found = (_violations("skew", pairs, self._skew_cells)
                  + [Violation("jacobi", t, cells) for t, cells in hops.items()])
         if multiplicative:
             found += [Violation("multiplicative", ij, cells) for ij, cells
-                      in _morphism_table(self, self, self.alpha, twisted).items()]
+                      in _morphism_table(self, self, self._tables()).items()]
         return self.grading_violations() + _densified(found, self._vector)
 
     def is_multiplicative(self):
-        return not _morphism_table(self, self, self.alpha, _images(self._rows, self.alpha._cols))
+        return not _morphism_table(self, self, self._tables())
 
 
 class HomSuperCoalgebra:
@@ -609,14 +649,18 @@ def delta_otimes_alpha(coalgebra, r):
     return _alpha_beside_delta(coalgebra, r._cells.items(), True)
 
 
-def _beside(t, alpha):
+def _beside(t, alpha, acting=None):
     """For each slot s of the tensor t, the cells of t with alpha applied to
     every other slot: the one place where alpha reaches the slots a bracket
-    walk leaves untouched.  ``Tensor.apply`` checks t's basis, and as alpha
-    is even, every slot of a cell keeps its parity."""
+    walk leaves untouched.  With a table *acting*, the cells whose index u
+    in slot s has no ``acting[u]`` are dropped from slot s before alpha is
+    applied.  t's basis is checked first, and as alpha is even, every slot
+    of a cell keeps its parity."""
+    _check_same_basis(t.basis, alpha.src)
     out = []
     for s in range(t.rank):
-        u = t
+        u = t if acting is None else t._wrap(
+            t.ring, t.basis, {idx: v for idx, v in t._cells.items() if acting[idx[s]]})
         for other in (o for o in range(t.rank) if o != s):
             u = u.apply(alpha, other)
         out.append(u._cells)
@@ -634,20 +678,21 @@ def _ad_images(algebra, t):
           = sum_i (+-) alpha(y1) (x) ... (x) [e_m, y_i] (x) ... (x) alpha(yn)
 
     so a cell of ``_beside(t)[i]`` with e_u in slot i takes one
-    ``_Accumulator.mul`` by each nonzero bracket row [e_m, e_u]."""
+    ``_Accumulator.mul`` by each nonzero bracket row [e_m, e_u], read from
+    the algebra's ``acting`` table (``_tables``); the cells no row acts on
+    are dropped before alpha is applied."""
     if not isinstance(t, _TensorBase):
         raise TypeError("ad_action expects a Tensor2 or Tensor3")
     n, p, rows = algebra.dim, algebra.basis.parities, algebra._rows
-    acting = _Lazy(lambda u: [m for m in range(n) if rows[m][u]])  # [e_m, e_u] != 0
+    acting = algebra._tables().acting  # acting[u]: the m with [e_m, e_u] != 0
     images = [_Accumulator(algebra.ring) for _ in range(n)]
-    for slot, cells in enumerate(_beside(t, algebra.alpha)):
+    for slot, cells in enumerate(_beside(t, algebra.alpha, acting)):
         for idx, v in cells.items():
             u = idx[slot]
-            if acting[u]:
-                before, after = idx[:slot], idx[slot + 1:]
-                skipped = sum(p[j] for j in before) & 1
-                for m in acting[u]:
-                    images[m].mul(v, rows[m][u], p[m] & skipped, before, after)
+            before, after = idx[:slot], idx[slot + 1:]
+            skipped = sum(p[j] for j in before) & 1
+            for m in acting[u]:
+                images[m].mul(v, rows[m][u], p[m] & skipped, before, after)
     return [t._wrap(algebra.ring, algebra.basis, acc.cells(),
                     None if t.parity is None else (t.parity + p[m]) % 2)
             for m, acc in enumerate(images)]
@@ -679,10 +724,10 @@ def ad_basis(algebra, m, t):
     return _ad_images(algebra, t)[m]
 
 
-def _compat_tables(algebra, deltas, twisted):
-    """The tables compatibility reads: the twisted-bracket table *twisted* =
-    ``_images(rows, alpha)``, and per k ``_beside(delta(e_k))``, built lazily."""
-    return twisted, _Lazy(lambda k: _beside(deltas[k], algebra.alpha))
+def _compat_tables(algebra, deltas):
+    """The tables compatibility reads: the algebra's twisted-bracket table
+    T (``_tables``), and per k ``_beside(delta(e_k))``, built lazily."""
+    return algebra._tables().twisted, _Lazy(lambda k: _beside(deltas[k], algebra.alpha))
 
 
 def _compat_residual(algebra, deltas, i, j, tables):
@@ -777,16 +822,14 @@ class HomSuperBialgebra:
         A = self.algebra
         i, j = A._indices(i, j)
         deltas = [self.delta(k) for k in range(self.dim)]
-        tables = _compat_tables(A, deltas, _images(A._rows, A.alpha._cols))
-        return _compat_residual(A, deltas, i, j, tables)
+        return _compat_residual(A, deltas, i, j, _compat_tables(A, deltas))
 
     def check(self, multiplicative=False):
         A = self.algebra
         deltas = [self.delta(k) for k in range(self.dim)]
-        twisted = _images(A._rows, A.alpha._cols)
-        violations = A._found(multiplicative, twisted)
+        violations = A._found(multiplicative)
         nonskew = {v.indices for v in violations if v.axiom == "skew"}
-        compat = _compat_residuals(A, deltas, nonskew, _compat_tables(A, deltas, twisted))
+        compat = _compat_residuals(A, deltas, nonskew, _compat_tables(A, deltas))
         violations += (self.coalgebra.check(comultiplicative=multiplicative).violations
                        + [Violation("compatibility", ij, r) for ij, r in compat.items()])
         return CheckReport("hom-super-bialgebra", violations)
@@ -829,12 +872,12 @@ def _require_deltas(algebra, deltas):
 
 def delta1(algebra, deltas):
     """The compatibility defect of a cobracket candidate, as a grid of
-    Tensor2 residuals indexed by ordered basis pairs.  Each pair builds
-    its own tables and shares nothing with the others."""
+    Tensor2 residuals indexed by ordered basis pairs.  Every pair reads the
+    algebra's twisted-bracket table T, and each builds its own
+    ``_beside(delta(e_k))`` tables."""
     _require_deltas(algebra, deltas)
-    n, rows, cols = algebra.dim, algebra._rows, algebra.alpha._cols
-    return [[_compat_residual(algebra, deltas, i, j,
-                              _compat_tables(algebra, deltas, _images(rows, cols)))
+    n = algebra.dim
+    return [[_compat_residual(algebra, deltas, i, j, _compat_tables(algebra, deltas))
              for j in range(n)] for i in range(n)]
 
 

@@ -42,21 +42,32 @@ def _partial_bracket(algebra, r, rp, slots, beside=None):
     covers the other two slots through ``_beside(r)`` and ``_beside(rp)``
     (one table when rp is r, which the caller may pass as *beside*): slot
     0 reads a (x) alpha(b) of r and c (x) alpha(d) of rp, slot 1 alpha(a)
-    (x) b and c (x) alpha(d), slot 2 alpha(a) (x) b and alpha(c) (x) d."""
+    (x) b and c (x) alpha(d), slot 2 alpha(a) (x) b and alpha(c) (x) d.
+    rp's cells are grouped by the index y it brings into the bracket (c
+    for slots 0 and 1, d for slot 2), so only the groups with [e_x, e_y]
+    nonzero are walked."""
     p, rows = algebra.basis.parities, algebra._rows
     if beside is None:
         beside = _beside(r, algebra.alpha)
     beside_p = beside if rp is r else _beside(rp, algebra.alpha)
+    by_y = {}
+    for side in {slot > 1 for slot in slots}:
+        groups = by_y[side] = {}
+        for cd, vb in beside_p[side].items():
+            groups.setdefault(cd[side], []).append((cd, vb))
     acc = _Accumulator(algebra.ring)
     for slot in slots:
-        pairs = beside_p[slot > 1].items()
+        groups = by_y[slot > 1].items()
         for (a, b), va in beside[slot > 0].items():
-            for (c, d), vb in pairs:
-                x, y, outer = ((a, c, (b, d)), (b, c, (a, d)), (b, d, (a, c)))[slot]
-                row = rows[x][y]
+            bracketed = rows[b if slot else a]
+            for y, cells in groups:
+                row = bracketed[y]
                 if row:
-                    # slot 1 brackets b with c directly; the other two move c past b
-                    acc.mul(va * vb, row, slot != 1 and p[b] & p[c], outer[:slot], outer[slot:])
+                    for (c, d), vb in cells:
+                        outer = ((b, d), (a, d), (a, c))[slot]
+                        # slot 1 brackets b with c directly; the other two move c past b
+                        acc.mul(va * vb, row, slot != 1 and p[b] & p[c],
+                                outer[:slot], outer[slot:])
     return Tensor3._wrap(algebra.ring, algebra.basis, acc.cells())
 
 

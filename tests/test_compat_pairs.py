@@ -25,8 +25,8 @@ import glmn  # noqa: E402
 from dense_oracle import t2_dict  # noqa: E402
 from hlsb import structures  # noqa: E402
 from hlsb.catalog import Stratum, catalog_list, expand_variants, get_row  # noqa: E402
-from hlsb.structures import HomSuperBialgebra, delta1  # noqa: E402
-from hlsb.superlinear import EvenMap, SuperBasis  # noqa: E402
+from hlsb.structures import HomSuperAlgebra, HomSuperBialgebra, delta0, delta1  # noqa: E402
+from hlsb.superlinear import EvenMap, SuperBasis, Tensor2  # noqa: E402
 from hlsb.yangbaxter import coboundary_from_r  # noqa: E402
 from test_structures import LAURENT, QQ, draw_value, sparse_cube  # noqa: E402
 
@@ -168,3 +168,39 @@ def test_check_reports_exactly_the_nonzero_public_residuals(n, seed, fill, laure
                 if (any(r) if isinstance(r := residual(*idx), list) else r)]
         got = [(v.indices, v.residual) for v in report.by_axiom(axiom)]
         assert got == want, axiom
+
+
+def test_the_algebra_builds_its_twisted_table_once(monkeypatch):
+    """Two coboundary checks over one gl(2|1) and delta1 on it all read the
+    table T[a][m] = [alpha(e_a), e_m] that the algebra keeps: it is built
+    once, from the algebra's rows and alpha's columns."""
+    A = glmn.gl_algebra(2, 1)
+    built, images = [], structures._images
+    monkeypatch.setattr(structures, "_images",
+                        lambda rows, cols: built.append((rows, cols)) or images(rows, cols))
+    # h_1 ^ h_3 and h_1 ^ h_2, h_i = E_ii at index 4 (i - 1)
+    wedges = [glmn.cartan_wedge(A, 2, 1),
+              Tensor2.from_dict(A.ring, A.basis, {(0, 4): 1, (4, 0): -1})]
+    for r in wedges:
+        assert coboundary_from_r(A, r).check(multiplicative=True).passed
+    assert not any(t for line in delta1(A, delta0(A, wedges[1])) for t in line)
+    assert len(built) == 1 and built[0][0] is A._rows and built[0][1] is A.alpha._cols
+
+
+def test_rebinding_alpha_rebuilds_the_tables():
+    """After alpha is rebound to another even map, check and delta1 answer
+    as an algebra built with that map does, not from the tables kept for
+    the old one."""
+    A = glmn.gl_algebra(2, 1)
+    deltas = delta0(A, glmn.cartan_wedge(A, 2, 1))
+    assert A.check(multiplicative=True).passed
+    assert not any(t for line in delta1(A, deltas) for t in line)
+    for other in (A.alpha.power(2), EvenMap.identity(A.ring, A.basis)):
+        A.alpha = other
+        fresh = HomSuperAlgebra(A.ring, A.basis, A.bracket, other)
+        got, want = (A.check(multiplicative=True), fresh.check(multiplicative=True))
+        assert got.by_axiom("jacobi")  # the tables of the first alpha would pass
+        assert ([(v.axiom, v.indices, v.residual) for v in got.violations]
+                == [(v.axiom, v.indices, v.residual) for v in want.violations])
+        grid = delta1(A, deltas)
+        assert any(t for line in grid for t in line) and grid == delta1(fresh, deltas)
