@@ -18,10 +18,11 @@ constructors validate outside input; a structure the library derives
 from one it already holds is wrapped (``_wrap``) over rows or planes in
 the form ``_group`` gives, and nothing is checked again.  Every
 residual loops over these lists only (``check`` skips each skew pair
-that no nonzero bracket enters, and walks Jacobi by its nonzero hops and
-multiplicativity by its nonzero bracket rows and images, not by their
-index tuples; the coalgebra check evaluates coskew and co-Jacobi only
-where delta(e_i) is nonzero), so its cost follows the nonzero constants.
+that no nonzero bracket enters, and builds the product lists of Jacobi
+and multiplicativity from their nonzero hops and from their nonzero
+bracket rows and images, not from their index tuples; the coalgebra
+check evaluates coskew and co-Jacobi only where delta(e_i) is nonzero),
+so its cost follows the nonzero constants.
 The skew, Jacobi and multiplicativity residuals come out as sparse
 ``{(k,): value}`` cell dicts, and only ``skew_residual``,
 ``jacobi_residual``, ``mult_residual`` and a reported violation fill a
@@ -34,22 +35,32 @@ cols)`` is the lazy table T[a][m] = [f(e_a), e_m] for bracket (or action)
 rows and a map's columns, each T[a] built on first read;
 ``_live_images`` gives the a for which T[a] can be nonzero.  A
 ``_Kernel`` holds these two for rows under a map, with the Jacobi hop
-index and the ``acting`` lists of the adjoint walk, each built on first
-read.  Each algebra keeps one for its alpha (``HomSuperAlgebra._tables``),
-keyed on the alpha object and built again once alpha is rebound, so
-every check, ``delta1`` pair and adjoint walk over one algebra reads the
-same tables; the residuals themselves are never kept.  A morphism check
-builds one for its map, and a representation or admissibility check its
-own ``_images``.  ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
-T[a][b] and ``_bracket_morphism`` f([e_i, e_j]) - [f(e_i), f(e_j)] into
-an accumulator, at the cells a prefix and a suffix place them in.  Each
-bilinear check adds every instance it walks into one
-``hlsb.scalar._Accumulator`` keyed by (instance, cell), and ``_grouped``
-reads the nonzero instances back in sorted order: ``_morphism_table``
-for multiplicativity and morphisms, and the hop kernel
-``HomSuperAlgebra._jacobi_hops``, which walks the nonzero hops
-[alpha(e_a), [e_b, e_c]] through T into the cyclic sums of the triples
-they enter, never the n^3 / 6 triples.  alpha reaches the slots a
+index, the ``acting`` lists of the adjoint walk and two product lists,
+each built on first read.  A product list holds every product a check
+adds, as entries (x, row, negate, instance), and ``_replayed`` adds
+them all into one ``hlsb.scalar._Accumulator`` keyed by (instance,
+cell) with ``_Accumulator.mul(x, row, negate, instance)``, so a check
+that replays a list walks no index again: ``_jacobi_list`` walks the
+nonzero hops [alpha(e_a), [e_b, e_c]] through T into the cyclic sums of
+the triples they enter (never the n^3 / 6 triples), and
+``_morphism_list`` the instances of f([e_i, e_j]) - [f(e_i), f(e_j)].
+Each algebra keeps one kernel for its alpha
+(``HomSuperAlgebra._tables``), keyed on the alpha object and built
+again once alpha is rebound, so every check, ``delta1`` pair and
+adjoint walk over one algebra reads the same tables, and every check
+replays the same lists (``check`` its Jacobi list through
+``HomSuperAlgebra._jacobi_hops``, ``check`` and ``is_multiplicative``
+its multiplicativity list through ``_morphism_table``); the residuals
+themselves are never kept, and each replay performs every product
+again.  ``jacobi_residual`` and a morphism check build throwaway lists
+with the same builders, the morphism check on a kernel of its own, and
+a representation or admissibility check walks its own ``_images``.
+``_bracket_into`` adds [f(e_a), y] = sum_b y_b T[a][b] and
+``_bracket_morphism`` f([e_i, e_j]) - [f(e_i), f(e_j)] into an
+accumulator, at the cells a prefix and a suffix place them in.  Each
+bilinear check adds every instance it walks or replays into one
+accumulator keyed by (instance, cell), and ``_grouped`` reads the
+nonzero instances back in sorted order.  alpha reaches the slots a
 bracket walk leaves untouched once, through ``_beside(t, alpha)``: per
 slot s, t's cells with alpha on every other slot.  ``_ad_images`` gives
 ad_{e_m}(t) for every m in one walk over ``_beside(t)``, less the cells
@@ -319,12 +330,16 @@ class _Kernel:
     ``twisted`` is T = ``_images(rows, f)``, ``index[m]`` the a with
     T[a][m] nonzero (the Jacobi hops through e_m), ``acting[u]`` the m
     with rows[m][u] nonzero and ``live`` the ``_live_images`` of T, each
-    entry built on first read and then kept.  ``HomSuperAlgebra._tables``
-    keeps one per algebra, for its alpha; a morphism check builds one for
-    f."""
+    entry built on first read and then kept.  So are the product lists
+    ``jacobi`` (``_jacobi_list`` of every nonzero [e_b, e_c], each hop
+    at its nondecreasing rotations) and ``morphism`` (``_morphism_list``
+    of the rows to themselves), which a check replays (``_replayed``).
+    ``HomSuperAlgebra._tables`` keeps one per algebra, for its alpha; a
+    morphism check builds one for f."""
 
     def __init__(self, rows, f):
-        self.rows, self.f, self._live = rows, f, None
+        self.rows, self.f = rows, f
+        self._live = self._jacobi = self._morphism = None
         self.twisted = twisted = _images(rows, f._cols)
         hit = {}  # e_i -> the a whose f(e_a) has an e_i term
         for a, col in enumerate(f._cols):
@@ -339,6 +354,59 @@ class _Kernel:
         if self._live is None:
             self._live = _live_images(self.rows, self.f._cols)
         return self._live
+
+    @property
+    def jacobi(self):
+        if self._jacobi is None:
+            self._jacobi = _jacobi_list(self, [(b, c) for b, plane in enumerate(self.rows)
+                                               for c, row in enumerate(plane) if row],
+                                        _sorted_rotations)
+        return self._jacobi
+
+    @property
+    def morphism(self):
+        if self._morphism is None:
+            self._morphism = _morphism_list(self.rows, self)
+        return self._morphism
+
+
+def _jacobi_list(kernel, pairs, targets):
+    """The product list of the Jacobi residuals of the algebra rows and
+    alpha that *kernel* was built for.
+
+    The cyclic sum of (i, j, k) has the hops [alpha(e_a), [e_b, e_c]] for
+    (a, b, c) = (i, j, k), (k, i, j) and (j, k, i), each with the sign
+    (-1)^{|e_a||e_c|}; so each hop enters the triples (a, b, c), (b, c, a)
+    and (c, a, b), and ``targets(a, b, c)`` says which of those are
+    wanted, with repeats.  For each (b, c) in *pairs* and each term y_m
+    e_m of [e_b, e_c], the hop a runs over ``kernel.index[m]``, and each
+    wanted triple t gets the entry (y_m, T[a][m], sign, t), which
+    ``_replayed`` adds into one accumulator keyed by (i, j, k, l) for the
+    cells (l,) of T[a][m].  Hops with no wanted triple add nothing."""
+    p = kernel.f.src.parities
+    rows, twisted, index = kernel.rows, kernel.twisted, kernel.index
+    out = []
+    for b, c in pairs:
+        pc = p[c]
+        for (m,), y in rows[b][c]:
+            for a in index[m]:
+                rotations = targets(a, b, c)
+                if rotations:
+                    row, negate = twisted[a][m], p[a] & pc
+                    for t in rotations:
+                        out.append((y, row, negate, t))
+    return out
+
+
+def _replayed(ring, entries, split):
+    """The product list *entries*, each (x, row, negate, prefix), added
+    into one accumulator over *ring* by ``_Accumulator.mul(x, row,
+    negate, prefix)``: the nonzero cells grouped by their first *split*
+    indices (``_grouped``)."""
+    acc = _Accumulator(ring)
+    for x, row, negate, prefix in entries:
+        acc.mul(x, row, negate, prefix)
+    return _grouped(acc.cells(), split)
 
 
 def _bracket_morphism(acc, image, src_rows, images, right, i, j, negate,
@@ -356,19 +424,37 @@ def _bracket_morphism(acc, image, src_rows, images, right, i, j, negate,
     return _bracket_into(acc, images[i], right[j], not negate, prefix, suffix)
 
 
+def _morphism_list(src_rows, kernel):
+    """The product list of the bracket-morphism residuals f([e_i, e_j]) -
+    [f(e_i), f(e_j)] from the bracket rows *src_rows* to the rows of the
+    map f that *kernel*, the ``_Kernel`` of the target rows under f, was
+    built for.  For every (i, j) with [e_i, e_j] nonzero, or with [f(e_i),
+    -] possibly nonzero (``kernel.live``), it holds f([e_i, e_j]) as the
+    entries (v_k, f(e_k), False, (i, j)) and [f(e_i), f(e_j)] as the
+    entries (y_b, T[i][b], True, (i, j)), for ``_replayed``."""
+    cols, images, live = kernel.f._cols, kernel.twisted, kernel.live
+    out = []
+    for i, plane in enumerate(src_rows):
+        for j, row in enumerate(plane):
+            if row or i in live:
+                ij, image = (i, j), images[i]
+                for (k,), v in row:
+                    if cols[k]:
+                        out.append((v, cols[k], False, ij))
+                for (b,), y in cols[j]:
+                    if image[b]:
+                        out.append((y, image[b], True, ij))
+    return out
+
+
 def _morphism_table(src, dst, kernel):
     """The nonzero bracket-morphism residuals from src to dst of the map f
     that *kernel*, the ``_Kernel`` of dst's rows under f, was built for,
-    as {(i, j): {(k,): value}} in sorted order.  One walk adds every (i,
-    j) with [e_i, e_j] nonzero, or with [f(e_i), -] possibly nonzero
-    (``kernel.live``), into one accumulator keyed by (i, j, k)."""
-    cols, images, live = kernel.f._cols, kernel.twisted, kernel.live
-    acc = _Accumulator(dst.ring)
-    for i, plane in enumerate(src._rows):
-        for j, row in enumerate(plane):
-            if row or i in live:
-                _bracket_morphism(acc, cols, src._rows, images, cols, i, j, False, (i, j))
-    return _grouped(acc.cells(), 2)
+    as {(i, j): {(k,): value}} in sorted order: the replayed
+    ``_morphism_list``, the one the kernel keeps where src has its
+    rows."""
+    entries = kernel.morphism if src._rows is kernel.rows else _morphism_list(src._rows, kernel)
+    return _replayed(dst.ring, entries, 2)
 
 
 def _cobracket_morphism(dst, x, f, plane):
@@ -475,8 +561,8 @@ class HomSuperAlgebra:
         def targets(a, b, c):
             return [t for t in ((a, b, c), (b, c, a), (c, a, b)) if t == ijk]
         # the hops of (i, j, k) bracket these pairs, each walked once
-        hops = self._jacobi_hops(dict.fromkeys([(j, k), (k, i), (i, j)]), targets)
-        return self._vector(hops.get(ijk, {}))
+        entries = _jacobi_list(self._tables(), dict.fromkeys([(j, k), (k, i), (i, j)]), targets)
+        return self._vector(self._jacobi_hops(entries).get(ijk, {}))
 
     def mult_residual(self, i, j):
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
@@ -495,32 +581,13 @@ class HomSuperAlgebra:
             acc.add(k, v, p[i] & p[j])
         return acc.cells()
 
-    def _jacobi_hops(self, pairs, targets):
-        """The nonzero Jacobi residual cells of the triples a hop is added
-        into, as {(i, j, k): {(m,): value}} in sorted order (``_grouped``),
-        read from the twisted-bracket table T and its hop index
-        (``_tables``).
-
-        The cyclic sum of (i, j, k) has the hops [alpha(e_a), [e_b, e_c]]
-        for (a, b, c) = (i, j, k), (k, i, j) and (j, k, i), each with the
-        sign (-1)^{|e_a||e_c|}; so each hop enters the triples (a, b, c),
-        (b, c, a) and (c, a, b), and ``targets(a, b, c)`` says which of
-        those the caller asks for, with repeats.  For each (b, c) in
-        *pairs* and each term y_m e_m of [e_b, e_c], the kernel walks the a
-        with T[a][m] nonzero, indexed once per alpha, and adds y_m T[a][m]
-        into each of those triples, one product per term of T[a][m], all
-        into one accumulator keyed by (i, j, k, m).  Its cost follows these
-        nonzero products, not the number of triples."""
-        p, rows, kernel = self.basis.parities, self._rows, self._tables()
-        twisted, index = kernel.twisted, kernel.index
-        acc = _Accumulator(self.ring)  # cells (i, j, k, m) of every triple
-        for b, c in pairs:
-            for (m,), y in rows[b][c]:
-                for a in index[m]:
-                    row, negate = twisted[a][m], p[a] & p[c]
-                    for t in targets(a, b, c):
-                        acc.mul(y, row, negate, t)
-        return _grouped(acc.cells(), 3)
+    def _jacobi_hops(self, entries):
+        """The nonzero Jacobi residual cells of the triples a ``_jacobi_list``
+        *entries* adds into, as {(i, j, k): {(m,): value}} in sorted order:
+        the list replayed, one product per term of each hop's T[a][m].
+        Its cost follows these nonzero products, not the number of
+        triples."""
+        return _replayed(self.ring, entries, 3)
 
     # -- checks ----------------------------------------------------------
 
@@ -532,9 +599,7 @@ class HomSuperAlgebra:
         n = self.dim
         rows = self._rows
         pairs = [(i, j) for i in range(n) for j in range(i, n) if rows[i][j] or rows[j][i]]
-        hops = self._jacobi_hops([(b, c) for b, plane in enumerate(rows)
-                                  for c, row in enumerate(plane) if row],
-                                 _sorted_rotations)
+        hops = self._jacobi_hops(self._tables().jacobi)
         found = (_violations("skew", pairs, self._skew_cells)
                  + [Violation("jacobi", t, cells) for t, cells in hops.items()])
         if multiplicative:

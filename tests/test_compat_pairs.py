@@ -25,6 +25,7 @@ import glmn  # noqa: E402
 from dense_oracle import t2_dict  # noqa: E402
 from hlsb import structures  # noqa: E402
 from hlsb.catalog import Stratum, catalog_list, expand_variants, get_row  # noqa: E402
+from hlsb.constructions import check_algebra_morphism  # noqa: E402
 from hlsb.structures import HomSuperAlgebra, HomSuperBialgebra, delta0, delta1  # noqa: E402
 from hlsb.superlinear import EvenMap, SuperBasis, Tensor2  # noqa: E402
 from hlsb.yangbaxter import coboundary_from_r  # noqa: E402
@@ -204,3 +205,61 @@ def test_rebinding_alpha_rebuilds_the_tables():
                 == [(v.axiom, v.indices, v.residual) for v in want.violations])
         grid = delta1(A, deltas)
         assert any(t for line in grid for t in line) and grid == delta1(fresh, deltas)
+
+
+def violation_list(report):
+    return [(v.axiom, v.indices, v.residual) for v in report.violations]
+
+
+def test_the_algebra_builds_its_product_lists_once(monkeypatch):
+    """Two coboundary checks over one gl(2|1) and a multiplicativity test
+    after them replay the Jacobi and multiplicativity product lists that
+    the algebra's kernel keeps: each is built once, for that kernel."""
+    A = glmn.gl_algebra(2, 1)
+    built = {"_jacobi_list": [], "_morphism_list": []}
+    for name, calls in built.items():
+        def counted(*args, _calls=calls, _build=getattr(structures, name)):
+            _calls.append(args)
+            return _build(*args)
+        monkeypatch.setattr(structures, name, counted)
+    wedges = [glmn.cartan_wedge(A, 2, 1),
+              Tensor2.from_dict(A.ring, A.basis, {(0, 4): 1, (4, 0): -1})]
+    for r in wedges:
+        assert coboundary_from_r(A, r).check(multiplicative=True).passed
+    assert A.is_multiplicative()
+    kernel = A._tables()
+    [(jacobi_kernel, _, _)], [(rows, morphism_kernel)] = built.values()
+    assert jacobi_kernel is morphism_kernel is kernel and rows is A._rows
+    assert kernel.jacobi and kernel.morphism
+
+
+def test_a_morphism_check_keeps_the_algebra_lists():
+    """A morphism check of the same algebra into itself, between two
+    checks, builds its lists on a kernel of its own: the algebra's kept
+    lists stay, and the second check reports what the first did and what a
+    freshly built algebra does, on the shifted gl(2|1) control, which
+    fails skew symmetry, Hom-Jacobi and multiplicativity."""
+    A = glmn.control_algebra()
+    first = violation_list(A.check(multiplicative=True))
+    kernel = A._tables()
+    kept = kernel.jacobi, kernel.morphism
+    square = A.alpha.power(2)
+    morphism = violation_list(check_algebra_morphism(square, A, A))
+    second = violation_list(A.check(multiplicative=True))
+    fresh = HomSuperAlgebra(A.ring, A.basis, A.bracket, A.alpha)
+    assert {axiom for axiom, _, _ in first} == glmn.CONTROL_VIOLATIONS
+    assert second == first == violation_list(fresh.check(multiplicative=True))
+    assert A._tables() is kernel
+    assert all(x is y for x, y in zip((kernel.jacobi, kernel.morphism), kept))
+    assert morphism == violation_list(check_algebra_morphism(square, fresh, fresh))
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2)])
+def test_replayed_checks_pass_as_the_first(m, n):
+    """A second coboundary check on one gl(m|n) replays the lists the
+    first built, and passes as the first did (the shifted control's
+    replayed violations are held to its first check's above)."""
+    A = glmn.gl_algebra(m, n)
+    r = glmn.cartan_wedge(A, m, n)
+    for _ in range(2):
+        assert coboundary_from_r(A, r).check(multiplicative=True).passed
