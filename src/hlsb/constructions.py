@@ -19,17 +19,17 @@ its halves once.  The public constructors (``Representation``,
 still validate what a caller passes.
 
 Morphism, representation and admissibility checks run on the bracket
-kernels of :mod:`hlsb.structures`, reading one ``_images`` table per
-check (of f, of alpha over the action rows, of Id - alpha^2):
-``_bracket_into`` adds [f(e_a), y] from it and ``_bracket_morphism``
-f([x, y]) - [f(x), f(y)].  Each check walks its nonzero bracket rows,
-action columns and map columns once and adds every instance into one
-flat term accumulator (``hlsb.scalar._Accumulator``) keyed by
-(instance, cell); ``_grouped`` reads the nonzero instances back in
-sorted order, and a vector or matrix is filled only for a reported
-violation or for ``act``.  ``_cobracket_morphism`` gives delta(f(x)) -
-(f (x) f) delta(x) for morphism checks; ``twist`` multiplies beta's
-columns straight into the delta planes.
+kernels of :mod:`hlsb.structures`, one ``_Kernel`` per check (of f, of
+alpha over the action rows, of Id - alpha^2).  A morphism check and a
+representation's intertwining replay a ``_morphism_list`` with
+``_replayed``; the action and admissibility residuals walk their nonzero
+action and map columns once through ``_bracket_into``.  Each check adds
+every instance into one flat term accumulator
+(``hlsb.scalar._Accumulator``) keyed by (instance, cell) and reads the
+nonzero instances back in sorted order, and a vector or matrix is filled
+only for a reported violation or for ``act``.  ``_cobracket_morphism``
+gives delta(f(x)) - (f (x) f) delta(x) for morphism checks; ``twist``
+multiplies beta's columns straight into the delta planes.
 """
 
 from __future__ import annotations
@@ -45,17 +45,16 @@ from .structures import (
     Violation,
     _bracket_cells,
     _bracket_into,
-    _bracket_morphism,
     _cobracket_cells,
     _cobracket_morphism,
     _group,
     _grouped,
     _images,
     _Kernel,
-    _live_images,
-    _morphism_table,
+    _morphism_list,
     _odd_cells,
     _prefixed,
+    _replayed,
     _violations,
     delta1,
 )
@@ -71,8 +70,9 @@ def check_algebra_morphism(f, src, dst):
     """Is f a morphism of bracket structures (bracket- and twist-compatible)?"""
     if f.src != src.basis or f.dst != dst.basis:
         raise DimensionMismatchError("map bases do not match the structures")
-    violations = [Violation("bracket-morphism", ij, dst._vector(cells)) for ij, cells
-                  in _morphism_table(src, dst, _Kernel(dst._rows, f)).items()]
+    residuals = _replayed(dst.ring, _morphism_list(src._rows, _Kernel(dst._rows, f)), 2)
+    violations = [Violation("bracket-morphism", ij, dst._vector(cells))
+                  for ij, cells in residuals.items()]
     diff = _map_cells(f.compose(src.alpha))
     for idx, v in _map_cells(dst.alpha.compose(f)).items():
         _add_at(diff, idx, v, True)
@@ -359,15 +359,9 @@ class Representation:
         A, rows, beta = self.algebra, self._rows, self.module_map._cols
         p, d = A.basis.parities, self.module_basis.dim
         # rho(alpha(e_a)) v_m, read by both residuals
-        images = _images(rows, A.alpha._cols)
-        live = _live_images(rows, A.alpha._cols)
-        # column c of the intertwine residual at i, at cells (i, k, c)
-        intertwine = _Accumulator(self.ring)
-        for i, plane in enumerate(rows):
-            for c, col in enumerate(plane):
-                if col or i in live:
-                    _bracket_morphism(intertwine, beta, rows, images, beta, i, c, True,
-                                      (i,), (c,))
+        kernel = _Kernel(rows, A.alpha)
+        # beta(rho(e_i) v_c) - rho(alpha(e_i)) beta(v_c) at cells (i, c, k)
+        intertwine = _replayed(self.ring, _morphism_list(rows, kernel, right=beta), 1)
         # column c of the action residual at (i, j), at cells (i, j, k, c):
         # rho([e_i, e_j]) beta(e_c) - rho(alpha(e_i)) rho(e_j) v_c
         # + (-1)^{|e_i||e_j|} rho(alpha(e_j)) rho(e_i) v_c
@@ -381,14 +375,16 @@ class Representation:
         for j, plane in enumerate(rows):
             for c, col in enumerate(plane):
                 if col:
-                    for i in live:
-                        _bracket_into(action, images[i], col, True, (i, j), (c,))
-                        _bracket_into(action, images[i], col, p[i] & p[j], (j, i), (c,))
+                    for i in kernel.live:
+                        _bracket_into(action, kernel.twisted[i], col, True, (i, j), (c,))
+                        _bracket_into(action, kernel.twisted[i], col, p[i] & p[j], (j, i), (c,))
 
         def matrix(cells):
             return _filled(cells, (d, d), self.ring.zero())
-        found = ([Violation("action-intertwine", i, matrix(cells))
-                  for i, cells in _grouped(intertwine.cells(), 1).items()]
+        # the intertwine matrices hold rho(alpha(e_i)) beta - beta rho(e_i), at (k, c)
+        found = ([Violation("action-intertwine", i,
+                            matrix({(k, c): -v for (c, k), v in cells.items()}))
+                  for i, cells in intertwine.items()]
                  + [Violation("action-bracket", ij, matrix(cells))
                     for ij, cells in _grouped(action.cells(), 2).items()])
         return CheckReport("representation", self.grading_violations() + found)
@@ -422,11 +418,11 @@ def check_admissible(algebra):
     defect = {(i, i): A.ring.one() for i in range(n)}
     for idx, v in _map_cells(A.alpha.power(2)).items():
         _add_at(defect, idx, v, True)
-    defect = _columns(defect, n)
-    images, acc = _images(A._rows, defect), _Accumulator(A.ring)
-    for i in _live_images(A._rows, defect):
+    kernel = _Kernel(A._rows, EvenMap._wrap(A.ring, A.basis, A.basis, _columns(defect, n)))
+    acc = _Accumulator(A.ring)
+    for i in kernel.live:
         for j, col in enumerate(A.alpha._cols):
-            _bracket_into(acc, images[i], col, False, (i, j))
+            _bracket_into(acc, kernel.twisted[i], col, False, (i, j))
     return CheckReport("admissible", [Violation("admissible", ij, A._vector(cells))
                                       for ij, cells in _grouped(acc.cells(), 2).items()])
 

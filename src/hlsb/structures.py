@@ -32,35 +32,26 @@ first use.
 
 Every bracket of an image runs on one kernel set.  ``_images(rows,
 cols)`` is the lazy table T[a][m] = [f(e_a), e_m] for bracket (or action)
-rows and a map's columns, each T[a] built on first read;
-``_live_images`` gives the a for which T[a] can be nonzero.  A
-``_Kernel`` holds these two for rows under a map, with the Jacobi hop
-index, the ``acting`` lists of the adjoint walk and two product lists,
-each built on first read.  A product list holds every product a check
-adds, as entries (x, row, negate, instance), and ``_replayed`` adds
-them all into one ``hlsb.scalar._Accumulator`` keyed by (instance,
-cell) with ``_Accumulator.mul(x, row, negate, instance)``, so a check
-that replays a list walks no index again: ``_jacobi_list`` walks the
+rows and a map's columns, each T[a] built on first read.  A ``_Kernel``
+holds T for rows under a map with the Jacobi hop index, the ``acting``
+lists of the adjoint walk, the ``live`` a for which T[a] can be nonzero
+and two product lists, each built on first read.  A product list holds
+every product a residual adds, as entries (x, row, negate, instance),
+and ``_replayed`` adds them into one ``hlsb.scalar._Accumulator`` keyed
+by (instance, cell) and reads the nonzero instances back in sorted order
+(``_grouped``).  Two builders make the lists: ``_jacobi_list`` walks the
 nonzero hops [alpha(e_a), [e_b, e_c]] through T into the cyclic sums of
 the triples they enter (never the n^3 / 6 triples), and
-``_morphism_list`` the instances of f([e_i, e_j]) - [f(e_i), f(e_j)].
-Each algebra keeps one kernel for its alpha
-(``HomSuperAlgebra._tables``), keyed on the alpha object and built
-again once alpha is rebound, so every check, ``delta1`` pair and
-adjoint walk over one algebra reads the same tables, and every check
-replays the same lists (``check`` its Jacobi list through
-``HomSuperAlgebra._jacobi_hops``, ``check`` and ``is_multiplicative``
-its multiplicativity list through ``_morphism_table``); the residuals
-themselves are never kept, and each replay performs every product
-again.  ``jacobi_residual`` and a morphism check build throwaway lists
-with the same builders, the morphism check on a kernel of its own, and
-a representation or admissibility check walks its own ``_images``.
-``_bracket_into`` adds [f(e_a), y] = sum_b y_b T[a][b] and
-``_bracket_morphism`` f([e_i, e_j]) - [f(e_i), f(e_j)] into an
-accumulator, at the cells a prefix and a suffix place them in.  Each
-bilinear check adds every instance it walks or replays into one
-accumulator keyed by (instance, cell), and ``_grouped`` reads the
-nonzero instances back in sorted order.  alpha reaches the slots a
+``_morphism_list`` gives every bracket-morphism residual g([e_i, e_j]) -
+[f(e_i), g(e_j)]: multiplicativity and ``mult_residual`` (f = g =
+alpha), a morphism check (f = g) and a representation's intertwining
+(action rows, f = alpha, g the module map).  Each algebra keeps one
+kernel for its alpha (``HomSuperAlgebra._tables``), built again once
+alpha is rebound, so every check replays the kernel's ``jacobi`` and
+``morphism`` lists and every ``delta1`` pair and adjoint walk reads the
+same tables; ``jacobi_residual`` and ``mult_residual`` replay a list of
+their one instance.  ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
+T[a][b] into an accumulator.  alpha reaches the slots a
 bracket walk leaves untouched once, through ``_beside(t, alpha)``: per
 slot s, t's cells with alpha on every other slot.  ``_ad_images`` gives
 ad_{e_m}(t) for every m in one walk over ``_beside(t)``, less the cells
@@ -96,6 +87,7 @@ tensor, a scalar or a sparse cell dict, each falsy exactly when zero).
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from operator import getitem, itemgetter
 
@@ -318,28 +310,19 @@ def _images(rows, cols):
     return _Lazy(table)
 
 
-def _live_images(rows, cols):
-    """The a for which ``_images(rows, cols)[a]`` can be nonzero: f(e_a)
-    has a term e_m whose bracket (or action) plane rows[m] is nonzero."""
-    planted = {m for m, plane in enumerate(rows) if any(plane)}
-    return {a for a, col in enumerate(cols) if any(m in planted for (m,), _ in col)}
-
-
 class _Kernel:
-    """The kernel tables of bracket (or action) rows *rows* under a map f:
-    ``twisted`` is T = ``_images(rows, f)``, ``index[m]`` the a with
-    T[a][m] nonzero (the Jacobi hops through e_m), ``acting[u]`` the m
-    with rows[m][u] nonzero and ``live`` the ``_live_images`` of T, each
-    entry built on first read and then kept.  So are the product lists
-    ``jacobi`` (``_jacobi_list`` of every nonzero [e_b, e_c], each hop
-    at its nondecreasing rotations) and ``morphism`` (``_morphism_list``
-    of the rows to themselves), which a check replays (``_replayed``).
-    ``HomSuperAlgebra._tables`` keeps one per algebra, for its alpha; a
-    morphism check builds one for f."""
+    """The kernel tables of bracket (or action) rows *rows* under a map f,
+    each built on first read and then kept: ``twisted`` is T =
+    ``_images(rows, f)``, ``index[m]`` the a with T[a][m] nonzero (the
+    Jacobi hops through e_m), ``acting[u]`` the m with rows[m][u] nonzero,
+    ``live`` the a for which T[a] can be nonzero (f(e_a) has a term e_m
+    with rows[m] nonzero), and the product lists ``jacobi`` (every nonzero
+    [e_b, e_c], each hop at its nondecreasing rotations) and ``morphism``
+    (the rows to themselves), which a check replays (``_replayed``).
+    ``HomSuperAlgebra._tables`` keeps one per algebra, for its alpha."""
 
     def __init__(self, rows, f):
         self.rows, self.f = rows, f
-        self._live = self._jacobi = self._morphism = None
         self.twisted = twisted = _images(rows, f._cols)
         hit = {}  # e_i -> the a whose f(e_a) has an e_i term
         for a, col in enumerate(f._cols):
@@ -349,25 +332,19 @@ class _Kernel:
                                                   for a in hit.get(i, ())} if twisted[a][m]])
         self.acting = _Lazy(lambda u: [m for m, plane in enumerate(rows) if plane[u]])
 
-    @property
+    @cached_property
     def live(self):
-        if self._live is None:
-            self._live = _live_images(self.rows, self.f._cols)
-        return self._live
+        planted = {m for m, plane in enumerate(self.rows) if any(plane)}
+        return {a for a, col in enumerate(self.f._cols) if any(m in planted for (m,), _ in col)}
 
-    @property
+    @cached_property
     def jacobi(self):
-        if self._jacobi is None:
-            self._jacobi = _jacobi_list(self, [(b, c) for b, plane in enumerate(self.rows)
-                                               for c, row in enumerate(plane) if row],
-                                        _sorted_rotations)
-        return self._jacobi
+        return _jacobi_list(self, [(b, c) for b, plane in enumerate(self.rows)
+                                   for c, row in enumerate(plane) if row], _sorted_rotations)
 
-    @property
+    @cached_property
     def morphism(self):
-        if self._morphism is None:
-            self._morphism = _morphism_list(self.rows, self)
-        return self._morphism
+        return _morphism_list(self.rows, self)
 
 
 def _jacobi_list(kernel, pairs, targets):
@@ -402,59 +379,44 @@ def _replayed(ring, entries, split):
     """The product list *entries*, each (x, row, negate, prefix), added
     into one accumulator over *ring* by ``_Accumulator.mul(x, row,
     negate, prefix)``: the nonzero cells grouped by their first *split*
-    indices (``_grouped``)."""
+    indices (``_grouped``); an empty list builds no accumulator."""
+    if not entries:
+        return {}
     acc = _Accumulator(ring)
     for x, row, negate, prefix in entries:
         acc.mul(x, row, negate, prefix)
     return _grouped(acc.cells(), split)
 
 
-def _bracket_morphism(acc, image, src_rows, images, right, i, j, negate,
-                      prefix=(), suffix=()):
-    """acc += image([e_i, e_j]) - [left(e_i), right(e_j)], or -= if
-    *negate*, into the ``_Accumulator`` *acc*, each cell k placed at
-    prefix + (k,) + suffix, for bracket (or action) rows *src_rows*,
-    sparse map columns *image* and *right*, and the table *images* =
-    ``_images(dst_rows, left)``.  With image = left = right = f it is f's
-    bracket-morphism residual at (i, j), with f = alpha the
-    multiplicativity residual; with action rows, left = alpha and image =
-    right = the module map it is an intertwining column.  Returns acc."""
-    for (k,), v in src_rows[i][j]:
-        acc.mul(v, image[k], negate, prefix, suffix)
-    return _bracket_into(acc, images[i], right[j], not negate, prefix, suffix)
-
-
-def _morphism_list(src_rows, kernel):
-    """The product list of the bracket-morphism residuals f([e_i, e_j]) -
-    [f(e_i), f(e_j)] from the bracket rows *src_rows* to the rows of the
-    map f that *kernel*, the ``_Kernel`` of the target rows under f, was
-    built for.  For every (i, j) with [e_i, e_j] nonzero, or with [f(e_i),
-    -] possibly nonzero (``kernel.live``), it holds f([e_i, e_j]) as the
-    entries (v_k, f(e_k), False, (i, j)) and [f(e_i), f(e_j)] as the
-    entries (y_b, T[i][b], True, (i, j)), for ``_replayed``."""
-    cols, images, live = kernel.f._cols, kernel.twisted, kernel.live
+def _morphism_list(src_rows, kernel, pairs=None, right=None):
+    """The product list of the bracket-morphism residuals g([e_i, e_j]) -
+    [f(e_i), g(e_j)], for bracket (or action) rows *src_rows* and the map
+    f that *kernel*, the ``_Kernel`` of the target rows under f, was built
+    for; g has the sparse columns *right*, f's own by default.  With g = f
+    it is f's bracket-morphism residual, with f = alpha the
+    multiplicativity residual, and with action rows and g the module map
+    it is the intertwining residual at (i, c).  For each (i, j) of
+    *pairs*, by default every (i, j) with [e_i, e_j] nonzero or with
+    [f(e_i), -] possibly nonzero (``kernel.live``), it holds g([e_i, e_j])
+    as the entries (v_k, g(e_k), False, (i, j)) and [f(e_i), g(e_j)] as
+    the entries (y_b, T[i][b], True, (i, j)), for ``_replayed``."""
+    twisted = kernel.twisted
+    right = kernel.f._cols if right is None else right
+    if pairs is None:
+        live = kernel.live
+        pairs = [(i, j) for i, plane in enumerate(src_rows)
+                 for j, row in enumerate(plane) if row or i in live]
     out = []
-    for i, plane in enumerate(src_rows):
-        for j, row in enumerate(plane):
-            if row or i in live:
-                ij, image = (i, j), images[i]
-                for (k,), v in row:
-                    if cols[k]:
-                        out.append((v, cols[k], False, ij))
-                for (b,), y in cols[j]:
-                    if image[b]:
-                        out.append((y, image[b], True, ij))
+    for ij in pairs:
+        i, j = ij
+        image = twisted[i]
+        for (k,), v in src_rows[i][j]:
+            if right[k]:
+                out.append((v, right[k], False, ij))
+        for (b,), y in right[j]:
+            if image[b]:
+                out.append((y, image[b], True, ij))
     return out
-
-
-def _morphism_table(src, dst, kernel):
-    """The nonzero bracket-morphism residuals from src to dst of the map f
-    that *kernel*, the ``_Kernel`` of dst's rows under f, was built for,
-    as {(i, j): {(k,): value}} in sorted order: the replayed
-    ``_morphism_list``, the one the kernel keeps where src has its
-    rows."""
-    entries = kernel.morphism if src._rows is kernel.rows else _morphism_list(src._rows, kernel)
-    return _replayed(dst.ring, entries, 2)
 
 
 def _cobracket_morphism(dst, x, f, plane):
@@ -562,15 +524,13 @@ class HomSuperAlgebra:
             return [t for t in ((a, b, c), (b, c, a), (c, a, b)) if t == ijk]
         # the hops of (i, j, k) bracket these pairs, each walked once
         entries = _jacobi_list(self._tables(), dict.fromkeys([(j, k), (k, i), (i, j)]), targets)
-        return self._vector(self._jacobi_hops(entries).get(ijk, {}))
+        return self._vector(_replayed(self.ring, entries, 3).get(ijk, {}))
 
     def mult_residual(self, i, j):
         """alpha([e_i,e_j]) - [alpha(e_i), alpha(e_j)]."""
-        i, j = self._indices(i, j)
-        cols = self.alpha._cols
-        return self._vector(_bracket_morphism(_Accumulator(self.ring), cols, self._rows,
-                                              self._tables().twisted, cols, i, j,
-                                              False).cells())
+        ij = _basis_index(i, self.dim), _basis_index(j, self.dim)
+        entries = _morphism_list(self._rows, self._tables(), [ij])
+        return self._vector(_replayed(self.ring, entries, 2).get(ij, {}))
 
     def _skew_cells(self, i, j):
         """skew_residual(i, j) as sparse ``{(k,): value}`` cells."""
@@ -580,14 +540,6 @@ class HomSuperAlgebra:
         for k, v in self._rows[j][i]:
             acc.add(k, v, p[i] & p[j])
         return acc.cells()
-
-    def _jacobi_hops(self, entries):
-        """The nonzero Jacobi residual cells of the triples a ``_jacobi_list``
-        *entries* adds into, as {(i, j, k): {(m,): value}} in sorted order:
-        the list replayed, one product per term of each hop's T[a][m].
-        Its cost follows these nonzero products, not the number of
-        triples."""
-        return _replayed(self.ring, entries, 3)
 
     # -- checks ----------------------------------------------------------
 
@@ -599,16 +551,16 @@ class HomSuperAlgebra:
         n = self.dim
         rows = self._rows
         pairs = [(i, j) for i in range(n) for j in range(i, n) if rows[i][j] or rows[j][i]]
-        hops = self._jacobi_hops(self._tables().jacobi)
+        hops = _replayed(self.ring, self._tables().jacobi, 3)
         found = (_violations("skew", pairs, self._skew_cells)
                  + [Violation("jacobi", t, cells) for t, cells in hops.items()])
         if multiplicative:
             found += [Violation("multiplicative", ij, cells) for ij, cells
-                      in _morphism_table(self, self, self._tables()).items()]
+                      in _replayed(self.ring, self._tables().morphism, 2).items()]
         return self.grading_violations() + _densified(found, self._vector)
 
     def is_multiplicative(self):
-        return not _morphism_table(self, self, self._tables())
+        return not _replayed(self.ring, self._tables().morphism, 2)
 
 
 class HomSuperCoalgebra:

@@ -228,6 +228,35 @@ def test_representations_are_exactly_the_actions_with_a_valid_semidirect_product
     assert agree[True] > 50 and agree[False] > 50
 
 
+def test_zero_dimensional_structures_pass_every_check():
+    """A dim-0 algebra and bialgebra, and a small algebra acting on a dim-0
+    module, run through every check and construction whose bracket walks
+    enumerate rows: nothing indexes a first row, and the module's empty
+    columns are its own, not alpha's."""
+    empty = SuperBasis(())
+    A = HomSuperAlgebra(QQ, empty, {}, {})
+    B = HomSuperBialgebra(QQ, empty, {}, {}, {})
+    assert A.check(multiplicative=True).passed and A.is_multiplicative()
+    assert B.check(multiplicative=True).passed
+    square = twist_power(B, 2)
+    assert square.dim == 0 and square.check(multiplicative=True).passed
+    assert check_admissible(A).passed and check_admissible(B.algebra).passed
+    assert adjoint_representation(A).check().passed
+    assert dual_representation(adjoint_representation(A)).check().passed
+    small = HomSuperAlgebra(QQ, SuperBasis([0, 1]), {(0, 1, 1): 1, (1, 0, 1): -1},
+                            {(0, 0): 1, (1, 1): 1})
+    assert small.check(multiplicative=True).passed
+    rep = Representation(small, empty, [], {})
+    assert rep.check().passed and dual_representation(rep).check().passed
+    S = semidirect_product(small, rep)
+    assert S.dim == 2 and S.check(multiplicative=True).passed
+    assert semidirect_product(A, adjoint_representation(A)).check().passed
+    D = dualize(B)
+    assert D.dim == 0 and D.check(multiplicative=True).passed
+    M = manin_supertriple(A, D.algebra, multiplicative=True)
+    assert M.double.dim == 0 and M.passed
+
+
 def test_transport_structure_gives_an_isomorphic_copy():
     B = diag_family()
     f = EvenMap.diagonal(B.ring, B.basis, [2, 3, 5])
