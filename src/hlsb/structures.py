@@ -323,14 +323,18 @@ class _Kernel:
 
     def __init__(self, rows, f):
         self.rows, self.f = rows, f
-        self.twisted = twisted = _images(rows, f._cols)
+        self.twisted = _images(rows, f._cols)
+        self.acting = _Lazy(lambda u: [m for m, plane in enumerate(rows) if plane[u]])
+
+    @cached_property
+    def index(self):
+        rows, twisted = self.rows, self.twisted
         hit = {}  # e_i -> the a whose f(e_a) has an e_i term
-        for a, col in enumerate(f._cols):
+        for a, col in enumerate(self.f._cols):
             for (i,), _ in col:
                 hit.setdefault(i, []).append(a)
-        self.index = _Lazy(lambda m: [a for a in {a for i, plane in enumerate(rows) if plane[m]
-                                                  for a in hit.get(i, ())} if twisted[a][m]])
-        self.acting = _Lazy(lambda u: [m for m, plane in enumerate(rows) if plane[u]])
+        return _Lazy(lambda m: [a for a in {a for i, plane in enumerate(rows) if plane[m]
+                                            for a in hit.get(i, ())} if twisted[a][m]])
 
     @cached_property
     def live(self):
