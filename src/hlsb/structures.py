@@ -328,13 +328,8 @@ class _Kernel:
 
     @cached_property
     def index(self):
-        rows, twisted = self.rows, self.twisted
-        hit = {}  # e_i -> the a whose f(e_a) has an e_i term
-        for a, col in enumerate(self.f._cols):
-            for (i,), _ in col:
-                hit.setdefault(i, []).append(a)
-        return _Lazy(lambda m: [a for a in {a for i, plane in enumerate(rows) if plane[m]
-                                            for a in hit.get(i, ())} if twisted[a][m]])
+        twisted, live = self.twisted, sorted(self.live)
+        return _Lazy(lambda m: [a for a in live if twisted[a][m]])
 
     @cached_property
     def live(self):
