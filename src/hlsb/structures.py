@@ -33,15 +33,17 @@ first use.
 Every bracket of an image runs on one kernel set.  ``_images(rows,
 cols)`` is the lazy table T[a][m] = [f(e_a), e_m] for bracket (or action)
 rows and a map's columns, each T[a] built on first read.  A ``_Kernel``
-holds T for rows under a map with the Jacobi hop index, the ``acting``
-lists of the adjoint walk, the ``live`` a for which T[a] can be nonzero
-and two product lists, each built on first read.  A product list holds
+holds T for rows under a map, the ``live`` a for which T[a] can be
+nonzero, and, each built on first read, the ``acting`` lists of the
+adjoint walk and two product lists.  A product list holds
 every product a residual adds, as entries (x, row, negate, instance),
 and ``_replayed`` adds them into one ``hlsb.scalar._Accumulator`` keyed
 by (instance, cell) and reads the nonzero instances back in sorted order
 (``_grouped``).  Two builders make the lists: ``_jacobi_list`` walks the
 nonzero hops [alpha(e_a), [e_b, e_c]] through T into the cyclic sums of
-the triples they enter (never the n^3 / 6 triples), and
+the triples they enter (never the n^3 / 6 triples), looking each hop up
+in an index of the live a by the e_m it reaches, built for that one
+list, and
 ``_morphism_list`` gives every bracket-morphism residual g([e_i, e_j]) -
 [f(e_i), g(e_j)]: multiplicativity and ``mult_residual`` (f = g =
 alpha), a morphism check (f = g) and a representation's intertwining
@@ -57,9 +59,9 @@ slot s, t's cells with alpha on every other slot.  ``_ad_images`` gives
 ad_{e_m}(t) for every m in one walk over ``_beside(t)``, less the cells
 on which no bracket row acts (``acting``), the partial brackets of
 :mod:`hlsb.yangbaxter` read it, and ``_compat_residual``
-adds delta([e_i, e_j]) and both ad terms into one accumulator, each an
-alpha-table row times a cell of ``_beside(delta(e_k))``
-(``_compat_tables``).  Products take a ``negate`` flag in place of a
+adds delta([e_i, e_j]) and both ad terms into one accumulator, each a
+row of the algebra's T times a cell of ``_beside(delta(e_k))``, built
+lazily per k by its caller.  Products take a ``negate`` flag in place of a
 negated factor, so a residual that cancels builds no scalar at all.
 ``HomSuperBialgebra.check`` evaluates its compatibility pairs once per
 unordered pair {i, j} where the bracket is skew (deriving (j, i) by the
@@ -311,30 +313,22 @@ def _images(rows, cols):
 
 
 class _Kernel:
-    """The kernel tables of bracket (or action) rows *rows* under a map f,
-    each built on first read and then kept: ``twisted`` is T =
-    ``_images(rows, f)``, ``index[m]`` the a with T[a][m] nonzero (the
-    Jacobi hops through e_m), ``acting[u]`` the m with rows[m][u] nonzero,
-    ``live`` the a for which T[a] can be nonzero (f(e_a) has a term e_m
-    with rows[m] nonzero), and the product lists ``jacobi`` (every nonzero
-    [e_b, e_c], each hop at its nondecreasing rotations) and ``morphism``
-    (the rows to themselves), which a check replays (``_replayed``).
-    ``HomSuperAlgebra._tables`` keeps one per algebra, for its alpha."""
+    """The kernel tables of bracket (or action) rows *rows* under a map f:
+    ``twisted`` is T = ``_images(rows, f)``, ``acting[u]`` the m with
+    rows[m][u] nonzero, ``live`` the a for which T[a] can be nonzero (f(e_a)
+    has a term e_m with rows[m] nonzero), and the product lists ``jacobi``
+    (every nonzero [e_b, e_c], each hop at its nondecreasing rotations) and
+    ``morphism`` (the rows to themselves), which a check replays
+    (``_replayed``).  T, ``acting`` and the lists are built on first read
+    and then kept.  ``HomSuperAlgebra._tables`` keeps one per algebra, for
+    its alpha."""
 
     def __init__(self, rows, f):
         self.rows, self.f = rows, f
         self.twisted = _images(rows, f._cols)
         self.acting = _Lazy(lambda u: [m for m, plane in enumerate(rows) if plane[u]])
-
-    @cached_property
-    def index(self):
-        twisted, live = self.twisted, sorted(self.live)
-        return _Lazy(lambda m: [a for a in live if twisted[a][m]])
-
-    @cached_property
-    def live(self):
-        planted = {m for m, plane in enumerate(self.rows) if any(plane)}
-        return {a for a, col in enumerate(self.f._cols) if any(m in planted for (m,), _ in col)}
+        planted = {m for m, plane in enumerate(rows) if any(plane)}
+        self.live = {a for a, col in enumerate(f._cols) if any(m in planted for (m,), _ in col)}
 
     @cached_property
     def jacobi(self):
@@ -355,12 +349,14 @@ def _jacobi_list(kernel, pairs, targets):
     (-1)^{|e_a||e_c|}; so each hop enters the triples (a, b, c), (b, c, a)
     and (c, a, b), and ``targets(a, b, c)`` says which of those are
     wanted, with repeats.  For each (b, c) in *pairs* and each term y_m
-    e_m of [e_b, e_c], the hop a runs over ``kernel.index[m]``, and each
+    e_m of [e_b, e_c], the hop a runs over ``index[m]``, the live a
+    (sorted) with T[a][m] nonzero, built on first read for this list; each
     wanted triple t gets the entry (y_m, T[a][m], sign, t), which
     ``_replayed`` adds into one accumulator keyed by (i, j, k, l) for the
     cells (l,) of T[a][m].  Hops with no wanted triple add nothing."""
     p = kernel.f.src.parities
-    rows, twisted, index = kernel.rows, kernel.twisted, kernel.index
+    rows, twisted, live = kernel.rows, kernel.twisted, sorted(kernel.live)
+    index = _Lazy(lambda m: [a for a in live if twisted[a][m]])
     out = []
     for b, c in pairs:
         pc = p[c]
@@ -506,18 +502,14 @@ class HomSuperAlgebra:
                 for i, plane in enumerate(self._rows) for j, row in enumerate(plane)
                 for (k,), v in row if (p[i] + p[j] + p[k]) % 2]
 
-    def _indices(self, *idx):
-        """idx, each of which must index the basis (``_basis_index``)."""
-        return [_basis_index(i, self.dim) for i in idx]
-
     def skew_residual(self, i, j):
         """[e_i,e_j] + (-1)^{|e_i||e_j|} [e_j,e_i]."""
-        return self._vector(self._skew_cells(*self._indices(i, j)))
+        return self._vector(self._skew_cells(_basis_index(i, self.dim), _basis_index(j, self.dim)))
 
     def jacobi_residual(self, i, j, k):
         """The graded cyclic sum of [alpha(x), [y, z]] over (e_i,e_j,e_k)."""
-        ijk = tuple(self._indices(i, j, k))
-        i, j, k = ijk
+        n = self.dim
+        ijk = i, j, k = _basis_index(i, n), _basis_index(j, n), _basis_index(k, n)
 
         def targets(a, b, c):
             return [t for t in ((a, b, c), (b, c, a), (c, a, b)) if t == ijk]
@@ -740,23 +732,17 @@ def ad_basis(algebra, m, t):
     return _ad_images(algebra, t)[m]
 
 
-def _compat_tables(algebra, deltas):
-    """The tables compatibility reads: the algebra's twisted-bracket table
-    T (``_tables``), and per k ``_beside(delta(e_k))``, built lazily."""
-    return algebra._tables().twisted, _Lazy(lambda k: _beside(deltas[k], algebra.alpha))
-
-
-def _compat_residual(algebra, deltas, i, j, tables):
+def _compat_residual(algebra, deltas, i, j, beside):
     """delta([e_i,e_j]) - ad_{alpha(e_i)} delta(e_j)
     + (-1)^{|e_i||e_j|} ad_{alpha(e_j)} delta(e_i), added into one accumulator.
 
     ad_{alpha(e_x)} sends e_u (x) e_v to T[x][u] (x) alpha(e_v)
     + (-1)^{|e_x||e_u|} alpha(e_u) (x) T[x][v], so each ad term reads T
     against the two slots of ``_beside(delta(e_t))``, whose cells keep the
-    parity of e_u as alpha is even.  *tables* are ``_compat_tables``, of
-    which only what this pair reads is built."""
-    twisted, beside = tables
-    p = algebra.basis.parities
+    parity of e_u as alpha is even.  T is the algebra's twisted-bracket
+    table (``_tables``), and *beside* a ``_Lazy`` table of
+    ``_beside(delta(e_k))`` per k: only what this pair reads is built."""
+    twisted, p = algebra._tables().twisted, algebra.basis.parities
     acc = _Accumulator(algebra.ring)
     for (k,), c in algebra._rows[i][j]:
         acc.mul(c, deltas[k]._cells.items())
@@ -775,9 +761,10 @@ def _compat_residual(algebra, deltas, i, j, tables):
     return Tensor2._wrap(algebra.ring, algebra.basis, acc.cells())
 
 
-def _compat_residuals(algebra, deltas, nonskew, tables):
+def _compat_residuals(algebra, deltas, nonskew, beside):
     """The nonzero compatibility residuals, as a dict keyed by (i, j) in
-    row-major order, read from the ``_compat_tables`` *tables*.  *nonskew*
+    row-major order, each pair reading the ``_beside`` tables *beside*
+    (``_compat_residual``).  *nonskew*
     holds the pairs (i, j), i <= j, at which the bracket is not skew.
     Where it is skew, [e_j, e_i] = -s [e_i, e_j] with s =
     (-1)^{|e_i||e_j|}; delta is linear and the two ad terms trade places,
@@ -793,7 +780,7 @@ def _compat_residuals(algebra, deltas, nonskew, tables):
                 out[i, j] = out[j, i].scale(-koszul_sign(p[i], p[j]))
         elif ((i != j or p[i] or (i, i) in nonskew)
               and (rows[i][j] or deltas[i]._cells or deltas[j]._cells)
-              and (r := _compat_residual(algebra, deltas, i, j, tables))):
+              and (r := _compat_residual(algebra, deltas, i, j, beside))):
             out[i, j] = r
     return out
 
@@ -835,17 +822,18 @@ class HomSuperBialgebra:
         return self.coalgebra.delta(i)
 
     def compat_residual(self, i, j):
-        A = self.algebra
-        i, j = A._indices(i, j)
-        deltas = [self.delta(k) for k in range(self.dim)]
-        return _compat_residual(A, deltas, i, j, _compat_tables(A, deltas))
+        A, n = self.algebra, self.dim
+        i, j = _basis_index(i, n), _basis_index(j, n)
+        deltas = [self.delta(k) for k in range(n)]
+        return _compat_residual(A, deltas, i, j, _Lazy(lambda k: _beside(deltas[k], A.alpha)))
 
     def check(self, multiplicative=False):
         A = self.algebra
         deltas = [self.delta(k) for k in range(self.dim)]
         violations = A._found(multiplicative)
         nonskew = {v.indices for v in violations if v.axiom == "skew"}
-        compat = _compat_residuals(A, deltas, nonskew, _compat_tables(A, deltas))
+        compat = _compat_residuals(A, deltas, nonskew,
+                                   _Lazy(lambda k: _beside(deltas[k], A.alpha)))
         violations += (self.coalgebra.check(comultiplicative=multiplicative).violations
                        + [Violation("compatibility", ij, r) for ij, r in compat.items()])
         return CheckReport("hom-super-bialgebra", violations)
@@ -893,7 +881,8 @@ def delta1(algebra, deltas):
     ``_beside(delta(e_k))`` tables."""
     _require_deltas(algebra, deltas)
     n = algebra.dim
-    return [[_compat_residual(algebra, deltas, i, j, _compat_tables(algebra, deltas))
+    return [[_compat_residual(algebra, deltas, i, j,
+                              _Lazy(lambda k: _beside(deltas[k], algebra.alpha)))
              for j in range(n)] for i in range(n)]
 
 

@@ -245,51 +245,42 @@ def rational_nullspace(rows, ncols):
     return basis
 
 
-def _constant_matrix(alpha):
-    try:
-        return [[v.constant_value() for v in row] for row in alpha.matrix]
-    except ScalarError as exc:
-        raise HypothesisError(
-            "sampling needs a fully numeric structure map") from exc
-
-
 def alpha_fixed_tensors(algebra, skew=False, even_only=False):
     """A basis of the tensors fixed by alpha (x) alpha, optionally
-    restricted to skew and/or even ones."""
-    basis = algebra.basis
-    n = basis.dim
-    A = _constant_matrix(algebra.alpha)
-    if even_only:
-        slots = [(i, j) for i in range(n) for j in range(n)
-                 if (basis.parity(i) + basis.parity(j)) % 2 == 0]
-    else:
-        slots = [(i, j) for i in range(n) for j in range(n)]
+    restricted to skew and/or even ones: the rational nullspace of one
+    system over the slots (i, j), all n^2 or the even ones.
+
+    Its column at slot (a, b) is that of alpha (x) alpha - 1, read off
+    alpha's sparse columns: -1 on its own row, and x y on row (u, v) for
+    each term x e_u of alpha(e_a) and y e_v of alpha(e_b).  alpha is even,
+    so (u, v) is a slot whenever (a, b) is.  With *skew*, each i <= j adds
+    the row t_ij + (-1)^{|e_i||e_j|} t_ji unless it is zero (an odd
+    diagonal slot).  alpha must have constant entries."""
+    basis, ring = algebra.basis, algebra.ring
+    p, n = basis.parities, basis.dim
+    try:
+        cols = [[(u, x.constant_value()) for (u,), x in col] for col in algebra.alpha._cols]
+    except ScalarError as exc:
+        raise HypothesisError("sampling needs a fully numeric structure map") from exc
+    slots = [(i, j) for i in range(n) for j in range(n) if not even_only or p[i] == p[j]]
     index = {s: k for k, s in enumerate(slots)}
-    rows = []
-    for (u, v) in slots:
-        row = [Fraction(0)] * len(slots)
-        for (a, b) in slots:
-            coeff = A[u][a] * A[v][b]
-            if coeff:
-                row[index[(a, b)]] += coeff
-        row[index[(u, v)]] -= 1
-        rows.append(row)
+    rows = [[0] * len(index) for _ in index]
+    for (a, b), k in index.items():
+        rows[k][k] -= 1
+        for u, x in cols[a]:
+            for v, y in cols[b]:
+                rows[index[u, v]][k] += x * y
     if skew:
-        for (i, j) in slots:
-            if i > j:
-                continue
-            row = [Fraction(0)] * len(slots)
-            row[index[(i, j)]] += 1
-            if (j, i) in index:
-                s = koszul_sign(basis.parity(i), basis.parity(j))
-                row[index[(j, i)]] += s
-            if any(row):
-                rows.append(row)
-    out = []
-    for vec in rational_nullspace(rows, len(slots)):
-        out.append(Tensor2._wrap(algebra.ring, basis, {
-            ij: algebra.ring.from_fraction(vec[k]) for ij, k in index.items() if vec[k]}))
-    return out
+        for (i, j), k in index.items():
+            if i <= j:
+                row = [0] * len(index)
+                row[k] = 1
+                row[index[j, i]] += koszul_sign(p[i], p[j])
+                if any(row):
+                    rows.append(row)
+    return [Tensor2._wrap(ring, basis, {ij: ring.from_fraction(vec[k])
+                                        for ij, k in index.items() if vec[k]})
+            for vec in rational_nullspace(rows, len(index))]
 
 
 def random_fixed_tensor(algebra, rng, skew=False, even_only=False, span=None):

@@ -406,6 +406,53 @@ class FormOracle:
         return out
 
 
+# -- alpha-fixed tensors -------------------------------------------------
+#
+# A 2-tensor is fixed by alpha (x) alpha when (A (x) A - 1) t = 0, for the
+# dense matrix A[u][a] of alpha.  The system is written over all n^2
+# slots (i, j) in row-major order, each restriction as extra rows: t_ij +
+# (-1)^{|e_i||e_j|} t_ji = 0 for skew tensors and t_ij = 0 at each odd
+# slot for even ones.
+
+
+def fixed_span(alpha, parities, skew=False, even_only=False):
+    """The reduced-echelon basis of the alpha-fixed tensors, as {(i, j):
+    Fraction} dicts of their nonzero cells: one tensor per free slot of
+    the reduced system, in slot order, 1 at that slot and 0 at every
+    other free slot.  *alpha* is a dense matrix of constant scalars, such
+    as ``alpha.matrix``."""
+    A = [[Fraction(v.constant_value()) for v in row] for row in alpha]
+    n = len(parities)
+    slots = [(i, j) for i in range(n) for j in range(n)]
+    rows = [[A[u][a] * A[v][b] - ((u, v) == (a, b)) for a, b in slots] for u, v in slots]
+    for i, j in slots:
+        if skew:
+            sign = -1 if parities[i] * parities[j] % 2 else 1
+            rows.append([((a, b) == (i, j)) + sign * ((a, b) == (j, i)) for a, b in slots])
+        if even_only and (parities[i] + parities[j]) % 2:
+            rows.append([int((a, b) == (i, j)) for a, b in slots])
+    return [{s: c for s, c in zip(slots, vec) if c} for vec in _nullspace(rows, len(slots))]
+
+
+def _nullspace(rows, ncols):
+    """Gauss-Jordan elimination of Fraction rows down to reduced echelon
+    form, then one nullspace vector per column without a pivot."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = {}  # pivot column -> its row, once reduced
+    for col in range(ncols):
+        row = next((r for r in rows if r[col] and not any(r[c] for c in pivots)), None)
+        if row is None:
+            continue
+        row[:] = [x / row[col] for x in row]
+        for other in rows:
+            if other is not row and other[col]:
+                other[:] = [x - other[col] * y for x, y in zip(other, row)]
+        pivots[col] = row
+    free = [c for c in range(ncols) if c not in pivots]
+    return [[Fraction(c == f) if c not in pivots else -pivots[c][f] for c in range(ncols)]
+            for f in free]
+
+
 # -- scalars -----------------------------------------------------------
 #
 # A polynomial is a dict {exponent tuple: Fraction} without zero values,

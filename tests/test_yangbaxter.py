@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hlsb.catalog import concrete_variant
 from hlsb.errors import DimensionMismatchError, HypothesisError
 from hlsb.scalar import ParamRing
 from hlsb.structures import (
@@ -38,7 +41,8 @@ from hlsb.yangbaxter import (
     yang_baxter_residual,
 )
 
-from dense_oracle import t2_dict, t3_dict
+from dense_oracle import fixed_span, t2_dict, t3_dict
+from test_acceptance import multiplicative_variants
 from test_structures import draw_value, random_algebra, sparse_tensor
 
 QQ = ParamRing()
@@ -78,6 +82,58 @@ def test_fixed_tensor_space_dimensions():
     B = scaling_family(1)
     assert len(alpha_fixed_tensors(B)) == 5
     assert len(alpha_fixed_tensors(B, skew=True, even_only=True)) == 2
+
+
+def test_rational_nullspace_contract(rng):
+    """On seeded sparse rational matrices, some with dependent rows: one
+    vector per free column, each killing every row, 1 at its own free
+    column and 0 at the others, as many as ncols - rank (by sympy).  A
+    column is free when it lies in the span of the columns before it."""
+    deficient = 0
+    for _ in range(80):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 7)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.35 else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if rows and rng.random() < 0.5:
+            a, b, c = rng.choice(rows), rng.choice(rows), Fraction(rng.randint(-3, 3), 2)
+            rows.insert(rng.randint(0, len(rows)), [x + c * y for x, y in zip(a, b)])
+        M = sympy.Matrix(len(rows), ncols, [x for row in rows for x in row])
+        rank = M.rank()
+        free = [c for c in range(ncols) if M[:, :c + 1].rank() == M[:, :c].rank()]
+        basis = rational_nullspace(rows, ncols)
+        assert len(basis) == len(free) == ncols - rank
+        for f, vec in zip(free, basis):
+            assert len(vec) == ncols
+            assert all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows)
+            assert [vec[c] for c in free] == [int(c == f) for c in free]
+        deficient += 0 < rank < min(len(rows), ncols)
+    assert deficient  # some matrix had dependent rows and a nonzero rank
+
+
+@pytest.mark.parametrize("skew, even_only", list(product((False, True), repeat=2)))
+def test_alpha_fixed_tensors_match_dense_oracle(rng, skew, even_only):
+    """Every concrete multiplicative catalog variant: the span equals the
+    reduced-echelon basis of the dense oracle's system, and each tensor of
+    it is fixed by alpha (x) alpha."""
+    sizes = []
+    for v in multiplicative_variants():
+        A = concrete_variant(v, rng=rng).algebra
+        span = alpha_fixed_tensors(A, skew=skew, even_only=even_only)
+        want = fixed_span(A.alpha.matrix, A.basis.parities, skew, even_only)
+        assert [{(i, j): c.constant_value() for i, j, c in t.items()} for t in span] == want, v.ident
+        assert all(t.apply_all(A.alpha) == t for t in span), v.ident
+        sizes.append(len(span))
+    assert len(sizes) == 71 and min(sizes) < max(sizes)
+
+
+def test_alpha_fixed_tensors_refuse_a_symbolic_alpha():
+    symbolic = [v for v in multiplicative_variants()
+                if any(not x.is_constant() for row in v.bialgebra.alpha.matrix for x in row)]
+    assert symbolic
+    for v, (skew, even_only) in product(symbolic, product((False, True), repeat=2)):
+        with pytest.raises(HypothesisError,
+                           match=r"^sampling needs a fully numeric structure map$"):
+            alpha_fixed_tensors(v.bialgebra.algebra, skew=skew, even_only=even_only)
 
 
 def test_random_fixed_tensor_is_fixed_skew_even(rng):
