@@ -22,9 +22,9 @@ Morphism, representation and admissibility checks run on the bracket
 kernels of :mod:`hlsb.structures`, one ``_Kernel`` per check (of f, of
 alpha over the action rows, of Id - alpha^2).  A morphism check and a
 representation's intertwining replay a ``_morphism_list`` with
-``_replayed``; the action and admissibility residuals walk their nonzero
-action and map columns once through ``_bracket_into``.  Each check adds
-every instance into one flat term accumulator
+``_replayed``; the action and admissibility residuals and ``act`` walk
+each nonzero column once, as ``[col]``, through ``_act_into``.  Each
+check adds every instance into one flat term accumulator
 (``hlsb.scalar._Accumulator``) keyed by (instance, cell) and reads the
 nonzero instances back in sorted order, and a vector or matrix is filled
 only for a reported violation or for ``act``.  ``_cobracket_morphism``
@@ -43,8 +43,8 @@ from .structures import (
     HomSuperAlgebra,
     HomSuperBialgebra,
     Violation,
+    _act_into,
     _bracket_cells,
-    _bracket_into,
     _cobracket_cells,
     _cobracket_morphism,
     _group,
@@ -346,8 +346,8 @@ class Representation:
         whose coefficients are lifted into the ring as in
         ``EvenMap.apply``."""
         rows = self._rows[_basis_index(m, self.algebra.dim)]
-        acc = _bracket_into(_Accumulator(self.ring), rows,
-                            _vector_cells(vec, self.module_basis.dim, self.ring))
+        acc = _act_into(_Accumulator(self.ring), rows,
+                        [_vector_cells(vec, self.module_basis.dim, self.ring)])
         return _filled(acc.cells(), (self.module_basis.dim,), self.ring.zero())
 
     def grading_violations(self):
@@ -371,13 +371,13 @@ class Representation:
             for j, row in enumerate(plane):
                 if row:
                     for c, ys in enumerate(beta):
-                        _bracket_into(action, table[j], ys, False, (i, j), (c,))
+                        _act_into(action, table[j], [ys], False, (i, j), (c,))
         for j, plane in enumerate(rows):
             for c, col in enumerate(plane):
                 if col:
                     for i in kernel.live:
-                        _bracket_into(action, kernel.twisted[i], col, True, (i, j), (c,))
-                        _bracket_into(action, kernel.twisted[i], col, p[i] & p[j], (j, i), (c,))
+                        _act_into(action, kernel.twisted[i], [col], True, (i, j), (c,))
+                        _act_into(action, kernel.twisted[i], [col], p[i] & p[j], (j, i), (c,))
 
         def matrix(cells):
             return _filled(cells, (d, d), self.ring.zero())
@@ -422,7 +422,7 @@ def check_admissible(algebra):
     acc = _Accumulator(A.ring)
     for i in kernel.live:
         for j, col in enumerate(A.alpha._cols):
-            _bracket_into(acc, kernel.twisted[i], col, False, (i, j))
+            _act_into(acc, kernel.twisted[i], [col], False, (i, j))
     return CheckReport("admissible", [Violation("admissible", ij, A._vector(cells))
                                       for ij, cells in _grouped(acc.cells(), 2).items()])
 

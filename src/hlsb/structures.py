@@ -43,7 +43,7 @@ by (instance, cell) and reads the nonzero instances back in sorted order
 nonzero hops [alpha(e_a), [e_b, e_c]] through T into the cyclic sums of
 the triples they enter (never the n^3 / 6 triples), looking each hop up
 in an index of the live a by the e_m it reaches, built for that one
-list, and
+list (of only e_i, e_j, e_k for ``jacobi_residual(i, j, k)``), and
 ``_morphism_list`` gives every bracket-morphism residual g([e_i, e_j]) -
 [f(e_i), g(e_j)]: multiplicativity and ``mult_residual`` (f = g =
 alpha), a morphism check (f = g) and a representation's intertwining
@@ -52,17 +52,18 @@ kernel for its alpha (``HomSuperAlgebra._tables``), built again once
 alpha is rebound, so every check replays the kernel's ``jacobi`` and
 ``morphism`` lists and every ``delta1`` pair and adjoint walk reads the
 same tables; ``jacobi_residual`` and ``mult_residual`` replay a list of
-their one instance.  ``_bracket_into`` adds [f(e_a), y] = sum_b y_b
-T[a][b] into an accumulator.  alpha reaches the slots a
-bracket walk leaves untouched once, through ``_beside(t, alpha)``: per
-slot s, t's cells with alpha on every other slot.  ``_ad_images`` gives
-ad_{e_m}(t) for every m in one walk over ``_beside(t)``, less the cells
-on which no bracket row acts (``acting``), the partial brackets of
-:mod:`hlsb.yangbaxter` read it, and ``_compat_residual``
-adds delta([e_i, e_j]) and both ad terms into one accumulator, each a
-row of the algebra's T times a cell of ``_beside(delta(e_k))``, built
-lazily per k by its caller.  Products take a ``negate`` flag in place of a
-negated factor, so a residual that cancels builds no scalar at all.
+their one instance.  Every other twisted action is one walk,
+``_act_into``: acc += y . t, y acting on e_u by a sparse row
+``table[u]``, one slot of t at a time with the Koszul sign for moving y
+past the slots before it and alpha on the others, applied once by
+``_beside(t, alpha)`` (which the partial brackets of
+:mod:`hlsb.yangbaxter` read too).  ``_ad_images`` walks the rows of each
+e_m over ``_beside(t)``, less the cells no bracket row acts on
+(``acting``); ``_compat_residual`` adds delta([e_i, e_j]) and both ad
+terms, walks of T[x] over ``_beside(delta(e_k))`` (built lazily per k by
+its caller), into one accumulator; a sparse vector walks as ``[col]``.
+Products take a ``negate`` flag in place of a negated factor, so a
+residual that cancels builds no scalar at all.
 ``HomSuperBialgebra.check`` evaluates its compatibility pairs once per
 unordered pair {i, j} where the bracket is skew (deriving (j, i) by the
 Koszul sign), directly where it is not, and not at all where [e_i, e_j],
@@ -253,16 +254,23 @@ def zero_cobracket(ring, basis):
     return zero_bracket(ring, basis)
 
 
-def _bracket_into(acc, table, ys, negate=False, prefix=(), suffix=()):
-    """acc += sum_b y_b table[b], or -= if *negate*, for a sparse vector
-    *ys* of ((b,), y_b) pairs, into the ``_Accumulator`` *acc*, each cell
-    k placed at prefix + (k,) + suffix.  With table = ``_images(rows,
-    cols)[a]`` it adds [f(e_a), y]; with table = rows[a], one plane of
-    bracket (or action) rows, [e_a, y] (or rho(e_a) y).  Returns acc."""
-    for (b,), y in ys:
-        row = table[b]
-        if row:
-            acc.mul(y, row, negate, prefix, suffix)
+def _act_into(acc, table, beside, negate=False, prefix=(), suffix=(), py=0, p=()):
+    """acc += y . t, or -= if *negate*: the one twisted-action walk.  y
+    has parity *py* and acts on e_u by the sparse row ``table[u]``: T[a]
+    of ``_images`` for y = f(e_a), rows[a] for y = e_a (or rho(e_a)).
+    *beside* holds per slot s the (idx, value) cells with y acting on
+    slot s (``_beside``), or is ``[col]`` for a vector.  Each product
+    takes the Koszul sign for moving y past idx[:s] (parities *p*) and
+    lands at prefix + idx[:s] + (k,) + idx[s + 1:] + suffix.  Returns acc."""
+    for s, cells in enumerate(beside):
+        for idx, v in cells:
+            row = table[idx[s]]
+            if row:
+                sign = negate
+                if py:
+                    for j in idx[:s]:
+                        sign ^= p[j]
+                acc.mul(v, row, sign, prefix + idx[:s], idx[s + 1:] + suffix)
     return acc
 
 
@@ -340,7 +348,7 @@ class _Kernel:
         return _morphism_list(self.rows, self)
 
 
-def _jacobi_list(kernel, pairs, targets):
+def _jacobi_list(kernel, pairs, targets, hops=None):
     """The product list of the Jacobi residuals of the algebra rows and
     alpha that *kernel* was built for.
 
@@ -349,13 +357,15 @@ def _jacobi_list(kernel, pairs, targets):
     (-1)^{|e_a||e_c|}; so each hop enters the triples (a, b, c), (b, c, a)
     and (c, a, b), and ``targets(a, b, c)`` says which of those are
     wanted, with repeats.  For each (b, c) in *pairs* and each term y_m
-    e_m of [e_b, e_c], the hop a runs over ``index[m]``, the live a
-    (sorted) with T[a][m] nonzero, built on first read for this list; each
+    e_m of [e_b, e_c], the hop a runs over ``index[m]``, the live a (in
+    *hops*, if given; sorted) with T[a][m] nonzero, built on first read
+    for this list; each
     wanted triple t gets the entry (y_m, T[a][m], sign, t), which
     ``_replayed`` adds into one accumulator keyed by (i, j, k, l) for the
     cells (l,) of T[a][m].  Hops with no wanted triple add nothing."""
     p = kernel.f.src.parities
-    rows, twisted, live = kernel.rows, kernel.twisted, sorted(kernel.live)
+    live = sorted(kernel.live if hops is None else kernel.live.intersection(hops))
+    rows, twisted = kernel.rows, kernel.twisted
     index = _Lazy(lambda m: [a for a in live if twisted[a][m]])
     out = []
     for b, c in pairs:
@@ -514,7 +524,8 @@ class HomSuperAlgebra:
         def targets(a, b, c):
             return [t for t in ((a, b, c), (b, c, a), (c, a, b)) if t == ijk]
         # the hops of (i, j, k) bracket these pairs, each walked once
-        entries = _jacobi_list(self._tables(), dict.fromkeys([(j, k), (k, i), (i, j)]), targets)
+        entries = _jacobi_list(self._tables(), dict.fromkeys([(j, k), (k, i), (i, j)]),
+                               targets, hops=ijk)
         return self._vector(_replayed(self.ring, entries, 3).get(ijk, {}))
 
     def mult_residual(self, i, j):
@@ -659,11 +670,11 @@ def delta_otimes_alpha(coalgebra, r):
 
 def _beside(t, alpha, acting=None):
     """For each slot s of the tensor t, the cells of t with alpha applied to
-    every other slot: the one place where alpha reaches the slots a bracket
-    walk leaves untouched.  With a table *acting*, the cells whose index u
-    in slot s has no ``acting[u]`` are dropped from slot s before alpha is
-    applied.  t's basis is checked first, and as alpha is even, every slot
-    of a cell keeps its parity."""
+    every other slot, as an ``items()`` view: the one place where alpha
+    reaches the slots an ``_act_into`` walk leaves untouched.  With a table
+    *acting*, the cells whose index u in slot s has no ``acting[u]`` are
+    dropped from slot s before alpha is applied.  t's basis is checked
+    first, and as alpha is even, every slot of a cell keeps its parity."""
     _check_same_basis(t.basis, alpha.src)
     out = []
     for s in range(t.rank):
@@ -671,13 +682,13 @@ def _beside(t, alpha, acting=None):
             t.ring, t.basis, {idx: v for idx, v in t._cells.items() if acting[idx[s]]})
         for other in (o for o in range(t.rank) if o != s):
             u = u.apply(alpha, other)
-        out.append(u._cells)
+        out.append(u._cells.items())
     return out
 
 
 def _ad_images(algebra, t):
     """The twisted adjoint images ad_{e_m}(t) of a tensor, for every basis
-    vector e_m, as a list indexed by m, in one walk over ``_beside(t)``.
+    vector e_m, as a list indexed by m, from one ``_beside(t)`` table.
 
     On each summand the bracket hits one slot while ``alpha`` hits all the
     others, with the Koszul sign for moving e_m past the slots it skips:
@@ -685,25 +696,18 @@ def _ad_images(algebra, t):
         e_m . (y1 (x) ... (x) yn)
           = sum_i (+-) alpha(y1) (x) ... (x) [e_m, y_i] (x) ... (x) alpha(yn)
 
-    so a cell of ``_beside(t)[i]`` with e_u in slot i takes one
-    ``_Accumulator.mul`` by each nonzero bracket row [e_m, e_u], read from
-    the algebra's ``acting`` table (``_tables``); the cells no row acts on
-    are dropped before alpha is applied."""
+    so ad_{e_m}(t) is one ``_act_into`` walk of the bracket rows of e_m
+    over that table; the cells on which no bracket row acts (the
+    algebra's ``acting`` table, ``_tables``) are dropped before alpha is
+    applied."""
     if not isinstance(t, _TensorBase):
         raise TypeError("ad_action expects a Tensor2 or Tensor3")
-    n, p, rows = algebra.dim, algebra.basis.parities, algebra._rows
-    acting = algebra._tables().acting  # acting[u]: the m with [e_m, e_u] != 0
-    images = [_Accumulator(algebra.ring) for _ in range(n)]
-    for slot, cells in enumerate(_beside(t, algebra.alpha, acting)):
-        for idx, v in cells.items():
-            u = idx[slot]
-            before, after = idx[:slot], idx[slot + 1:]
-            skipped = sum(p[j] for j in before) & 1
-            for m in acting[u]:
-                images[m].mul(v, rows[m][u], p[m] & skipped, before, after)
-    return [t._wrap(algebra.ring, algebra.basis, acc.cells(),
+    p, ring = algebra.basis.parities, algebra.ring
+    beside = _beside(t, algebra.alpha, algebra._tables().acting)
+    return [t._wrap(ring, algebra.basis,
+                    _act_into(_Accumulator(ring), plane, beside, False, (), (), p[m], p).cells(),
                     None if t.parity is None else (t.parity + p[m]) % 2)
-            for m, acc in enumerate(images)]
+            for m, plane in enumerate(algebra._rows)]
 
 
 def ad_action(algebra, x, t):
@@ -737,9 +741,10 @@ def _compat_residual(algebra, deltas, i, j, beside):
     + (-1)^{|e_i||e_j|} ad_{alpha(e_j)} delta(e_i), added into one accumulator.
 
     ad_{alpha(e_x)} sends e_u (x) e_v to T[x][u] (x) alpha(e_v)
-    + (-1)^{|e_x||e_u|} alpha(e_u) (x) T[x][v], so each ad term reads T
-    against the two slots of ``_beside(delta(e_t))``, whose cells keep the
-    parity of e_u as alpha is even.  T is the algebra's twisted-bracket
+    + (-1)^{|e_x||e_u|} alpha(e_u) (x) T[x][v], so each ad term is one
+    ``_act_into`` walk of T[x] over the two slots of
+    ``_beside(delta(e_t))``, whose cells keep the parity of e_u as alpha
+    is even.  T is the algebra's twisted-bracket
     table (``_tables``), and *beside* a ``_Lazy`` table of
     ``_beside(delta(e_k))`` per k: only what this pair reads is built."""
     twisted, p = algebra._tables().twisted, algebra.basis.parities
@@ -747,17 +752,8 @@ def _compat_residual(algebra, deltas, i, j, beside):
     for (k,), c in algebra._rows[i][j]:
         acc.mul(c, deltas[k]._cells.items())
     for x, t, negate in ((i, j, 1), (j, i, p[i] & p[j])):
-        if not deltas[t]._cells:
-            continue
-        twisted_x, (id_alpha, alpha_id) = twisted[x], beside[t]
-        for (u, w), d in id_alpha.items():
-            row = twisted_x[u]
-            if row:
-                acc.mul(d, row, negate, (), (w,))
-        for (w, v), d in alpha_id.items():
-            row = twisted_x[v]
-            if row:
-                acc.mul(d, row, negate ^ p[x] & p[w], (w,))
+        if deltas[t]._cells:
+            _act_into(acc, twisted[x], beside[t], negate, (), (), p[x], p)
     return Tensor2._wrap(algebra.ring, algebra.basis, acc.cells())
 
 

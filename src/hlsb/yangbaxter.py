@@ -53,12 +53,12 @@ def _partial_bracket(algebra, r, rp, slots, beside=None):
     by_y = {}
     for side in {slot > 1 for slot in slots}:
         groups = by_y[side] = {}
-        for cd, vb in beside_p[side].items():
+        for cd, vb in beside_p[side]:
             groups.setdefault(cd[side], []).append((cd, vb))
     acc = _Accumulator(algebra.ring)
     for slot in slots:
         groups = by_y[slot > 1].items()
-        for (a, b), va in beside[slot > 0].items():
+        for (a, b), va in beside[slot > 0]:
             bracketed = rows[b if slot else a]
             for y, cells in groups:
                 row = bracketed[y]

@@ -233,6 +233,15 @@ def test_the_algebra_builds_its_product_lists_once(monkeypatch):
     assert kernel.jacobi and kernel.morphism
 
 
+def test_jacobi_residual_builds_only_the_twisted_rows_of_its_triple():
+    """A hop of the cyclic sum at (i, j, k) brackets alpha of one of e_i,
+    e_j, e_k, so one ``jacobi_residual`` on a fresh algebra builds the
+    rows T[a] of those three a and no other."""
+    A = glmn.gl_algebra(2, 1)
+    A.jacobi_residual(1, 3, 5)
+    assert sorted(A._tables().twisted) == [1, 3, 5]
+
+
 def test_a_morphism_check_keeps_the_algebra_lists():
     """A morphism check of the same algebra into itself, between two
     checks, builds its lists on a kernel of its own: the algebra's kept

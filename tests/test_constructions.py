@@ -640,3 +640,43 @@ def test_derived_structures_are_built_in_canonical_form(data):
     for action in (coadjoint_action(B.algebra, gstar), dual_coadjoint_action(B.algebra, gstar),
                    dual_representation(rep)):
         _assert_canonical_action(action)
+
+
+@st.composite
+def actions_and_module_vectors(draw):
+    """An action of an algebra on a module, a few random cells over QQ or
+    a Laurent ring that may break parity, an algebra index m and a module
+    vector of one parity, odd as often as even, over the same ring."""
+    ring = draw(st.sampled_from([QQ, LAURENT]))
+    value = (st.integers(-2, 2) if ring is QQ
+             else st.sampled_from(LAURENT_VALUES).map(ring.parse))
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pm = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    pv = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    action = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, d - 1),
+                                            st.integers(0, d - 1)), value, max_size=10))
+    parity = draw(st.integers(0, 1))
+    vec = [draw(value) if pv[k] == parity else 0 for k in range(d)]
+    return ring, pm, pv, action, draw(st.integers(0, n - 1)), vec
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(actions_and_module_vectors())
+# an odd e_1 acting on an odd v_1 with Laurent entries, onto two rows
+@example((LAURENT, [0, 1], [0, 1], {(1, 0, 1): LAURENT.parse("a^-1"),
+                                    (1, 1, 1): LAURENT.parse("2*b")},
+          1, [0, LAURENT.parse("a*b - 1")]))
+def test_act_matches_the_dense_oracle(data):
+    """``Representation.act`` is the matrix product rho(e_m) v of the
+    dense oracle, for vectors of either parity."""
+    ring, pm, pv, action, m, vec = data
+    n, d = len(pm), len(pv)
+    g = HomSuperAlgebra(ring, SuperBasis(pm), {}, {(i, i): 1 for i in range(n)})
+    module = SuperBasis(pv, ["v%d" % i for i in range(d)])
+    rep = Representation(g, module, {(k, k): 1 for k in range(d)}, action)
+    rho = [[[ring.lift(action.get((a, i, j), 0)) for j in range(d)] for i in range(d)]
+           for a in range(n)]
+    oracle = ActionOracle(ring, pm, None, None, pv, None, rho)
+    want = oracle.reduce(oracle.act(oracle.unit(m),
+                                    [(ring.lift(v), (k,)) for k, v in enumerate(vec) if v]))
+    assert vec_dict(rep.act(m, vec)) == want
