@@ -220,9 +220,6 @@ def main(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except (HypothesisError, MorphismError) as exc:
         message = str(exc)
         for key, hint in _HINTS.items():
@@ -230,10 +227,7 @@ def main(argv=None):
                 message += " [%s]" % hint
         print("failed: %s" % message, file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except HlsbError as exc:
+    except (OSError, ValueError, HlsbError) as exc:  # ParseError is an HlsbError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

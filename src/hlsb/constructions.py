@@ -11,12 +11,15 @@ construction reads structures that their constructors have already
 validated, so it builds its result from their sparse rows, planes and
 columns through the private ``_wrap`` of each class, which checks
 nothing again: ``dualize``, ``twist`` and ``transport_structure``
-(through ``_bialgebra``), ``MatchedPair.double``, the coadjoint actions
-of ``dual_matched_pair``, ``dual_representation`` and the pairing form of
-``manin_supertriple``.  ``dual_matched_pair`` checks the dual shape of
-its halves once.  The public constructors (``Representation``,
-``BilinearForm``, ``MatchedPair`` and those of :mod:`hlsb.structures`)
-still validate what a caller passes.
+(through ``_bialgebra``), ``MatchedPair.double``, every dual action and
+the pairing form of ``manin_supertriple``.  ``_dual_action`` is the one
+negated graded transpose: ``dual_representation``, ``coadjoint_action``,
+``dual_coadjoint_action`` and ``dual_matched_pair`` (which checks the
+dual shape of its halves once) all build through it.  The form's
+self-adjoint and invariance checks are one ``_adjoint_defect`` walk.
+The public constructors (``Representation``, ``BilinearForm``,
+``MatchedPair`` and those of :mod:`hlsb.structures`) still validate what
+a caller passes.
 
 Morphism, representation and admissibility checks run on the bracket
 kernels of :mod:`hlsb.structures`, one ``_Kernel`` per check (of f, of
@@ -395,16 +398,26 @@ def adjoint_representation(algebra):
     return Representation._wrap(algebra, algebra.basis, algebra.alpha, algebra._rows)
 
 
+def _dual_action(algebra, rows, basis, module_map, on_input=False):
+    """The negated graded transpose of the action *rows* of *algebra*, on
+    *basis* with structure map *module_map*: the one dual action,
+    rho*(e_m)[c][r] = -(-1)^{|e_m||e_q|} rho(e_m)[r][c], where q = r, or
+    q = c if *on_input*, at the parities of *basis*."""
+    pm, p = algebra.basis.parities, basis.parities
+    cells = {}  # at (m, r, c): rho*(e_m)[c][r], in column r of rho*(e_m)
+    for m, plane in enumerate(rows):
+        for c, col in enumerate(plane):
+            for (r,), v in col:
+                cells[m, r, c] = -v if koszul_sign(pm[m], p[c if on_input else r]) == 1 else v
+    n, d = algebra.dim, basis.dim
+    return Representation._wrap(algebra, basis, module_map, _group(cells, (n, d, d), 2))
+
+
 def dual_representation(rep):
     """The negated graded transpose action on the dual module."""
     basis = dual_basis(rep.module_basis)
-    pm = rep.algebra.basis.parities
-    pv = basis.parities
-    cells = {(m, j, k): -v if koszul_sign(pm[m], pv[j]) == 1 else v
-             for (m, j, k), v in rep._cells().items()}
     module_map = EvenMap._wrap(rep.ring, basis, basis, rep.module_map.transpose()._cols)
-    n, d = rep.algebra.dim, basis.dim
-    return Representation._wrap(rep.algebra, basis, module_map, _group(cells, (n, d, d), 2))
+    return _dual_action(rep.algebra, rep._rows, basis, module_map)
 
 
 def check_admissible(algebra):
@@ -519,37 +532,26 @@ def _require_dual_shape(g, gstar):
                               "structure map")
 
 
-def _coadjoint(acting, partner, sign_on_target):
-    """Negated graded transpose of *acting*'s own adjoint action, acting on
-    *partner*'s space.  The Koszul sign pairs the acting index with the
-    output index if *sign_on_target*, else with the input index."""
-    p, n = acting.basis.parities, acting.dim
-    cells = {}  # at (m, j, out): rho(e_m)[out][j], in column j of rho(e_m)
-    for (m, out, j), v in _bracket_cells(acting).items():
-        q = p[out] if sign_on_target else p[j]
-        cells[m, j, out] = -v if koszul_sign(p[m], q) == 1 else v
-    return Representation._wrap(acting, partner.basis, partner.alpha, _group(cells, (n,) * 3, 2))
-
-
 def coadjoint_action(g, gstar):
     """g acting on the dual space by the negated graded transpose of its
     own adjoint action."""
     _require_dual_shape(g, gstar)
-    return _coadjoint(g, gstar, False)
+    return _dual_action(g, g._rows, gstar.basis, gstar.alpha)
 
 
 def dual_coadjoint_action(g, gstar):
     """The dual space acting back on g, through the pairing that
     identifies g with the double dual."""
     _require_dual_shape(g, gstar)
-    return _coadjoint(gstar, g, True)
+    return _dual_action(gstar, gstar._rows, g.basis, g.alpha, True)
 
 
 def dual_matched_pair(g, gstar):
     """The matched pair carried by a structure and its dual-space partner,
     with both halves acting by coadjoint-type actions."""
     _require_dual_shape(g, gstar)
-    return MatchedPair(g, gstar, _coadjoint(g, gstar, False), _coadjoint(gstar, g, True))
+    return MatchedPair(g, gstar, _dual_action(g, g._rows, gstar.basis, gstar.alpha),
+                       _dual_action(gstar, gstar._rows, g.basis, g.alpha, True))
 
 
 # ---------------------------------------------------------------------------
@@ -605,36 +607,31 @@ class BilinearForm:
         return _violations("form-supersymmetric",
                            sorted({(min(idx), max(idx)) for idx in cells}), residual)
 
-    def _lines(self):
-        """The form's rows and columns: rows[i] holds the ((j,), S_ij) and
-        cols[j] the ((i,), S_ij) of its nonzero cells."""
-        rows = [[] for _ in range(self.basis.dim)]
-        cols = [[] for _ in range(self.basis.dim)]
+    def _adjoint_defect(self, axiom, images):
+        """S(L e_x, e_k) - S(e_k, L e_x) at x + (k,) and (k,) + x, for the
+        sparse images (x, L e_x) of L = alpha or the bracket, reported if
+        nonzero."""
+        rows = [[] for _ in range(self.basis.dim)]  # ((j,), S_ij) in rows[i]
+        cols = [[] for _ in range(self.basis.dim)]  # ((i,), S_ij) in cols[j]
         for (i, j), s in self._cells.items():
             rows[i].append(((j,), s))
             cols[j].append(((i,), s))
-        return rows, cols
+        diff = _Accumulator(self.ring)
+        for x, image in images:
+            for (m,), c in image:
+                diff.mul(c, rows[m], prefix=x)
+                diff.mul(c, cols[m], True, suffix=x)
+        return [Violation(axiom, idx, v) for idx, v in sorted(diff.cells().items())]
 
     def self_adjoint_violations(self, alpha):
         """S(alpha(e_i), e_j) - S(e_i, alpha(e_j)), reported if nonzero."""
-        rows, cols = self._lines()
-        diff = _Accumulator(self.ring)
-        for i, col in enumerate(alpha._cols):
-            for (k,), a in col:
-                diff.mul(a, rows[k], prefix=(i,))  # alpha_ki S_kj at (i, j)
-                diff.mul(a, cols[k], True, suffix=(i,))  # S_jk alpha_ki at (j, i)
-        return [Violation("form-self-adjoint", idx, v) for idx, v in sorted(diff.cells().items())]
+        return self._adjoint_defect("form-self-adjoint",
+                                    (((i,), col) for i, col in enumerate(alpha._cols)))
 
     def invariance_violations(self, algebra):
         """S([e_i, e_j], e_k) - S(e_i, [e_j, e_k]), reported if nonzero."""
-        rows, cols = self._lines()
-        diff = _Accumulator(self.ring)
-        for i, plane in enumerate(algebra._rows):
-            for j, row in enumerate(plane):
-                for (m,), c in row:
-                    diff.mul(c, rows[m], prefix=(i, j))
-                    diff.mul(c, cols[m], True, suffix=(i, j))
-        return [Violation("form-invariant", idx, v) for idx, v in sorted(diff.cells().items())]
+        return self._adjoint_defect("form-invariant", (
+            ((i, j), row) for i, plane in enumerate(algebra._rows) for j, row in enumerate(plane)))
 
     def determinant(self):
         """det S.  A form with exactly one cell in each row and each column
@@ -726,10 +723,8 @@ def _pairing_cocycle_violations(g, gstar, convention, shifted, axiom):
     """
     n = g.dim
     p = g.basis.parities
-    deltas = [{} for _ in range(n)]
-    for (i, a, b), v in _dual_cobracket_cells(g, gstar, convention).items():
-        deltas[i][a, b] = v
-    defect = delta1(g, [Tensor2._wrap(g.ring, g.basis, d) for d in deltas])
+    planes = _group(_dual_cobracket_cells(g, gstar, convention), (n,) * 3, 1)
+    defect = delta1(g, [Tensor2._wrap(g.ring, g.basis, dict(plane)) for plane in planes])
     violations = []
     for i in range(n):
         for j in range(n):

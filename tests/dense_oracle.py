@@ -344,6 +344,24 @@ class ActionOracle:
         return out
 
 
+def dual_action(rho, pm, pv, on_input=False):
+    """The negated graded transpose of a dense action rho[m][row][col] of
+    an algebra (parities pm) on a module (parities pv), as dense grids
+    dual[m][c][r] = -(-1)^{|e_m||e_q|} rho[m][r][c], with q = r, or q = c
+    if *on_input*."""
+    d = len(pv)
+    out = []
+    for m, matrix in enumerate(rho):
+        grid = [[None] * d for _ in range(d)]
+        for r in range(d):
+            for c in range(d):
+                q = c if on_input else r
+                keep = (int(pm[m]) * int(pv[q])) % 2 == 1  # -(-1) = +1
+                grid[c][r] = matrix[r][c] if keep else -matrix[r][c]
+        out.append(grid)
+    return out
+
+
 class FormOracle:
     """A bilinear form S[i][j] = S(e_i, e_j) on a graded space, against an
     algebra on the same space (bracket c[i][j][k], structure map A)."""

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_oracle import (
-    ActionOracle, DenseOracle, FormOracle, morphism_violations, t2_dict, vec_dict)
+    ActionOracle, DenseOracle, FormOracle, dual_action, morphism_violations, t2_dict, vec_dict)
 from hlsb import constructions
 from hlsb.catalog import catalog_list, concrete_variant, expand_variants, get_row
 from hlsb.constructions import (
@@ -502,6 +502,38 @@ def test_action_and_form_violations_match_dense_oracle(data):
     assert _found(S.supersymmetry_violations()) == oracle.supersymmetry()
     assert _found(S.self_adjoint_violations(g.alpha)) == oracle.self_adjoint()
     assert _found(S.invariance_violations(g)) == oracle.invariance()
+
+
+def _grids(matrices):
+    return tuple(tuple(map(tuple, mat)) for mat in matrices)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_actions_and_forms(), st.data())
+def test_dual_actions_match_the_dense_oracle(data, more):
+    """dual_representation, coadjoint_action and dual_coadjoint_action
+    against an independent negated graded transpose, with a random
+    bracket on the dual basis carrying alpha^T; cells may break parity."""
+    pm, bracket, alpha, pv, beta, action, _ = data
+    n, d = len(pm), len(pv)
+    g = HomSuperAlgebra(QQ, SuperBasis(pm), bracket, alpha)
+    rep = Representation(g, SuperBasis(pv, ["v%d" % i for i in range(d)]), beta, action)
+    dual = dual_representation(rep)
+    assert dual.module_basis == dual_basis(rep.module_basis)
+    B = _dense(beta, (d, d))
+    assert dual.module_map.matrix == tuple(tuple(B[j][i] for j in range(d)) for i in range(d))
+    assert dual.matrices == _grids(dual_action(_dense(action, (n, d, d)), pm, pv))
+    star = more.draw(st.dictionaries(st.tuples(*[st.integers(0, n - 1)] * 3),
+                                     st.integers(-2, 2), max_size=8))
+    gstar = HomSuperAlgebra(QQ, dual_basis(g.basis), star,
+                            {(j, i): v for (i, j), v in alpha.items()})
+
+    def adjoint(br):
+        return [[[br[m][j][i] for j in range(n)] for i in range(n)] for m in range(n)]
+    co, back = coadjoint_action(g, gstar), dual_coadjoint_action(g, gstar)
+    assert (co.module_basis, back.module_basis) == (gstar.basis, g.basis)
+    assert co.matrices == _grids(dual_action(adjoint(_dense(bracket, (n,) * 3)), pm, pm))
+    assert back.matrices == _grids(dual_action(adjoint(_dense(star, (n,) * 3)), pm, pm, True))
 
 
 @st.composite
