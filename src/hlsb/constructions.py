@@ -30,8 +30,8 @@ each nonzero column once, as ``[col]``, through ``_act_into``.  Each
 check adds every instance into one flat term accumulator
 (``hlsb.scalar._Accumulator``) keyed by (instance, cell) and reads the
 nonzero instances back in sorted order, and a vector or matrix is filled
-only for a reported violation or for ``act``.  ``_cobracket_morphism``
-gives delta(f(x)) - (f (x) f) delta(x) for morphism checks; ``twist``
+only for a reported violation or for ``act``; the cobracket half of a
+morphism check is the table of ``_comorphism_table``.  ``twist``
 multiplies beta's columns straight into the delta planes.
 """
 
@@ -49,7 +49,7 @@ from .structures import (
     _act_into,
     _bracket_cells,
     _cobracket_cells,
-    _cobracket_morphism,
+    _comorphism_table,
     _group,
     _grouped,
     _images,
@@ -87,10 +87,10 @@ def check_algebra_morphism(f, src, dst):
 
 def check_bialgebra_morphism(f, src, dst):
     """check_algebra_morphism, then f's cobracket-morphism residuals."""
-    planes = src.coalgebra._planes
-    violations = check_algebra_morphism(f, src.algebra, dst.algebra).violations + _violations(
-        "cobracket-morphism", [(i,) for i in range(src.dim)],
-        lambda i: _cobracket_morphism(dst.coalgebra, f._cols[i], f, planes[i]))
+    residuals = _comorphism_table(dst.coalgebra, f, src.coalgebra._planes, range(src.dim))
+    violations = check_algebra_morphism(f, src.algebra, dst.algebra).violations + [
+        Violation("cobracket-morphism", i, Tensor2._wrap(dst.ring, dst.basis, cells))
+        for i, cells in residuals.items()]
     return CheckReport("bialgebra-morphism", violations)
 
 

@@ -69,10 +69,23 @@ unordered pair {i, j} where the bracket is skew (deriving (j, i) by the
 Koszul sign), directly where it is not, and not at all where [e_i, e_j],
 delta(e_i) and delta(e_j) are all zero, and keeps only the nonzero
 residuals; each pair of ``delta1`` builds its own ``_beside(delta(e_k))``
-tables.
-``_cobracket_morphism`` gives delta(f(e_i)) - (f (x) f) delta(e_i):
-comultiplicativity, the cobracket half of a morphism check and
-``delta_vector``.
+tables.  Compatibility stays per pair: one accumulator over the same
+walks, or an indexed scatter of them, measured slower on the catalog's
+small structures than the per-pair residuals.
+
+Skew and the three coalgebra axioms fill one table each per check too:
+an accumulator keyed by (instance, cell), read back with ``_grouped``.
+Skew adds [e_i, e_j] and
+the signed [e_j, e_i] of each pair (``_skew_table``); coskew and
+co-Jacobi add the cells of delta(e_i) and ``tau(delta(e_i))``, and of
+``cyclic_sum(_alpha_beside_delta(...))``, for each i with delta(e_i)
+nonzero (``HomSuperCoalgebra._table``), so ``tau`` and ``cyclic_sum``
+keep the flip and rotation signs; and ``_comorphism_table``, the
+coalgebra twin of ``_morphism_list``, adds delta(f(e_i)) - (f (x) f)
+delta(e_i) for each i through ``_cobracket_morphism``, which adds at a
+prefix into its caller's accumulator: comultiplicativity, the cobracket
+half of a morphism check and, with no plane, ``delta_vector``.  Each
+public residual of these axioms is its table at one instance.
 
 Nothing is validated eagerly beyond shapes and ring membership: the point
 of the package is to *report* which axioms hold, so malformed structures
@@ -81,9 +94,9 @@ listing every violated axiom with the exact symbolic residual.  Grading
 checks walk the sorted rows and planes for odd cells (``_odd_cells``
 for other cell lists), the bilinear checks report their table's
 nonzero instances and compatibility those ``_compat_residuals`` kept.
-The skew and coalgebra checks call their residual kernel at each index
-tuple through ``_violations``, which keeps the nonzero residuals (a
-tensor, a scalar or a sparse cell dict, each falsy exactly when zero).
+``_violations`` keeps the nonzero residuals of a kernel called at each
+index tuple (a tensor, a scalar or a sparse cell dict, each falsy
+exactly when zero), for the checks of the other modules.
 ``_densified`` fills the dense vectors of kept cell dicts and
 ``_prefixed`` relabels the violations of a sub-report.
 """
@@ -424,18 +437,30 @@ def _morphism_list(src_rows, kernel, pairs=None, right=None):
     return out
 
 
-def _cobracket_morphism(dst, x, f, plane):
-    """delta_dst(x) - (f (x) f)(plane) as a Tensor2 on dst's basis, for a
+def _cobracket_morphism(acc, dst, x, f, plane, prefix=()):
+    """acc += delta_dst(x) - (f (x) f)(plane) at prefix + (j, k), for a
     sparse vector x of ((m,), value) pairs and a delta plane of ((j, k),
     value) pairs.  With x = f(e_i), f's sparse column, and plane =
-    delta_src(e_i) it is f's cobracket-morphism residual at e_i; with an
-    empty plane it is delta_dst(x) alone."""
-    acc = _Accumulator(dst.ring)
+    delta_src(e_i) it adds f's cobracket-morphism residual at e_i; with an
+    empty plane it adds delta_dst(x) alone.  Returns acc."""
     for (m,), c in x:
-        acc.mul(c, dst._planes[m])
+        acc.mul(c, dst._planes[m], False, prefix)
     for (a, b), v in plane:
-        _mul_tensor(acc, v, [f._cols[a], f._cols[b]], True)
-    return Tensor2._wrap(dst.ring, dst.basis, acc.cells())
+        _mul_tensor(acc, v, [f._cols[a], f._cols[b]], True, prefix)
+    return acc
+
+
+def _comorphism_table(dst, f, planes, instances):
+    """The cobracket-morphism residuals delta_dst(f(e_i)) - (f (x) f)
+    delta_src(e_i), for the delta planes *planes* of the source, at each i
+    of *instances*, added by ``_cobracket_morphism`` into one accumulator
+    keyed by (i, j, k): the nonzero ones, in sorted order, each as its
+    sparse ((j, k): value) cells (``_grouped``).  With f = alpha it is
+    comultiplicativity; the coalgebra twin of ``_morphism_list``."""
+    acc = _Accumulator(dst.ring)
+    for i in instances:
+        _cobracket_morphism(acc, dst, f._cols[i], f, planes[i], (i,))
+    return _grouped(acc.cells(), 1)
 
 
 def _bracket_cells(algebra):
@@ -447,11 +472,6 @@ def _bracket_cells(algebra):
 def _cobracket_cells(coalgebra):
     """The nonzero cobracket constants as {(i, j, k): value}."""
     return {(i,) + jk: v for i, plane in enumerate(coalgebra._planes) for jk, v in plane}
-
-
-def _delta_cells(deltas):
-    """The cobracket constants of the images delta(e_i) = deltas[i]."""
-    return {(i,) + jk: v for i, d in enumerate(deltas) for jk, v in d._cells.items()}
 
 
 class HomSuperAlgebra:
@@ -514,7 +534,8 @@ class HomSuperAlgebra:
 
     def skew_residual(self, i, j):
         """[e_i,e_j] + (-1)^{|e_i||e_j|} [e_j,e_i]."""
-        return self._vector(self._skew_cells(_basis_index(i, self.dim), _basis_index(j, self.dim)))
+        ij = _basis_index(i, self.dim), _basis_index(j, self.dim)
+        return self._vector(self._skew_table([ij]).get(ij, {}))
 
     def jacobi_residual(self, i, j, k):
         """The graded cyclic sum of [alpha(x), [y, z]] over (e_i,e_j,e_k)."""
@@ -534,18 +555,29 @@ class HomSuperAlgebra:
         entries = _morphism_list(self._rows, self._tables(), [ij])
         return self._vector(_replayed(self.ring, entries, 2).get(ij, {}))
 
-    def _skew_cells(self, i, j):
-        """skew_residual(i, j) as sparse ``{(k,): value}`` cells."""
-        acc, p = _Accumulator(self.ring), self.basis.parities
-        for k, v in self._rows[i][j]:
-            acc.add(k, v)
-        for k, v in self._rows[j][i]:
-            acc.add(k, v, p[i] & p[j])
-        return acc.cells()
+    def _skew_table(self, pairs):
+        """The skew residuals at each (i, j) of *pairs*, added into one
+        accumulator keyed by (i, j, k): the nonzero ones, in sorted order,
+        each as its sparse ``{(k,): value}`` cells (``_grouped``)."""
+        acc, p, rows = _Accumulator(self.ring), self.basis.parities, self._rows
+        for ij in pairs:
+            i, j = ij
+            for k, v in rows[i][j]:
+                acc.add(ij + k, v)
+            for k, v in rows[j][i]:
+                acc.add(ij + k, v, p[i] & p[j])
+        return _grouped(acc.cells(), 2)
 
     # -- checks ----------------------------------------------------------
 
     def check(self, multiplicative=False):
+        """Grading, skew, Hom-Jacobi and, if asked, multiplicativity.  Skew
+        is evaluated at the pairs i <= j that a nonzero bracket enters, and
+        Hom-Jacobi only at the nondecreasing triples i <= j <= k: that is
+        complete only where the bracket is skew.  A bracket that is not
+        skew may have a nonzero ``jacobi_residual`` at an unsorted triple
+        and no reported ``jacobi`` violation, but its check then fails on
+        ``skew``."""
         return CheckReport("hom-super-algebra", self._found(multiplicative))
 
     def _found(self, multiplicative):
@@ -554,7 +586,7 @@ class HomSuperAlgebra:
         rows = self._rows
         pairs = [(i, j) for i in range(n) for j in range(i, n) if rows[i][j] or rows[j][i]]
         hops = _replayed(self.ring, self._tables().jacobi, 3)
-        found = (_violations("skew", pairs, self._skew_cells)
+        found = ([Violation("skew", ij, cells) for ij, cells in self._skew_table(pairs).items()]
                  + [Violation("jacobi", t, cells) for t, cells in hops.items()])
         if multiplicative:
             found += [Violation("multiplicative", ij, cells) for ij, cells
@@ -609,38 +641,66 @@ class HomSuperCoalgebra:
 
     def coskew_residual(self, i):
         """(1 + tau) delta(e_i)."""
-        d = self.delta(i)
-        return d + tau(d)
+        i = _basis_index(i, self.dim)
+        return Tensor2._wrap(self.ring, self.basis,
+                             self._table([i], self._coskew_terms).get((i,), {}))
 
     def delta_vector(self, x):
         """delta of a coefficient vector (linear extension), as a Tensor2;
         the coefficients are lifted into the ring as in ``EvenMap.apply``."""
-        return _cobracket_morphism(self, _vector_cells(x, self.dim, self.ring), None, ())
+        x = _vector_cells(x, self.dim, self.ring)
+        return Tensor2._wrap(self.ring, self.basis, _cobracket_morphism(
+            _Accumulator(self.ring), self, x, None, ()).cells())
 
     def cojacobi_residual(self, i):
         """The graded cyclic sum of (alpha (x) delta) delta at e_i."""
-        plane = self._planes[_basis_index(i, self.dim)]
-        return cyclic_sum(_alpha_beside_delta(self, plane, False))
+        i = _basis_index(i, self.dim)
+        return Tensor3._wrap(self.ring, self.basis,
+                             self._table([i], self._cojacobi_terms).get((i,), {}))
 
     def comult_residual(self, i):
         """delta(alpha(e_i)) - (alpha (x) alpha) delta(e_i)."""
         i = _basis_index(i, self.dim)
-        return _cobracket_morphism(self, self.alpha._cols[i], self.alpha, self._planes[i])
+        return Tensor2._wrap(self.ring, self.basis, _comorphism_table(
+            self, self.alpha, self._planes, [i]).get((i,), {}))
+
+    def _coskew_terms(self, i):
+        """delta(e_i) and tau(delta(e_i)), the terms of coskew at i."""
+        d = self.delta(i)
+        return d, tau(d)
+
+    def _cojacobi_terms(self, i):
+        """The one term of co-Jacobi at i, the cyclic sum itself."""
+        return (cyclic_sum(_alpha_beside_delta(self, self._planes[i], False)),)
+
+    def _table(self, instances, terms):
+        """The residuals at each i of *instances* that are the sums of the
+        tensors ``terms(i)``, added into one accumulator keyed by (i,) +
+        cell: the nonzero ones, in sorted order, each as its sparse cells
+        (``_grouped``).  ``tau`` and ``cyclic_sum`` keep the signs of the
+        coskew and co-Jacobi terms."""
+        acc = _Accumulator(self.ring)
+        for i in instances:
+            for t in terms(i):
+                for idx, v in t._cells.items():
+                    acc.add((i,) + idx, v)
+        return _grouped(acc.cells(), 1)
 
     def check(self, comultiplicative=False):
         # coskew and co-Jacobi are zero where delta(e_i) is; comultiplicativity
         # is not, as delta(alpha(e_i)) need not be
-        planted = [(i,) for i, plane in enumerate(self._planes) if plane]
-        violations = (self.grading_violations()
-                      + _violations("coskew", planted, self.coskew_residual)
-                      + _violations("cojacobi", planted, self.cojacobi_residual))
+        planted = [i for i, plane in enumerate(self._planes) if plane]
+        tables = [("coskew", Tensor2, self._table(planted, self._coskew_terms)),
+                  ("cojacobi", Tensor3, self._table(planted, self._cojacobi_terms))]
         if comultiplicative:
-            violations += _violations("comultiplicative", [(i,) for i in range(self.dim)],
-                                      self.comult_residual)
-        return CheckReport("hom-super-coalgebra", violations)
+            tables.append(("comultiplicative", Tensor2, _comorphism_table(
+                self, self.alpha, self._planes, range(self.dim))))
+        return CheckReport("hom-super-coalgebra", self.grading_violations() + [
+            Violation(axiom, i, kind._wrap(self.ring, self.basis, cells))
+            for axiom, kind, table in tables for i, cells in table.items()])
 
     def is_comultiplicative(self):
-        return not any(self.comult_residual(i) for i in range(self.dim))
+        return not _comorphism_table(self, self.alpha, self._planes, range(self.dim))
 
 
 def _alpha_beside_delta(coalgebra, pairs, delta_first):
@@ -860,7 +920,7 @@ def delta0(algebra, r):
 
 def _require_deltas(algebra, deltas):
     """Refuse cobracket images *deltas* that are not one Tensor2 on the
-    algebra's basis per basis vector."""
+    algebra's basis over its ring per basis vector."""
     if len(deltas) != algebra.dim:
         raise DimensionMismatchError("%d cobracket images for dimension %d"
                                      % (len(deltas), algebra.dim))
@@ -868,6 +928,9 @@ def _require_deltas(algebra, deltas):
         if not isinstance(d, Tensor2):
             raise TypeError("a cobracket image must be a Tensor2, not %s" % type(d).__name__)
         _check_same_basis(d.basis, algebra.basis)
+        if not _same_ring(d.ring, algebra.ring):
+            raise RingMismatchError("cobracket image over %r used where %r expected"
+                                    % (d.ring, algebra.ring))
 
 
 def delta1(algebra, deltas):
@@ -884,9 +947,11 @@ def delta1(algebra, deltas):
 
 def bialgebra_from_deltas(algebra, deltas):
     """Package an algebra and per-basis cobracket images as a bialgebra,
-    which holds *algebra* itself: only the cobracket is built.  *deltas*
-    has one image per basis vector, or is empty for the zero cobracket."""
+    which holds *algebra* itself: only the cobracket is built, as the
+    sorted cells of each image (``_require_deltas`` has refused any image
+    on another basis or ring).  *deltas* has one image per basis vector,
+    or is empty for the zero cobracket."""
     if deltas:
         _require_deltas(algebra, deltas)
-    return HomSuperBialgebra._wrap(algebra, _constants(
-        algebra.ring, algebra.basis, _delta_cells(deltas), "cobracket", 1))
+    planes = [tuple(sorted(d._cells.items())) for d in deltas] or [()] * algebra.dim
+    return HomSuperBialgebra._wrap(algebra, planes)

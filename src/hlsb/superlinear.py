@@ -309,14 +309,15 @@ def _frozen(cells, shape, zero):
     return freeze(_filled(cells, shape, zero))
 
 
-def _mul_tensor(acc, coeff, factors, negate=False):
+def _mul_tensor(acc, coeff, factors, negate=False, prefix=()):
     """Add coeff * (f_1 (x) f_2 (x) ...), or subtract it if *negate*, into
-    the accumulator *acc*, where maps act on every slot.  Each factor is a
-    sparse list of (index tuple, scalar) pairs over one or more consecutive
-    slots, a map's column or row or a delta plane; the last, of at least
-    one, is multiplied straight into *acc* by ``_Accumulator.mul``."""
+    the accumulator *acc* at cells led by *prefix*, where maps act on
+    every slot.  Each factor is a sparse list of (index tuple, scalar)
+    pairs over one or more consecutive slots, a map's column or row or a
+    delta plane; the last, of at least one, is multiplied straight into
+    *acc* by ``_Accumulator.mul``."""
     *head, last = factors
-    terms = [((), coeff)]
+    terms = [(prefix, coeff)]
     for factor in head:
         terms = [(idx + i, c * v) for idx, c in terms for i, v in factor]
     for idx, c in terms:

@@ -31,7 +31,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 Mutant = namedtuple("Mutant", "name file old new witnesses")
 
-_ACTIONS = "tests/test_constructions.py::test_action_and_form_violations_match_dense_oracle"
+_ACTIONS = "tests/test_constructions.py::test_action_violations_match_dense_oracle"
+_FORMS = "tests/test_constructions.py::test_form_violations_match_dense_oracle"
+_HAND = "tests/test_structures.py::test_dim2_residuals_match_hand_values"
+_RANDOM = "tests/test_structures.py::test_random_residuals_match_dense_oracle"
 _AD = "tests/test_structures.py::test_ad_images_match_the_dense_oracle"
 # pytest -x runs the witnesses in the order given: a hypothesis witness
 # spends 8-14 s shrinking its counterexample, so a fixed-input test goes first
@@ -60,7 +63,12 @@ MUTANTS = [
            "v if koszul_sign(pm[m], p[c if on_input else r]) == 1 else -v", _DUAL),
     Mutant("adjoint_defect-second-product-added", "constructions.py",
            "diff.mul(c, cols[m], True, suffix=x)", "diff.mul(c, cols[m], suffix=x)",
-           (_POSITIVE, _ACTIONS)),
+           (_POSITIVE, _FORMS)),
+    Mutant("skew_table-koszul-dropped", "structures.py",
+           "acc.add(ij + k, v, p[i] & p[j])", "acc.add(ij + k, v)", (_HAND, _RANDOM)),
+    Mutant("comorphism-negate-dropped", "structures.py",
+           "_mul_tensor(acc, v, [f._cols[a], f._cols[b]], True, prefix)",
+           "_mul_tensor(acc, v, [f._cols[a], f._cols[b]], False, prefix)", (_HAND, _RANDOM)),
 ]
 
 

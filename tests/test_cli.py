@@ -415,9 +415,9 @@ def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatc
     data = wide_definition(MAX_DIMENSION)
     A = loads_definition(json.dumps(data)).bialgebra.algebra
     skew, mult = [], []
-    skew_cells, replayed = HomSuperAlgebra._skew_cells, structures._replayed
-    monkeypatch.setattr(HomSuperAlgebra, "_skew_cells",
-                        lambda self, *args: skew.append(args) or skew_cells(self, *args))
+    skew_table, replayed = HomSuperAlgebra._skew_table, structures._replayed
+    monkeypatch.setattr(HomSuperAlgebra, "_skew_table",
+                        lambda self, pairs: skew.append(list(pairs)) or skew_table(self, pairs))
     products = count_products(monkeypatch)
 
     def counted(ring, entries, split):
@@ -429,7 +429,8 @@ def test_wide_check_evaluates_only_skew_and_mult_pairs_with_a_bracket(monkeypatc
     monkeypatch.setattr(structures, "_replayed", counted)
     assert A.check(multiplicative=True).passed
     assert A.is_multiplicative()
-    assert skew == [(0, 1), (0, 3)]
+    # one skew table, of the two pairs
+    assert skew == [[(0, 1), (0, 3)]]
     # alpha = id and each [e_i, e_j] here is one term: its residual
     # alpha([e_i, e_j]) - [alpha(e_i), alpha(e_j)] is one product for each
     # half, and a pair with no bracket gets none

@@ -481,7 +481,7 @@ def _found(violations):
 @given(sparse_actions_and_forms())
 # rho(e_0) = 0 but rho(alpha(e_0)) = rho(e_1) != 0, so intertwining fails at 0
 @example(([0, 0], {}, {(1, 0): 1}, [0], {(0, 0): 1}, {(1, 0, 0): 1}, {}))
-def test_action_and_form_violations_match_dense_oracle(data):
+def test_action_violations_match_dense_oracle(data):
     pm, bracket, alpha, pv, beta, action, form = data
     n, d = len(pm), len(pv)
     g = HomSuperAlgebra(QQ, SuperBasis(pm), bracket, alpha)
@@ -496,6 +496,17 @@ def test_action_and_form_violations_match_dense_oracle(data):
     adjoint = [[[br[m][j][i] for j in range(n)] for i in range(n)] for m in range(n)]
     assert (_found(adjoint_representation(g).check().violations)
             == ActionOracle(QQ, pm, br, al, pm, al, adjoint).violations())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sparse_actions_and_forms())
+# S(alpha(e_0), e_0) - S(e_0, alpha(e_0)) = 0 only if the two terms are subtracted
+@example(([0], {}, {(0, 0): 1}, [0], {}, {}, {(0, 0): 1}))
+def test_form_violations_match_dense_oracle(data):
+    pm, bracket, alpha, _, _, _, form = data
+    n = len(pm)
+    g = HomSuperAlgebra(QQ, SuperBasis(pm), bracket, alpha)
+    br, al = _dense(bracket, (n, n, n)), _dense(alpha, (n, n))
     S = BilinearForm(QQ, g.basis, form)
     oracle = FormOracle(QQ, pm, _dense(form, (n, n)), br, al)
     assert _found(S.evenness_violations()) == oracle.evenness()

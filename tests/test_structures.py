@@ -519,6 +519,23 @@ def test_a_cobracket_image_on_another_basis_is_a_dimension_mismatch(nonzero):
             build(B.algebra, deltas)
 
 
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_a_cobracket_image_over_another_ring_is_refused_naming_that_ring(nonzero):
+    ring, B = dim2_family()
+    other = ParamRing(["z"])
+    image = Tensor2(other, B.basis, {(0, 1): other.param("z")} if nonzero else None)
+    deltas = [B.delta(0), image]
+    for build in (delta1, bialgebra_from_deltas):
+        with pytest.raises(RingMismatchError,
+                           match=r"cobracket image over ParamRing\(z\) used where "):
+            build(B.algebra, deltas)
+    # an image over an equal ring object is the algebra's own ring
+    same = ParamRing(list(ring.names), ring.invertible)
+    twin = Tensor2(same, B.basis, {(0, 1): same.param("d"), (1, 0): -same.param("d")})
+    assert bialgebra_from_deltas(B.algebra, [B.delta(0), twin]).coalgebra._planes[1] \
+        == ((((0, 1), ring.param("d")), ((1, 0), -ring.param("d"))))
+
+
 def test_structure_constant_views_are_read_only():
     ring, B = dim2_family()
     A = B.algebra
